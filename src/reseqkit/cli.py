@@ -32,7 +32,7 @@ from .path_analysis import (
     render_report_table,
     report_to_json,
 )
-from .rational import INF, fmt_rat, parse_rat, parse_time, seconds_to_us_display
+from .rational import fmt_rat, parse_rat, parse_time, seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
 
@@ -167,12 +167,8 @@ def cmd_simulate(args) -> int:
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = trace_from_csv(fh.read())
     cfg = ResequencerConfig(parse_time(args.timeout), parse_rat(args.buffer))
-    arrivals = {
-        p.index: (p.observe_time, p.size) for p in trace.packets if not p.lost
-    }
-    lost = [p.index for p in trace.packets if p.lost]
-    for idx in lost:
-        arrivals[idx] = (INF, trace.packets[idx - 1].size)
+    # a lost packet's observe_time is already INF
+    arrivals = {p.index: (p.observe_time, p.size) for p in trace.packets}
     outcome = simulate(arrivals, cfg)
     print(
         json.dumps(

@@ -17,13 +17,20 @@ capacity:
 
 The simulator and the recursion must agree exactly on every trace; the test
 suite drives both over random and adversarial inputs.
+
+``simulate`` processes events in virtual time.  An arrival goes before a
+timer that fires at the same instant, and timers with equal deadlines fire in
+sequence-number order.  Pending timers sit in a binary heap keyed by
+(deadline, seq), so an event costs O(log backlog) and a trace of n packets
+O(n log n), however many packets a hole parks.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .curves import Curve, eval_curve
 from .rational import INF, Rat, is_inf
@@ -91,6 +98,12 @@ def simulate(
     Events are serialized in virtual time.  When a timer deadline coincides
     with an arrival instant, the arrival is processed first: a timer set to
     expire "after T seconds" has not yet fired at the instant T itself.
+    Timers with equal deadlines fire in sequence-number order.
+
+    Each stored packet pushes one (deadline, seq) entry on a heap; a packet
+    released before its deadline leaves a stale entry that is dropped when it
+    reaches the top.  An event therefore costs O(log backlog), and the whole
+    trace O(n log n) in the number of packets n.
     """
     arr = _normalize_arrivals(arrivals)
     n_max = max(arr, default=0)
@@ -101,7 +114,10 @@ def simulate(
 
     buf: Dict[int, Fraction] = {}  # seq -> size, packets waiting
     stored_at: Dict[int, Fraction] = {}
-    timers: Dict[int, Rat] = {}  # seq -> deadline
+    # (deadline, seq) min-heap, one entry per stored packet when the timeout
+    # is finite; an entry whose packet has left the buffer is stale.
+    timers: List[Tuple[Fraction, int]] = []
+    finite_timeout = not is_inf(cfg.timeout)
     next_expected = 1
     departures: Dict[int, Rat] = {idx: INF for idx in range(1, n_max + 1)}
     discards: Dict[int, str] = {}
@@ -117,7 +133,6 @@ def simulate(
             residence = now - stored_at.pop(seq)
             if residence > max_residence:
                 max_residence = residence
-        timers.pop(seq, None)
 
     def check_buffer(now: Fraction) -> None:
         nonlocal next_expected
@@ -133,7 +148,8 @@ def simulate(
             return
         if seq > next_expected:
             if occupancy + size <= cfg.capacity:
-                timers[seq] = now + cfg.timeout
+                if finite_timeout:
+                    heapq.heappush(timers, (now + cfg.timeout, seq))
                 buf[seq] = size
                 stored_at[seq] = now
                 occupancy += size
@@ -158,18 +174,19 @@ def simulate(
 
     pos = 0
     while True:
-        next_arrival = arr[order[pos]][0] if pos < len(order) else INF
-        pending = [(d, s) for s, d in timers.items() if not is_inf(d)]
-        next_deadline, deadline_seq = min(pending, default=(INF, -1))
-        if is_inf(next_arrival) and is_inf(next_deadline):
-            break
-        if next_arrival <= next_deadline:  # arrival wins ties
+        while timers and timers[0][1] not in buf:
+            heapq.heappop(timers)  # the packet left before its deadline
+        if pos < len(order) and (
+            not timers or arr[order[pos]][0] <= timers[0][0]
+        ):  # arrival wins ties
             idx = order[pos]
             pos += 1
-            handle_arrival(idx, next_arrival, arr[idx][1])
+            handle_arrival(idx, arr[idx][0], arr[idx][1])
+        elif timers:
+            deadline, seq = heapq.heappop(timers)
+            handle_timeout(seq, deadline)
         else:
-            del timers[deadline_seq]
-            handle_timeout(deadline_seq, next_deadline)
+            break
 
     return ResequencerOutcome(departures, discards, max_occupancy, max_residence)
 

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from list_scan_oracle import simulate as list_scan_simulate
 from reseqkit.curves import leaky_bucket
 from reseqkit.rational import INF
 from reseqkit.resequencer import (
@@ -237,3 +240,67 @@ class TestGuarantees:
             timeout = lam + F(rng.randint(0, 16), 8)
             out = simulate(arrivals, ResequencerConfig(timeout, INF))
             assert out.max_residence <= timeout
+
+
+@st.composite
+def grid_arrivals(draw):
+    """Arrivals on an integer time grid, with lost and missing indices.
+
+    Timeouts are drawn on the same grid, so arrivals often land exactly on a
+    timer deadline."""
+    n = draw(st.integers(1, 40))
+    slots = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n, unique=True))
+    arrivals = {}
+    for idx, slot in enumerate(slots, start=1):
+        fate = draw(st.sampled_from(["arrive"] * 4 + ["lost", "missing"]))
+        if fate == "missing":
+            continue
+        size = F(draw(st.integers(1, 3)))
+        arrivals[idx] = (INF if fate == "lost" else F(slot), size)
+    return arrivals
+
+
+class TestHeapMatchesListScan:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        arrivals=grid_arrivals(),
+        timeout=st.one_of(st.just(F(0)), st.integers(1, 60).map(F), st.just(INF)),
+        capacity=st.one_of(st.just(INF), st.integers(0, 12).map(F)),
+    )
+    def test_outcome_identical(self, arrivals, timeout, capacity):
+        cfg = ResequencerConfig(timeout, capacity)
+        assert simulate(arrivals, cfg) == list_scan_simulate(arrivals, cfg)
+
+
+def deep_backlog_arrivals(n=2000, hole_every=500, size=F(64)):
+    """Packet i arrives at time i, except one lost packet per ``hole_every``
+    and a swapped neighbour pair every 10 packets."""
+    times = {i: F(i) for i in range(1, n + 1)}
+    for i in range(3, n, 10):
+        times[i], times[i + 1] = times[i + 1], times[i]
+    for i in range(hole_every // 2, n + 1, hole_every):
+        times[i] = INF
+    return {i: (t, size) for i, t in times.items()}
+
+
+class TestDeepBacklog:
+    TIMEOUT = F(500)  # 500 spacings: each hole parks about 500 packets
+
+    def test_infinite_buffer_matches_recursion(self):
+        arrivals = deep_backlog_arrivals()
+        out = simulate(arrivals, ResequencerConfig(self.TIMEOUT, INF))
+        ana = analytic_departures(
+            {i: t for i, (t, _) in arrivals.items()}, self.TIMEOUT
+        )
+        assert out.departures == ana
+        assert out.discards == {}
+        assert out.max_occupancy >= 400 * 64
+
+    def test_capacity_below_peak_overflows(self):
+        arrivals = deep_backlog_arrivals()
+        cfg = ResequencerConfig(self.TIMEOUT, capacity=F(300 * 64))
+        out = simulate(arrivals, cfg)
+        assert out.discards
+        assert set(out.discards.values()) == {OVERFLOW}
+        assert out.max_occupancy <= cfg.capacity
+        assert out == list_scan_simulate(arrivals, cfg)
