@@ -12,15 +12,22 @@ packets) on (s, t] never exceed alpha(t - s).  Two shapes are supported:
 
 Every operation is pure and exact over Fractions.  The lower pseudo-inverse
 ``inf{s >= 0 | alpha(s) >= x}`` converts volume constraints into minimum
-spacing, and is the workhorse of both the reordering bounds and the trace
-conformance check.
+spacing, and is the workhorse of the reordering bounds.
+
+The trace conformance check (``check_conforms``) never enumerates packet
+pairs.  A min-affine curve is the minimum of its leaky buckets, so a trace
+conforms to it exactly when it conforms to every bucket; each bucket takes
+one token-bucket (GCRA) pass, O(n*k) for k pieces.  A staircase takes one
+sweep over the emission phases modulo its period, O(n log n).  Its witness
+is the first non-conforming packet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 from .rational import INF, Rat, fmt_rat, is_inf, parse_rat
 
@@ -304,7 +311,8 @@ def horizontal_deviation(curve: MinAffineCurve, service: RateLatencyService) -> 
 
 @dataclass(frozen=True)
 class Conformance:
-    """Verdict of an arrival-curve check; carries the first violating pair."""
+    """Verdict of an arrival-curve check; a violation carries the pair (m, n)
+    of the first non-conforming packet n and its earliest offending m."""
 
     ok: bool
     first_index: Optional[int] = None
@@ -323,23 +331,115 @@ def check_conforms(
 
     For every pair m <= n the emission gap must satisfy
     ``A_n - A_m >= inv(sum of sizes m..n)`` (byte curves) or
-    ``A_n - A_m >= inv(n - m + 1)`` (packet curves).  Returns the first
-    violating pair, in lexicographic (m, n) order, if any.
+    ``A_n - A_m >= inv(n - m + 1)`` (packet curves).
+
+    No pair is enumerated.  With prefix volumes P (bytes, or packet counts),
+    a min-affine curve is the minimum of its leaky buckets (r, b), and the
+    window m..n overflows bucket (r, b) iff
+    ``(P_n - r*A_n) - (P_{m-1} - r*A_m) > b``: one forward pass per piece
+    with a running minimum of the subtrahend, O(n*k) for k pieces.  For a
+    staircase b * ceil(t / tau), write ``A = tau * (q + f)`` with integer q
+    and phase f in [0, 1); the window overflows iff
+    ``P_n - P_{m-1} > b * (q_n - q_m + 1 - [f_n < f_m])``, which one sweep
+    decides with prefix minima over phase ranks, O(n log n).
+
+    The witness is the first non-conforming packet: the smallest violating n
+    and, for that n, the smallest violating m (1-based), with the gap the
+    curve requires and the one observed.
     """
     times = [Fraction(t) for t in emit_times]
+    if len(sizes) != len(times):
+        raise ValueError(
+            f"{len(sizes)} packet sizes for {len(times)} emission times"
+        )
     if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
         raise ValueError("emission times must be wide-sense increasing")
-    n = len(times)
-    by_packets = curve.unit == PACKETS
-    for m in range(n):
-        acc = Fraction(0)
-        for k in range(m, n):
-            acc += Fraction(sizes[k])
-            need = curve.pseudo_inverse(k - m + 1 if by_packets else acc)
-            gap = times[k] - times[m]
-            if gap < need:
-                return Conformance(False, m + 1, k + 1, Fraction(need), gap)
-    return Conformance(True)
+    sizes = [Fraction(s) for s in sizes]
+    if any(s < 0 for s in sizes):
+        raise ValueError("packet sizes must be >= 0")
+    if curve.unit == PACKETS:
+        vol: List[Rat] = list(range(len(times) + 1))
+    else:
+        vol = list(accumulate(sizes, initial=Fraction(0)))
+    if isinstance(curve, MinAffineCurve):
+        n = _first_affine_violation(times, vol, curve.pieces)
+    else:
+        n = _first_staircase_violation(times, vol, curve.burst, curve.period)
+    if n is None:
+        return Conformance(True)
+    m = next(
+        m
+        for m in range(n + 1)
+        if times[n] - times[m] < curve.pseudo_inverse(vol[n + 1] - vol[m])
+    )
+    need = Fraction(curve.pseudo_inverse(vol[n + 1] - vol[m]))
+    return Conformance(False, m + 1, n + 1, need, times[n] - times[m])
+
+
+def _first_affine_violation(
+    times: List[Fraction], vol: List[Rat], pieces: Sequence[Tuple[Fraction, Fraction]]
+) -> Optional[int]:
+    """0-based index of the first packet that overflows some leaky bucket."""
+    first = len(times)
+    for rate, burst in pieces:
+        low: Rat = INF  # min over packets m <= n of P_{m-1} - r*A_m
+        for n in range(first):
+            drained = rate * times[n]
+            low = min(low, vol[n] - drained)
+            if vol[n + 1] - drained - low > burst:
+                first = n
+                break
+    return first if first < len(times) else None
+
+
+def _first_staircase_violation(
+    times: List[Fraction], vol: List[Rat], burst: Fraction, period: Fraction
+) -> Optional[int]:
+    """0-based index of the first packet that overflows the staircase.
+
+    Sweeps n forward and keeps, in two min-Fenwick trees keyed by phase rank,
+    ``P_{m-1} - b*q_m`` over the m <= n with f_m <= f_n and with f_m > f_n.
+    """
+    steps, phases = [], []
+    for t in times:
+        x = t / period
+        q = x.numerator // x.denominator
+        steps.append(q)
+        phases.append(x - q)
+    rank = {f: i for i, f in enumerate(sorted(set(phases)), start=1)}
+    size = len(rank)
+    low_le: List[Rat] = [INF] * (size + 1)  # by phase rank
+    low_gt: List[Rat] = [INF] * (size + 1)  # by reversed phase rank
+    for n, (q, f) in enumerate(zip(steps, phases)):
+        key = vol[n] - burst * q
+        r = rank[f]
+        _fenwick_lower(low_le, r, key)
+        _fenwick_lower(low_gt, size + 1 - r, key)
+        top = vol[n + 1] - burst * q
+        if (
+            _fenwick_min(low_le, r) < top - burst
+            or _fenwick_min(low_gt, size - r) < top
+        ):
+            return n
+    return None
+
+
+def _fenwick_lower(tree: List[Rat], i: int, value: Rat) -> None:
+    """Lower the minima of every prefix that contains position i (1-based)."""
+    while i < len(tree):
+        if value < tree[i]:
+            tree[i] = value
+        i += i & -i
+
+
+def _fenwick_min(tree: List[Rat], i: int) -> Rat:
+    """Minimum over positions 1..i (INF when i is 0)."""
+    best: Rat = INF
+    while i > 0:
+        if tree[i] < best:
+            best = tree[i]
+        i -= i & -i
+    return best
 
 
 def check_trace_conforms(trace, curve: Curve) -> Conformance:

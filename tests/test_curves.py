@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairwise_conformance_oracle import check_conforms as pairwise_check_conforms
 from reseqkit.curves import (
+    BYTES,
+    PACKETS,
+    Conformance,
     CurveError,
     FlowSpec,
     InstabilityError,
@@ -24,6 +28,7 @@ from reseqkit.curves import (
     min_curves,
     shift_jitter,
 )
+from reseqkit.scenarios import packetize
 
 US = F(1, 10**6)
 
@@ -270,6 +275,131 @@ class TestConformance:
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
             check_conforms([F(1), F(0)], [F(1), F(1)], AUTOMOTIVE_ALPHA1)
+
+    def test_fewer_sizes_than_times_rejected(self):
+        with pytest.raises(ValueError, match="2 packet sizes for 3 emission times"):
+            check_conforms([F(0), F(1), F(2)], [F(64), F(64)], AUTOMOTIVE_ALPHA1)
+
+    def test_more_sizes_than_times_rejected(self):
+        with pytest.raises(ValueError, match="3 packet sizes for 2 emission times"):
+            check_conforms([F(0), F(1)], [F(64), F(64), F(64)], AUTOMOTIVE_ALPHA1)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="sizes must be >= 0"):
+            check_conforms([F(0), F(1)], [F(64), F(-1)], AUTOMOTIVE_ALPHA1)
+
+
+@st.composite
+def conformance_cases(draw):
+    """A curve, a conforming trace for it (``packetize`` for a min-affine
+    curve, ``period_packed`` for a staircase) with a few gaps widened, and a
+    list of packets to pull earlier, each to a point between its
+    predecessor's emission and its own (0 makes the two equal)."""
+    unit = draw(st.sampled_from([BYTES, PACKETS]))
+    n = draw(st.integers(1, 200))
+    sizes = draw(st.lists(st.integers(1, 64).map(F), min_size=n, max_size=n))
+    floor = 64 if unit == BYTES else 1  # one maximal packet fits
+    rates = st.builds(F, st.integers(1, 400), st.integers(1, 4))
+    bursts = st.builds(F, st.integers(0, 16 * floor), st.integers(1, 4)).map(
+        lambda b: floor + b
+    )
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.tuples(rates, bursts), min_size=1, max_size=4))
+        curve = MinAffineCurve(tuple(pieces), unit)
+    else:
+        period = draw(st.builds(F, st.integers(1, 20), st.integers(1, 4)))
+        curve = StaircaseCurve(draw(bursts), period, unit)
+    volumes = sizes if unit == BYTES else [F(1)] * n
+    if isinstance(curve, MinAffineCurve):
+        base = packetize(curve, volumes)
+    else:
+        base = period_packed(curve, volumes)
+    # up to three gaps widen by 1/4 or 1 times themselves
+    widen = draw(
+        st.dictionaries(st.integers(1, max(1, n - 1)),
+                        st.sampled_from([F(1, 4), F(1)]), max_size=3)
+    )
+    emits, extra = [base[0]], F(0)
+    for k in range(1, n):
+        extra += widen.get(k, 0) * (base[k] - base[k - 1])
+        emits.append(base[k] + extra)
+    pulls = draw(
+        st.lists(st.tuples(st.integers(1, max(1, n - 1)),
+                           st.sampled_from([F(0), F(1, 2), F(9, 10)])),
+                 min_size=1, max_size=3)
+    )
+    return curve, sizes, emits, pulls
+
+
+def period_packed(curve, volumes):
+    """Emission times for a staircase: each period's packets leave at its
+    start, as many as fit in the burst.  (``packetize`` keys periods on the
+    running total, so a packet straddling a burst boundary can overfill the
+    next period.)"""
+    times, period, used = [], 0, F(0)
+    for v in volumes:
+        if used + v > curve.burst:
+            period, used = period + 1, F(0)
+        used += v
+        times.append(period * curve.period)
+    return times
+
+
+def pulled_earlier(emits, pulls):
+    out = list(emits)
+    for k, frac in pulls:
+        if k < len(out):
+            out[k] = out[k - 1] + frac * (out[k] - out[k - 1])
+    return out
+
+
+class TestConformanceMatchesPairwise:
+    @settings(max_examples=150, deadline=None)
+    @given(case=conformance_cases())
+    def test_verdict_and_witness_identical(self, case):
+        curve, sizes, emits, pulls = case
+        assert check_conforms(emits, sizes, curve) == Conformance(True)
+        pulled = pulled_earlier(emits, pulls)
+        assert check_conforms(pulled, sizes, curve) == pairwise_check_conforms(
+            pulled, sizes, curve
+        )
+
+
+class TestConformanceAtScale:
+    N = 16_000
+
+    def test_leaky_bucket_trace(self):
+        # one 64 B packet per 512 ns: every window is exactly at the curve
+        curve = leaky_bucket(125_000_000, 64)
+        spacing = F(64, 125_000_000)
+        emits = [k * spacing for k in range(self.N)]
+        sizes = [F(64)] * self.N
+        assert check_conforms(emits, sizes, curve).ok
+        # packet 8000 half a spacing early: window 1..8000 holds 8000 packets
+        # in 7998.5 spacings, and every shorter window ending there is short
+        # of its spacing by the same half
+        emits[7999] -= spacing / 2
+        verdict = check_conforms(emits, sizes, curve)
+        assert (verdict.ok, verdict.first_index, verdict.second_index) == (False, 1, 8000)
+        assert verdict.required_gap == 7999 * spacing
+        assert verdict.actual_gap == F(15997, 2) * spacing
+
+    def test_packet_staircase_trace(self):
+        # 4 packets per 1 ms, evenly spaced at 250 us
+        period = F(1, 1000)
+        curve = StaircaseCurve(F(4), period, PACKETS)
+        spacing = period / 4
+        emits = [k * spacing for k in range(self.N)]
+        sizes = [F(64)] * self.N
+        assert check_conforms(emits, sizes, curve).ok
+        # packet 8000 half a spacing early: a window m..8000 of d + 1 packets
+        # now spans d - 1/2 spacings and needs floor(d/4) periods, which fails
+        # exactly when 4 divides d; the longest such window has d = 7996
+        emits[7999] -= spacing / 2
+        verdict = check_conforms(emits, sizes, curve)
+        assert (verdict.ok, verdict.first_index, verdict.second_index) == (False, 4, 8000)
+        assert verdict.required_gap == 1999 * period
+        assert verdict.actual_gap == F(15991, 2) * spacing
 
 
 class TestFlowSpec:
