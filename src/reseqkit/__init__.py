@@ -26,11 +26,8 @@ from .curves import (
     backlog_bound,
     check_trace_conforms,
     curve_from_json,
-    curve_to_json,
-    eval_curve,
     horizontal_deviation,
     leaky_bucket,
-    lower_pseudo_inverse,
     min_curves,
     shift_jitter,
 )
@@ -42,7 +39,6 @@ from .metrics import (
     rto,
     trace_from_csv,
     trace_to_csv,
-    validate_rbo_value,
 )
 from .path_analysis import (
     AnalysisReport,
@@ -62,7 +58,6 @@ from .resequencer import (
     ResequencerOutcome,
     analytic_departures,
     required_buffer,
-    required_timeout,
     simulate,
 )
 

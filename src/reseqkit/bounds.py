@@ -3,10 +3,10 @@ delay/jitter/arrival-curve effect of a re-sequencing buffer.
 
 For one element with delay jitter V and entrance curve alpha, the late time
 offset is at most ``[V - inv(2*l_min)]^+``: two packets can only swap if the
-second one may be emitted within the jitter window, and ``inv(2*l_min)`` is
-the minimum spacing the curve allows between two packets.  The byte offset
-is at most ``alpha(V) - l_min``: everything that overtakes a packet was
-emitted within one jitter window alongside it.
+second one may be emitted within the jitter window, and ``inv(2*l_min)``
+(``curves.min_spacing``) is the minimum spacing the curve allows between two
+packets.  The byte offset is at most ``alpha(V) - l_min``: everything that
+overtakes a packet was emitted within one jitter window alongside it.
 
 Across a sequence, order-preserving prefixes are transparent to the late
 time offset; from the first reordering element s onward the bound is
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .curves import BYTES, PACKETS, Curve, eval_curve, lower_pseudo_inverse, shift_jitter
+from .curves import BYTES, PACKETS, Curve, min_spacing, shift_jitter
 from .rational import Rat
 
 LOSSLESS = "lossless"
@@ -49,19 +49,11 @@ class ElementBoundInput:
 
 
 def rto_bound_element(inp: ElementBoundInput) -> Fraction:
-    """Late-time-offset bound ``[V - inv(2 l_min)]^+`` (byte curves) or
-    ``[V - inv(2)]^+`` (packet curves); plain V when no curve is known."""
-    v = inp.jitter
-    curve = inp.entrance_curve
-    if curve is None:
-        return v
-    if curve.unit == PACKETS:
-        spacing = lower_pseudo_inverse(curve, 2)
-    else:
-        if inp.l_min is None:
-            raise ValueError("byte-curve RTO bound needs l_min")
-        spacing = lower_pseudo_inverse(curve, 2 * Fraction(inp.l_min))
-    out = v - spacing
+    """Late-time-offset bound ``[V - min_spacing]^+``; plain V when no curve
+    is known."""
+    if inp.entrance_curve is None:
+        return inp.jitter
+    out = inp.jitter - min_spacing(inp.entrance_curve, inp.l_min)
     return out if out > 0 else Fraction(0)
 
 
@@ -75,14 +67,14 @@ def rbo_bound_element(inp: ElementBoundInput) -> Fraction:
     if curve.unit == PACKETS:
         if inp.l_max is None:
             raise ValueError("packet-curve RBO bound needs l_max")
-        count = eval_curve(curve, v)
+        count = curve.value(v)
         if count < 2:
             return Fraction(0)
         return Fraction(inp.l_max) * (Fraction(count) - 1)
     if inp.l_min is None:
         raise ValueError("byte-curve RBO bound needs l_min")
     l_min = Fraction(inp.l_min)
-    volume = eval_curve(curve, v)
+    volume = curve.value(v)
     if volume < 2 * l_min:
         return Fraction(0)
     return Fraction(volume) - l_min
@@ -171,16 +163,9 @@ def rto_bound_sequence(
     if head_el.rto is not None:
         candidates.append(head_el.rto)
     if head_el.entrance_curve is not None:
-        curve = head_el.entrance_curve
-        if curve.unit == PACKETS:
-            spacing = lower_pseudo_inverse(curve, 2)
-        else:
-            if l_min is None:
-                raise ValueError("byte-curve head term needs l_min")
-            spacing = lower_pseudo_inverse(curve, 2 * Fraction(l_min))
         # Unclamped on purpose: a negative value means the curve already rules
         # out reordering at this stage, which we record via `clamped`.
-        candidates.append(head_el.jitter - spacing)
+        candidates.append(head_el.jitter - min_spacing(head_el.entrance_curve, l_min))
     head = min(candidates)
     clamped = head < 0
     if clamped:

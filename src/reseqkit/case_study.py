@@ -28,6 +28,7 @@ from .path_analysis import (
     FabricElement,
     FifoServiceElement,
     PathSpec,
+    _align_rows,
     analyze_path,
     insert_resequencers,
 )
@@ -210,7 +211,7 @@ def render_case_study(result: CaseStudyResult, check: bool = False) -> str:
                 seconds_to_us_display(by_mode[LOSSY].e2e_jitter),
             )
         )
-    lines.extend(_render_rows(rows))
+    lines.extend(_align_rows(rows))
     lines.append("")
     lines.append("times in us")
     lines.append("")
@@ -229,7 +230,7 @@ def render_case_study(result: CaseStudyResult, check: bool = False) -> str:
                     str(r.buffer_size),
                 )
             )
-    lines.extend(_render_rows(rows))
+    lines.extend(_align_rows(rows))
     if check:
         lines.append("")
         if result.ok:
@@ -238,10 +239,3 @@ def render_case_study(result: CaseStudyResult, check: bool = False) -> str:
             lines.append("check: MISMATCH")
             lines.extend(f"  {m}" for m in result.mismatches)
     return "\n".join(lines)
-
-
-def _render_rows(rows: List[Tuple[str, ...]]) -> List[str]:
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    return [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows
-    ]

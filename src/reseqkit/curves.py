@@ -11,8 +11,9 @@ packets) on (s, t] never exceed alpha(t - s).  Two shapes are supported:
   for packet-level regulation (K packets per period).
 
 Every operation is pure and exact over Fractions.  The lower pseudo-inverse
-``inf{s >= 0 | alpha(s) >= x}`` converts volume constraints into minimum
-spacing, and is the workhorse of the reordering bounds.
+``inf{s >= 0 | alpha(s) >= x}`` (``pseudo_inverse`` on each curve) converts
+volume constraints into minimum spacing; ``min_spacing`` is the gap of two
+packets that every reordering bound subtracts.
 
 The trace conformance check (``check_conforms``) never enumerates packet
 pairs.  A min-affine curve is the minimum of its leaky buckets, so a trace
@@ -193,8 +194,7 @@ class RateLatencyService:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Per-flow contract: byte curve at the source, packet-size range, and an
-    optional packet-level curve.
+    """Per-flow contract: byte curve at the source and packet-size range.
 
     The size range must satisfy l_max >= 2*l_min or l_min == l_max; only then
     is the set of reachable byte totals (finite sums of packet sizes) simple
@@ -205,7 +205,6 @@ class FlowSpec:
     source_curve: Curve
     l_min: Fraction
     l_max: Fraction
-    packet_curve: Optional[Curve] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l_min", Fraction(self.l_min))
@@ -220,22 +219,29 @@ class FlowSpec:
             )
         if self.l_max < 2 * self.l_min and self.l_min != self.l_max:
             raise CurveError("need l_max >= 2*l_min or l_min == l_max")
-        if self.packet_curve is not None and self.packet_curve.unit != PACKETS:
-            raise UnitMismatchError("packet_curve must be in packets")
 
     @property
     def constant_size(self) -> bool:
         return self.l_min == self.l_max
 
+    def reachable_floor(self, x: Rat) -> Fraction:
+        """Largest finite sum of admissible packet sizes that is <= x: the
+        whole-packet floor of a buffer bound, and x itself exactly when x is
+        a reachable byte total.  0 when nothing fits."""
+        x = Fraction(x)
+        if x < self.l_min:
+            return Fraction(0)
+        return (x // self.l_min) * self.l_min if self.constant_size else x
 
-def eval_curve(curve: Curve, t: Rat) -> Rat:
-    """Value of the curve at time offset t >= 0 (bytes or packets)."""
-    return curve.value(t)
 
-
-def lower_pseudo_inverse(curve: Curve, x: Rat) -> Rat:
-    """inf{s >= 0 | curve(s) >= x}: minimum window length that admits x units."""
-    return curve.pseudo_inverse(x)
+def min_spacing(curve: Curve, l_min: Optional[Rat] = None) -> Fraction:
+    """Shortest emission gap of two packets the curve allows: ``inv(2)`` for
+    a packet curve, ``inv(2*l_min)`` for a byte curve."""
+    if curve.unit == PACKETS:
+        return Fraction(curve.pseudo_inverse(2))
+    if l_min is None:
+        raise ValueError("byte-curve packet spacing needs l_min")
+    return Fraction(curve.pseudo_inverse(2 * Fraction(l_min)))
 
 
 def backlog_bound(curve: Curve, max_delay: Rat) -> Rat:
@@ -452,10 +458,6 @@ def check_trace_conforms(trace, curve: Curve) -> Conformance:
     if any(p.emit_time is None for p in pkts):
         raise ValueError("trace has no emission times")
     return check_conforms([p.emit_time for p in pkts], [p.size for p in pkts], curve)
-
-
-def curve_to_json(curve: Curve) -> dict:
-    return curve.to_json()
 
 
 def curve_from_json(obj: dict) -> Curve:

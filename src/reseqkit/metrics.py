@@ -110,13 +110,9 @@ def _check_distinct_observations(packets: Sequence[PacketObservation]) -> None:
 
 
 @dataclass(frozen=True)
-class RtoResult:
-    value: Fraction
-    per_packet: Dict[int, Fraction]
+class OffsetResult:
+    """Flow-level offset (RTO or RBO) and the offset of each delivered packet."""
 
-
-@dataclass(frozen=True)
-class RboResult:
     value: Fraction
     per_packet: Dict[int, Fraction]
 
@@ -128,7 +124,7 @@ class DelayJitter:
     jitter: Fraction
 
 
-def rto(trace: Trace) -> RtoResult:
+def rto(trace: Trace) -> OffsetResult:
     """Reordering late time offset of the flow and of each delivered packet.
 
     Because index n itself belongs to {j >= n}, the suffix minimum of the
@@ -142,10 +138,10 @@ def rto(trace: Trace) -> RtoResult:
         if not p.lost:
             per[p.index] = p.observe_time - suffix_min
     value = max(per.values(), default=Fraction(0))
-    return RtoResult(Fraction(value), dict(sorted(per.items())))
+    return OffsetResult(Fraction(value), dict(sorted(per.items())))
 
 
-def rbo(trace: Trace) -> RboResult:
+def rbo(trace: Trace) -> OffsetResult:
     """Reordering byte offset: per delivered packet, the bytes of
     later-indexed packets observed strictly earlier.
 
@@ -160,7 +156,7 @@ def rbo(trace: Trace) -> RboResult:
         per[p.index] = tree.suffix_sum(p.index + 1)
         tree.add(p.index, p.size)
     value = max(per.values(), default=Fraction(0))
-    return RboResult(Fraction(value), dict(sorted(per.items())))
+    return OffsetResult(Fraction(value), dict(sorted(per.items())))
 
 
 class _Fenwick:
@@ -199,22 +195,6 @@ def delay_jitter(trace: Trace) -> DelayJitter:
         raise TraceError("all packets lost; delay metrics undefined")
     d_max, d_min = max(delays), min(delays)
     return DelayJitter(d_max, d_min, d_max - d_min)
-
-
-def validate_rbo_value(x: Rat, flow: FlowSpec) -> bool:
-    """Whether x is a finite sum of packet sizes from [l_min, l_max].
-
-    With l_max >= 2*l_min the reachable totals are 0 and everything >= l_min;
-    with a single packet size L they are the multiples of L.
-    """
-    x = Fraction(x)
-    if x < 0:
-        return False
-    if x == 0:
-        return True
-    if flow.constant_size:
-        return x % flow.l_min == 0
-    return x >= flow.l_min
 
 
 def trace_to_csv(trace: Trace) -> str:

@@ -35,7 +35,6 @@ from .curves import (
     MinAffineCurve,
     RateLatencyService,
     curve_from_json,
-    curve_to_json,
     horizontal_deviation,
     leaky_bucket,
     min_curves,
@@ -49,7 +48,7 @@ from .rational import (
     parse_rat,
     seconds_to_us_display,
 )
-from .resequencer import required_buffer, required_timeout
+from .resequencer import required_buffer
 
 
 class PathConfigError(ValueError):
@@ -145,12 +144,6 @@ class PathSpec:
                 "replace staircase sources by an affine upper bound"
             )
 
-    def without_resequencers(self) -> "PathSpec":
-        kept = tuple(e for e in self.elements if e.kind != "resequencer")
-        if not kept:
-            raise PathConfigError("path contains only re-sequencers")
-        return replace(self, elements=kept)
-
 
 @dataclass(frozen=True)
 class ElementReport:
@@ -160,7 +153,6 @@ class ElementReport:
     d_max: Fraction
     jitter: Fraction
     rto_bound: Optional[Fraction]  # fabric elements only
-    entrance_curve: Curve
     output_curve: Curve
     post_queue_curve: Optional[Curve] = None  # fifo: before the line shaper
 
@@ -172,9 +164,7 @@ class ResequencerReport:
     timeout: Rat
     required_buffer_exact: Rat
     buffer_size: int  # packet-sum floor of the exact bound
-    configured_capacity: Optional[Rat]
     unsafe_timeout: bool
-    entrance_curve: Curve
     output_curve: Curve
 
 
@@ -200,42 +190,23 @@ class AnalysisReport:
         return self.e2e_jitter - self.baseline_jitter
 
 
-def _packet_sum_floor(x: Rat, flow: FlowSpec) -> int:
-    """Largest reachable byte total (a finite sum of packet sizes) <= x.
-
-    Buffer contents are whole packets, so a capacity bound may be tightened
-    to this value.  For variable sizes every integer >= l_min is reachable;
-    below l_min nothing fits.
-    """
-    if is_inf(x):
-        raise ValueError("cannot size an infinite buffer")
-    x = Fraction(x)
-    if flow.constant_size:
-        step = flow.l_min
-        return int((x // step) * step) if x >= step else 0
-    return floor_int(x) if x >= flow.l_min else 0
-
-
 def analyze_path(path: PathSpec) -> AnalysisReport:
     """Walk the path once, propagating the arrival curve and accumulating
-    delay, jitter and re-sequencer parameters; then attach baseline deltas."""
+    delay, jitter and re-sequencer parameters; then attach baseline deltas
+    (a path without re-sequencers is its own baseline)."""
     main = _walk(path)
     if any(e.kind == "resequencer" for e in path.elements):
-        base = _walk(path.without_resequencers())
-        return replace(
-            main, baseline_delay=base.e2e_delay, baseline_jitter=base.e2e_jitter
-        )
+        base_delay, base_jitter = baseline(path)
+        return replace(main, baseline_delay=base_delay, baseline_jitter=base_jitter)
     return main
 
 
 def baseline(path: PathSpec) -> Tuple[Fraction, Fraction]:
     """(worst-case delay, jitter) of the same path with no re-sequencing."""
-    stripped = (
-        path.without_resequencers()
-        if any(e.kind == "resequencer" for e in path.elements)
-        else path
-    )
-    rep = _walk(stripped)
+    kept = tuple(e for e in path.elements if e.kind != "resequencer")
+    if not kept:
+        raise PathConfigError("path contains only re-sequencers")
+    rep = _walk(replace(path, elements=kept))
     return rep.e2e_delay, rep.e2e_jitter
 
 
@@ -277,8 +248,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
             )
             elements.append(
                 ElementReport(
-                    el.id, el.kind, d_min, d_max, jitter, None,
-                    entrance, curve, post_queue,
+                    el.id, el.kind, d_min, d_max, jitter, None, curve, post_queue
                 )
             )
         elif el.kind in ("fabric", "order_preserving_fixed"):
@@ -294,9 +264,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
                 lam = None
                 stage = SequenceElement(jitter, True, Fraction(0), entrance, el.id)
             elements.append(
-                ElementReport(
-                    el.id, el.kind, d_min, d_max, jitter, lam, entrance, curve
-                )
+                ElementReport(el.id, el.kind, d_min, d_max, jitter, lam, curve)
             )
         elif el.kind == "resequencer":
             upstream = bounds.rto_bound_sequence(
@@ -304,7 +272,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
             ).value if segment else Fraction(0)
             timeout: Rat
             if el.mode == "auto":
-                timeout = required_timeout(upstream)
+                timeout = upstream  # the timeout that never discards is the RTO
             else:
                 timeout = (
                     el.timeout if is_inf(el.timeout) else Fraction(el.timeout)
@@ -317,6 +285,10 @@ def _walk(path: PathSpec) -> AnalysisReport:
                     "packets may be discarded"
                 )
             if lossy:
+                if is_inf(timeout):
+                    raise PathConfigError(
+                        f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
+                    )
                 req = required_buffer(
                     LOSSY,
                     curve=flow.source_curve,
@@ -327,29 +299,22 @@ def _walk(path: PathSpec) -> AnalysisReport:
                 req = bounds.rbo_bound_sequence(
                     whole, flow.source_curve, flow.l_min
                 )
-            size = _packet_sum_floor(req, flow)
+            size = floor_int(flow.reachable_floor(req))
             if el.capacity is not None and not is_inf(el.capacity):
                 if Fraction(el.capacity) < size:
                     warnings.append(
                         f"{el.id}: configured capacity {fmt_rat(el.capacity)} B "
                         f"is below the required size {size} B"
                     )
-            added = timeout if lossy else Fraction(0)
-            if is_inf(added):
-                raise PathConfigError(
-                    f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
-                )
-            total_delay += added
-            total_jitter += added
-            if lossy and added > 0:
-                curve = shift_jitter(curve, added)
+            delay, jitter = bounds.resequencer_delay_effect(path.loss_mode, timeout)
+            total_delay += delay
+            total_jitter += jitter
+            if jitter > 0:
+                curve = shift_jitter(curve, jitter)
             reseqs.append(
-                ResequencerReport(
-                    el.id, upstream, timeout, req, size,
-                    el.capacity, unsafe, entrance, curve,
-                )
+                ResequencerReport(el.id, upstream, timeout, req, size, unsafe, curve)
             )
-            stage = SequenceElement(added, True, Fraction(0), entrance, el.id)
+            stage = SequenceElement(jitter, True, Fraction(0), entrance, el.id)
             segment = []
             whole.append(stage)
             continue
@@ -445,19 +410,28 @@ def compare_placements(
 # -- JSON config and report rendering ----------------------------------------
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when it has the JSON type ``kind`` (dict or list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise PathConfigError(f"{what} must be {name}")
+    return value
+
+
 def flow_from_json(obj: dict) -> FlowSpec:
-    packet_curve = (
-        curve_from_json(obj["packet_curve"]) if "packet_curve" in obj else None
-    )
+    obj = _typed(obj, dict, "flow")
+    curve = _typed(obj["curve"], dict, "flow curve")
+    for piece in _typed(curve.get("pieces", []), list, "curve pieces"):
+        _typed(piece, dict, "curve piece")
     return FlowSpec(
-        source_curve=curve_from_json(obj["curve"]),
+        source_curve=curve_from_json(curve),
         l_min=Fraction(parse_rat(obj["l_min"])),
         l_max=Fraction(parse_rat(obj["l_max"])),
-        packet_curve=packet_curve,
     )
 
 
 def element_from_json(obj: dict) -> PathElement:
+    obj = _typed(obj, dict, "element")
     kind = obj.get("kind")
     eid = obj.get("id")
     if not eid:
@@ -485,8 +459,11 @@ def element_from_json(obj: dict) -> PathElement:
 
 def path_from_json(obj: dict) -> PathSpec:
     try:
+        obj = _typed(obj, dict, "path config")
         flow = flow_from_json(obj["flow"])
-        elements = tuple(element_from_json(e) for e in obj["elements"])
+        elements = tuple(
+            element_from_json(e) for e in _typed(obj["elements"], list, "elements")
+        )
         loss_mode = obj.get("loss_mode", LOSSY)
     except KeyError as exc:
         raise PathConfigError(f"missing config key: {exc}") from exc
@@ -516,9 +493,9 @@ def report_to_json(rep: AnalysisReport) -> dict:
                     if e.rto_bound is not None
                     else {}
                 ),
-                "output_curve": curve_to_json(e.output_curve),
+                "output_curve": e.output_curve.to_json(),
                 **(
-                    {"queue_output_curve": curve_to_json(e.post_queue_curve)}
+                    {"queue_output_curve": e.post_queue_curve.to_json()}
                     if e.post_queue_curve is not None
                     else {}
                 ),
@@ -533,7 +510,7 @@ def report_to_json(rep: AnalysisReport) -> dict:
                 "required_buffer_bytes_exact": fmt_rat(r.required_buffer_exact),
                 "buffer_size_bytes": r.buffer_size,
                 "unsafe_timeout": r.unsafe_timeout,
-                "output_curve": curve_to_json(r.output_curve),
+                "output_curve": r.output_curve.to_json(),
             }
             for r in rep.resequencers
         ],
@@ -550,7 +527,7 @@ def report_to_json(rep: AnalysisReport) -> dict:
             "delta_delay_s": fmt_rat(rep.delta_delay),
             "delta_jitter_s": fmt_rat(rep.delta_jitter),
         },
-        "destination_curve": curve_to_json(rep.destination_curve),
+        "destination_curve": rep.destination_curve.to_json(),
         "warnings": list(rep.warnings),
     }
 

@@ -25,10 +25,6 @@ def is_inf(x: Rat) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-def is_finite(x: Rat) -> bool:
-    return not is_inf(x)
-
-
 _TIME_SUFFIXES = {
     "s": Fraction(1),
     "ms": Fraction(1, 10**3),
@@ -43,13 +39,18 @@ _NUMBER_RE = re.compile(
 )
 
 
-def parse_rat(text: str) -> Rat:
-    """Parse a numeric string into an exact value.
+def parse_rat(text: Union[str, int]) -> Rat:
+    """Parse a numeric string, or an integer, into an exact value.
 
     Accepted forms: plain/decimal integers (``"64"``, ``"251.5"``),
     scientific notation (``"125e6"``, ``"12e-6"``), explicit fractions
-    (``"3/7"``) and ``"inf"``.
+    (``"3/7"``), ``"inf"`` and ints.  Floats are refused: JSON gives no
+    exact value for them.
     """
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact number: {text!r}; give a string or an integer")
     s = text.strip()
     if s.lower() in ("inf", "+inf", "infinity"):
         return INF

@@ -1,5 +1,6 @@
 """Re-sequencing buffer: event-driven simulation, closed-form departures,
-and the minimal timeout/size formulas.
+and the minimal size formula.  The minimal timeout needs no formula: it is
+the flow's RTO.
 
 The buffer holds early packets until every smaller sequence number has been
 seen, releasing in increasing sequence-number order.  Each stored packet has
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .curves import Curve, eval_curve
+from .curves import Curve
 from .rational import INF, Rat, is_inf
 
 
@@ -228,13 +229,6 @@ def analytic_departures(
     return out
 
 
-def required_timeout(rto_value: Rat) -> Rat:
-    """Minimal timeout that never discards a packet of a flow with this RTO."""
-    if not is_inf(rto_value) and Fraction(rto_value) < 0:
-        raise ValueError("RTO must be >= 0")
-    return rto_value
-
-
 def required_buffer(
     mode: str,
     rbo_value: Optional[Rat] = None,
@@ -255,5 +249,5 @@ def required_buffer(
     if mode == "lossy":
         if curve is None or jitter is None or timeout is None:
             raise ValueError("lossy sizing needs curve, jitter and timeout")
-        return eval_curve(curve, Fraction(jitter) + Fraction(timeout))
+        return curve.value(Fraction(jitter) + Fraction(timeout))
     raise ValueError(f"unknown mode {mode!r}")

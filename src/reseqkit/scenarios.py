@@ -25,14 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .curves import (
-    PACKETS,
-    Curve,
-    FlowSpec,
-    check_conforms,
-    eval_curve,
-    lower_pseudo_inverse,
-)
+from .curves import Curve, FlowSpec, check_conforms, min_spacing
 from .metrics import PacketObservation, Trace
 from .rational import INF, Rat
 
@@ -45,20 +38,6 @@ class ScenarioError(ValueError):
 class DecompositionError(ScenarioError):
     """The requested byte total is not a finite sum of admissible packet
     sizes."""
-
-
-def largest_reachable_total(x: Rat, flow: FlowSpec) -> Fraction:
-    """Largest finite sum of admissible packet sizes that is <= x.
-
-    Constant-size flows reach only multiples of the packet size; variable
-    sizes (l_max >= 2*l_min) reach every value from l_min up.  Returns 0
-    when nothing fits.
-    """
-    x = Fraction(x)
-    if flow.constant_size:
-        step = flow.l_min
-        return (x // step) * step if x >= step else Fraction(0)
-    return x if x >= flow.l_min else Fraction(0)
 
 
 def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
@@ -94,7 +73,7 @@ def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
     acc = Fraction(0)
     for s in sizes:
         acc += Fraction(s)
-        times.append(Fraction(lower_pseudo_inverse(curve, acc)))
+        times.append(Fraction(curve.pseudo_inverse(acc)))
     return times
 
 
@@ -164,7 +143,7 @@ def gen_lossy_backlog_burst(
     eps = Fraction(eps) if eps is not None else _default_eps(min(v, t))
     if not 0 < eps < min(v, t):
         raise ScenarioError("need 0 < eps < min(jitter, timeout)")
-    target = largest_reachable_total(eval_curve(curve, v + t - eps), flow)
+    target = flow.reachable_floor(curve.value(v + t - eps))
     burst_sizes = decompose_bytes(target, flow)
     if not burst_sizes:
         raise DecompositionError("curve window admits no packet")
@@ -172,7 +151,7 @@ def gen_lossy_backlog_burst(
     burst_times = packetize(curve, burst_sizes)
 
     all_sizes = [flow.l_max] + burst_sizes
-    t0 = Fraction(lower_pseudo_inverse(curve, sum(all_sizes)))
+    t0 = Fraction(curve.pseudo_inverse(sum(all_sizes)))
     emits = [Fraction(0)] + [t0 + bt for bt in burst_times]
 
     # First survivor lands eps/2 short of the jitter bound; later ones trail
@@ -203,13 +182,10 @@ def gen_rto_tight_pair(
     """Two minimum-size packets emitted as close as the curve allows; the
     first is hit by the full jitter, the second by none.
 
-    The measured offset is exactly ``jitter - inv(2*l_min)``.
+    The measured offset is exactly ``jitter - min_spacing(curve, l_min)``.
     """
     v, lm, d = Fraction(jitter), Fraction(l_min), Fraction(base_delay)
-    if curve.unit == PACKETS:
-        spacing = Fraction(lower_pseudo_inverse(curve, 2))
-    else:
-        spacing = Fraction(lower_pseudo_inverse(curve, 2 * lm))
+    spacing = min_spacing(curve, lm)
     if v <= spacing:
         raise ScenarioError("jitter at or below the curve spacing: no reordering")
     a1, a2 = Fraction(0), spacing
@@ -235,7 +211,7 @@ def gen_rbo_tight_burst(
     eps = Fraction(eps) if eps is not None else _default_eps(v)
     if not 0 < eps < v:
         raise ScenarioError("need 0 < eps < jitter")
-    total = Fraction(eval_curve(curve, v - eps))
+    total = Fraction(curve.value(v - eps))
     if total < 2 * flow.l_min:
         raise ScenarioError("curve window admits fewer than two packets")
     sizes = [flow.l_min] + decompose_bytes(total - flow.l_min, flow)

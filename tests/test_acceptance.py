@@ -23,9 +23,7 @@ from reseqkit.case_study import (
 from reseqkit.curves import (
     FlowSpec,
     StaircaseCurve,
-    eval_curve,
     leaky_bucket,
-    lower_pseudo_inverse,
     min_curves,
 )
 from reseqkit.metrics import PacketObservation, Trace, delay_jitter, rbo, rto
@@ -426,7 +424,7 @@ class TestCriterion5Tightness:
         flow = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(200))
         v, eps = F(1, 100), F(1, 10**5)
         trace = gen_rbo_tight_burst(v, flow.source_curve, flow, eps)
-        want = eval_curve(flow.source_curve, v - eps) - 64
+        want = flow.source_curve.value(v - eps) - 64
         assert rbo(trace).value == want
         assert rto(trace).value == eps
         report("criterion 5 (element RBO tightness): PASS")
@@ -444,7 +442,7 @@ class TestCriterion5Tightness:
         flow = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(64))
         v, t, eps = F(6, 1000), F(5, 1000), F(1, 1000)
         trace = gen_lossy_backlog_burst(flow.source_curve, v, t, flow, eps)
-        want = eval_curve(flow.source_curve, v + t - eps)
+        want = flow.source_curve.value(v + t - eps)
         out = simulate(
             {p.index: (p.observe_time, p.size) for p in trace.packets},
             ResequencerConfig(t, INF),
@@ -480,12 +478,12 @@ def bisect_pseudo_inverse(curve, x, iters=60):
     if x == 0:
         return F(0), F(0)
     hi = F(1)
-    while eval_curve(curve, hi) < x:
+    while curve.value(hi) < x:
         hi *= 2
     lo = F(0)
     for _ in range(iters):
         mid = (lo + hi) / 2
-        if eval_curve(curve, mid) >= x:
+        if curve.value(mid) >= x:
             hi = mid
         else:
             lo = mid
@@ -501,10 +499,10 @@ class TestCriterion7CurveIdentities:
             tau = F(rng.randint(1, 10**4), rng.randint(1, 32))
             x = F(rng.randint(0, 2 * 10**5), rng.randint(1, 32))
             lb, sc = leaky_bucket(r, b), StaircaseCurve(b, tau)
-            got = lower_pseudo_inverse(lb, x)
+            got = lb.pseudo_inverse(x)
             lo, hi = bisect_pseudo_inverse(lb, x)
             assert lo <= got <= hi and hi - lo < F(1, 10**9)
-            got = lower_pseudo_inverse(sc, x)
+            got = sc.pseudo_inverse(x)
             lo, hi = bisect_pseudo_inverse(sc, x)
             assert lo < got + F(1, 10**9) and got <= hi
         report("criterion 7 (closed-form inverses vs bisection): PASS")
@@ -520,6 +518,6 @@ class TestCriterion7CurveIdentities:
             for _ in range(300):
                 x = F(rng.randint(0, 10**5), rng.randint(1, 16))
                 t = F(rng.randint(0, 10**3), rng.randint(1, 16))
-                if lower_pseudo_inverse(c, x) < t:
-                    assert x <= eval_curve(c, t)
+                if c.pseudo_inverse(x) < t:
+                    assert x <= c.value(t)
         report("criterion 7 (pseudo-inverse Galois implication): PASS")

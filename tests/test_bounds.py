@@ -17,7 +17,6 @@ from reseqkit.bounds import (
 )
 from reseqkit.curves import (
     StaircaseCurve,
-    eval_curve,
     leaky_bucket,
     min_curves,
     shift_jitter,
@@ -94,7 +93,7 @@ class TestRboBoundElement:
             t = F(rng.randint(0, 100), 16)
             c = leaky_bucket(rng.randint(1, 10**5), rng.randint(64, 10**4))
             element = rbo_bound_element(ElementBoundInput(v, c, l_min=F(64)))
-            assert element <= eval_curve(c, v + t)
+            assert element <= c.value(v + t)
 
 
 class TestResequencerEffect:
@@ -226,7 +225,7 @@ class TestRboBoundSequence:
         ]
         alpha0 = leaky_bucket(6400, 6400)
         got = rbo_bound_sequence(seq, alpha0, F(64))
-        assert got == eval_curve(alpha0, v_sum) - 64
+        assert got == alpha0.value(v_sum) - 64
         assert got == F("6336.5068032")
 
     def test_order_preserving_sequence_is_zero(self):

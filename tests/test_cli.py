@@ -1,11 +1,16 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from reseqkit.cli import DISCARD, INPUT_ERROR, OK, UNSAFE_WARNING, main
 from reseqkit.metrics import trace_from_csv, trace_to_csv
 from reseqkit.scenarios import gen_two_packet_swap
+
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED = ROOT / "configs" / "automotive_only_h2.json"
+GOLDEN = ROOT / "tests" / "golden"
 
 CONFIG = {
     "flow": {
@@ -88,6 +93,77 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "warning" in out
         assert "e2e delay" in out  # report still emitted
+
+
+def bundled_with(tmp_path, edit):
+    """Path of a copy of the bundled config changed by ``edit``."""
+    cfg = json.loads(BUNDLED.read_text(encoding="utf-8"))
+    edit(cfg)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(p)
+
+
+class TestConfigErrors:
+    INF_TIMEOUT = {"kind": "resequencer", "mode": "explicit", "timeout_s": "inf"}
+
+    def test_lossy_infinite_timeout_is_input_error(self, tmp_path, capsys):
+        cfg = bundled_with(
+            tmp_path, lambda c: c["elements"][-1].update(self.INF_TIMEOUT)
+        )
+        assert main(["analyze", "--config", cfg]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            "error: h2.reseq: infinite timeout gives unbounded delay in lossy mode\n"
+        )
+
+    def test_lossless_infinite_timeout_is_fine(self, tmp_path, capsys):
+        cfg = bundled_with(
+            tmp_path, lambda c: c["elements"][-1].update(self.INF_TIMEOUT)
+        )
+        assert main(["analyze", "--config", cfg, "--loss", "lossless"]) == OK
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["elements"][0].update(rate_Bps=125e6),
+            lambda c: c.update(elements=5),
+            lambda c: c["elements"][1].update(d_min_s=None),
+            lambda c: c.update(flow=[]),
+            lambda c: c["flow"].update(l_min=True),
+            lambda c: c["elements"][0].update(latency_s=[12]),
+        ],
+        ids=["float", "elements-int", "null", "flow-list", "bool", "list-value"],
+    )
+    def test_wrong_json_type_is_input_error(self, tmp_path, capsys, edit):
+        cfg = bundled_with(tmp_path, edit)
+        assert main(["analyze", "--config", cfg]) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_json_ints_equal_strings(self, tmp_path, capsys):
+        cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
+        assert main(["analyze", "--config", cfg, "--loss", "both"]) == OK
+        with_ints = capsys.readouterr().out
+        assert main(["analyze", "--config", str(BUNDLED), "--loss", "both"]) == OK
+        assert with_ints == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["analyze", "--config", str(BUNDLED), "--loss", "both", "--format", fmt],
+         f"analyze_both.{fmt}")
+        for fmt in ("table", "json", "csv")
+    ] + [
+        (["case-study", "automotive", "--check", "--format", fmt],
+         f"case_study_check.{fmt}")
+        for fmt in ("table", "json")
+    ],
+)
+def test_whole_output_matches_golden(argv, golden, capsys):
+    assert main(argv) == OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestMetrics:

@@ -20,11 +20,8 @@ from reseqkit.curves import (
     backlog_bound,
     check_conforms,
     curve_from_json,
-    curve_to_json,
-    eval_curve,
     horizontal_deviation,
     leaky_bucket,
-    lower_pseudo_inverse,
     min_curves,
     shift_jitter,
 )
@@ -41,12 +38,12 @@ def bisect_pseudo_inverse(curve, x, iters=80):
     if x == 0:
         return F(0), F(0)
     hi = F(1)
-    while eval_curve(curve, hi) < x:
+    while curve.value(hi) < x:
         hi *= 2
     lo = F(0)
     for _ in range(iters):
         mid = (lo + hi) / 2
-        if eval_curve(curve, mid) >= x:
+        if curve.value(mid) >= x:
             hi = mid
         else:
             lo = mid
@@ -64,35 +61,35 @@ class TestEval:
         # 6400 + 6400 * 79.19e-6 computed exactly
         c = leaky_bucket(6400, 6400)
         t = F("79.19") * US
-        assert eval_curve(c, t) == 6400 + 6400 * t
-        assert eval_curve(c, t) == F("6400.506816")
+        assert c.value(t) == 6400 + 6400 * t
+        assert c.value(t) == F("6400.506816")
 
     def test_zero_is_zero(self):
         for c in (AUTOMOTIVE_ALPHA1, StaircaseCurve(F(3), F("0.008"), "packets")):
-            assert eval_curve(c, 0) == 0
+            assert c.value(0) == 0
 
     def test_staircase_left_continuous_at_period(self):
         c = StaircaseCurve(F(3), F("0.008"), "packets")
-        assert eval_curve(c, F("0.008")) == 3
-        assert eval_curve(c, F("0.0080001")) == 6
+        assert c.value(F("0.008")) == 3
+        assert c.value(F("0.0080001")) == 6
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            eval_curve(leaky_bucket(1, 1), F(-1))
+            leaky_bucket(1, 1).value(F(-1))
 
 
 class TestLowerPseudoInverse:
     def test_two_piece_at_two_packets(self):
         # min(6400t+6400, 125e6t+64) needs 0.512 us to admit 128 bytes
-        assert lower_pseudo_inverse(AUTOMOTIVE_ALPHA1, 128) == F("0.512") * US
+        assert AUTOMOTIVE_ALPHA1.pseudo_inverse(128) == F("0.512") * US
 
     def test_staircase_single_packet_period(self):
         c = StaircaseCurve(F(1), F("0.008"), "packets")
-        assert lower_pseudo_inverse(c, 2) == F("0.008")
+        assert c.pseudo_inverse(2) == F("0.008")
 
     def test_zero_argument(self):
         for c in (AUTOMOTIVE_ALPHA1, StaircaseCurve(F(2), F(1))):
-            assert lower_pseudo_inverse(c, 0) == 0
+            assert c.pseudo_inverse(0) == 0
 
     def test_closed_forms_against_bisection(self):
         # leaky-bucket and staircase closed forms vs an independent bracket
@@ -102,14 +99,14 @@ class TestLowerPseudoInverse:
             burst = F(rng.randint(1, 10**5), rng.randint(1, 100))
             x = F(rng.randint(0, 2 * 10**5), rng.randint(1, 100))
             lb = leaky_bucket(rate, burst)
-            got = lower_pseudo_inverse(lb, x)
+            got = lb.pseudo_inverse(x)
             lo, hi = bisect_pseudo_inverse(lb, x)
             assert lo <= got <= hi
             assert hi - lo < F(1, 10**12)
 
             period = F(rng.randint(1, 1000), rng.randint(1, 10))
             sc = StaircaseCurve(burst, period)
-            got = lower_pseudo_inverse(sc, x)
+            got = sc.pseudo_inverse(x)
             lo, hi = bisect_pseudo_inverse(sc, x)
             # the true infimum sits at a step edge inside (lo, hi]
             assert lo < got + F(1, 10**12)
@@ -119,15 +116,15 @@ class TestLowerPseudoInverse:
     @given(x=rationals, t=rationals)
     def test_galois_property_two_piece(self, x, t):
         c = AUTOMOTIVE_ALPHA1
-        if lower_pseudo_inverse(c, x) < t:
-            assert x <= eval_curve(c, t)
+        if c.pseudo_inverse(x) < t:
+            assert x <= c.value(t)
 
     @settings(max_examples=200, deadline=None)
     @given(x=rationals, t=rationals, burst=positive_rationals, period=positive_rationals)
     def test_galois_property_staircase(self, x, t, burst, period):
         c = StaircaseCurve(burst, period)
-        if lower_pseudo_inverse(c, x) < t:
-            assert x <= eval_curve(c, t)
+        if c.pseudo_inverse(x) < t:
+            assert x <= c.value(t)
 
     def test_min_distributes_as_max_of_inverses(self):
         rng = random.Random(7)
@@ -136,9 +133,7 @@ class TestLowerPseudoInverse:
         m = min_curves(a, b)
         for _ in range(100):
             x = F(rng.randint(0, 10**5), rng.randint(1, 64))
-            assert lower_pseudo_inverse(m, x) == max(
-                lower_pseudo_inverse(a, x), lower_pseudo_inverse(b, x)
-            )
+            assert m.pseudo_inverse(x) == max(a.pseudo_inverse(x), b.pseudo_inverse(x))
 
 
 class TestShiftJitter:
@@ -185,7 +180,7 @@ class TestMinCurves:
         m = min_curves(a, b)
         for _ in range(100):
             t = F(rng.randint(0, 10**4), rng.randint(1, 100))
-            assert eval_curve(m, t) == min(eval_curve(a, t), eval_curve(b, t))
+            assert m.value(t) == min(a.value(t), b.value(t))
 
     def test_pruning_keeps_values(self):
         a = MinAffineCurve(((F(5), F(10)),))
@@ -193,7 +188,7 @@ class TestMinCurves:
         m = min_curves(a, b)
         assert (F(5), F(10)) not in m.pieces
         for t in (F(0), F(1, 3), F(2), F(100)):
-            assert eval_curve(m, t) == min(eval_curve(a, t), eval_curve(b, t))
+            assert m.value(t) == min(a.value(t), b.value(t))
 
     def test_unit_mismatch(self):
         with pytest.raises(UnitMismatchError):
@@ -244,7 +239,7 @@ class TestHorizontalDeviation:
         sup = (d - self.SERVICE.latency) * self.SERVICE.rate
         for _ in range(200):
             t = F(rng.randint(0, 10**7), 10**9)
-            assert eval_curve(curve, t) - self.SERVICE.rate * t <= sup
+            assert curve.value(t) - self.SERVICE.rate * t <= sup
 
     def test_instability_detected(self):
         with pytest.raises(InstabilityError):
@@ -416,13 +411,13 @@ class TestFlowSpec:
 
 class TestSerialization:
     def test_round_trip_min_affine(self):
-        blob = curve_to_json(AUTOMOTIVE_ALPHA1)
+        blob = AUTOMOTIVE_ALPHA1.to_json()
         assert blob["kind"] == "min_affine"
         assert curve_from_json(blob) == AUTOMOTIVE_ALPHA1
 
     def test_round_trip_staircase(self):
         c = StaircaseCurve(F(3), F("0.008"), "packets")
-        assert curve_from_json(curve_to_json(c)) == c
+        assert curve_from_json(c.to_json()) == c
 
     def test_decimal_strings_parse_exactly(self):
         c = curve_from_json(

@@ -14,7 +14,6 @@ from reseqkit.metrics import (
     rto,
     trace_from_csv,
     trace_to_csv,
-    validate_rbo_value,
 )
 from reseqkit.rational import INF
 
@@ -212,36 +211,45 @@ class TestInvariants:
 
 
 class TestValidateRboValue:
+    """A valid RBO value is a reachable byte total: its own reachable floor."""
+
     FIXED = FlowSpec(leaky_bucket(10**6, 300), l_min=F(64), l_max=F(64))
     MIXED = FlowSpec(leaky_bucket(10**6, 300), l_min=F(64), l_max=F(200))
 
     def test_multiple_of_fixed_size(self):
-        assert validate_rbo_value(6336, self.FIXED)  # 99 * 64
+        assert self.FIXED.reachable_floor(6336) == 6336  # 99 * 64
 
     def test_non_multiple_invalid(self):
-        assert not validate_rbo_value(100, self.FIXED)
+        assert self.FIXED.reachable_floor(100) == 64
+        assert self.MIXED.reachable_floor(-1) == 0
 
     def test_single_variable_packet(self):
-        assert validate_rbo_value(70, self.MIXED)
+        assert self.MIXED.reachable_floor(70) == 70
 
     def test_mixed_regime_matches_enumeration(self):
-        # brute force: sums of k in 1..4 sizes drawn from {64, ..., 200}
-        reachable = set()
-        sizes = range(64, 201)
-        for total in range(0, 500):
-            ok = total == 0
-            for k in (1, 2, 3, 4):
-                lo, hi = 64 * k, 200 * k
-                if lo <= total <= hi:
-                    ok = True
-            if ok:
-                reachable.add(total)
-        for total in range(0, 500):
-            assert validate_rbo_value(total, self.MIXED) == (total in reachable)
+        # brute force in half-byte units: every total of packets whose sizes
+        # are drawn from {l_min, l_min + 1/2, ..., l_max}, below 500 B; x runs
+        # over the same grid, so non-integer x and x below l_min are covered
+        for flow in (self.FIXED, self.MIXED):
+            sizes = range(int(2 * flow.l_min), int(2 * flow.l_max) + 1)
+            reachable, todo = {0}, [0]
+            while todo:
+                t = todo.pop()
+                for s in sizes:
+                    if t + s < 1000 and t + s not in reachable:
+                        reachable.add(t + s)
+                        todo.append(t + s)
+            largest = 0
+            for x in range(1000):
+                if x in reachable:
+                    largest = x
+                total = F(x, 2)
+                assert flow.reachable_floor(total) == F(largest, 2)
+                assert (flow.reachable_floor(total) == total) == (x in reachable)
 
     def test_zero_always_valid(self):
-        assert validate_rbo_value(0, self.FIXED)
-        assert validate_rbo_value(0, self.MIXED)
+        assert self.FIXED.reachable_floor(0) == 0
+        assert self.MIXED.reachable_floor(0) == 0
 
 
 class TestCsv:

@@ -301,6 +301,24 @@ class TestConfigAndRendering:
         with pytest.raises(PathConfigError):
             load_path(json.dumps(bad), from_text=True)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(flow=[]),
+            lambda c: c["flow"].update(curve="6400"),
+            lambda c: c["flow"]["curve"].update(pieces={"rate": "1", "burst": "1"}),
+            lambda c: c["flow"]["curve"].update(pieces=[5]),
+            lambda c: c.update(elements=5),
+            lambda c: c["elements"].append("S2.fabric"),
+        ],
+        ids=["flow", "curve", "pieces", "piece", "elements", "element"],
+    )
+    def test_wrong_json_types_rejected(self, edit):
+        bad = json.loads(CONFIG_JSON)
+        edit(bad)
+        with pytest.raises(PathConfigError, match="must be"):
+            load_path(json.dumps(bad), from_text=True)
+
     def test_adjacent_resequencers_rejected(self):
         with pytest.raises(PathConfigError):
             PathSpec(

@@ -24,6 +24,7 @@ class TestParse:
             ("12e-6", F(3, 250000)),
             ("-0.5", F(-1, 2)),
             ("3/7", F(3, 7)),
+            (64, F(64)),  # a JSON int is exact
         ],
     )
     def test_exact_forms(self, text, want):
@@ -34,7 +35,8 @@ class TestParse:
         assert is_inf(parse_rat("Infinity"))
 
     def test_rejects_junk(self):
-        for bad in ("1.2.3", "0x10", "nan", "1e", ""):
+        # JSON floats, null, booleans, lists and objects are no exact number
+        for bad in ("1.2.3", "0x10", "nan", "1e", "", 125e6, None, True, [64], {}):
             with pytest.raises(ValueError):
                 parse_rat(bad)
 

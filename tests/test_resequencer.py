@@ -15,7 +15,6 @@ from reseqkit.resequencer import (
     ResequencerConfig,
     analytic_departures,
     required_buffer,
-    required_timeout,
     simulate,
 )
 
@@ -164,11 +163,6 @@ class TestAnalyticDepartures:
 
 
 class TestDimensioning:
-    def test_required_timeout_is_identity(self):
-        assert required_timeout(F("29.49e-6")) == F("29.49e-6")
-        assert required_timeout(0) == 0
-        assert required_timeout(F("0.988e-6")) == F("0.988e-6")
-
     def test_lossless_buffer_is_rbo(self):
         assert required_buffer("lossless", rbo_value=F(6336)) == 6336
 

@@ -6,9 +6,7 @@ from reseqkit.curves import (
     FlowSpec,
     StaircaseCurve,
     check_trace_conforms,
-    eval_curve,
     leaky_bucket,
-    lower_pseudo_inverse,
     min_curves,
 )
 from reseqkit.metrics import delay_jitter, rbo, rto
@@ -24,7 +22,6 @@ from reseqkit.scenarios import (
     gen_rbo_tight_burst,
     gen_rto_tight_pair,
     gen_two_packet_swap,
-    largest_reachable_total,
     packetize,
 )
 
@@ -55,9 +52,9 @@ class TestDecompose:
             decompose_bytes(F(10), MIXED)
 
     def test_reachable_floor(self):
-        assert largest_reachable_total(F(130), FIXED64) == 128
-        assert largest_reachable_total(F(130), MIXED) == 130
-        assert largest_reachable_total(F(10), FIXED64) == 0
+        assert FIXED64.reachable_floor(F(130)) == 128
+        assert MIXED.reachable_floor(F(130)) == 130
+        assert FIXED64.reachable_floor(F(10)) == 0
 
 
 class TestPacketize:
@@ -121,7 +118,7 @@ class TestLossyBacklogBurst:
         v, t, eps = F(6, 1000), F(5, 1000), F(1, 1000)
         curve = FIXED64.source_curve
         trace = gen_lossy_backlog_burst(curve, v, t, FIXED64, eps)
-        target = eval_curve(curve, v + t - eps)
+        target = curve.value(v + t - eps)
         assert target == 6464
         out = simulate(as_arrivals(trace), ResequencerConfig(t, INF))
         assert out.discards == {}
@@ -144,7 +141,7 @@ class TestLossyBacklogBurst:
     def test_mixed_sizes(self):
         v, t, eps = F(2, 100), F(1, 100), F(1, 1000)
         trace = gen_lossy_backlog_burst(MIXED.source_curve, v, t, MIXED, eps)
-        target = eval_curve(MIXED.source_curve, v + t - eps)
+        target = MIXED.source_curve.value(v + t - eps)
         out = simulate(as_arrivals(trace), ResequencerConfig(t, INF))
         assert out.max_occupancy == target
         assert check_trace_conforms(trace, MIXED.source_curve).ok
@@ -160,7 +157,7 @@ class TestRtoTightPair:
         assert rto(trace).value == F("0.988") * US
 
     def test_tiny_margin(self):
-        spacing = lower_pseudo_inverse(ALPHA1, 128)
+        spacing = ALPHA1.pseudo_inverse(128)
         ns = F(1, 10**9)
         trace = gen_rto_tight_pair(spacing + ns, ALPHA1, F(64))
         assert rto(trace).value == ns
