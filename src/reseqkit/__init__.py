@@ -10,7 +10,6 @@ generators.
 from .bounds import (
     ElementBoundInput,
     SequenceElement,
-    curve_after_resequencer,
     rbo_bound_element,
     rbo_bound_sequence,
     resequencer_delay_effect,
@@ -57,7 +56,6 @@ from .resequencer import (
     ResequencerConfig,
     ResequencerOutcome,
     analytic_departures,
-    required_buffer,
     simulate,
 )
 

@@ -1,5 +1,5 @@
 """Reordering bounds for single elements and element sequences, and the
-delay/jitter/arrival-curve effect of a re-sequencing buffer.
+delay/jitter effect of a re-sequencing buffer.
 
 For one element with delay jitter V and entrance curve alpha, the late time
 offset is at most ``[V - inv(2*l_min)]^+``: two packets can only swap if the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .curves import BYTES, PACKETS, Curve, min_spacing, shift_jitter
+from .curves import BYTES, PACKETS, Curve, min_spacing
 from .rational import Rat
 
 LOSSLESS = "lossless"
@@ -83,22 +83,12 @@ def rbo_bound_element(inp: ElementBoundInput) -> Fraction:
 def resequencer_delay_effect(mode: str, timeout: Rat) -> tuple[Rat, Rat]:
     """Added worst-case delay and jitter of a re-sequencing buffer whose
     timeout covers the upstream RTO: nothing when lossless, up to the
-    timeout each when losses are possible."""
+    timeout each when losses are possible.  The buffer's output curve is its
+    input curve shifted by that jitter (``curves.shift_jitter``)."""
     _check_mode(mode)
     if mode == LOSSLESS:
         return Fraction(0), Fraction(0)
     return timeout, timeout
-
-
-def curve_after_resequencer(
-    curve: Curve, jitter: Rat, timeout: Rat, mode: str
-) -> Curve:
-    """Arrival curve at the buffer output, from the curve at the segment
-    source: shifted by the segment jitter, plus the timeout when lossy."""
-    _check_mode(mode)
-    if mode == LOSSLESS:
-        return shift_jitter(curve, jitter)
-    return shift_jitter(curve, Fraction(jitter) + Fraction(timeout))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from .path_analysis import (
     FifoServiceElement,
     PathSpec,
     _align_rows,
-    analyze_path,
-    insert_resequencers,
+    compare_placements,
 )
 from .rational import Rat, seconds_to_us_display
 
@@ -138,19 +137,12 @@ class CaseStudyResult:
 def run_case_study(check: bool = False) -> CaseStudyResult:
     """Analyze all four placements under both loss modes; optionally compare
     against the embedded reference values."""
-    reports: Dict[str, Dict[str, AnalysisReport]] = {}
-    mismatches: List[str] = []
-    for name, after in PLACEMENTS.items():
-        placed = insert_resequencers(automotive_base_path(), list(after))
-        reports[name] = {}
-        for mode in (LOSSLESS, LOSSY):
-            rep = analyze_path(
-                PathSpec(placed.flow, placed.elements, loss_mode=mode)
-            )
-            reports[name][mode] = rep
-            if check:
-                mismatches.extend(_check_one(name, mode, rep))
-    return CaseStudyResult(reports, tuple(mismatches))
+    reports = compare_placements(automotive_base_path(), PLACEMENTS)
+    mismatches = tuple(
+        m for name, by_mode in reports.items() if check
+        for mode, rep in by_mode.items() for m in _check_one(name, mode, rep)
+    )
+    return CaseStudyResult(reports, mismatches)
 
 
 def _check_one(name: str, mode: str, rep: AnalysisReport) -> List[str]:

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import LOSSLESS, LOSSY
@@ -32,7 +31,8 @@ from .path_analysis import (
     render_report_table,
     report_to_json,
 )
-from .rational import fmt_rat, parse_rat, parse_time, seconds_to_us_display
+from .rational import fmt_rat, parse_finite, parse_finite_time, parse_rat
+from .rational import parse_time, seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
 
@@ -193,30 +193,29 @@ def _scenario_curve(args):
         with open(args.curve_json, "r", encoding="utf-8") as fh:
             return curve_from_json(json.load(fh))
     if args.rate and args.burst:
-        return leaky_bucket(parse_rat(args.rate), parse_rat(args.burst))
+        return leaky_bucket(parse_finite(args.rate), parse_finite(args.burst))
     raise ValueError("scenario needs --curve-json or --rate/--burst")
 
 
 def _scenario_flow(args, curve):
     from .curves import FlowSpec
 
-    return FlowSpec(curve, Fraction(parse_rat(args.l_min)),
-                    Fraction(parse_rat(args.l_max)))
+    return FlowSpec(curve, parse_finite(args.l_min), parse_finite(args.l_max))
 
 
 def cmd_scenario(args) -> int:
     kind = args.kind
-    eps = parse_time(args.eps) if args.eps else None
+    eps = parse_finite_time(args.eps) if args.eps else None
     if kind == "two-packet-swap":
         trace = scenarios.gen_two_packet_swap(
-            _required(args.rto, "--rto"), parse_time(args.t0)
+            _required(args.rto, "--rto"), parse_finite_time(args.t0)
         )
     elif kind == "lossless-backlog":
         if not args.sizes:
             raise ValueError("lossless-backlog needs --sizes")
-        sizes = [parse_rat(s) for s in args.sizes.split(",")]
+        sizes = [parse_finite(s) for s in args.sizes.split(",")]
         trace = scenarios.gen_lossless_backlog_burst(
-            _required(args.rto, "--rto"), sizes, parse_rat(args.first_size)
+            _required(args.rto, "--rto"), sizes, parse_finite(args.first_size)
         )
     elif kind == "lossy-backlog":
         curve = _scenario_curve(args)
@@ -228,7 +227,7 @@ def cmd_scenario(args) -> int:
     elif kind == "rto-tight":
         curve = _scenario_curve(args)
         trace = scenarios.gen_rto_tight_pair(
-            _required(args.jitter, "--jitter"), curve, parse_rat(args.l_min)
+            _required(args.jitter, "--jitter"), curve, parse_finite(args.l_min)
         )
     elif kind == "rbo-tight":
         curve = _scenario_curve(args)
@@ -242,7 +241,7 @@ def cmd_scenario(args) -> int:
         stages = []
         for part in args.stages.split(","):
             v, lam = part.split(":")
-            stages.append((parse_time(v), parse_time(lam)))
+            stages.append((parse_finite_time(v), parse_finite_time(lam)))
         chain = scenarios.gen_amplified_rto_chain(stages, args.head, eps)
         trace = chain.end_to_end
     text = trace_to_csv(trace)
@@ -257,7 +256,7 @@ def cmd_scenario(args) -> int:
 def _required(value: Optional[str], flag: str):
     if value is None:
         raise ValueError(f"missing {flag}")
-    return parse_time(value)
+    return parse_finite_time(value)
 
 
 def cmd_case_study(args) -> int:

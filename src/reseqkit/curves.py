@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from .rational import INF, Rat, fmt_rat, is_inf, parse_rat
+from .rational import INF, Rat, fmt_rat, is_inf, parse_finite
 
 BYTES = "bytes"
 PACKETS = "packets"
@@ -245,7 +245,9 @@ def min_spacing(curve: Curve, l_min: Optional[Rat] = None) -> Fraction:
 
 
 def backlog_bound(curve: Curve, max_delay: Rat) -> Rat:
-    """Data of the flow inside a system with delay bound U is at most curve(U)."""
+    """Data of the flow inside a system with delay bound U is at most curve(U)
+    (Le Boudec & Thiran, *Network Calculus*).  With U the jitter plus the
+    timeout, this is the size of a re-sequencing buffer that may see losses."""
     if Fraction(max_delay) < 0:
         raise ValueError("delay bound must be >= 0")
     return curve.value(max_delay)
@@ -461,16 +463,24 @@ def check_trace_conforms(trace, curve: Curve) -> Conformance:
 
 
 def curve_from_json(obj: dict) -> Curve:
-    kind = obj.get("kind")
-    unit = obj.get("unit", BYTES)
-    if kind == "min_affine":
-        pieces = tuple(
-            (Fraction(parse_rat(p["rate"])), Fraction(parse_rat(p["burst"])))
-            for p in obj["pieces"]
-        )
-        return MinAffineCurve(pieces, unit)
-    if kind == "staircase":
-        return StaircaseCurve(
-            Fraction(parse_rat(obj["burst"])), Fraction(parse_rat(obj["period"])), unit
-        )
+    """Curve from its ``to_json`` form; a value of the wrong JSON type or a
+    missing key raises ``CurveError``."""
+    if not isinstance(obj, dict):
+        raise CurveError("curve must be an object")
+    kind, unit = obj.get("kind"), obj.get("unit", BYTES)
+    try:
+        if kind == "staircase":
+            return StaircaseCurve(
+                parse_finite(obj["burst"]), parse_finite(obj["period"]), unit
+            )
+        if kind == "min_affine":
+            pieces = obj["pieces"]
+            if not isinstance(pieces, list):
+                raise CurveError("curve pieces must be a list")
+            if not all(isinstance(p, dict) for p in pieces):
+                raise CurveError("curve piece must be an object")
+            pairs = [(parse_finite(p["rate"]), parse_finite(p["burst"])) for p in pieces]
+            return MinAffineCurve(tuple(pairs), unit)
+    except KeyError as exc:
+        raise CurveError(f"missing curve key: {exc}") from exc
     raise CurveError(f"unknown curve kind {kind!r}")

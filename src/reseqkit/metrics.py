@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curves import FlowSpec
-from .rational import INF, Rat, fmt_rat, is_inf, parse_rat
+from .rational import INF, Rat, fmt_rat, is_inf, parse_finite, parse_rat
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -228,8 +228,8 @@ def trace_from_csv(text: str, flow: Optional[FlowSpec] = None) -> Trace:
         packets.append(
             PacketObservation(
                 index=int(idx),
-                size=Fraction(parse_rat(size)),
-                emit_time=None if emit == "-" else Fraction(parse_rat(emit)),
+                size=parse_finite(size),
+                emit_time=None if emit == "-" else parse_finite(emit),
                 observe_time=parse_rat(obs),
             )
         )

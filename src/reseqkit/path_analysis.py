@@ -1,7 +1,7 @@
 """End-to-end analysis of one flow path.
 
-The path is an ordered list of elements, each of which contributes a delay
-range and a jitter and transforms the flow's arrival curve:
+The path is an ordered list of stages, each with a delay range [d_min, d_max]
+(jitter d_max - d_min) and a transform of the flow's arrival curve:
 
 * ``fifo_service``: an output port with a rate-latency guarantee.  Its worst
   delay is the horizontal deviation between the entrance curve and the
@@ -10,12 +10,12 @@ range and a jitter and transforms the flow's arrival curve:
 * ``fabric``: a parallel-stage switching fabric with a delay in
   [d_min, d_max]; the only non-order-preserving element.
 * ``order_preserving_fixed``: any per-flow-FIFO stage with a delay range.
-* ``resequencer``: restores sequence order.  Its timeout is the computed
-  RTO bound of the segment since the previous re-sequencer (auto mode) or a
-  user-supplied value; its size comes from the lossless RBO bound or the
-  lossy curve window.  Under lossless operation it is free; under lossy
-  operation it adds its timeout to both worst-case delay and jitter and
-  widens the curve accordingly.
+* ``resequencer``: restores sequence order.  Its timeout T is the RTO bound
+  of the segment since the previous re-sequencer (auto mode) or a
+  user-supplied value.  Its size is the sequence RBO bound from the source
+  when lossless, and ``backlog_bound`` of the source curve over the jitter
+  so far plus T when lossy.  Sized, it is an order-preserving stage with
+  delay range [0, 0] lossless and [0, T] lossy; the curve shifts by its jitter.
 
 Reports carry exact rationals; rounding happens only in the renderers.
 """
@@ -31,9 +31,11 @@ from . import bounds
 from .bounds import LOSSLESS, LOSSY, SequenceElement
 from .curves import (
     Curve,
+    CurveError,
     FlowSpec,
     MinAffineCurve,
     RateLatencyService,
+    backlog_bound,
     curve_from_json,
     horizontal_deviation,
     leaky_bucket,
@@ -45,10 +47,10 @@ from .rational import (
     floor_int,
     fmt_rat,
     is_inf,
+    parse_finite,
     parse_rat,
     seconds_to_us_display,
 )
-from .resequencer import required_buffer
 
 
 class PathConfigError(ValueError):
@@ -62,7 +64,6 @@ class FifoServiceElement:
     min_delay: Optional[Fraction] = None  # default: l_min / rate
 
     kind = "fifo_service"
-    order_preserving = True
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class FabricElement:
     d_max: Fraction
 
     kind = "fabric"
-    order_preserving = False
 
     def __post_init__(self) -> None:
         _check_delay_range(self.d_min, self.d_max)
@@ -85,7 +85,6 @@ class FixedDelayElement:
     d_max: Fraction
 
     kind = "order_preserving_fixed"
-    order_preserving = True
 
     def __post_init__(self) -> None:
         _check_delay_range(self.d_min, self.d_max)
@@ -99,7 +98,6 @@ class ResequencerElement:
     capacity: Optional[Rat] = None
 
     kind = "resequencer"
-    order_preserving = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "explicit"):
@@ -225,7 +223,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
     total_jitter = Fraction(0)
 
     for el in path.elements:
-        entrance = curve
+        entrance, lam = curve, None  # lam: a fabric's own RTO bound
         if el.kind == "fifo_service":
             svc = el.service
             d_max = horizontal_deviation(curve, svc)
@@ -243,9 +241,6 @@ def _walk(path: PathSpec) -> AnalysisReport:
             curve = min_curves(
                 post_queue, leaky_bucket(svc.rate, flow.l_max, curve.unit)
             )
-            stage = SequenceElement(
-                jitter, True, Fraction(0), entrance, el.id
-            )
             elements.append(
                 ElementReport(
                     el.id, el.kind, d_min, d_max, jitter, None, curve, post_queue
@@ -259,10 +254,6 @@ def _walk(path: PathSpec) -> AnalysisReport:
                 lam = bounds.rto_bound_element(
                     bounds.ElementBoundInput(jitter, entrance, flow.l_min)
                 )
-                stage = SequenceElement(jitter, False, lam, entrance, el.id)
-            else:
-                lam = None
-                stage = SequenceElement(jitter, True, Fraction(0), entrance, el.id)
             elements.append(
                 ElementReport(el.id, el.kind, d_min, d_max, jitter, lam, curve)
             )
@@ -289,41 +280,31 @@ def _walk(path: PathSpec) -> AnalysisReport:
                     raise PathConfigError(
                         f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
                     )
-                req = required_buffer(
-                    LOSSY,
-                    curve=flow.source_curve,
-                    jitter=total_jitter,
-                    timeout=timeout,
-                )
+                req = backlog_bound(flow.source_curve, total_jitter + timeout)
             else:
                 req = bounds.rbo_bound_sequence(
                     whole, flow.source_curve, flow.l_min
                 )
             size = floor_int(flow.reachable_floor(req))
-            if el.capacity is not None and not is_inf(el.capacity):
-                if Fraction(el.capacity) < size:
-                    warnings.append(
-                        f"{el.id}: configured capacity {fmt_rat(el.capacity)} B "
-                        f"is below the required size {size} B"
-                    )
-            delay, jitter = bounds.resequencer_delay_effect(path.loss_mode, timeout)
-            total_delay += delay
-            total_jitter += jitter
-            if jitter > 0:
-                curve = shift_jitter(curve, jitter)
+            if el.capacity is not None and el.capacity < size:
+                warnings.append(
+                    f"{el.id}: configured capacity {fmt_rat(el.capacity)} B "
+                    f"is below the required size {size} B"
+                )
+            d_min = Fraction(0)  # now an order-preserving stage, delay [0, d_max]
+            d_max, jitter = bounds.resequencer_delay_effect(path.loss_mode, timeout)
+            curve = shift_jitter(curve, jitter)
             reseqs.append(
                 ResequencerReport(el.id, upstream, timeout, req, size, unsafe, curve)
             )
-            stage = SequenceElement(jitter, True, Fraction(0), entrance, el.id)
-            segment = []
-            whole.append(stage)
-            continue
+            segment = []  # restarts here; the RTO bound skips this first stage
         else:  # pragma: no cover - exhaustive over PathElement
             raise PathConfigError(f"unknown element kind {el.kind!r}")
 
         total_delay += d_max
         total_min_delay += d_min
         total_jitter += jitter
+        stage = SequenceElement(jitter, el.kind != "fabric", lam, entrance, el.id)
         segment.append(stage)
         whole.append(stage)
 
@@ -342,18 +323,6 @@ def _walk(path: PathSpec) -> AnalysisReport:
 
 
 # -- placement comparison ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlacementRow:
-    strategy: str
-    loss_mode: str
-    timeouts: Tuple[Tuple[str, Rat], ...]  # (resequencer id, T)
-    buffer_sizes: Tuple[Tuple[str, int], ...]
-    e2e_delay: Fraction
-    e2e_jitter: Fraction
-    delta_delay: Fraction
-    delta_jitter: Fraction
 
 
 def insert_resequencers(
@@ -375,36 +344,23 @@ def compare_placements(
     base: PathSpec,
     placements: Dict[str, Sequence[str]],
     loss_modes: Sequence[str] = (LOSSLESS, LOSSY),
-) -> List[PlacementRow]:
-    """Analyze each placement strategy under each loss mode.
+) -> Dict[str, Dict[str, AnalysisReport]]:
+    """Report of each placement strategy under each loss mode, keyed by
+    placement and then by mode, in the order given.
 
     ``base`` must not contain re-sequencers; each strategy names the elements
-    after which one is inserted.  Deltas are against the no-re-sequencing
-    baseline, whose delay and jitter do not depend on the loss mode.
+    after which one is inserted.  Every report's deltas are against ``base``,
+    the no-re-sequencing baseline of each placement.
     """
     if any(e.kind == "resequencer" for e in base.elements):
         raise PathConfigError("the comparison baseline must have no re-sequencers")
-    base_delay, base_jitter = baseline(base)
-    rows: List[PlacementRow] = []
+    out: Dict[str, Dict[str, AnalysisReport]] = {}
     for name, after_ids in placements.items():
         placed = insert_resequencers(base, after_ids)
-        for mode in loss_modes:
-            rep = analyze_path(replace(placed, loss_mode=mode))
-            rows.append(
-                PlacementRow(
-                    strategy=name,
-                    loss_mode=mode,
-                    timeouts=tuple((r.element_id, r.timeout) for r in rep.resequencers),
-                    buffer_sizes=tuple(
-                        (r.element_id, r.buffer_size) for r in rep.resequencers
-                    ),
-                    e2e_delay=rep.e2e_delay,
-                    e2e_jitter=rep.e2e_jitter,
-                    delta_delay=rep.e2e_delay - base_delay,
-                    delta_jitter=rep.e2e_jitter - base_jitter,
-                )
-            )
-    return rows
+        out[name] = {
+            mode: analyze_path(replace(placed, loss_mode=mode)) for mode in loss_modes
+        }
+    return out
 
 
 # -- JSON config and report rendering ----------------------------------------
@@ -420,13 +376,10 @@ def _typed(value, kind: type, what: str):
 
 def flow_from_json(obj: dict) -> FlowSpec:
     obj = _typed(obj, dict, "flow")
-    curve = _typed(obj["curve"], dict, "flow curve")
-    for piece in _typed(curve.get("pieces", []), list, "curve pieces"):
-        _typed(piece, dict, "curve piece")
     return FlowSpec(
-        source_curve=curve_from_json(curve),
-        l_min=Fraction(parse_rat(obj["l_min"])),
-        l_max=Fraction(parse_rat(obj["l_max"])),
+        source_curve=curve_from_json(obj["curve"]),
+        l_min=parse_finite(obj["l_min"]),
+        l_max=parse_finite(obj["l_max"]),
     )
 
 
@@ -438,15 +391,15 @@ def element_from_json(obj: dict) -> PathElement:
         raise PathConfigError("every element needs an id")
     if kind == "fifo_service":
         svc = RateLatencyService(
-            Fraction(parse_rat(obj["rate_Bps"])), Fraction(parse_rat(obj["latency_s"]))
+            parse_finite(obj["rate_Bps"]), parse_finite(obj["latency_s"])
         )
         min_delay = (
-            Fraction(parse_rat(obj["min_delay_s"])) if "min_delay_s" in obj else None
+            parse_finite(obj["min_delay_s"]) if "min_delay_s" in obj else None
         )
         return FifoServiceElement(eid, svc, min_delay)
     if kind in ("fabric", "order_preserving_fixed"):
-        d_min = Fraction(parse_rat(obj["d_min_s"]))
-        d_max = Fraction(parse_rat(obj["d_max_s"]))
+        d_min = parse_finite(obj["d_min_s"])
+        d_max = parse_finite(obj["d_max_s"])
         cls = FabricElement if kind == "fabric" else FixedDelayElement
         return cls(eid, d_min, d_max)
     if kind == "resequencer":
@@ -467,6 +420,8 @@ def path_from_json(obj: dict) -> PathSpec:
         loss_mode = obj.get("loss_mode", LOSSY)
     except KeyError as exc:
         raise PathConfigError(f"missing config key: {exc}") from exc
+    except CurveError as exc:
+        raise PathConfigError(str(exc)) from exc
     return PathSpec(flow, elements, loss_mode)
 
 

@@ -59,6 +59,22 @@ def parse_rat(text: Union[str, int]) -> Rat:
     return Fraction(s)
 
 
+def parse_finite(text: Union[str, int]) -> Fraction:
+    """``parse_rat`` for a quantity that must be finite: ``inf`` is refused."""
+    return _finite(parse_rat(text), text)
+
+
+def parse_finite_time(text: str) -> Fraction:
+    """``parse_time`` for a time that must be finite: ``inf`` is refused."""
+    return _finite(parse_time(text), text)
+
+
+def _finite(x: Rat, text) -> Fraction:
+    if is_inf(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def parse_time(text: str) -> Rat:
     """Parse a time with an optional unit suffix (s, ms, us, ns) into seconds."""
     s = text.strip()

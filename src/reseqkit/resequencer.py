@@ -1,6 +1,7 @@
-"""Re-sequencing buffer: event-driven simulation, closed-form departures,
-and the minimal size formula.  The minimal timeout needs no formula: it is
-the flow's RTO.
+"""Re-sequencing buffer: event-driven simulation and closed-form departures.
+The minimal timeout is the flow's RTO; the minimal size is its RBO when the
+upstream is lossless, else ``curves.backlog_bound`` over one
+jitter-plus-timeout window.
 
 The buffer holds early packets until every smaller sequence number has been
 seen, releasing in increasing sequence-number order.  Each stored packet has
@@ -31,9 +32,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from .curves import Curve
 from .rational import INF, Rat, is_inf
 
 
@@ -227,27 +227,3 @@ def analytic_departures(
         out[n] = d_n
         prev_d = d_n
     return out
-
-
-def required_buffer(
-    mode: str,
-    rbo_value: Optional[Rat] = None,
-    curve: Optional[Curve] = None,
-    jitter: Optional[Rat] = None,
-    timeout: Optional[Rat] = None,
-) -> Rat:
-    """Minimal buffer size: the RBO when the upstream is lossless, else the
-    curve value over one jitter-plus-timeout window.
-
-    The caller guarantees timeout >= RTO; below that packets are discarded
-    for timing reasons regardless of capacity.
-    """
-    if mode == "lossless":
-        if rbo_value is None:
-            raise ValueError("lossless sizing needs the RBO")
-        return rbo_value
-    if mode == "lossy":
-        if curve is None or jitter is None or timeout is None:
-            raise ValueError("lossy sizing needs curve, jitter and timeout")
-        return curve.value(Fraction(jitter) + Fraction(timeout))
-    raise ValueError(f"unknown mode {mode!r}")

@@ -23,6 +23,7 @@ from reseqkit.case_study import (
 from reseqkit.curves import (
     FlowSpec,
     StaircaseCurve,
+    backlog_bound,
     leaky_bucket,
     min_curves,
 )
@@ -33,7 +34,6 @@ from reseqkit.resequencer import (
     INVALID_LATE,
     ResequencerConfig,
     analytic_departures,
-    required_buffer,
     simulate,
 )
 from reseqkit.scenarios import (
@@ -369,7 +369,7 @@ class TestCriterion4DimensioningGuarantees:
                 rng, self.FLOW, F(rng.randint(1, 50), 1000), rng.randint(1, 30)
             )
             lam = rto(trace).value
-            cap = required_buffer("lossless", rbo_value=rbo(trace).value)
+            cap = rbo(trace).value
             out = simulate(
                 {p.index: (p.observe_time, p.size) for p in trace.packets},
                 ResequencerConfig(lam, cap),
@@ -389,9 +389,7 @@ class TestCriterion4DimensioningGuarantees:
                 continue
             lam = rto(trace).value
             jitter = delay_jitter(trace).jitter
-            cap = required_buffer(
-                "lossy", curve=self.FLOW.source_curve, jitter=jitter, timeout=lam
-            )
+            cap = backlog_bound(self.FLOW.source_curve, jitter + lam)
             out = simulate(
                 {p.index: (p.observe_time, p.size) for p in trace.packets},
                 ResequencerConfig(lam, cap),

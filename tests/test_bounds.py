@@ -8,7 +8,6 @@ from reseqkit.bounds import (
     LOSSY,
     ElementBoundInput,
     SequenceElement,
-    curve_after_resequencer,
     rbo_bound_element,
     rbo_bound_sequence,
     resequencer_delay_effect,
@@ -19,7 +18,6 @@ from reseqkit.curves import (
     StaircaseCurve,
     leaky_bucket,
     min_curves,
-    shift_jitter,
 )
 
 US = F(1, 10**6)
@@ -106,21 +104,6 @@ class TestResequencerEffect:
 
     def test_zero_timeout(self):
         assert resequencer_delay_effect(LOSSY, F(0)) == (0, 0)
-
-    def test_curve_lossless_matches_jitter_shift(self):
-        v = F("12.5") * US
-        assert curve_after_resequencer(ALPHA1, v, F(1), LOSSLESS) == shift_jitter(
-            ALPHA1, v
-        )
-
-    def test_curve_lossy_adds_timeout_window(self):
-        alpha2 = shift_jitter(ALPHA1, F("1.5") * US)
-        out = curve_after_resequencer(alpha2, F(0), F("0.988") * US, LOSSY)
-        fast = min(b for _, b in out.pieces)
-        assert fast == F("375")  # 251.5 + 125e6 * 0.988us
-
-    def test_no_shift_identity(self):
-        assert curve_after_resequencer(ALPHA1, 0, 0, LOSSY) == ALPHA1
 
 
 def fifo_stage(v, name=""):

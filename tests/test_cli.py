@@ -141,6 +141,31 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "capacity,code,err",
+        [
+            ("6335", UNSAFE_WARNING,
+             "warning: h2.reseq: configured capacity 6335 B is below the "
+             "required size 6336 B"),
+            ("6336", OK, None),
+            ("inf", OK, None),
+        ],
+    )
+    def test_explicit_capacity_warning(self, tmp_path, capsys, capacity, code, err):
+        cfg = bundled_with(
+            tmp_path,
+            lambda c: c["elements"].__setitem__(-1, {
+                "id": "h2.reseq", "kind": "resequencer", "mode": "explicit",
+                "timeout_s": "29.488e-6", "buffer_bytes": capacity,
+            }),
+        )
+        assert main(["analyze", "--config", cfg, "--loss", "lossless"]) == code
+        warnings = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert warnings == ([err] if err else [])
+
     def test_json_ints_equal_strings(self, tmp_path, capsys):
         cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
         assert main(["analyze", "--config", cfg, "--loss", "both"]) == OK
@@ -164,6 +189,70 @@ class TestConfigErrors:
 def test_whole_output_matches_golden(argv, golden, capsys):
     assert main(argv) == OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def analyze_edited(edit):
+    return lambda tmp_path: ["analyze", "--config", bundled_with(tmp_path, edit)]
+
+
+def rbo_tight(*extra):
+    base = ["scenario", "rbo-tight", "--jitter", "1ms", "--rate", "6400",
+            "--burst", "6400"]
+    return lambda tmp_path: base + list(extra)
+
+
+def metrics_of(row):
+    def argv(tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(
+            "index,size_bytes,emit_time_s,observe_time_s\n" + row + "\n",
+            encoding="utf-8",
+        )
+        return ["metrics", str(p)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        analyze_edited(lambda c: c["flow"].update(l_min="inf")),
+        analyze_edited(lambda c: c["elements"][0].update(rate_Bps="inf")),
+        analyze_edited(
+            lambda c: c["flow"]["curve"]["pieces"][0].update(rate="inf")
+        ),
+        rbo_tight("--rate", "inf"),
+        rbo_tight("--l-min", "inf"),
+        rbo_tight("--jitter", "inf"),
+        metrics_of("1,inf,0,1"),
+        metrics_of("1,64,inf,inf"),
+    ],
+    ids=["l_min", "rate_Bps", "piece-rate", "scenario-rate", "scenario-l-min",
+         "scenario-jitter", "csv-size", "csv-emit"],
+)
+def test_infinite_value_in_finite_field_is_input_error(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: not a finite number: 'inf'\n"
+
+
+@pytest.mark.parametrize(
+    "curve,message",
+    [
+        ({"kind": "min_affine", "pieces": 5}, "curve pieces must be a list"),
+        ({"kind": "staircase", "period": "1"}, "missing curve key: 'burst'"),
+        ([1], "curve must be an object"),
+        ({"kind": "min_affine", "pieces": [{"rate": "1"}]},
+         "missing curve key: 'burst'"),
+    ],
+    ids=["pieces-int", "no-burst", "list", "piece-no-burst"],
+)
+def test_malformed_curve_json_is_input_error(curve, message, tmp_path, capsys):
+    p = tmp_path / "curve.json"
+    p.write_text(json.dumps(curve), encoding="utf-8")
+    argv = ["scenario", "rbo-tight", "--jitter", "1ms", "--curve-json", str(p)]
+    assert main(argv) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 class TestMetrics:

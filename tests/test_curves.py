@@ -419,6 +419,22 @@ class TestSerialization:
         c = StaircaseCurve(F(3), F("0.008"), "packets")
         assert curve_from_json(c.to_json()) == c
 
+    @pytest.mark.parametrize(
+        "blob,message",
+        [
+            ({"kind": "min_affine", "pieces": 5}, "curve pieces must be a list"),
+            ({"kind": "min_affine", "pieces": [5]}, "curve piece must be an object"),
+            ({"kind": "staircase", "period": "1"}, "missing curve key: 'burst'"),
+            ([1], "curve must be an object"),
+            ({"kind": "min_affine", "pieces": [{"rate": "1"}]},
+             "missing curve key: 'burst'"),
+        ],
+    )
+    def test_malformed_json_raises_curve_error(self, blob, message):
+        with pytest.raises(CurveError) as exc:
+            curve_from_json(blob)
+        assert str(exc.value) == message
+
     def test_decimal_strings_parse_exactly(self):
         c = curve_from_json(
             {

@@ -236,13 +236,19 @@ class TestBaselineAndPlacements:
 
     def test_compare_placements_shapes_rows(self):
         base = small_path(LOSSY, with_reseq=False)
-        rows = compare_placements(base, {"none": (), "end": ("sf",)})
-        assert len(rows) == 4  # 2 strategies x 2 loss modes
-        by_key = {(r.strategy, r.loss_mode): r for r in rows}
-        assert by_key[("none", LOSSY)].delta_delay == 0
-        assert by_key[("end", LOSSLESS)].delta_delay == 0
-        end_lossy = by_key[("end", LOSSY)]
-        assert end_lossy.delta_delay == end_lossy.timeouts[0][1]
+        reports = compare_placements(base, {"none": (), "end": ("sf",)})
+        # 2 strategies x 2 loss modes, in the order given
+        assert list(reports) == ["none", "end"]
+        assert all(list(by_mode) == [LOSSLESS, LOSSY] for by_mode in reports.values())
+        # every placement's baseline is the base path itself
+        assert all(
+            (r.baseline_delay, r.baseline_jitter) == baseline(base)
+            for by_mode in reports.values() for r in by_mode.values()
+        )
+        assert reports["none"][LOSSY].delta_delay == 0
+        assert reports["end"][LOSSLESS].delta_delay == 0
+        end_lossy = reports["end"][LOSSY]
+        assert end_lossy.delta_delay == end_lossy.resequencers[0].timeout
 
     def test_compare_rejects_base_with_resequencer(self):
         with pytest.raises(PathConfigError):
@@ -259,28 +265,28 @@ class TestBaselineAndPlacements:
             ),
             LOSSY,
         )
-        rows = compare_placements(
+        reports = compare_placements(
             base,
             {
                 "only at 3": ("sub3",),
                 "at 1 and 2": ("sub1", "sub2"),
             },
         )
-        by_key = {(r.strategy, r.loss_mode): r for r in rows}
+        rows = [rep for by_mode in reports.values() for rep in by_mode.values()]
         assert all(r.delta_delay == 0 for r in rows if r.loss_mode == LOSSLESS)
         assert all(r.delta_jitter == 0 for r in rows if r.loss_mode == LOSSLESS)
         # destination placement pays the head offset plus downstream jitters
         rep = analyze_path(insert_resequencers(base, ["sub3"]))
         lam1 = rep.elements[0].rto_bound
-        only3 = by_key[("only at 3", LOSSY)]
+        only3 = reports["only at 3"][LOSSY]
         assert only3.delta_jitter == lam1 + v[1] + v[2]
         assert only3.delta_delay == only3.delta_jitter
         # per-switch placement pays each local offset instead
-        both = by_key[("at 1 and 2", LOSSY)]
-        assert both.delta_jitter == sum((t for _, t in both.timeouts), F(0))
+        both = reports["at 1 and 2"][LOSSY]
+        assert both.delta_jitter == sum((r.timeout for r in both.resequencers), F(0))
         assert all(r.e2e_delay >= r.delta_delay for r in rows)
         for mode in (LOSSLESS, LOSSY):
-            assert by_key[("only at 3", mode)].delta_delay >= 0
+            assert reports["only at 3"][mode].delta_delay >= 0
 
 
 class TestConfigAndRendering:

@@ -7,6 +7,8 @@ from reseqkit.rational import (
     fmt_rat,
     floor_int,
     is_inf,
+    parse_finite,
+    parse_finite_time,
     parse_rat,
     parse_time,
     round_half_up,
@@ -52,6 +54,16 @@ class TestParse:
     )
     def test_time_suffixes(self, text, want):
         assert parse_time(text) == want
+
+    def test_finite_parsers_refuse_inf(self):
+        assert parse_finite("251.5") == F("251.5") and parse_finite(64) == 64
+        assert parse_finite_time("29.49us") == F("29.49e-6")
+        for parse, text in [(parse_finite, "inf"), (parse_finite, "+inf"),
+                            (parse_finite, "Infinity"), (parse_finite_time, "inf"),
+                            (parse_finite_time, "infms")]:
+            with pytest.raises(ValueError) as exc:
+                parse(text)
+            assert str(exc.value) == f"not a finite number: '{text}'"
 
 
 class TestFormat:

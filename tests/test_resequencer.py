@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from list_scan_oracle import simulate as list_scan_simulate
-from reseqkit.curves import leaky_bucket
+from reseqkit.curves import backlog_bound, leaky_bucket
 from reseqkit.rational import INF
 from reseqkit.resequencer import (
     INVALID_LATE,
@@ -14,7 +14,6 @@ from reseqkit.resequencer import (
     ArrivalError,
     ResequencerConfig,
     analytic_departures,
-    required_buffer,
     simulate,
 )
 
@@ -163,19 +162,16 @@ class TestAnalyticDepartures:
 
 
 class TestDimensioning:
-    def test_lossless_buffer_is_rbo(self):
-        assert required_buffer("lossless", rbo_value=F(6336)) == 6336
-
     def test_lossy_buffer_is_curve_window(self):
         curve = leaky_bucket(6400, 6400)
-        window = F("122.19e-6")
-        got = required_buffer("lossy", curve=curve, jitter=window, timeout=0)
-        assert got == 6400 + 6400 * window
+        jitter, timeout = F("92.69e-6"), F("29.5e-6")
+        got = backlog_bound(curve, jitter + timeout)
+        assert got == 6400 + 6400 * F("122.19e-6")
 
     def test_lossy_zero_window_gives_burst(self):
         curve = leaky_bucket(F(7), F(50))
-        assert required_buffer("lossy", curve=curve, jitter=0, timeout=0) == 0
-        assert required_buffer("lossy", curve=curve, jitter=F(1), timeout=0) == 57
+        assert backlog_bound(curve, 0) == 0
+        assert backlog_bound(curve, F(1)) == 57
 
 
 def random_arrivals(rng, max_packets=50):
