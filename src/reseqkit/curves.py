@@ -6,7 +6,11 @@ packets) on (s, t] never exceed alpha(t - s).  Two shapes are supported:
 
 * ``MinAffineCurve``: the pointwise minimum of affine pieces r_i * t + b_i
   (t > 0).  Concave, always achievable when the burst covers one maximal
-  packet.  A single piece is the classic leaky bucket.
+  packet.  A single piece is the classic leaky bucket.  The constructor
+  keeps only the lower envelope (Le Boudec & Thiran, *Network Calculus*):
+  the pieces that are the minimum on some interval of t > 0, by rate
+  ascending, so the bursts strictly decrease.  Equal curves are equal
+  functions, and reports list only envelope pieces.
 * ``StaircaseCurve``: b * ceil(t / tau), the periodic-burst constraint used
   for packet-level regulation (K packets per period).
 
@@ -68,7 +72,19 @@ class MinAffineCurve:
             if burst < 0:
                 raise CurveError("piece bursts must be >= 0")
             norm.append((rate, burst))
-        object.__setattr__(self, "pieces", tuple(sorted(set(norm))))
+        hull: List[Tuple[Fraction, Fraction]] = []  # the envelope so far
+        for r, b in sorted(norm):
+            if hull and b >= hull[-1][1]:
+                continue  # never below the last kept piece for t > 0
+            while len(hull) > 1:
+                (r0, b0), (r1, b1) = hull[-2:]
+                # (r1, b1) is the minimum from where (r, b) crosses it up to
+                # where (r0, b0) does; drop it when that interval is empty
+                if (b1 - b) * (r1 - r0) < (b0 - b1) * (r - r1):
+                    break
+                hull.pop()
+            hull.append((r, b))
+        object.__setattr__(self, "pieces", tuple(hull))
 
     def value(self, t: Rat) -> Rat:
         """Curve value at t (0 at t = 0, min of the pieces for t > 0)."""
@@ -82,7 +98,7 @@ class MinAffineCurve:
         return min(r * t + b for r, b in self.pieces)
 
     def value_at_zero_plus(self) -> Fraction:
-        return min(b for _, b in self.pieces)
+        return self.pieces[-1][1]
 
     def pseudo_inverse(self, x: Rat) -> Rat:
         """inf{s >= 0 | value(s) >= x}: the max over per-piece [(x-b)/r]^+."""
@@ -99,7 +115,7 @@ class MinAffineCurve:
         return best
 
     def long_run_rate(self) -> Fraction:
-        return min(r for r, _ in self.pieces)
+        return self.pieces[0][0]
 
     def to_json(self) -> dict:
         return {
@@ -272,26 +288,20 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
 
 
 def min_curves(a: MinAffineCurve, b: MinAffineCurve) -> MinAffineCurve:
-    """Pointwise minimum of two min-affine curves: the union of their pieces,
-    with pairwise-dominated pieces pruned (pruning never changes values)."""
+    """Pointwise minimum of two min-affine curves: the lower envelope of the
+    union of their pieces."""
     if not (isinstance(a, MinAffineCurve) and isinstance(b, MinAffineCurve)):
         raise CurveError("min is defined for min-affine curves only")
     if a.unit != b.unit:
         raise UnitMismatchError(f"cannot combine {a.unit} with {b.unit}")
-    pieces = set(a.pieces) | set(b.pieces)
-    kept = [
-        p
-        for p in pieces
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pieces)
-    ]
-    return MinAffineCurve(tuple(kept), a.unit)
+    return MinAffineCurve(a.pieces + b.pieces, a.unit)
 
 
 def horizontal_deviation(curve: MinAffineCurve, service: RateLatencyService) -> Fraction:
     """Worst-case delay of a FIFO element: latency + sup_t(alpha(t) - R*t)/R.
 
-    For a concave min-affine alpha the sup is attained as t -> 0+ or at a
-    breakpoint between pieces; all pairwise intersections are candidates.
+    alpha is concave, so the sup is attained as t -> 0+ or at a breakpoint
+    between adjacent envelope pieces, where the slower piece takes over.
     """
     if not isinstance(curve, MinAffineCurve):
         raise CurveError("delay bound requires a min-affine arrival curve")
@@ -300,20 +310,9 @@ def horizontal_deviation(curve: MinAffineCurve, service: RateLatencyService) -> 
             "arrival rate exceeds service rate; backlog grows without bound"
         )
     best = curve.value_at_zero_plus()  # t -> 0+
-    pieces = curve.pieces
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            (r1, b1), (r2, b2) = pieces[i], pieces[j]
-            if r1 == r2:
-                continue
-            t = (b2 - b1) / (r1 - r2)
-            if t <= 0:
-                continue
-            v = curve.value(t) - service.rate * t
-            if v > best:
-                best = v
-    if best < 0:
-        best = Fraction(0)
+    for (r_slow, b_slow), (r_fast, b_fast) in zip(curve.pieces, curve.pieces[1:]):
+        t = (b_slow - b_fast) / (r_fast - r_slow)
+        best = max(best, r_slow * t + b_slow - service.rate * t)
     return service.latency + best / service.rate
 
 

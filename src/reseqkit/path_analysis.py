@@ -104,6 +104,12 @@ class ResequencerElement:
             raise PathConfigError(f"unknown re-sequencer mode {self.mode!r}")
         if self.mode == "explicit" and self.timeout is None:
             raise PathConfigError("explicit re-sequencer needs a timeout")
+        for name, value in (("timeout_s", self.timeout),
+                            ("buffer_bytes", self.capacity)):
+            if value is not None and value < 0:
+                raise PathConfigError(
+                    f"{self.id}: {name} {fmt_rat(value)} is negative"
+                )
 
 
 def _check_delay_range(d_min, d_max) -> None:

@@ -38,6 +38,10 @@ _NUMBER_RE = re.compile(
     r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$|^[+-]?\d+/\d+$"
 )
 
+#: Largest decimal exponent magnitude ``parse_rat`` accepts: ``1e1000`` is
+#: a 1001-digit integer, while ``1e999999999`` would need gigabytes.
+MAX_EXPONENT = 1000
+
 
 def parse_rat(text: Union[str, int]) -> Rat:
     """Parse a numeric string, or an integer, into an exact value.
@@ -45,7 +49,7 @@ def parse_rat(text: Union[str, int]) -> Rat:
     Accepted forms: plain/decimal integers (``"64"``, ``"251.5"``),
     scientific notation (``"125e6"``, ``"12e-6"``), explicit fractions
     (``"3/7"``), ``"inf"`` and ints.  Floats are refused: JSON gives no
-    exact value for them.
+    exact value for them, and so is an exponent beyond ``MAX_EXPONENT``.
     """
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
@@ -54,8 +58,15 @@ def parse_rat(text: Union[str, int]) -> Rat:
     s = text.strip()
     if s.lower() in ("inf", "+inf", "infinity"):
         return INF
-    if not _NUMBER_RE.match(s):
+    m = _NUMBER_RE.match(s)
+    if not m:
         raise ValueError(f"not an exact numeric literal: {text!r}")
+    exponent = m.group(3)  # "e-6", or None
+    if exponent:
+        # the length test first: a long run of digits is never converted
+        digits = exponent[1:].lstrip("+-").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond +/-{MAX_EXPONENT}: {text!r}")
     return Fraction(s)
 
 
@@ -105,11 +116,16 @@ def fmt_rat(x: Rat) -> str:
     if den != 1:
         return f"{f.numerator}/{f.denominator}"
     digits = max(twos, fives)
-    scaled = f.numerator * 10**digits // f.denominator
+    return _fixed_point(f.numerator * 10**digits // f.denominator, digits)
+
+
+def _fixed_point(scaled: int, digits: int) -> str:
+    """``scaled / 10**digits`` written out with exactly ``digits`` decimals."""
+    if digits == 0:
+        return str(scaled)
     sign = "-" if scaled < 0 else ""
     body = str(abs(scaled)).rjust(digits + 1, "0")
-    head, tail = body[:-digits], body[-digits:]
-    return f"{sign}{head}.{tail}"
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
 def round_half_up(x: Fraction, digits: int) -> Fraction:
@@ -135,6 +151,5 @@ def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
     """Format seconds as microseconds, rounded half-up to ``digits`` places."""
     if is_inf(t):
         return "inf"
-    us = Fraction(t) * 10**6
-    r = round_half_up(us, digits)
-    return f"{float(r):.{digits}f}"
+    r = round_half_up(Fraction(t) * 10**6, digits)
+    return _fixed_point(int(r * 10**digits), digits)

@@ -166,6 +166,42 @@ class TestConfigErrors:
         ]
         assert warnings == ([err] if err else [])
 
+    @pytest.mark.parametrize("loss", ["lossless", "lossy"])
+    @pytest.mark.parametrize(
+        "fields,name",
+        [
+            ({"timeout_s": "-1e-6"}, "timeout_s"),
+            ({"timeout_s": "29.488e-6", "buffer_bytes": "-5"}, "buffer_bytes"),
+            ({"timeout_s": "-1/3", "buffer_bytes": "6336"}, "timeout_s"),
+        ],
+        ids=["timeout", "buffer", "timeout-fraction"],
+    )
+    def test_negative_resequencer_field_is_input_error(
+        self, tmp_path, capsys, fields, name, loss
+    ):
+        cfg = bundled_with(
+            tmp_path,
+            lambda c: c["elements"][-1].update(mode="explicit", **fields),
+        )
+        assert main(["analyze", "--config", cfg, "--loss", loss]) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: h2.reseq: ") and name in err
+
+    @pytest.mark.parametrize("fields", [{"timeout_s": "0", "buffer_bytes": "0"},
+                                        {"timeout_s": "0", "buffer_bytes": "inf"}])
+    def test_zero_and_infinite_resequencer_fields_accepted(
+        self, tmp_path, capsys, fields
+    ):
+        cfg = bundled_with(
+            tmp_path,
+            lambda c: c["elements"][-1].update(mode="explicit", **fields),
+        )
+        assert main(["analyze", "--config", cfg, "--loss", "lossy"]) in (
+            OK, UNSAFE_WARNING,
+        )
+        assert capsys.readouterr().err == ""
+
     def test_json_ints_equal_strings(self, tmp_path, capsys):
         cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
         assert main(["analyze", "--config", cfg, "--loss", "both"]) == OK

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curve_oracle
 from pairwise_conformance_oracle import check_conforms as pairwise_check_conforms
 from reseqkit.curves import (
     BYTES,
@@ -244,6 +245,100 @@ class TestHorizontalDeviation:
     def test_instability_detected(self):
         with pytest.raises(InstabilityError):
             horizontal_deviation(leaky_bucket(200, 1), RateLatencyService(F(100), F(0)))
+
+
+# few distinct values, so equal rates, equal bursts and zero bursts are common
+piece_rates = st.one_of(
+    st.integers(1, 6).map(F),
+    st.fractions(min_value=F(1, 8), max_value=50, max_denominator=8),
+)
+piece_bursts = st.one_of(
+    st.integers(0, 6).map(F),
+    st.fractions(min_value=0, max_value=50, max_denominator=8),
+)
+raw_pieces = st.lists(st.tuples(piece_rates, piece_bursts), min_size=1, max_size=8)
+services = st.builds(
+    RateLatencyService,
+    st.fractions(min_value=F(1, 8), max_value=60, max_denominator=8),
+    st.fractions(min_value=0, max_value=5, max_denominator=8),
+)
+
+
+def crossings(pieces):
+    """Every t > 0 where two of the raw pieces cross."""
+    return {
+        (b2 - b1) / (r1 - r2)
+        for r1, b1 in pieces
+        for r2, b2 in pieces
+        if r1 > r2 and b2 > b1
+    }
+
+
+class TestCanonicalEnvelope:
+    def test_never_minimal_middle_piece_dropped(self):
+        # (1, 10) and (4, 0) cross at t = 10/3, where (2, 9) is above both
+        envelope = MinAffineCurve(((F(1), F(10)), (F(4), F(0))))
+        assert MinAffineCurve(((1, 10), (2, 9), (4, 0))) == envelope
+
+    def test_dominated_and_duplicate_pieces_dropped(self):
+        c = MinAffineCurve(((5, 3), (5, 10), (7, 2), (9, 2), (7, 2), (6, 0)))
+        assert c.pieces == ((F(5), F(3)), (F(6), F(0)))
+
+    def test_zero_bursts_leave_the_slowest_piece(self):
+        assert MinAffineCurve(((3, 0), (1, 0), (2, 0))).pieces == ((F(1), F(0)),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces=raw_pieces)
+    def test_each_piece_is_the_minimum_on_an_interval(self, pieces):
+        kept = MinAffineCurve(tuple(pieces)).pieces
+        rates, bursts = [r for r, _ in kept], [b for _, b in kept]
+        assert rates == sorted(set(rates)) and bursts == sorted(set(bursts))[::-1]
+        breaks = [
+            (b0 - b1) / (r1 - r0) for (r0, b0), (r1, b1) in zip(kept, kept[1:])
+        ]
+        assert breaks == sorted(set(breaks))[::-1]  # every interval is nonempty
+        edges = [2 * breaks[0] + 1 if breaks else F(1)] + breaks + [F(0)]
+        for (r, b), hi, lo in zip(kept, edges, edges[1:]):
+            t = (hi + lo) / 2
+            others = [r2 * t + b2 for r2, b2 in pieces if (r2, b2) != (r, b)]
+            assert all(r * t + b < v for v in others)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces=raw_pieces, weights=st.lists(st.fractions(0, 1), max_size=4))
+    def test_equality_is_equality_of_functions(self, pieces, weights):
+        # a convex combination of two pieces is never below their minimum
+        (r1, b1), (r2, b2) = pieces[0], pieces[-1]
+        above = [(w * r1 + (1 - w) * r2, w * b1 + (1 - w) * b2) for w in weights]
+        c = MinAffineCurve(tuple(pieces))
+        assert MinAffineCurve(tuple(above + pieces[::-1] + pieces)) == c
+        assert MinAffineCurve(c.pieces) == c
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=raw_pieces,
+        b=raw_pieces,
+        service=services,
+        ts=st.lists(st.fractions(min_value=0, max_value=100, max_denominator=16),
+                    max_size=6),
+    )
+    def test_matches_oracle(self, a, b, service, ts):
+        curve = MinAffineCurve(tuple(a))
+        m = min_curves(curve, MinAffineCurve(tuple(b)))
+        merged = curve_oracle.min_curves(a, b)
+        for t in sorted(set(ts) | crossings(a + b) | {F(0)}):
+            assert curve.value(t) == curve_oracle.value(a, t)
+            assert m.value(t) == curve_oracle.value(merged, t)
+            assert m.value(t) == min(curve_oracle.value(a, t), curve_oracle.value(b, t))
+            x = curve_oracle.value(a, t) + t  # a volume the curve reaches later
+            assert curve.pseudo_inverse(x) == curve_oracle.pseudo_inverse(a, x)
+        for pieces, c in ((a, curve), (a + b, m)):
+            try:
+                want = curve_oracle.horizontal_deviation(pieces, service)
+            except InstabilityError:
+                with pytest.raises(InstabilityError):
+                    horizontal_deviation(c, service)
+            else:
+                assert horizontal_deviation(c, service) == want
 
 
 class TestConformance:

@@ -343,6 +343,24 @@ class TestConfigAndRendering:
         assert blob["resequencers"][0]["timeout_s"] == "0.000000988"
         assert blob["e2e"]["delay_us_display"] == "66.19"
 
+    def test_report_lists_only_envelope_pieces(self):
+        # 100 us of latency at h2 lifts h1's line-rate piece (125e6, 64) to a
+        # burst of 12564 B, above the source piece for every t > 0
+        flow = flow64()
+        path = PathSpec(flow, (
+            FifoServiceElement("h1", RateLatencyService(F(125_000_000), 12 * US)),
+            FifoServiceElement("h2", RateLatencyService(F(125_000_000), 100 * US)),
+        ), LOSSLESS)
+        h1, h2 = report_to_json(analyze_path(path))["elements"]
+        assert [p["rate"] for p in h1["queue_output_curve"]["pieces"]] == ["6400"]
+        assert h1["output_curve"]["pieces"] == [
+            {"rate": "6400", "burst": "6400.0768"},
+            {"rate": "125000000", "burst": "64"},
+        ]
+        assert h2["queue_output_curve"]["pieces"] == [
+            {"rate": "6400", "burst": "6400.7168"}
+        ]
+
     def test_table_renders(self):
         rep = analyze_path(small_path())
         text = render_report_table(rep)

@@ -4,6 +4,7 @@ import pytest
 
 from reseqkit.rational import (
     INF,
+    MAX_EXPONENT,
     fmt_rat,
     floor_int,
     is_inf,
@@ -27,6 +28,9 @@ class TestParse:
             ("-0.5", F(-1, 2)),
             ("3/7", F(3, 7)),
             (64, F(64)),  # a JSON int is exact
+            ("1e1000", F(10) ** 1000),  # exponents up to MAX_EXPONENT
+            ("-2.5E-0999", F(-25, 10**1000)),
+            ("0.5e-6", F(1, 2 * 10**6)),
         ],
     )
     def test_exact_forms(self, text, want):
@@ -41,6 +45,17 @@ class TestParse:
         for bad in ("1.2.3", "0x10", "nan", "1e", "", 125e6, None, True, [64], {}):
             with pytest.raises(ValueError):
                 parse_rat(bad)
+
+    @pytest.mark.parametrize(
+        "text", ["1e1001", "1e-1001", "0.5E+1001", "1e" + "9" * 5000, "1e+01001"]
+    )
+    def test_exponent_beyond_the_bound_refused(self, text):
+        # refused from the literal alone: no 10**1001 integer is built
+        assert MAX_EXPONENT == 1000
+        with pytest.raises(ValueError, match="exponent beyond"):
+            parse_rat(text)
+        with pytest.raises(ValueError, match="exponent beyond"):
+            parse_time(text + "us")
 
     @pytest.mark.parametrize(
         "text,want",
@@ -86,6 +101,13 @@ class TestFormat:
         assert seconds_to_us_display(F("29.488e-6")) == "29.49"
         assert seconds_to_us_display(F("95.224e-6")) == "95.22"
         assert seconds_to_us_display(INF) == "inf"
+        # more digits than a float holds: 1234567890123456768.00 via float
+        big = F("1234567890123456789.01e-6")
+        assert seconds_to_us_display(big) == "1234567890123456789.01"
+        assert seconds_to_us_display(F("-0.005e-6")) == "-0.01"
+        assert seconds_to_us_display(F("-0.004e-6")) == "0.00"
+        assert seconds_to_us_display(F("-1.5e-6"), 0) == "-2"
+        assert seconds_to_us_display(F("0.0625e-6"), 3) == "0.063"
 
     def test_floor(self):
         assert floor_int(F("6336.5068032")) == 6336
