@@ -167,9 +167,7 @@ def cmd_simulate(args) -> int:
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = trace_from_csv(fh.read())
     cfg = ResequencerConfig(parse_time(args.timeout), parse_rat(args.buffer))
-    # a lost packet's observe_time is already INF
-    arrivals = {p.index: (p.observe_time, p.size) for p in trace.packets}
-    outcome = simulate(arrivals, cfg)
+    outcome = simulate(trace, cfg)
     print(
         json.dumps(
             {

@@ -14,18 +14,39 @@ compute:
 
 Flow-level RTO / RBO are the maxima over the delivered packets.  Offsets of
 lost packets are undefined and excluded throughout.
+
+Time base: a ``Trace`` keeps its columns as integers.  Emit and observe
+times are ticks of 1/``time_den`` s, where ``time_den`` is the least common
+multiple of their denominators (10**9 for a nanosecond capture), and sizes
+are ticks of 1/``size_den`` B.  Parsing, validation, ``rto``, ``rbo`` and
+``delay_jitter`` run on those integers, so results stay exact; they become
+``Fraction(ticks, den)`` only in the returned ``OffsetResult`` and
+``DelayJitter``.  ``Trace.packets`` is built from the columns on first use.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import gt, le
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .curves import FlowSpec
-from .rational import INF, Rat, fmt_rat, is_inf, parse_finite, parse_rat
+from .rational import (
+    INF,
+    Cell,
+    Rat,
+    fmt_rat,
+    is_inf,
+    on_common_base,
+    over,
+    parse_finite,
+    parse_rat,
+    ratio,
+)
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -61,52 +82,121 @@ class PacketObservation:
         return is_inf(self.observe_time)
 
 
-@dataclass(frozen=True)
 class Trace:
-    packets: Tuple[PacketObservation, ...]
-    flow: Optional[FlowSpec] = None
+    """A validated trace: per packet, in index order, its size and its emit
+    and observe times as integer ticks (see the module docstring).
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "packets", tuple(self.packets))
-        for pos, p in enumerate(self.packets, start=1):
-            if p.index != pos:
-                raise TraceError("packet indices must be contiguous from 1")
-        emits = [p.emit_time for p in self.packets]
-        if any(e is not None for e in emits) and any(e is None for e in emits):
+    ``Trace(packets, flow)`` takes ``PacketObservation``s; ``trace_from_csv``
+    fills the columns directly.  Either way the same checks run on the
+    integer columns: contiguous indices from 1, emission times for all
+    packets or none, wide-sense increasing emissions, no observation before
+    emission, sizes inside the flow's [l_min, l_max], and distinct finite
+    observation times.
+    """
+
+    __slots__ = ("flow", "time_den", "size_den", "size_ticks", "emit_ticks",
+                 "observe_ticks", "_packets")
+
+    def __init__(self, packets: Sequence[PacketObservation],
+                 flow: Optional[FlowSpec] = None) -> None:
+        packets = tuple(packets)
+        self._set_columns(
+            [p.index for p in packets],
+            [p.size.as_integer_ratio() for p in packets],
+            [None if p.emit_time is None else p.emit_time.as_integer_ratio()
+             for p in packets],
+            [ratio(p.observe_time) for p in packets],
+            flow,
+        )
+        self._packets: Optional[Tuple[PacketObservation, ...]] = packets
+
+    @classmethod
+    def _from_cells(cls, indices: List[int], sizes: List[Cell], emits: List[Cell],
+                    observes: List[Cell], flow: Optional[FlowSpec]) -> "Trace":
+        trace = cls.__new__(cls)
+        trace._set_columns(indices, sizes, emits, observes, flow)
+        trace._packets = None
+        return trace
+
+    def _set_columns(self, indices: List[int], sizes: List[Cell], emits: List[Cell],
+                     observes: List[Cell], flow: Optional[FlowSpec]) -> None:
+        """Validate exact cells and keep them as ticks; the order of the
+        checks fixes which error a trace with several defects reports."""
+        if indices != list(range(1, len(indices) + 1)):
+            raise TraceError("packet indices must be contiguous from 1")
+        missing = emits.count(None)
+        if 0 < missing < len(emits):
             raise TraceError("emission times must be present for all packets or none")
-        if all(e is not None for e in emits):
-            for a, b in zip(emits, emits[1:]):
-                if a > b:
-                    raise TraceError("emission times must be wide-sense increasing")
-            for p in self.packets:
-                if not p.lost and p.emit_time > p.observe_time:
-                    raise TraceError("observation before emission")
-        if self.flow is not None:
-            for p in self.packets:
-                if not self.flow.l_min <= p.size <= self.flow.l_max:
+        size_den, (size_ticks,) = on_common_base(sizes)
+        time_den, (emit_ticks, observe_ticks) = on_common_base(emits, observes)
+        if missing or not emits:
+            emit_ticks = None
+        else:
+            if not all(map(le, emit_ticks, emit_ticks[1:])):
+                raise TraceError("emission times must be wide-sense increasing")
+            if any(map(gt, emit_ticks, observe_ticks)):  # never true for INF
+                raise TraceError("observation before emission")
+        if flow is not None:
+            lo, hi = math.ceil(flow.l_min * size_den), math.floor(flow.l_max * size_den)
+            for pos, s in enumerate(size_ticks, start=1):
+                if not lo <= s <= hi:
                     raise TraceError(
-                        f"packet {p.index} size {p.size} outside "
-                        f"[{self.flow.l_min}, {self.flow.l_max}]"
+                        f"packet {pos} size {Fraction(s, size_den)} outside "
+                        f"[{flow.l_min}, {flow.l_max}]"
                     )
-        _check_distinct_observations(self.packets)
+        _check_distinct_observations(observe_ticks)
+        self.flow = flow
+        self.time_den, self.size_den = time_den, size_den
+        self.size_ticks = tuple(size_ticks)
+        self.emit_ticks = None if emit_ticks is None else tuple(emit_ticks)
+        self.observe_ticks = tuple(observe_ticks)
+
+    @property
+    def packets(self) -> Tuple[PacketObservation, ...]:
+        if self._packets is None:
+            times = over(dict(enumerate(self.observe_ticks, start=1)), self.time_den)
+            sizes = over(dict(enumerate(self.size_ticks, start=1)), self.size_den)
+            emits = (dict.fromkeys(times) if self.emit_ticks is None else
+                     over(dict(enumerate(self.emit_ticks, start=1)), self.time_den))
+            self._packets = tuple(
+                PacketObservation(i, sizes[i], emits[i], times[i]) for i in times
+            )
+        return self._packets
 
     @property
     def has_emit_times(self) -> bool:
-        return bool(self.packets) and self.packets[0].emit_time is not None
+        return self.emit_ticks is not None
+
+    def __len__(self) -> int:
+        return len(self.observe_ticks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.packets, self.flow) == (other.packets, other.flow)
+
+    def __hash__(self) -> int:
+        return hash((self.packets, self.flow))
+
+    def __repr__(self) -> str:
+        return f"Trace(packets={self.packets!r}, flow={self.flow!r})"
 
 
-def _check_distinct_observations(packets: Sequence[PacketObservation]) -> None:
-    seen: Dict[Fraction, int] = {}
-    for p in packets:
-        if p.lost:
+def _check_distinct_observations(observe_ticks: List[Union[int, float]]) -> None:
+    lost = observe_ticks.count(INF)
+    if len(set(observe_ticks)) == len(observe_ticks) - lost + (lost > 0):
+        return
+    seen: Dict[int, int] = {}
+    for index, t in enumerate(observe_ticks, start=1):
+        if t is INF:
             continue
-        other = seen.get(p.observe_time)
+        other = seen.get(t)
         if other is not None:
             raise DuplicateObservationError(
-                f"packets {other} and {p.index} observed at the same instant; "
+                f"packets {other} and {index} observed at the same instant; "
                 "tie-break the timestamps explicitly"
             )
-        seen[p.observe_time] = p.index
+        seen[t] = index
 
 
 @dataclass(frozen=True)
@@ -115,6 +205,10 @@ class OffsetResult:
 
     value: Fraction
     per_packet: Dict[int, Fraction]
+
+    @classmethod
+    def _from_ticks(cls, per: Dict[int, int], den: int) -> "OffsetResult":
+        return cls(Fraction(max(per.values(), default=0), den), over(per, den))
 
 
 @dataclass(frozen=True)
@@ -130,15 +224,16 @@ def rto(trace: Trace) -> OffsetResult:
     Because index n itself belongs to {j >= n}, the suffix minimum of the
     observation times gives lambda_n directly; one backward pass suffices.
     """
-    packets = trace.packets
-    per: Dict[int, Fraction] = {}
-    suffix_min: Rat = INF
-    for p in reversed(packets):
-        suffix_min = min(suffix_min, p.observe_time)
-        if not p.lost:
-            per[p.index] = p.observe_time - suffix_min
-    value = max(per.values(), default=Fraction(0))
-    return OffsetResult(Fraction(value), dict(sorted(per.items())))
+    observes = trace.observe_ticks
+    per: Dict[int, int] = {}
+    suffix_min: Union[int, float] = INF
+    for index in range(len(observes), 0, -1):
+        t = observes[index - 1]
+        if t is not INF:
+            if t < suffix_min:
+                suffix_min = t
+            per[index] = t - suffix_min
+    return OffsetResult._from_ticks(dict(reversed(per.items())), trace.time_den)
 
 
 def rbo(trace: Trace) -> OffsetResult:
@@ -146,55 +241,41 @@ def rbo(trace: Trace) -> OffsetResult:
     later-indexed packets observed strictly earlier.
 
     Packets are swept in observation order while a Fenwick tree accumulates
-    sizes by index, so each pi_n is a suffix sum over already-seen packets.
+    sizes by index, so each pi_n is the bytes seen so far minus a prefix sum.
     """
-    packets = trace.packets
-    n = len(packets)
-    tree = _Fenwick(n)
-    per: Dict[int, Fraction] = {}
-    for p in sorted((p for p in packets if not p.lost), key=lambda p: p.observe_time):
-        per[p.index] = tree.suffix_sum(p.index + 1)
-        tree.add(p.index, p.size)
-    value = max(per.values(), default=Fraction(0))
-    return OffsetResult(Fraction(value), dict(sorted(per.items())))
-
-
-class _Fenwick:
-    """Prefix sums over packet indices, exact Fraction arithmetic."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.data = [Fraction(0)] * (n + 1)
-        self.total = Fraction(0)
-
-    def add(self, i: int, v: Fraction) -> None:
-        self.total += v
-        while i <= self.n:
-            self.data[i] += v
-            i += i & (-i)
-
-    def prefix_sum(self, i: int) -> Fraction:
-        s = Fraction(0)
-        while i > 0:
-            s += self.data[i]
-            i -= i & (-i)
-        return s
-
-    def suffix_sum(self, i: int) -> Fraction:
-        if i > self.n:
-            return Fraction(0)
-        return self.total - self.prefix_sum(i - 1)
+    observes, sizes = trace.observe_ticks, trace.size_ticks
+    n = len(observes)
+    tree = [0] * (n + 1)  # Fenwick tree of size ticks by 1-based index
+    seen = 0
+    per: Dict[int, int] = {}
+    delivered = [pos for pos in range(n) if observes[pos] is not INF]
+    for pos in sorted(delivered, key=observes.__getitem__):
+        i = pos + 1
+        ahead = seen
+        while i:
+            ahead -= tree[i]
+            i &= i - 1
+        per[pos + 1] = ahead
+        size = sizes[pos]
+        seen += size
+        i = pos + 1
+        while i <= n:
+            tree[i] += size
+            i += i & -i
+    return OffsetResult._from_ticks(dict(sorted(per.items())), trace.size_den)
 
 
 def delay_jitter(trace: Trace) -> DelayJitter:
     """Worst/best delay and jitter over delivered packets (lost ones excluded)."""
-    if not trace.has_emit_times:
+    if trace.emit_ticks is None:
         raise TraceError("delay metrics need emission times")
-    delays = [p.observe_time - p.emit_time for p in trace.packets if not p.lost]
+    delays = [o - e for e, o in zip(trace.emit_ticks, trace.observe_ticks)
+              if o is not INF]
     if not delays:
         raise TraceError("all packets lost; delay metrics undefined")
-    d_max, d_min = max(delays), min(delays)
-    return DelayJitter(d_max, d_min, d_max - d_min)
+    d_max, d_min, den = max(delays), min(delays), trace.time_den
+    return DelayJitter(Fraction(d_max, den), Fraction(d_min, den),
+                       Fraction(d_max - d_min, den))
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -214,23 +295,56 @@ def trace_to_csv(trace: Trace) -> str:
     return buf.getvalue()
 
 
+def _cell(text: str, finite: bool) -> Cell:
+    """Exact value of a CSV cell as ``(numerator, denominator)``, or INF.
+
+    Plain decimals (``"64"``, ``"0.000012345"``) are read straight into
+    integers; every other form, and a decimal beyond ``int``'s digit limit,
+    goes through ``parse_rat`` with its checks and messages.
+    """
+    try:
+        if text.isdecimal():
+            return int(text), 1
+        whole, dot, frac = text.partition(".")
+        if dot and whole.isdecimal() and frac.isdecimal():
+            return int(whole + frac), 10 ** len(frac)
+    except ValueError:
+        pass
+    x = parse_finite(text) if finite else parse_rat(text)
+    return INF if is_inf(x) else x.as_integer_ratio()
+
+
 def trace_from_csv(text: str, flow: Optional[FlowSpec] = None) -> Trace:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or [h.strip() for h in rows[0]] != CSV_HEADER:
+    try:
+        return _read_csv(csv.reader(io.StringIO(text)), flow)
+    except csv.Error as exc:
+        raise TraceError(f"unreadable trace CSV: {exc}") from exc
+
+
+def _read_csv(rows: Iterator[List[str]], flow: Optional[FlowSpec]) -> Trace:
+    """Rows are read one at a time, so no list of them is ever held."""
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise TraceError(f"trace CSV must start with header {','.join(CSV_HEADER)}")
-    packets: List[PacketObservation] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
+    indices: List[int] = []
+    sizes: List[Cell] = []
+    emits: List[Cell] = []
+    observes: List[Cell] = []
+    for lineno, row in enumerate(rows, start=2):
+        if not any(map(str.strip, row)):
             continue
         if len(row) != 4:
             raise TraceError(f"line {lineno}: expected 4 columns")
-        idx, size, emit, obs = (c.strip() for c in row)
-        packets.append(
-            PacketObservation(
-                index=int(idx),
-                size=parse_finite(size),
-                emit_time=None if emit == "-" else parse_finite(emit),
-                observe_time=parse_rat(obs),
-            )
-        )
-    return Trace(tuple(packets), flow)
+        idx, size, emit, obs = map(str.strip, row)
+        index = int(idx)
+        size_cell = _cell(size, finite=True)
+        emits.append(None if emit == "-" else _cell(emit, finite=True))
+        observes.append(_cell(obs, finite=False))
+        # the checks of PacketObservation, in its order
+        if index < 1:
+            raise TraceError("packet indices start at 1")
+        if size_cell[0] <= 0:
+            raise TraceError("packet sizes must be > 0")
+        indices.append(index)
+        sizes.append(size_cell)
+    return Trace._from_cells(indices, sizes, emits, observes, flow)

@@ -104,6 +104,11 @@ class ResequencerElement:
             raise PathConfigError(f"unknown re-sequencer mode {self.mode!r}")
         if self.mode == "explicit" and self.timeout is None:
             raise PathConfigError("explicit re-sequencer needs a timeout")
+        if self.mode == "auto" and self.timeout is not None:
+            raise PathConfigError(
+                f"{self.id}: timeout_s is read only in explicit mode; "
+                "an auto re-sequencer takes its upstream RTO bound"
+            )
         for name, value in (("timeout_s", self.timeout),
                             ("buffer_bytes", self.capacity)):
             if value is not None and value < 0:

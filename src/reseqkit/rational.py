@@ -1,10 +1,13 @@
 """Exact number handling: rationals, the +inf sentinel, parsing and display.
 
-All times (seconds) and sizes (bytes or packets) are carried as
-``fractions.Fraction`` so that derived quantities are bit-exact.  Lost-packet
-times use ``math.inf`` as an explicit sentinel; it compares and min/maxes
-correctly against Fractions, and any sum involving it is again ``inf``.
-Floats never appear anywhere else.
+Times (seconds) and sizes (bytes or packets) are exact: a ``Fraction`` at
+every public interface, so that derived quantities are bit-exact.  Code
+that loops over packets carries them as integer ticks instead: each value
+times D, where D is the least common multiple of the denominators
+(``on_common_base``), and turns a result back into ``Fraction(ticks, D)``
+only where it is returned (``over``).  Lost-packet times use ``math.inf`` as
+an explicit sentinel; it compares and min/maxes correctly against Fractions
+and integers.  Floats never appear anywhere else.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 #: A time or size value: an exact rational, or +inf for lost packets /
 #: unbounded capacities.
@@ -67,6 +70,8 @@ def parse_rat(text: Union[str, int]) -> Rat:
         digits = exponent[1:].lstrip("+-").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond +/-{MAX_EXPONENT}: {text!r}")
+    elif "/" in s and not s.rpartition("/")[2].strip("0"):
+        raise ValueError(f"zero denominator: {text!r}")
     return Fraction(s)
 
 
@@ -102,21 +107,19 @@ def fmt_rat(x: Rat) -> str:
     otherwise ``"p/q"``; ``inf`` for the sentinel."""
     if is_inf(x):
         return "inf"
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    den = f.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    num, den = f.numerator, f.denominator
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{f.numerator}/{f.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    return _fixed_point(f.numerator * 10**digits // f.denominator, digits)
+    return _fixed_point(num * 10**digits // den, digits)
 
 
 def _fixed_point(scaled: int, digits: int) -> str:
@@ -153,3 +156,42 @@ def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
         return "inf"
     r = round_half_up(Fraction(t) * 10**6, digits)
     return _fixed_point(int(r * 10**digits), digits)
+
+
+#: An exact value as ``(numerator, denominator)``, or a cell that
+#: ``on_common_base`` passes through unchanged (``None``, ``INF``).
+Cell = Union[Tuple[int, int], float, None]
+
+
+def ratio(x: Rat) -> Cell:
+    """``x`` as a ``(numerator, denominator)`` cell; INF stays INF."""
+    return INF if is_inf(x) else Fraction(x).as_integer_ratio()
+
+
+def on_common_base(*columns: Sequence[Cell]) -> Tuple[int, List[list]]:
+    """Put columns of exact values on one integer base.
+
+    Returns D, the least common multiple of the denominators of every
+    ``(numerator, denominator)`` cell, and each column with such a cell
+    replaced by the integer value*D; ``None`` and ``INF`` pass through.
+    """
+    dens = {c[1] for col in columns for c in col if c.__class__ is tuple}
+    den = math.lcm(*dens) if dens else 1
+    scale = {d: den // d for d in dens}
+    return den, [
+        [c[0] * scale[c[1]] if c.__class__ is tuple else c for c in col]
+        for col in columns
+    ]
+
+
+def over(ticks: Mapping[int, Union[int, float]], den: int) -> Dict[int, Rat]:
+    """``{k: Fraction(t, den)}`` for integer tick counts ``t`` on base
+    ``den``; INF stays INF, and equal counts share one Fraction."""
+    made: Dict[Union[int, float], Rat] = {INF: INF}
+    out: Dict[int, Rat] = {}
+    for k, t in ticks.items():
+        f = made.get(t)
+        if f is None:
+            f = made[t] = Fraction(t, den)
+        out[k] = f
+    return out

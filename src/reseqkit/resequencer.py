@@ -25,16 +25,25 @@ timer that fires at the same instant, and timers with equal deadlines fire in
 sequence-number order.  Pending timers sit in a binary heap keyed by
 (deadline, seq), so an event costs O(log backlog) and a trace of n packets
 O(n log n), however many packets a hole parks.
+
+Time base: both functions run on integers.  Times, and the timeout, are
+ticks over the least common multiple of their denominators; sizes, and the
+capacity, over theirs.  A ``Trace`` brings its columns already in ticks
+(``metrics``), and a map of ``Fraction``s is put on a common base first.
+Departures, occupancy and residence become ``Fraction(ticks, den)`` only in
+the returned ``ResequencerOutcome`` or departure map.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .rational import INF, Rat, is_inf
+from .metrics import Trace
+from .rational import INF, Cell, Rat, is_inf, on_common_base, over, ratio
 
 
 class ArrivalError(ValueError):
@@ -69,32 +78,36 @@ class ResequencerOutcome:
     max_residence: Fraction
 
 
-def _normalize_arrivals(
+def _arrival_cells(
     arrivals: Mapping[int, Tuple[Rat, Rat]]
-) -> Dict[int, Tuple[Rat, Fraction]]:
-    out: Dict[int, Tuple[Rat, Fraction]] = {}
-    seen_times = set()
+) -> Tuple[List[Cell], List[Cell]]:
+    """Exact (time, size) cells of ``{seq: (time, size)}`` by position
+    seq - 1; a missing index is lost (INF)."""
+    n_max = max(arrivals, default=0)
+    times: List[Cell] = [INF] * n_max
+    sizes: List[Cell] = [(1, 1)] * n_max  # a lost packet's size is never read
+    seen = set()  # reduced (numerator, denominator) of each finite time
     for idx, (t, size) in arrivals.items():
         if idx < 1:
             raise ArrivalError("sequence numbers start at 1")
-        size = Fraction(size)
-        if size <= 0:
+        sizes[idx - 1] = size_cell = Fraction(size).as_integer_ratio()
+        if size_cell[0] <= 0:
             raise ArrivalError("packet sizes must be > 0")
-        if not is_inf(t):
-            t = Fraction(t)
-            if t in seen_times:
-                raise ArrivalError(f"duplicate arrival time {t}")
-            seen_times.add(t)
-        out[idx] = (t, size)
-    return out
+        times[idx - 1] = cell = ratio(t)
+        if cell is not INF:
+            if cell in seen:
+                raise ArrivalError(f"duplicate arrival time {Fraction(*cell)}")
+            seen.add(cell)
+    return times, sizes
 
 
 def simulate(
-    arrivals: Mapping[int, Tuple[Rat, Rat]],
+    arrivals: Union[Mapping[int, Tuple[Rat, Rat]], Trace],
     cfg: ResequencerConfig,
 ) -> ResequencerOutcome:
     """Run the buffer over ``{seq: (arrival_time, size)}``; a missing index or
-    an inf arrival time is a packet lost upstream.
+    an inf arrival time is a packet lost upstream.  A ``Trace`` runs on its
+    tick columns (its observe times and sizes) as they are.
 
     Events are serialized in virtual time.  When a timer deadline coincides
     with an arrival instant, the arrival is processed first: a timer set to
@@ -106,90 +119,95 @@ def simulate(
     reaches the top.  An event therefore costs O(log backlog), and the whole
     trace O(n log n) in the number of packets n.
     """
-    arr = _normalize_arrivals(arrivals)
-    n_max = max(arr, default=0)
-    order = sorted(
-        (idx for idx, (t, _) in arr.items() if not is_inf(t)),
-        key=lambda idx: arr[idx][0],
-    )
+    if isinstance(arrivals, Trace):
+        time_den, times = arrivals.time_den, arrivals.observe_ticks
+        size_den, sizes = arrivals.size_den, arrivals.size_ticks
+    else:
+        time_cells, size_cells = _arrival_cells(arrivals)
+        time_den, (times,) = on_common_base(time_cells)
+        size_den, (sizes,) = on_common_base(size_cells)
+    time_den, times, timeout = _rebase(time_den, times, cfg.timeout)
+    size_den, sizes, capacity = _rebase(size_den, sizes, cfg.capacity)
+    n_max = len(times)
+    order = sorted((pos for pos in range(n_max) if times[pos] is not INF),
+                   key=times.__getitem__)
+    n_order = len(order)
 
-    buf: Dict[int, Fraction] = {}  # seq -> size, packets waiting
-    stored_at: Dict[int, Fraction] = {}
+    buf: Dict[int, Tuple[int, int]] = {}  # seq -> (size, stored at), waiting
     # (deadline, seq) min-heap, one entry per stored packet when the timeout
     # is finite; an entry whose packet has left the buffer is stale.
-    timers: List[Tuple[Fraction, int]] = []
-    finite_timeout = not is_inf(cfg.timeout)
+    timers: List[Tuple[int, int]] = []
+    finite_timeout = timeout is not INF
     next_expected = 1
-    departures: Dict[int, Rat] = {idx: INF for idx in range(1, n_max + 1)}
+    departures: List[Union[int, float]] = [INF] * n_max  # by seq - 1
     discards: Dict[int, str] = {}
-    occupancy = Fraction(0)
-    max_occupancy = Fraction(0)
-    max_residence = Fraction(0)
-
-    def release(seq: int, now: Fraction) -> None:
-        nonlocal occupancy, max_residence
-        departures[seq] = now
-        if seq in buf:
-            occupancy -= buf.pop(seq)
-            residence = now - stored_at.pop(seq)
-            if residence > max_residence:
-                max_residence = residence
-
-    def check_buffer(now: Fraction) -> None:
-        nonlocal next_expected
-        while next_expected in buf:
-            seq = next_expected
-            next_expected = seq + 1
-            release(seq, now)
-
-    def handle_arrival(seq: int, now: Fraction, size: Fraction) -> None:
-        nonlocal next_expected, occupancy, max_occupancy
-        if seq < next_expected:
-            discards[seq] = INVALID_LATE
-            return
-        if seq > next_expected:
-            if occupancy + size <= cfg.capacity:
-                if finite_timeout:
-                    heapq.heappush(timers, (now + cfg.timeout, seq))
-                buf[seq] = size
-                stored_at[seq] = now
-                occupancy += size
-                if occupancy > max_occupancy:
-                    max_occupancy = occupancy
-            else:
-                discards[seq] = OVERFLOW
-            return
-        next_expected = seq + 1
-        release(seq, now)
-        check_buffer(now)
-
-    def handle_timeout(seq: int, now: Fraction) -> None:
-        nonlocal next_expected
-        while next_expected <= seq:
-            while next_expected not in buf:
-                next_expected += 1
-            released = next_expected
-            next_expected = released + 1
-            release(released, now)
-        check_buffer(now)
+    occupancy = max_occupancy = max_residence = 0
 
     pos = 0
     while True:
         while timers and timers[0][1] not in buf:
             heapq.heappop(timers)  # the packet left before its deadline
-        if pos < len(order) and (
-            not timers or arr[order[pos]][0] <= timers[0][0]
+        if pos < n_order and (
+            not timers or times[order[pos]] <= timers[0][0]
         ):  # arrival wins ties
-            idx = order[pos]
+            seq = order[pos] + 1
             pos += 1
-            handle_arrival(idx, arr[idx][0], arr[idx][1])
+            now = times[seq - 1]
+            flush_to = 0
+            if seq < next_expected:
+                discards[seq] = INVALID_LATE
+                continue
+            if seq > next_expected:
+                size = sizes[seq - 1]
+                if occupancy + size <= capacity:
+                    if finite_timeout:
+                        heapq.heappush(timers, (now + timeout, seq))
+                    buf[seq] = (size, now)
+                    occupancy += size
+                    if occupancy > max_occupancy:
+                        max_occupancy = occupancy
+                else:
+                    discards[seq] = OVERFLOW
+                continue
+            departures[seq - 1] = now
+            next_expected = seq + 1
         elif timers:
-            deadline, seq = heapq.heappop(timers)
-            handle_timeout(seq, deadline)
+            # flush every stored packet up to the timer's, then go on in order
+            now, flush_to = heapq.heappop(timers)
         else:
             break
+        while True:
+            seq = next_expected
+            stored = buf.pop(seq, None)
+            if stored is not None:
+                occupancy -= stored[0]
+                residence = now - stored[1]
+                if residence > max_residence:
+                    max_residence = residence
+                departures[seq - 1] = now
+            elif seq > flush_to:
+                break
+            next_expected = seq + 1
 
-    return ResequencerOutcome(departures, discards, max_occupancy, max_residence)
+    return ResequencerOutcome(
+        over(dict(enumerate(departures, start=1)), time_den),
+        discards,
+        Fraction(max_occupancy, size_den),
+        Fraction(max_residence, time_den),
+    )
+
+
+def _rebase(den: int, ticks: Sequence[Union[int, float]],
+            extra: Rat) -> Tuple[int, Sequence[Union[int, float]], Union[int, float]]:
+    """Move ``ticks`` on base ``den`` and the value ``extra`` to their common
+    base: returns it, the ticks and ``extra`` in ticks (INF stays INF)."""
+    cell = ratio(extra)
+    if cell is INF:
+        return den, ticks, INF
+    if den % cell[1]:
+        k = math.lcm(den, cell[1]) // den
+        den, ticks = den * k, [t if t is INF else t * k for t in ticks]
+    return den, ticks, cell[0] * (den // cell[1])
 
 
 def analytic_departures(
@@ -201,29 +219,28 @@ def analytic_departures(
     for lost packets).  Returns D_n for every n up to the largest index.
     """
     n_max = max(arrivals, default=0)
-    e = [INF] * (n_max + 2)
+    cells: List[Cell] = [INF] * (n_max + 1)
     for idx, t in arrivals.items():
         if idx < 1:
             raise ArrivalError("sequence numbers start at 1")
-        e[idx] = t if is_inf(t) else Fraction(t)
-    suffix_min: list = [INF] * (n_max + 2)
+        cells[idx] = ratio(t)
+    den, (e, (timeout_t,)) = on_common_base(cells, [ratio(timeout)])
+    suffix_min: List[Union[int, float]] = [INF] * (n_max + 2)
     for n in range(n_max, 0, -1):
-        suffix_min[n] = min(e[n], suffix_min[n + 1])
+        suffix_min[n] = e[n] if e[n] < suffix_min[n + 1] else suffix_min[n + 1]
 
-    out: Dict[int, Rat] = {}
-    prev_d: Rat = INF
+    # No tick is ever added to INF: a large int would overflow the float.
+    out: Dict[int, Union[int, float]] = {}
+    prev_d: Union[int, float] = INF
     for n in range(1, n_max + 1):
-        if is_inf(e[n]):
-            i_n: Rat = INF
-        elif e[n] > suffix_min[n] + timeout:
-            i_n = INF
-        else:
-            i_n = e[n]
+        sm = suffix_min[n]
+        flush = INF if sm is INF or timeout_t is INF else sm + timeout_t
+        i_n = e[n] if e[n] is not INF and e[n] <= flush else INF
         if n == 1:
             d_n = i_n
         else:
-            g_n = min(prev_d, timeout + suffix_min[n])
-            d_n = max(g_n, i_n)
+            g_n = prev_d if prev_d <= flush else flush
+            d_n = INF if i_n is INF else (g_n if g_n >= i_n else i_n)
         out[n] = d_n
         prev_d = d_n
-    return out
+    return over(out, den)

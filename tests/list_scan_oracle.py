@@ -3,7 +3,9 @@
 This is ``reseqkit.resequencer.simulate`` as it was before its timers moved
 to a heap, kept verbatim as a differential oracle.  Every event rebuilds the
 list of pending deadlines and takes its minimum, so the next timer is chosen
-by an independent method, at O(backlog) per event.  Only the tests use it.
+by an independent method, at O(backlog) per event.  It also keeps its own
+copy of the ``Fraction`` arrival checks that ``simulate`` ran before it
+moved to integer ticks.  Only the tests use it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,30 @@ from reseqkit.rational import INF, Rat, is_inf
 from reseqkit.resequencer import (
     INVALID_LATE,
     OVERFLOW,
+    ArrivalError,
     ResequencerConfig,
     ResequencerOutcome,
-    _normalize_arrivals,
 )
+
+
+def _normalize_arrivals(
+    arrivals: Mapping[int, Tuple[Rat, Rat]]
+) -> Dict[int, Tuple[Rat, Fraction]]:
+    out: Dict[int, Tuple[Rat, Fraction]] = {}
+    seen_times = set()
+    for idx, (t, size) in arrivals.items():
+        if idx < 1:
+            raise ArrivalError("sequence numbers start at 1")
+        size = Fraction(size)
+        if size <= 0:
+            raise ArrivalError("packet sizes must be > 0")
+        if not is_inf(t):
+            t = Fraction(t)
+            if t in seen_times:
+                raise ArrivalError(f"duplicate arrival time {t}")
+            seen_times.add(t)
+        out[idx] = (t, size)
+    return out
 
 
 def simulate(

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reseqkit.cli import DISCARD, INPUT_ERROR, OK, UNSAFE_WARNING, main
 from reseqkit.metrics import trace_from_csv, trace_to_csv
@@ -201,6 +205,16 @@ class TestConfigErrors:
             OK, UNSAFE_WARNING,
         )
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("loss", ["lossless", "lossy"])
+    def test_timeout_on_auto_resequencer_is_input_error(self, tmp_path, capsys, loss):
+        cfg = bundled_with(tmp_path, lambda c: c["elements"][-1].update(timeout_s="1"))
+        assert main(["analyze", "--config", cfg, "--loss", loss]) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: h2.reseq: timeout_s is read only in explicit mode; "
+            "an auto re-sequencer takes its upstream RTO bound\n"
+        )
 
     def test_json_ints_equal_strings(self, tmp_path, capsys):
         cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
@@ -441,3 +455,61 @@ class TestCaseStudy:
         assert main(["case-study", "automotive", "--format", "json"]) == OK
         blob = json.loads(capsys.readouterr().out)
         assert blob["only at h2"]["lossless"]["e2e"]["delay_us_display"] == "95.22"
+
+
+HEADER = "index,size_bytes,emit_time_s,observe_time_s"
+CELLS = st.one_of(
+    st.sampled_from([
+        "1", "2", "64", "0", "-64", "0.5", "12e-6", "3/7", "1/3", "inf", "-inf",
+        "nan", "-", "", "1e1001", "1e-1001", "3/0", "abc", "+1", "1_0", " 7 ",
+        '"', "x\ny",
+    ]),
+    st.text(max_size=5),
+)
+TIMES = st.sampled_from(["0", "1", "2", "0.5", "12e-6", "3/7", "1e3", "7"])
+
+
+@st.composite
+def fuzzed_csv(draw):
+    """A trace CSV whose rows are mostly well formed, with junk cells, inf,
+    '-', huge exponents, nan, bad sizes, wrong column counts and repeated
+    times mixed in; now and then the header is wrong too."""
+    header = HEADER if draw(st.integers(0, 9)) else draw(st.sampled_from(["", "index", "a,b,c,d"]))
+    rows = []
+    for i in range(1, draw(st.integers(0, 8)) + 1):
+        if draw(st.integers(0, 2)):
+            rows.append([str(i), draw(st.one_of(st.just("64"), CELLS)),
+                         draw(st.one_of(st.just("-"), TIMES, CELLS)),
+                         draw(st.one_of(TIMES, CELLS))])
+        else:
+            rows.append(draw(st.lists(CELLS, max_size=6)))
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.csv"
+
+
+@settings(max_examples=200)
+@given(text=fuzzed_csv(), timeout=st.sampled_from(["inf", "0", "1", "2ns", "1/3"]))
+def test_fuzzed_trace_csv_exits_cleanly(fuzz_file, text, timeout):
+    """metrics and simulate exit 0, 1 or 3 on any CSV; an exit 1 prints one
+    error line and nothing else."""
+    fuzz_file.write_text(text, encoding="utf-8")
+    for argv in (["metrics", str(fuzz_file)],
+                 ["simulate", str(fuzz_file), "--timeout", timeout]):
+        code, out, err = run_cli(argv)
+        assert code in (OK, INPUT_ERROR, DISCARD)
+        assert "Traceback" not in err
+        if code == INPUT_ERROR:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert out and err == ""

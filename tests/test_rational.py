@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reseqkit.rational import (
     INF,
@@ -8,6 +10,8 @@ from reseqkit.rational import (
     fmt_rat,
     floor_int,
     is_inf,
+    on_common_base,
+    over,
     parse_finite,
     parse_finite_time,
     parse_rat,
@@ -46,6 +50,12 @@ class TestParse:
             with pytest.raises(ValueError):
                 parse_rat(bad)
 
+    @pytest.mark.parametrize("text", ["3/0", "-1/000", "0/0", " 7/0 "])
+    def test_zero_denominator_refused(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rat(text)
+        assert parse_rat("3/10") == F(3, 10)
+
     @pytest.mark.parametrize(
         "text", ["1e1001", "1e-1001", "0.5E+1001", "1e" + "9" * 5000, "1e+01001"]
     )
@@ -79,6 +89,30 @@ class TestParse:
             with pytest.raises(ValueError) as exc:
                 parse(text)
             assert str(exc.value) == f"not a finite number: '{text}'"
+
+
+class TestTicks:
+    def test_common_base_is_the_lcm_of_the_denominators(self):
+        den, cols = on_common_base([(1, 2), INF, (5, 1)], [None, (-2, 3)])
+        assert den == 6
+        assert cols == [[3, INF, 30], [None, -4]]
+        assert cols[0][1] is INF
+
+    def test_over_shares_equal_values(self):
+        out = over({1: 3, 2: INF, 3: 3, 4: 0}, 6)
+        assert out == {1: F(1, 2), 2: INF, 3: F(1, 2), 4: 0}
+        assert out[1] is out[3] and is_inf(out[2])
+
+    @given(st.integers(-10**12, 10**12), st.integers(0, 30), st.integers(0, 30),
+           st.sampled_from([1, 3, 7]))
+    def test_format_is_the_shortest_exact_literal(self, num, twos, fives, odd):
+        x = F(num, 2**twos * 5**fives * odd)
+        text = fmt_rat(x)
+        assert parse_rat(text) == x
+        if x.denominator % 3 == 0 or x.denominator % 7 == 0:
+            assert text == f"{x.numerator}/{x.denominator}"
+        else:
+            assert "/" not in text and not ("." in text and text.endswith("0"))
 
 
 class TestFormat:

@@ -1,0 +1,259 @@
+"""The integer-tick trace side against its ``Fraction`` oracle.
+
+``fraction_trace_oracle`` keeps the ``Fraction`` implementations of trace
+parsing and validation, ``rto``, ``rbo``, ``delay_jitter`` and
+``analytic_departures``, and ``list_scan_oracle`` the simulator.  These tests
+draw traces in every literal form the CSV format accepts (decimals, padded
+decimals, ``12e-6``, ``3/7``, integers), with lost packets and with or
+without emission times, and require the same results from both sides, or
+the same exception type and message.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_trace_oracle as oracle
+from list_scan_oracle import simulate as list_scan_simulate
+from reseqkit.curves import FlowSpec, leaky_bucket
+from reseqkit.metrics import (
+    CSV_HEADER,
+    PacketObservation,
+    Trace,
+    delay_jitter,
+    rbo,
+    rto,
+    trace_from_csv,
+    trace_to_csv,
+)
+from reseqkit.rational import INF, fmt_rat, is_inf
+from reseqkit.resequencer import ResequencerConfig, analytic_departures, simulate
+
+DENOMINATORS = (1, 2, 10, 1000, 10**9, 3, 7, 1024)
+SIZES = (F(64), F(100), F(1500), F(129, 2), F(3, 7))
+FORMS = ("decimal", "padded", "scientific", "fraction", "integer")
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+def decimal_digits(x):
+    """Digits after the point that write x exactly, or None when none do."""
+    for d in range(40):
+        if (x * 10**d).denominator == 1:
+            return d
+    return None
+
+
+def literal(x, form):
+    """An exact CSV literal for x in the given form, where x allows it."""
+    if is_inf(x):
+        return "inf"
+    d = decimal_digits(x)
+    if form == "fraction" or d is None:
+        return f"{x.numerator}/{x.denominator}"
+    if form == "scientific":
+        return f"{int(x * 10**(d + 1))}e-{d + 1}"
+    if form == "padded":
+        text = fmt_rat(x)
+        return text + "00" if "." in text else text + ".0"
+    if form == "integer" and d == 0:
+        return str(x.numerator)
+    return fmt_rat(x)
+
+
+def csv_text(rows):
+    return "\n".join([",".join(CSV_HEADER)] + [",".join(r) for r in rows]) + "\n"
+
+
+@st.composite
+def trace_rows(draw, max_packets=20):
+    """Rows of a valid trace: increasing emissions, observations at or after
+    them (or lost), distinct observation instants, each cell in a drawn
+    literal form."""
+    n = draw(st.integers(0, max_packets))
+    with_emits = draw(st.booleans())
+    loss = draw(st.sampled_from([0, 4, 10]))  # 1 in loss packets is lost
+    forms = st.sampled_from(FORMS)
+    step = st.builds(F, st.integers(0, 40), st.sampled_from(DENOMINATORS))
+    t = F(draw(st.integers(-50, 50)), draw(st.sampled_from(DENOMINATORS)))
+    rows, used = [], set()
+    for i in range(1, n + 1):
+        t += draw(step)
+        if loss and draw(st.integers(0, loss - 1)) == 0:
+            obs = INF
+        else:
+            obs = t + draw(step) * 10
+            while obs in used:
+                obs += F(1, 11)
+            used.add(obs)
+        rows.append([
+            str(i),
+            literal(draw(st.sampled_from(SIZES)), draw(forms)),
+            literal(t, draw(forms)) if with_emits else "-",
+            literal(obs, draw(forms)),
+        ])
+    return rows
+
+
+TIMEOUTS = st.one_of(
+    st.just(INF), st.fractions(min_value=0, max_value=60, max_denominator=30)
+)
+CAPACITIES = st.one_of(st.just(INF), st.sampled_from([F(0), F(64), F(129, 2), F(3000, 7)]))
+
+
+def assert_same_results(text, timeout, capacity):
+    trace, ref = trace_from_csv(text), oracle.trace_from_csv(text)
+    assert trace.packets == ref.packets
+    assert all(type(t) is int or t is INF for t in trace.observe_ticks)
+    from_packets = Trace(ref.packets)
+    for t in (trace, from_packets):
+        assert rto(t) == oracle.rto(ref)
+        assert rbo(t) == oracle.rbo(ref)
+        assert outcome(delay_jitter, t) == outcome(oracle.delay_jitter, ref)
+    arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
+    cfg = ResequencerConfig(timeout, capacity)
+    want = list_scan_simulate(arrivals, cfg)
+    assert simulate(trace, cfg) == want
+    assert simulate(arrivals, cfg) == want
+    times = {i: t for i, (t, _) in arrivals.items()}
+    assert analytic_departures(times, timeout) == oracle.analytic_departures(times, timeout)
+
+
+@settings(max_examples=150)
+@given(trace_rows(), TIMEOUTS, CAPACITIES)
+def test_valid_traces_match_oracle(rows, timeout, capacity):
+    assert_same_results(csv_text(rows), timeout, capacity)
+
+
+JUNK = ("0", "-64", "inf", "-inf", "nan", "-", "abc", "", "1e1001", "1e-1001",
+        "3/0", "1/3", "0x10", "1_0", "+5", ".5", "5.", "1e-6", "2/4")
+
+
+@st.composite
+def defective_rows(draw):
+    """A valid trace with one or two defects, each a junk or copied cell,
+    two cells swapped, a cell too many or too few, a row removed or a blank
+    row; two defects check which error comes first."""
+    rows = draw(trace_rows(max_packets=8))
+    for _ in range(draw(st.integers(1, 2))):
+        rows = rows or [["1", "64", "-", "1"]]
+        r = draw(st.integers(0, len(rows) - 1))
+        r2 = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(
+            ["junk", "copy", "swap", "drop", "extra", "delete", "blank"]))
+        if col >= min(len(rows[r]), len(rows[r2])):  # an earlier drop shortened it
+            kind = "extra"
+        if kind == "junk":
+            rows[r][col] = draw(st.sampled_from(JUNK))
+        elif kind == "copy":
+            rows[r][col] = rows[r2][col]
+        elif kind == "swap":
+            rows[r][col], rows[r2][col] = rows[r2][col], rows[r][col]
+        elif kind == "drop":
+            del rows[r][col]
+        elif kind == "extra":
+            rows[r].append("1")
+        elif kind == "delete":
+            del rows[r]
+        else:
+            rows.insert(r, ["", "", "", ""])
+    return rows
+
+
+def parsed(parse, text, flow=None):
+    """The packets ``parse`` reads from ``text``, or what it raises."""
+    try:
+        return parse(text, flow).packets
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(defective_rows())
+def test_defective_traces_fail_like_oracle(rows):
+    text = csv_text(rows)
+    got = parsed(trace_from_csv, text)
+    assert got == parsed(oracle.trace_from_csv, text)
+    if not (len(got) == 2 and isinstance(got[0], type)):  # a harmless defect
+        assert_same_results(text, INF, INF)
+
+
+FLOWS = [FlowSpec(leaky_bucket(10**6, 3000), lo, hi)
+         for lo, hi in ((F(64), F(1500)), (F(100), F(100)), (F(3, 7), F(64)))]
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,0,-,1"],  # index and size both bad
+    ["0,abc,-,1"],  # a cell that does not parse comes first
+    ["1,0,x,1"],
+    ["1,-64,-,nan"],
+    ["2,64,-,1", "1,64,-,1"],  # indices out of order, no other defect
+    ["1,64,5,1", "2,64,1,2"],  # emissions decrease, packet 1 seen before sent
+    ["1,64,-,3", "2,64,0,3"],  # mixed emissions and a repeated time
+    ["1,64,0,1/2", "2,64,1/4,0.5"],  # one instant in two literal forms
+    ["1,64,0,inf", "2,64,0,inf", "3,64,0,1"],  # two losses repeat no instant
+], ids=lambda rows: "|".join(rows))
+def test_several_defects_report_the_oracle_error(rows):
+    text = csv_text([r.split(",") for r in rows])
+    for flow in (None, FLOWS[1]):
+        assert parsed(trace_from_csv, text, flow) == parsed(oracle.trace_from_csv, text, flow)
+
+
+@settings(max_examples=100)
+@given(trace_rows(max_packets=8), st.sampled_from(FLOWS))
+def test_flow_size_range_checked_like_oracle(rows, flow):
+    text = csv_text(rows)
+    assert parsed(trace_from_csv, text, flow) == parsed(oracle.trace_from_csv, text, flow)
+    packets = oracle.trace_from_csv(text).packets
+    assert (outcome(lambda: Trace(packets, flow).packets)
+            == outcome(lambda: oracle.Trace(packets, flow).packets))
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found if p * p <= k):
+            found.append(k)
+        k += 1
+    return found
+
+
+def prime_denominator_trace(n, seed=7):
+    """n packets whose emit and observe times have denominator p_i, the i-th
+    prime, so that the common denominator is the product of n primes; sizes
+    carry the first 50 primes.  Observations reorder over a few units."""
+    rng = random.Random(seed)
+    ps = primes(n)
+    packets = []
+    for i, p in enumerate(ps, start=1):
+        emit = i + F(1, p)
+        obs = INF if i % 97 == 0 else i + rng.randrange(4) + F(rng.randrange(1, p), p)
+        size = 64 + F(1, ps[i % 50])
+        packets.append(PacketObservation(i, size, emit, obs))
+    return packets
+
+
+def test_prime_denominators_match_oracle():
+    packets = prime_denominator_trace(1000)
+    ref = oracle.Trace(tuple(packets))
+    trace = trace_from_csv(trace_to_csv(Trace(packets)))
+    assert trace.packets == ref.packets
+    assert rto(trace) == oracle.rto(ref)
+    assert rbo(trace) == oracle.rbo(ref)
+    assert delay_jitter(trace) == oracle.delay_jitter(ref)
+    arrivals = {p.index: (p.observe_time, p.size) for p in packets}
+    cfg = ResequencerConfig(F(3, 2), F(640))
+    assert simulate(trace, cfg) == list_scan_simulate(arrivals, cfg)
+    times = {i: t for i, (t, _) in arrivals.items()}
+    assert analytic_departures(times, F(3, 2)) == oracle.analytic_departures(times, F(3, 2))
