@@ -336,9 +336,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
 # -- placement comparison ----------------------------------------------------
 
 
-def insert_resequencers(
-    base: PathSpec, after_ids: Sequence[str], mode: str = "auto"
-) -> PathSpec:
+def insert_resequencers(base: PathSpec, after_ids: Sequence[str]) -> PathSpec:
     """New path with an auto re-sequencer inserted after each named element."""
     missing = set(after_ids) - {e.id for e in base.elements}
     if missing:
@@ -347,17 +345,15 @@ def insert_resequencers(
     for el in base.elements:
         out.append(el)
         if el.id in after_ids:
-            out.append(ResequencerElement(id=f"{el.id}.reseq", mode=mode))
+            out.append(ResequencerElement(id=f"{el.id}.reseq"))
     return replace(base, elements=tuple(out))
 
 
 def compare_placements(
-    base: PathSpec,
-    placements: Dict[str, Sequence[str]],
-    loss_modes: Sequence[str] = (LOSSLESS, LOSSY),
+    base: PathSpec, placements: Dict[str, Sequence[str]]
 ) -> Dict[str, Dict[str, AnalysisReport]]:
-    """Report of each placement strategy under each loss mode, keyed by
-    placement and then by mode, in the order given.
+    """Report of each placement strategy, lossless then lossy, keyed by
+    placement (in the order given) and then by loss mode.
 
     ``base`` must not contain re-sequencers; each strategy names the elements
     after which one is inserted.  Every report's deltas are against ``base``,
@@ -369,7 +365,8 @@ def compare_placements(
     for name, after_ids in placements.items():
         placed = insert_resequencers(base, after_ids)
         out[name] = {
-            mode: analyze_path(replace(placed, loss_mode=mode)) for mode in loss_modes
+            mode: analyze_path(replace(placed, loss_mode=mode))
+            for mode in (LOSSLESS, LOSSY)
         }
     return out
 
@@ -400,6 +397,8 @@ def element_from_json(obj: dict) -> PathElement:
     eid = obj.get("id")
     if not eid:
         raise PathConfigError("every element needs an id")
+    if not isinstance(eid, str):
+        raise PathConfigError(f"element id {json.dumps(eid)} is not a string")
     if kind == "fifo_service":
         svc = RateLatencyService(
             parse_finite(obj["rate_Bps"]), parse_finite(obj["latency_s"])
@@ -436,10 +435,8 @@ def path_from_json(obj: dict) -> PathSpec:
     return PathSpec(flow, elements, loss_mode)
 
 
-def load_path(path_or_text: str, from_text: bool = False) -> PathSpec:
-    if from_text:
-        return path_from_json(json.loads(path_or_text))
-    with open(path_or_text, "r", encoding="utf-8") as fh:
+def load_path(path: str) -> PathSpec:
+    with open(path, "r", encoding="utf-8") as fh:
         return path_from_json(json.load(fh))
 
 

@@ -26,12 +26,16 @@ sequence-number order.  Pending timers sit in a binary heap keyed by
 (deadline, seq), so an event costs O(log backlog) and a trace of n packets
 O(n log n), however many packets a hole parks.
 
+``simulate`` takes a validated ``metrics.Trace``: its indices, sizes and
+distinct observe times were checked when it was built, so the event loop
+checks nothing.  ``analytic_departures`` takes a ``{seq: time}`` map.
+
 Time base: both functions run on integers.  Times, and the timeout, are
 ticks over the least common multiple of their denominators; sizes, and the
 capacity, over theirs.  A ``Trace`` brings its columns already in ticks
-(``metrics``), and a map of ``Fraction``s is put on a common base first.
-Departures, occupancy and residence become ``Fraction(ticks, den)`` only in
-the returned ``ResequencerOutcome`` or departure map.
+(``metrics``); the timeout and capacity are rebased onto them.  Departures,
+occupancy and residence become ``Fraction(ticks, den)`` only in the returned
+``ResequencerOutcome`` or departure map.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .rational import INF, Cell, Rat, is_inf, on_common_base, over, ratio
 
 
 class ArrivalError(ValueError):
-    """Malformed arrival map (duplicate times, bad sizes or indices)."""
+    """Malformed arrival map (an index below 1)."""
 
 
 @dataclass(frozen=True)
@@ -78,36 +82,9 @@ class ResequencerOutcome:
     max_residence: Fraction
 
 
-def _arrival_cells(
-    arrivals: Mapping[int, Tuple[Rat, Rat]]
-) -> Tuple[List[Cell], List[Cell]]:
-    """Exact (time, size) cells of ``{seq: (time, size)}`` by position
-    seq - 1; a missing index is lost (INF)."""
-    n_max = max(arrivals, default=0)
-    times: List[Cell] = [INF] * n_max
-    sizes: List[Cell] = [(1, 1)] * n_max  # a lost packet's size is never read
-    seen = set()  # reduced (numerator, denominator) of each finite time
-    for idx, (t, size) in arrivals.items():
-        if idx < 1:
-            raise ArrivalError("sequence numbers start at 1")
-        sizes[idx - 1] = size_cell = Fraction(size).as_integer_ratio()
-        if size_cell[0] <= 0:
-            raise ArrivalError("packet sizes must be > 0")
-        times[idx - 1] = cell = ratio(t)
-        if cell is not INF:
-            if cell in seen:
-                raise ArrivalError(f"duplicate arrival time {Fraction(*cell)}")
-            seen.add(cell)
-    return times, sizes
-
-
-def simulate(
-    arrivals: Union[Mapping[int, Tuple[Rat, Rat]], Trace],
-    cfg: ResequencerConfig,
-) -> ResequencerOutcome:
-    """Run the buffer over ``{seq: (arrival_time, size)}``; a missing index or
-    an inf arrival time is a packet lost upstream.  A ``Trace`` runs on its
-    tick columns (its observe times and sizes) as they are.
+def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
+    """Run the buffer over the trace's observe times and sizes; an inf
+    observe time is a packet lost upstream.
 
     Events are serialized in virtual time.  When a timer deadline coincides
     with an arrival instant, the arrival is processed first: a timer set to
@@ -119,15 +96,10 @@ def simulate(
     reaches the top.  An event therefore costs O(log backlog), and the whole
     trace O(n log n) in the number of packets n.
     """
-    if isinstance(arrivals, Trace):
-        time_den, times = arrivals.time_den, arrivals.observe_ticks
-        size_den, sizes = arrivals.size_den, arrivals.size_ticks
-    else:
-        time_cells, size_cells = _arrival_cells(arrivals)
-        time_den, (times,) = on_common_base(time_cells)
-        size_den, (sizes,) = on_common_base(size_cells)
-    time_den, times, timeout = _rebase(time_den, times, cfg.timeout)
-    size_den, sizes, capacity = _rebase(size_den, sizes, cfg.capacity)
+    time_den, times, timeout = _rebase(trace.time_den, trace.observe_ticks,
+                                       cfg.timeout)
+    size_den, sizes, capacity = _rebase(trace.size_den, trace.size_ticks,
+                                        cfg.capacity)
     n_max = len(times)
     order = sorted((pos for pos in range(n_max) if times[pos] is not INF),
                    key=times.__getitem__)

@@ -15,19 +15,21 @@ Each generator builds the worst-case packet timeline for one bound:
   jitter of every later stage.
 
 Emission times that must saturate an arrival curve are produced by
-packetizing the fluid curve (packet k leaves when the curve admits the k-th
-prefix sum); every generated trace is re-validated against its curve.
+packetizing the fluid curve (packet k leaves as soon as every window of
+packets ending at it fits under the curve); every generated trace is
+re-validated against its curve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .curves import Curve, FlowSpec, check_conforms, min_spacing
+from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
 from .metrics import PacketObservation, Trace
-from .rational import INF, Rat
+from .rational import INF, Rat, fmt_rat
 
 
 class ScenarioError(ValueError):
@@ -67,13 +69,43 @@ def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
 
 
 def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
-    """Earliest emission times of a packet burst saturating the curve:
-    packet k leaves as soon as the curve admits sizes[0..k]."""
+    """Earliest emission times of a packet burst saturating the curve.
+
+    With prefix sums P, packet 1 leaves at inv(P_1) and packet k at
+    ``max over m < k of A_m + inv(P_k - P_{m-1})``, the earliest time that
+    keeps every window m..k inside the curve.  A min-affine curve has a
+    convex inverse, so the window from packet 1 binds and A_k = inv(P_k)
+    whenever each packet fits in the burst.  A staircase b*ceil(t/tau) puts
+    every A_m on a multiple q_m of tau, and then
+    ``q_k = ceil(P_k/b + max over m < k of (q_m - P_{m-1}/b)) - 1``.
+    """
     times: List[Fraction] = []
     acc = Fraction(0)
+    if isinstance(curve, StaircaseCurve):
+        lead = Fraction(0)  # max over m < k of q_m - P_{m-1}/b
+        for s in sizes:
+            q = math.ceil((acc + s) / curve.burst + lead) - 1
+            lead = max(lead, q - acc / curve.burst)
+            acc += s
+            times.append(curve.period * q)
+        return times
     for s in sizes:
         acc += Fraction(s)
         times.append(Fraction(curve.pseudo_inverse(acc)))
+    return times
+
+
+def _packetize_by(curve: Curve, sizes: Sequence[Fraction], deadline: Fraction,
+                  window: str) -> List[Fraction]:
+    """``packetize``, refused when the last packet cannot leave by
+    ``deadline``, the end of the generator's ``window``."""
+    times = packetize(curve, sizes)
+    if times[-1] > deadline:
+        raise ScenarioError(
+            f"the curve lets the last of these packets leave only at "
+            f"{fmt_rat(times[-1])} s, after the {window} window ends at "
+            f"{fmt_rat(deadline)} s"
+        )
     return times
 
 
@@ -81,19 +113,17 @@ def _default_eps(target: Rat) -> Fraction:
     return Fraction(target) / 10**6
 
 
-def gen_two_packet_swap(
-    rto_value: Rat, t0: Rat = 0, size: Rat = 64
-) -> Trace:
-    """Two packets where packet 2 overtakes packet 1 by exactly the given
-    offset; any re-sequencer timeout below it discards packet 1."""
+def gen_two_packet_swap(rto_value: Rat, t0: Rat = 0) -> Trace:
+    """Two 64-byte packets where packet 2 overtakes packet 1 by exactly the
+    given offset; any re-sequencer timeout below it discards packet 1."""
     lam = Fraction(rto_value)
     if lam <= 0:
         raise ScenarioError("the overtaking offset must be > 0")
     t0 = Fraction(t0)
     return Trace(
         (
-            PacketObservation(1, Fraction(size), None, t0 + lam),
-            PacketObservation(2, Fraction(size), None, t0),
+            PacketObservation(1, Fraction(64), None, t0 + lam),
+            PacketObservation(2, Fraction(64), None, t0),
         )
     )
 
@@ -135,7 +165,9 @@ def gen_lossy_backlog_burst(
     The survivors are parked behind the hole until the timeout flushes them,
     so the buffer peaks at exactly the packetized value of
     curve(V + T - eps): the value itself for variable-size flows, its
-    whole-packet floor for constant-size flows.
+    whole-packet floor for constant-size flows.  Refused when the curve
+    cannot emit the burst within V + T - eps, as with a staircase whose
+    periods these packet sizes cannot fill.
     """
     v, t = Fraction(jitter), Fraction(timeout)
     if v <= 0 or t <= 0:
@@ -148,7 +180,9 @@ def gen_lossy_backlog_burst(
     if not burst_sizes:
         raise DecompositionError("curve window admits no packet")
     n = len(burst_sizes)
-    burst_times = packetize(curve, burst_sizes)
+    burst_times = _packetize_by(
+        curve, burst_sizes, v + t - eps, "jitter-plus-timeout"
+    )
 
     all_sizes = [flow.l_max] + burst_sizes
     t0 = Fraction(curve.pseudo_inverse(sum(all_sizes)))
@@ -176,23 +210,21 @@ def gen_lossy_backlog_burst(
     return trace
 
 
-def gen_rto_tight_pair(
-    jitter: Rat, curve: Curve, l_min: Rat, base_delay: Rat = 0
-) -> Trace:
+def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
     """Two minimum-size packets emitted as close as the curve allows; the
     first is hit by the full jitter, the second by none.
 
     The measured offset is exactly ``jitter - min_spacing(curve, l_min)``.
     """
-    v, lm, d = Fraction(jitter), Fraction(l_min), Fraction(base_delay)
+    v, lm = Fraction(jitter), Fraction(l_min)
     spacing = min_spacing(curve, lm)
     if v <= spacing:
         raise ScenarioError("jitter at or below the curve spacing: no reordering")
     a1, a2 = Fraction(0), spacing
     return Trace(
         (
-            PacketObservation(1, lm, a1, a1 + d + v),
-            PacketObservation(2, lm, a2, a2 + d),
+            PacketObservation(1, lm, a1, a1 + v),
+            PacketObservation(2, lm, a2, a2),
         )
     )
 
@@ -204,7 +236,10 @@ def gen_rbo_tight_burst(
     eps: Optional[Rat] = None,
 ) -> Trace:
     """A curve-saturating burst in one jitter window; every packet but the
-    first slips past it, so its byte offset is curve(V - eps) - l_min."""
+    first slips past it, so its byte offset is curve(V - eps) - l_min.
+
+    Refused when the curve cannot emit the whole burst by V - eps, as with
+    a staircase whose periods these packet sizes cannot fill."""
     v = Fraction(jitter)
     if v <= 0:
         raise ScenarioError("the construction needs jitter > 0")
@@ -216,7 +251,7 @@ def gen_rbo_tight_burst(
         raise ScenarioError("curve window admits fewer than two packets")
     sizes = [flow.l_min] + decompose_bytes(total - flow.l_min, flow)
     n = len(sizes)
-    emits = packetize(curve, sizes)
+    emits = _packetize_by(curve, sizes, v - eps, "jitter")
     observes: List[Fraction] = [v + eps]
     for k in range(2, n + 1):
         observes.append(v + Fraction(k - 2, n) * eps)
@@ -246,10 +281,8 @@ def gen_amplified_rto_chain(
     stages: Sequence[Tuple[Rat, Rat]],
     head: int,
     eps: Optional[Rat] = None,
-    stage_floor_delay: Rat = 0,
-    size: Rat = 64,
 ) -> ConcatScenario:
-    """Two packets swapped by ``rto`` at stage ``head`` (1-based), then
+    """Two 64-byte packets swapped by ``rto`` at stage ``head`` (1-based), then
     stretched apart by the full jitter of every later stage.
 
     ``stages`` lists (jitter, rto) per stage; stages before ``head`` forward
@@ -265,27 +298,16 @@ def gen_amplified_rto_chain(
     eps = Fraction(eps) if eps is not None else _default_eps(lam_s)
     if not 0 < eps < lam_s:
         raise ScenarioError("need 0 < eps < head-stage RTO")
-    d = Fraction(stage_floor_delay)
-    if d < 0:
-        raise ScenarioError("stage floor delay must be >= 0")
-    size = Fraction(size)
+    size = Fraction(64)
 
-    t1, t2 = Fraction(0), eps  # packet 1 and 2 at the entrance
+    # Packet 2 enters at eps and crosses every stage with zero delay; packet
+    # 1 enters at 0 and is held back by the head's RTO and every later jitter.
+    t1 = Fraction(0)
     per_stage: List[Trace] = []
     for h, (v_h, _) in enumerate(stages, start=1):
-        v_h = Fraction(v_h)
-        in1, in2 = t1, t2
-        if h < head:
-            out1, out2 = in1 + d, in2 + d
-        elif h == head:
-            out1, out2 = in1 + d + lam_s, in2 + d
-        else:
-            out1, out2 = in1 + d + v_h, in2 + d
+        out1 = t1 + (0 if h < head else lam_s if h == head else Fraction(v_h))
         # Index packets by arrival order at this stage's input.
-        if in1 < in2:
-            pairs = [(in1, out1), (in2, out2)]
-        else:
-            pairs = [(in2, out2), (in1, out1)]
+        pairs = [(t1, out1), (eps, eps)] if t1 < eps else [(eps, eps), (t1, out1)]
         per_stage.append(
             Trace(
                 tuple(
@@ -294,12 +316,12 @@ def gen_amplified_rto_chain(
                 )
             )
         )
-        t1, t2 = out1, out2
+        t1 = out1
 
     end_to_end = Trace(
         (
             PacketObservation(1, size, Fraction(0), t1),
-            PacketObservation(2, size, eps, t2),
+            PacketObservation(2, size, eps, eps),
         )
     )
     downstream = sum(

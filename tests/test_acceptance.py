@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from arrival_trace import arrival_trace
 from reseqkit.bounds import LOSSLESS, LOSSY
 from reseqkit.case_study import (
     PLACEMENTS,
@@ -319,7 +320,7 @@ class TestCriterion3OracleEquivalence:
         for _ in range(1000):
             arrivals = random_arrivals(rng)
             timeout = F(rng.randint(0, 10**5), 16)
-            sim = simulate(arrivals, ResequencerConfig(timeout, INF))
+            sim = simulate(arrival_trace(arrivals), ResequencerConfig(timeout, INF))
             ana = analytic_departures(
                 {i: t for i, (t, _) in arrivals.items()}, timeout
             )
@@ -370,10 +371,7 @@ class TestCriterion4DimensioningGuarantees:
             )
             lam = rto(trace).value
             cap = rbo(trace).value
-            out = simulate(
-                {p.index: (p.observe_time, p.size) for p in trace.packets},
-                ResequencerConfig(lam, cap),
-            )
+            out = simulate(trace, ResequencerConfig(lam, cap))
             assert out.discards == {}
             assert out.max_occupancy <= cap
         report("criterion 4 (lossless sizing on conforming traces): PASS")
@@ -390,10 +388,7 @@ class TestCriterion4DimensioningGuarantees:
             lam = rto(trace).value
             jitter = delay_jitter(trace).jitter
             cap = backlog_bound(self.FLOW.source_curve, jitter + lam)
-            out = simulate(
-                {p.index: (p.observe_time, p.size) for p in trace.packets},
-                ResequencerConfig(lam, cap),
-            )
+            out = simulate(trace, ResequencerConfig(lam, cap))
             assert out.discards == {}
             assert out.max_occupancy <= cap
         report("criterion 4 (lossy sizing on conforming traces): PASS")
@@ -401,10 +396,7 @@ class TestCriterion4DimensioningGuarantees:
     def test_timeout_below_offset_discards(self):
         for lam in (F(7), us("29.488"), F(1, 3)):
             trace = gen_two_packet_swap(lam)
-            out = simulate(
-                {p.index: (p.observe_time, p.size) for p in trace.packets},
-                ResequencerConfig(lam * F(999999, 1000000), INF),
-            )
+            out = simulate(trace, ResequencerConfig(lam * F(999999, 1000000), INF))
             assert INVALID_LATE in out.discards.values()
         report("criterion 4 (timeout minimality): PASS")
 
@@ -441,10 +433,7 @@ class TestCriterion5Tightness:
         v, t, eps = F(6, 1000), F(5, 1000), F(1, 1000)
         trace = gen_lossy_backlog_burst(flow.source_curve, v, t, flow, eps)
         want = flow.source_curve.value(v + t - eps)
-        out = simulate(
-            {p.index: (p.observe_time, p.size) for p in trace.packets},
-            ResequencerConfig(t, INF),
-        )
+        out = simulate(trace, ResequencerConfig(t, INF))
         assert want == 6464
         assert out.max_occupancy == want
         assert out.discards == {}

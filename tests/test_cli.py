@@ -216,12 +216,26 @@ class TestConfigErrors:
             "an auto re-sequencer takes its upstream RTO bound\n"
         )
 
+    @pytest.mark.parametrize("eid", [["h1", "fifo"], 7, {"a": 1}])
+    def test_element_id_must_be_a_string(self, tmp_path, capsys, eid):
+        # a list id was a TypeError traceback from the unique-id check, and
+        # an integer id one from the table renderer
+        cfg = bundled_with(tmp_path, lambda c: c["elements"][0].update(id=eid))
+        assert main(["analyze", "--config", cfg]) == INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: element id {json.dumps(eid)} is not a string\n"
+        )
+
     def test_json_ints_equal_strings(self, tmp_path, capsys):
         cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
         assert main(["analyze", "--config", cfg, "--loss", "both"]) == OK
         with_ints = capsys.readouterr().out
         assert main(["analyze", "--config", str(BUNDLED), "--loss", "both"]) == OK
         assert with_ints == capsys.readouterr().out
+
+
+LOSSY_BACKLOG = str(GOLDEN / "lossy_backlog.csv")
+GOLDEN_EXIT = {"lossy_backlog_discard.json": DISCARD}  # OK for the rest
 
 
 @pytest.mark.parametrize(
@@ -234,10 +248,20 @@ class TestConfigErrors:
         (["case-study", "automotive", "--check", "--format", fmt],
          f"case_study_check.{fmt}")
         for fmt in ("table", "json")
+    ] + [
+        # one lost packet, then seven survivors at p/q times
+        (["scenario", "lossy-backlog", "--rate", "6400", "--burst", "640",
+          "--jitter", "20ms", "--timeout", "10ms", "--l-min", "64", "--l-max", "128"],
+         "lossy_backlog.csv"),
+        (["metrics", "--verbose", LOSSY_BACKLOG], "lossy_backlog_metrics.txt"),
+        (["simulate", "--timeout", "10ms", "--buffer", "832", LOSSY_BACKLOG],
+         "lossy_backlog_simulate.json"),
+        (["simulate", "--timeout", "10ms", "--buffer", "640", LOSSY_BACKLOG],
+         "lossy_backlog_discard.json"),
     ],
 )
 def test_whole_output_matches_golden(argv, golden, capsys):
-    assert main(argv) == OK
+    assert main(argv) == GOLDEN_EXIT.get(golden, OK)
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
@@ -493,6 +517,18 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_clean_exit(argv, codes):
+    """The run exits with one of ``codes``; an exit 1 prints one error line
+    and nothing else, any other exit prints output and no error."""
+    code, out, err = run_cli(argv)
+    assert code in codes
+    assert "Traceback" not in err
+    if code == INPUT_ERROR:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out and err == ""
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "trace.csv"
@@ -506,10 +542,101 @@ def test_fuzzed_trace_csv_exits_cleanly(fuzz_file, text, timeout):
     fuzz_file.write_text(text, encoding="utf-8")
     for argv in (["metrics", str(fuzz_file)],
                  ["simulate", str(fuzz_file), "--timeout", timeout]):
-        code, out, err = run_cli(argv)
-        assert code in (OK, INPUT_ERROR, DISCARD)
-        assert "Traceback" not in err
-        if code == INPUT_ERROR:
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        else:
-            assert out and err == ""
+        assert_clean_exit(argv, (OK, INPUT_ERROR, DISCARD))
+
+
+# No large rates or short periods: a scenario emits curve(window) bytes of
+# packets.
+SMALL_JSON_VALUES = st.one_of(
+    st.sampled_from([
+        "64", "0", "-1", "1/3", "12e-3", "inf", "-inf", "nan", "1e1001", "3/0",
+        "", "abc", "auto", "explicit", "fabric", "fifo_service", "resequencer",
+        "order_preserving_fixed", "min_affine", "staircase", "bytes", "packets",
+        "lossless", "lossy", "h1.fifo",
+    ]),
+    st.sampled_from([0, 1, -1, 64, 1.5, 0.0, True, False, None]),
+    st.sampled_from([[], ["x"], [1], {}, {"rate": "1", "burst": "64"}]),
+).map(lambda v: json.loads(json.dumps(v)))  # a fresh copy: mutations nest
+JSON_VALUES = st.one_of(
+    SMALL_JSON_VALUES, st.sampled_from(["125e6", "12e-6", "1e999", 10**30])
+)
+
+
+def json_paths(node, path=()):
+    """Every (path, value) below ``node``, the node itself included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_json(draw, base, values=JSON_VALUES):
+    """``base`` with one to three values replaced by one of ``values`` (of
+    every JSON type), keys deleted or added, or list items dropped or
+    repeated."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p, _ in json_paths(doc) if p]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["replace"] * 4 + ["delete", "add", "repeat"]))
+        if action == "replace":
+            parent[key] = draw(values)
+        elif action == "delete":
+            del parent[key]
+        elif action == "repeat" and isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        elif isinstance(parent[key], dict):
+            field = draw(st.sampled_from([
+                "mode", "timeout_s", "buffer_bytes", "min_delay_s", "unit",
+                "kind", "id", "period",
+            ]))
+            parent[key][field] = draw(values)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_json(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=200)
+@given(config=mutated_json(json.loads(BUNDLED.read_text(encoding="utf-8"))),
+       loss=st.sampled_from([[], ["--loss", "both"], ["--loss", "lossless"]]),
+       fmt=st.sampled_from(["table", "json", "csv"]))
+def test_fuzzed_path_config_exits_cleanly(fuzz_json, config, loss, fmt):
+    """analyze exits 0, 1 or 2 on any mutation of the bundled config."""
+    fuzz_json.write_text(json.dumps(config), encoding="utf-8")
+    assert_clean_exit(["analyze", "--config", str(fuzz_json), "--format", fmt] + loss,
+                      (OK, INPUT_ERROR, UNSAFE_WARNING))
+
+
+CURVES = [
+    {"unit": "bytes", "kind": "min_affine",
+     "pieces": [{"rate": "6400", "burst": "640"}, {"rate": "64000", "burst": "128"}]},
+    {"unit": "bytes", "kind": "staircase", "burst": "640", "period": "1/100"},
+]
+SCENARIO_ARGS = {
+    "lossy-backlog": ["--jitter", "20ms", "--timeout", "10ms"],
+    "rto-tight": ["--jitter", "1ms"],
+    "rbo-tight": ["--jitter", "20ms"],
+}
+
+
+@settings(max_examples=200)
+@given(curve=st.sampled_from(CURVES).flatmap(
+           lambda c: mutated_json(c, SMALL_JSON_VALUES)),
+       kind=st.sampled_from(sorted(SCENARIO_ARGS)))
+def test_fuzzed_scenario_curve_json_exits_cleanly(fuzz_json, curve, kind):
+    """scenario --curve-json exits 0 or 1 on any mutation of a curve."""
+    fuzz_json.write_text(json.dumps(curve), encoding="utf-8")
+    assert_clean_exit(["scenario", kind, "--curve-json", str(fuzz_json),
+                       "--l-min", "64", "--l-max", "128"] + SCENARIO_ARGS[kind],
+                      (OK, INPUT_ERROR))

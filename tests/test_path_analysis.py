@@ -22,6 +22,7 @@ from reseqkit.path_analysis import (
     compare_placements,
     insert_resequencers,
     load_path,
+    path_from_json,
     render_report_table,
     report_to_json,
 )
@@ -305,7 +306,7 @@ class TestConfigAndRendering:
         bad = json.loads(CONFIG_JSON)
         bad["elements"][0]["kind"] = "mystery"
         with pytest.raises(PathConfigError):
-            load_path(json.dumps(bad), from_text=True)
+            path_from_json(bad)
 
     @pytest.mark.parametrize(
         "edit",
@@ -323,7 +324,7 @@ class TestConfigAndRendering:
         bad = json.loads(CONFIG_JSON)
         edit(bad)
         with pytest.raises(PathConfigError, match="must be"):
-            load_path(json.dumps(bad), from_text=True)
+            path_from_json(bad)
 
     def test_adjacent_resequencers_rejected(self):
         with pytest.raises(PathConfigError):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrival_trace import arrival_trace
 from list_scan_oracle import simulate as list_scan_simulate
 from reseqkit.curves import backlog_bound, leaky_bucket
+from reseqkit.metrics import DuplicateObservationError, TraceError, rto
 from reseqkit.rational import INF
 from reseqkit.resequencer import (
     INVALID_LATE,
     OVERFLOW,
-    ArrivalError,
     ResequencerConfig,
     analytic_departures,
     simulate,
@@ -27,7 +28,7 @@ class TestSimulate:
         # packet 2 at t0, packet 1 one offset later; timeout below the offset
         lam = F(7)
         out = simulate(
-            arrivals_from_times([F(10) + lam, F(10)]),
+            arrival_trace(arrivals_from_times([F(10) + lam, F(10)])),
             ResequencerConfig(timeout=lam - F(1), capacity=INF),
         )
         assert out.discards == {1: INVALID_LATE}
@@ -37,7 +38,9 @@ class TestSimulate:
 
     def test_in_order_arrivals_pass_through(self):
         times = [F(1), F(2), F(5), F(9)]
-        out = simulate(arrivals_from_times(times), ResequencerConfig(F(3), INF))
+        out = simulate(
+            arrival_trace(arrivals_from_times(times)), ResequencerConfig(F(3), INF)
+        )
         assert out.discards == {}
         assert out.max_occupancy == 0
         assert [out.departures[i] for i in range(1, 5)] == times
@@ -45,7 +48,8 @@ class TestSimulate:
     def test_lost_packet_released_by_timer(self):
         # packet 1 lost, packet 2 stored at 5, timer fires at 5 + 3
         out = simulate(
-            {1: (INF, F(64)), 2: (F(5), F(64))}, ResequencerConfig(F(3), INF)
+            arrival_trace({1: (INF, F(64)), 2: (F(5), F(64))}),
+            ResequencerConfig(F(3), INF),
         )
         assert out.departures[2] == 8
         assert out.departures[1] == INF
@@ -57,7 +61,7 @@ class TestSimulate:
         # 1 lost; 3 arrives before 2; 2's wait ends when 3's timer fires? no:
         # timers are per packet, the earliest deadline (packet 3 at 1+T) wins
         out = simulate(
-            {1: (INF, F(10)), 3: (F(1), F(30)), 2: (F(2), F(20))},
+            arrival_trace({1: (INF, F(10)), 3: (F(1), F(30)), 2: (F(2), F(20))}),
             ResequencerConfig(F(5), INF),
         )
         # at t=6, packet 3's timer fires: release 2 then 3 in order
@@ -67,7 +71,7 @@ class TestSimulate:
 
     def test_overflow_discard(self):
         out = simulate(
-            {1: (INF, F(64)), 2: (F(1), F(64)), 3: (F(2), F(64))},
+            arrival_trace({1: (INF, F(64)), 2: (F(1), F(64)), 3: (F(2), F(64))}),
             ResequencerConfig(F(100), capacity=F(100)),
         )
         assert out.discards == {3: OVERFLOW}
@@ -76,14 +80,15 @@ class TestSimulate:
     def test_expected_packet_bypasses_capacity(self):
         # in-sequence packets are never stored, so capacity does not apply
         out = simulate(
-            arrivals_from_times([F(1), F(2)]), ResequencerConfig(F(1), capacity=F(0))
+            arrival_trace(arrivals_from_times([F(1), F(2)])),
+            ResequencerConfig(F(1), capacity=F(0)),
         )
         assert out.discards == {}
 
     def test_released_in_sequence_order(self):
         rng = random.Random(42)
         for _ in range(100):
-            trace = random_arrivals(rng)
+            trace = arrival_trace(random_arrivals(rng))
             out = simulate(trace, ResequencerConfig(F(rng.randint(0, 40), 8), INF))
             released = sorted(
                 (t, i) for i, t in out.departures.items() if t != INF
@@ -92,12 +97,12 @@ class TestSimulate:
             assert order == sorted(order)
 
     def test_duplicate_times_rejected(self):
-        with pytest.raises(ArrivalError):
-            simulate(arrivals_from_times([F(1), F(1)]), ResequencerConfig())
+        with pytest.raises(DuplicateObservationError):
+            arrival_trace(arrivals_from_times([F(1), F(1)]))
 
     def test_nonpositive_size_rejected(self):
-        with pytest.raises(ArrivalError):
-            simulate({1: (F(1), F(0))}, ResequencerConfig())
+        with pytest.raises(TraceError):
+            arrival_trace({1: (F(1), F(0))})
 
 
 class TestAnalyticDepartures:
@@ -121,27 +126,20 @@ class TestAnalyticDepartures:
         for _ in range(300):
             arrivals = random_arrivals(rng)
             timeout = F(rng.randint(0, 60), 8)
-            sim = simulate(arrivals, ResequencerConfig(timeout, INF))
+            sim = simulate(arrival_trace(arrivals), ResequencerConfig(timeout, INF))
             ana = analytic_departures(
                 {i: t for i, (t, _) in arrivals.items()}, timeout
             )
             assert sim.departures == ana
 
     def test_lossless_covered_timeout_gives_running_max(self):
-        from reseqkit.metrics import PacketObservation, Trace, rto
-
         rng = random.Random(55)
         for _ in range(100):
             arrivals = random_arrivals(rng)
             times = {i: t for i, (t, _) in arrivals.items()}
             if any(t == INF for t in times.values()):
                 continue
-            trace = Trace(
-                tuple(
-                    PacketObservation(i, size, None, t)
-                    for i, (t, size) in sorted(arrivals.items())
-                )
-            )
+            trace = arrival_trace(arrivals)
             lam = rto(trace).value
             d = analytic_departures(times, lam + F(rng.randint(0, 8), 8))
             running = None
@@ -154,7 +152,7 @@ class TestAnalyticDepartures:
         # arrival is still in time, both ways of computing must agree
         arrivals = {1: (F(4), F(64)), 2: (F(1), F(64))}
         timeout = F(3)  # deadline of packet 2's timer: exactly 4
-        sim = simulate(arrivals, ResequencerConfig(timeout, INF))
+        sim = simulate(arrival_trace(arrivals), ResequencerConfig(timeout, INF))
         ana = analytic_departures({1: F(4), 2: F(1)}, timeout)
         assert sim.departures == ana
         assert sim.discards == {}
@@ -193,42 +191,26 @@ def random_arrivals(rng, max_packets=50):
 
 class TestGuarantees:
     def test_no_discard_with_measured_rto_and_infinite_buffer(self):
-        from reseqkit.metrics import PacketObservation, Trace, rto
-
         rng = random.Random(88)
         for _ in range(100):
             arrivals = random_arrivals(rng)
-            trace = Trace(
-                tuple(
-                    PacketObservation(i, size, None, t)
-                    for i, (t, size) in sorted(arrivals.items())
-                )
-            )
+            trace = arrival_trace(arrivals)
             lam = rto(trace).value
-            out = simulate(arrivals, ResequencerConfig(lam, INF))
+            out = simulate(trace, ResequencerConfig(lam, INF))
             assert out.discards == {}
             # one unit below the measured offset must discard, when reordering exists
             if lam > 0:
-                out2 = simulate(
-                    arrivals, ResequencerConfig(lam - F(1, 10**6), INF)
-                )
+                out2 = simulate(trace, ResequencerConfig(lam - F(1, 10**6), INF))
                 assert any(r == INVALID_LATE for r in out2.discards.values())
 
     def test_residence_bounded_by_timeout(self):
-        from reseqkit.metrics import PacketObservation, Trace, rto
-
         rng = random.Random(99)
         for _ in range(100):
             arrivals = random_arrivals(rng)
-            trace = Trace(
-                tuple(
-                    PacketObservation(i, size, None, t)
-                    for i, (t, size) in sorted(arrivals.items())
-                )
-            )
+            trace = arrival_trace(arrivals)
             lam = rto(trace).value
             timeout = lam + F(rng.randint(0, 16), 8)
-            out = simulate(arrivals, ResequencerConfig(timeout, INF))
+            out = simulate(trace, ResequencerConfig(timeout, INF))
             assert out.max_residence <= timeout
 
 
@@ -259,7 +241,8 @@ class TestHeapMatchesListScan:
     )
     def test_outcome_identical(self, arrivals, timeout, capacity):
         cfg = ResequencerConfig(timeout, capacity)
-        assert simulate(arrivals, cfg) == list_scan_simulate(arrivals, cfg)
+        want = list_scan_simulate(arrivals, cfg)
+        assert simulate(arrival_trace(arrivals), cfg) == want
 
 
 def deep_backlog_arrivals(n=2000, hole_every=500, size=F(64)):
@@ -278,7 +261,7 @@ class TestDeepBacklog:
 
     def test_infinite_buffer_matches_recursion(self):
         arrivals = deep_backlog_arrivals()
-        out = simulate(arrivals, ResequencerConfig(self.TIMEOUT, INF))
+        out = simulate(arrival_trace(arrivals), ResequencerConfig(self.TIMEOUT, INF))
         ana = analytic_departures(
             {i: t for i, (t, _) in arrivals.items()}, self.TIMEOUT
         )
@@ -289,7 +272,7 @@ class TestDeepBacklog:
     def test_capacity_below_peak_overflows(self):
         arrivals = deep_backlog_arrivals()
         cfg = ResequencerConfig(self.TIMEOUT, capacity=F(300 * 64))
-        out = simulate(arrivals, cfg)
+        out = simulate(arrival_trace(arrivals), cfg)
         assert out.discards
         assert set(out.discards.values()) == {OVERFLOW}
         assert out.max_occupancy <= cfg.capacity

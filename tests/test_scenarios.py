@@ -1,10 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reseqkit.curves import (
     FlowSpec,
+    MinAffineCurve,
     StaircaseCurve,
+    check_conforms,
     check_trace_conforms,
     leaky_bucket,
     min_curves,
@@ -29,10 +33,9 @@ US = F(1, 10**6)
 ALPHA1 = min_curves(leaky_bucket(6400, 6400), leaky_bucket(125_000_000, 64))
 FIXED64 = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(64))
 MIXED = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(200))
-
-
-def as_arrivals(trace):
-    return {p.index: (p.observe_time, p.size) for p in trace.packets}
+# 100 B per ms, and a flow of 32-64 B packets that fill its periods only in part
+STAIR = StaircaseCurve(F(100), F(1, 1000))
+PARTIAL = FlowSpec(leaky_bucket(F(10**5), F(100)), F(32), F(64))
 
 
 class TestDecompose:
@@ -70,6 +73,50 @@ class TestPacketize:
         times = packetize(c, [F(64)] * 4)
         assert times == [F(0), F(2), F(4), F(6)]
 
+    def test_staircase_window_from_a_later_packet_binds(self):
+        # counted from packet 1, packets 4 and 5 (224 and 288 B) both fit
+        # by 2 ms, but the two of them alone are 128 B in one period, so
+        # packet 5 must wait for the next one
+        sizes = [F(32)] + [F(64)] * 6 + [F(52), F(32)]
+        times = packetize(STAIR, sizes)
+        assert times == [F(q, 1000) for q in (0, 0, 1, 2, 3, 4, 5, 6, 6)]
+        assert check_conforms(times, sizes, STAIR).ok
+        prefix_only = [STAIR.pseudo_inverse(sum(sizes[:k])) for k in range(1, 10)]
+        verdict = check_conforms(prefix_only, sizes, STAIR)
+        assert (verdict.first_index, verdict.second_index) == (4, 5)
+
+    def test_rbo_tight_staircase_too_slow_for_the_window(self):
+        # the burst above needs until 6 ms, past the 5 ms jitter window:
+        # the generator says so instead of emitting a non-conforming trace
+        with pytest.raises(ScenarioError, match="leave only at 0.006 s"):
+            gen_rbo_tight_burst(F(5, 1000), STAIR, PARTIAL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_earliest_over_every_window(self, data):
+        # every packet fits in the curve's burst, so a conforming burst exists
+        if data.draw(st.booleans()):
+            rates = st.builds(F, st.integers(1, 400), st.integers(1, 4))
+            bursts = st.builds(F, st.integers(4 * 64, 4 * 400), st.just(4))
+            pieces = data.draw(st.lists(st.tuples(rates, bursts), min_size=1, max_size=4))
+            curve = MinAffineCurve(tuple(pieces))
+        else:
+            curve = StaircaseCurve(
+                data.draw(st.builds(F, st.integers(2 * 64, 2 * 200), st.just(2))),
+                data.draw(st.builds(F, st.integers(1, 20), st.integers(1, 4))),
+            )
+        sizes = data.draw(st.lists(st.integers(1, 64).map(F), min_size=1, max_size=30))
+        times = packetize(curve, sizes)
+        prefix = [F(0)]
+        for size in sizes:
+            prefix.append(prefix[-1] + size)
+        inv = curve.pseudo_inverse
+        want = [inv(prefix[1])]
+        for k in range(1, len(sizes)):
+            want.append(max(want[m] + inv(prefix[k + 1] - prefix[m]) for m in range(k)))
+        assert times == want
+        assert check_conforms(times, sizes, curve).ok
+
 
 class TestTwoPacketSwap:
     def test_offsets_match_request(self):
@@ -81,9 +128,9 @@ class TestTwoPacketSwap:
         lam = F("29.49") * US
         trace = gen_two_packet_swap(lam, t0=F(1))
         eps = lam / 10**6
-        short = simulate(as_arrivals(trace), ResequencerConfig(lam - eps, INF))
+        short = simulate(trace, ResequencerConfig(lam - eps, INF))
         assert short.discards == {1: INVALID_LATE}
-        exact = simulate(as_arrivals(trace), ResequencerConfig(lam, INF))
+        exact = simulate(trace, ResequencerConfig(lam, INF))
         assert exact.discards == {}
 
     def test_positive_offset_required(self):
@@ -95,13 +142,13 @@ class TestLosslessBacklogBurst:
     def test_occupancy_equals_requested_bytes(self):
         sizes = [F(64)] * 99
         trace = gen_lossless_backlog_burst(F("29.49") * US, sizes, F(64))
-        out = simulate(as_arrivals(trace), ResequencerConfig(F("29.49") * US, INF))
+        out = simulate(trace, ResequencerConfig(F("29.49") * US, INF))
         assert out.discards == {}
         assert out.max_occupancy == 6336
 
     def test_single_early_packet(self):
         trace = gen_lossless_backlog_burst(F(5), [F(100)], F(64))
-        out = simulate(as_arrivals(trace), ResequencerConfig(F(5), INF))
+        out = simulate(trace, ResequencerConfig(F(5), INF))
         assert out.max_occupancy == 100
 
     def test_metrics_round_trip(self):
@@ -120,7 +167,7 @@ class TestLossyBacklogBurst:
         trace = gen_lossy_backlog_burst(curve, v, t, FIXED64, eps)
         target = curve.value(v + t - eps)
         assert target == 6464
-        out = simulate(as_arrivals(trace), ResequencerConfig(t, INF))
+        out = simulate(trace, ResequencerConfig(t, INF))
         assert out.discards == {}
         assert out.max_occupancy == target
 
@@ -128,7 +175,7 @@ class TestLossyBacklogBurst:
         v = F("92.688") * US
         t = F("29.488") * US
         trace = gen_lossy_backlog_burst(ALPHA1, v, t, FIXED64)
-        out = simulate(as_arrivals(trace), ResequencerConfig(t, INF))
+        out = simulate(trace, ResequencerConfig(t, INF))
         assert out.max_occupancy == 6400  # 100 packets of 64 B
 
     def test_conforms_and_jitter_bounded(self):
@@ -142,13 +189,27 @@ class TestLossyBacklogBurst:
         v, t, eps = F(2, 100), F(1, 100), F(1, 1000)
         trace = gen_lossy_backlog_burst(MIXED.source_curve, v, t, MIXED, eps)
         target = MIXED.source_curve.value(v + t - eps)
-        out = simulate(as_arrivals(trace), ResequencerConfig(t, INF))
+        out = simulate(trace, ResequencerConfig(t, INF))
         assert out.max_occupancy == target
         assert check_trace_conforms(trace, MIXED.source_curve).ok
 
     def test_eps_bounds_checked(self):
         with pytest.raises(ScenarioError):
             gen_lossy_backlog_burst(ALPHA1, F(1), F(1), FIXED64, eps=F(2))
+
+    def test_staircase_burst_parks_whole(self):
+        # 50-100 B packets fill the periods: all 800 B wait behind the hole
+        flow = FlowSpec(leaky_bucket(F(10**5), F(100)), F(50), F(100))
+        v, t = F(5, 1000), F(3, 1000)
+        trace = gen_lossy_backlog_burst(STAIR, v, t, flow)
+        out = simulate(trace, ResequencerConfig(t, INF))
+        assert out.max_occupancy == sum(p.size for p in trace.packets[1:]) == 800
+        assert out.discards == {}
+
+    def test_staircase_too_slow_for_the_window(self):
+        # the 800 B burst needs until 11 ms, past the 8 ms window
+        with pytest.raises(ScenarioError, match="leave only at 0.011 s"):
+            gen_lossy_backlog_burst(STAIR, F(5, 1000), F(3, 1000), PARTIAL)
 
 
 class TestRtoTightPair:
@@ -224,7 +285,7 @@ class TestOracleEquivalenceOnGeneratedTraces:
         ]
         for trace in traces:
             for timeout in (F(0), F(1, 1000), F(5, 1000), F(1)):
-                sim = simulate(as_arrivals(trace), ResequencerConfig(timeout, INF))
+                sim = simulate(trace, ResequencerConfig(timeout, INF))
                 ana = analytic_departures(
                     {p.index: p.observe_time for p in trace.packets}, timeout
                 )

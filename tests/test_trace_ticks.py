@@ -121,9 +121,7 @@ def assert_same_results(text, timeout, capacity):
         assert outcome(delay_jitter, t) == outcome(oracle.delay_jitter, ref)
     arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
     cfg = ResequencerConfig(timeout, capacity)
-    want = list_scan_simulate(arrivals, cfg)
-    assert simulate(trace, cfg) == want
-    assert simulate(arrivals, cfg) == want
+    assert simulate(trace, cfg) == list_scan_simulate(arrivals, cfg)
     times = {i: t for i, (t, _) in arrivals.items()}
     assert analytic_departures(times, timeout) == oracle.analytic_departures(times, timeout)
 
