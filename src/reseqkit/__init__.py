@@ -46,8 +46,8 @@ from .path_analysis import (
     FixedDelayElement,
     PathSpec,
     ResequencerElement,
+    analyze_both,
     analyze_path,
-    baseline,
     compare_placements,
     insert_resequencers,
 )

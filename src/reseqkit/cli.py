@@ -26,6 +26,7 @@ from .case_study import render_case_study, run_case_study
 from .curves import curve_from_json, leaky_bucket
 from .metrics import delay_jitter, rbo, rto, trace_from_csv, trace_to_csv
 from .path_analysis import (
+    analyze_both,
     analyze_path,
     load_path,
     render_report_table,
@@ -112,18 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     path_spec = load_path(args.config)
-    modes = [path_spec.loss_mode]
     if args.loss == "both":
-        modes = [LOSSLESS, LOSSY]
-    elif args.loss:
-        modes = [args.loss]
-    code = OK
-    outputs = []
-    for mode in modes:
-        rep = analyze_path(replace(path_spec, loss_mode=mode))
-        if rep.warnings:
-            code = UNSAFE_WARNING
-        outputs.append(rep)
+        outputs = list(analyze_both(path_spec).values())
+    else:
+        mode = args.loss or path_spec.loss_mode
+        outputs = [analyze_path(replace(path_spec, loss_mode=mode))]
+    code = UNSAFE_WARNING if any(r.warnings for r in outputs) else OK
     if args.format == "json":
         print(json.dumps([report_to_json(r) for r in outputs], indent=2))
     elif args.format == "csv":

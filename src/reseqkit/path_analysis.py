@@ -17,6 +17,12 @@ The path is an ordered list of stages, each with a delay range [d_min, d_max]
   so far plus T when lossy.  Sized, it is an order-preserving stage with
   delay range [0, 0] lossless and [0, T] lossy; the curve shifts by its jitter.
 
+Lossless re-sequencing is free: a [0, 0] stage leaves the curve unchanged,
+so the lossless walk's totals are the baseline, the same path without
+re-sequencers, against which both loss modes report their deltas.  A walk is
+linear in the path length: each RTO bound sees only its own segment, and
+each lossless size sees the jitter through the last fabric as one stage.
+
 Reports carry exact rationals; rounding happens only in the renderers.
 """
 
@@ -137,6 +143,8 @@ class PathSpec:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise PathConfigError("path needs at least one element")
+        if all(e.kind == "resequencer" for e in self.elements):
+            raise PathConfigError("path contains only re-sequencers")
         if self.loss_mode not in (LOSSLESS, LOSSY):
             raise PathConfigError(f"unknown loss mode {self.loss_mode!r}")
         ids = [e.id for e in self.elements]
@@ -200,41 +208,50 @@ class AnalysisReport:
 
 
 def analyze_path(path: PathSpec) -> AnalysisReport:
-    """Walk the path once, propagating the arrival curve and accumulating
-    delay, jitter and re-sequencer parameters; then attach baseline deltas
-    (a path without re-sequencers is its own baseline)."""
-    main = _walk(path)
-    if any(e.kind == "resequencer" for e in path.elements):
-        base_delay, base_jitter = baseline(path)
-        return replace(main, baseline_delay=base_delay, baseline_jitter=base_jitter)
-    return main
+    """Report of the path in its own loss mode.  A walk propagates the
+    arrival curve and accumulates delay, jitter and re-sequencer parameters
+    in time linear in the path length.  A lossless path, or one without
+    re-sequencers, is walked once and is its own baseline; a lossy path with
+    re-sequencers is ``analyze_both(path)[LOSSY]``."""
+    if path.loss_mode == LOSSY and any(
+        e.kind == "resequencer" for e in path.elements
+    ):
+        return analyze_both(path)[LOSSY]
+    return _walk(path, path.loss_mode)
 
 
-def baseline(path: PathSpec) -> Tuple[Fraction, Fraction]:
-    """(worst-case delay, jitter) of the same path with no re-sequencing."""
-    kept = tuple(e for e in path.elements if e.kind != "resequencer")
-    if not kept:
-        raise PathConfigError("path contains only re-sequencers")
-    rep = _walk(replace(path, elements=kept))
-    return rep.e2e_delay, rep.e2e_jitter
+def analyze_both(path: PathSpec) -> Dict[str, AnalysisReport]:
+    """Reports of ``path`` lossless then lossy, from one walk each.
+
+    A lossless re-sequencer is a [0, 0] stage that leaves the curve as it
+    is, so the lossless walk's totals are those of the path without
+    re-sequencing: they are the baseline of both reports."""
+    lossless = _walk(path, LOSSLESS)
+    lossy = replace(
+        _walk(path, LOSSY),
+        baseline_delay=lossless.e2e_delay,
+        baseline_jitter=lossless.e2e_jitter,
+    )
+    return {LOSSLESS: lossless, LOSSY: lossy}
 
 
-def _walk(path: PathSpec) -> AnalysisReport:
+def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
     flow = path.flow
-    lossy = path.loss_mode == LOSSY
+    lossy = loss_mode == LOSSY
     curve = flow.source_curve
     elements: List[ElementReport] = []
     reseqs: List[ResequencerReport] = []
     warnings: List[str] = []
 
     segment: List[SequenceElement] = []  # since the previous re-sequencer
-    whole: List[SequenceElement] = []  # since the source, for RBO sizing
+    # the stages from the source through the last fabric, as one stage
+    reordering = SequenceElement(Fraction(0), True)
     total_delay = Fraction(0)
     total_min_delay = Fraction(0)
     total_jitter = Fraction(0)
 
     for el in path.elements:
-        entrance, lam = curve, None  # lam: a fabric's own RTO bound
+        lam = None  # a fabric's own RTO bound, curve-based
         if el.kind == "fifo_service":
             svc = el.service
             d_max = horizontal_deviation(curve, svc)
@@ -260,11 +277,11 @@ def _walk(path: PathSpec) -> AnalysisReport:
         elif el.kind in ("fabric", "order_preserving_fixed"):
             d_min, d_max = Fraction(el.d_min), Fraction(el.d_max)
             jitter = d_max - d_min
-            curve = shift_jitter(curve, jitter)
             if el.kind == "fabric":
                 lam = bounds.rto_bound_element(
-                    bounds.ElementBoundInput(jitter, entrance, flow.l_min)
+                    bounds.ElementBoundInput(jitter, curve, flow.l_min)
                 )
+            curve = shift_jitter(curve, jitter)
             elements.append(
                 ElementReport(el.id, el.kind, d_min, d_max, jitter, lam, curve)
             )
@@ -294,7 +311,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
                 req = backlog_bound(flow.source_curve, total_jitter + timeout)
             else:
                 req = bounds.rbo_bound_sequence(
-                    whole, flow.source_curve, flow.l_min
+                    (reordering,), flow.source_curve, flow.l_min
                 )
             size = floor_int(flow.reachable_floor(req))
             if el.capacity is not None and el.capacity < size:
@@ -303,7 +320,7 @@ def _walk(path: PathSpec) -> AnalysisReport:
                     f"is below the required size {size} B"
                 )
             d_min = Fraction(0)  # now an order-preserving stage, delay [0, d_max]
-            d_max, jitter = bounds.resequencer_delay_effect(path.loss_mode, timeout)
+            d_max, jitter = bounds.resequencer_delay_effect(loss_mode, timeout)
             curve = shift_jitter(curve, jitter)
             reseqs.append(
                 ResequencerReport(el.id, upstream, timeout, req, size, unsafe, curve)
@@ -315,12 +332,15 @@ def _walk(path: PathSpec) -> AnalysisReport:
         total_delay += d_max
         total_min_delay += d_min
         total_jitter += jitter
-        stage = SequenceElement(jitter, el.kind != "fabric", lam, entrance, el.id)
+        # no entrance curve: the only head term that reads it, a fabric's,
+        # is already curve-based through lam
+        stage = SequenceElement(jitter, el.kind != "fabric", lam, name=el.id)
         segment.append(stage)
-        whole.append(stage)
+        if not stage.order_preserving:
+            reordering = SequenceElement(total_jitter, False)
 
     return AnalysisReport(
-        loss_mode=path.loss_mode,
+        loss_mode=loss_mode,
         elements=tuple(elements),
         resequencers=tuple(reseqs),
         e2e_delay=total_delay,
@@ -364,10 +384,7 @@ def compare_placements(
     out: Dict[str, Dict[str, AnalysisReport]] = {}
     for name, after_ids in placements.items():
         placed = insert_resequencers(base, after_ids)
-        out[name] = {
-            mode: analyze_path(replace(placed, loss_mode=mode))
-            for mode in (LOSSLESS, LOSSY)
-        }
+        out[name] = analyze_both(placed)
     return out
 
 

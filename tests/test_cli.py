@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reseqkit import path_analysis
 from reseqkit.cli import DISCARD, INPUT_ERROR, OK, UNSAFE_WARNING, main
+from reseqkit.curves import horizontal_deviation
 from reseqkit.metrics import trace_from_csv, trace_to_csv
 from reseqkit.scenarios import gen_two_packet_swap
 
@@ -97,6 +99,18 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "warning" in out
         assert "e2e delay" in out  # report still emitted
+
+    def test_both_modes_walk_the_path_once_each(self, monkeypatch, capsys):
+        # 2 walks x 3 FIFO ports: the lossless walk is the lossy baseline
+        calls = []
+
+        def counting(curve, service):
+            calls.append(service)
+            return horizontal_deviation(curve, service)
+
+        monkeypatch.setattr(path_analysis, "horizontal_deviation", counting)
+        assert main(["analyze", "--config", str(BUNDLED), "--loss", "both"]) == OK
+        assert len(calls) == 6
 
 
 def bundled_with(tmp_path, edit):
@@ -216,6 +230,14 @@ class TestConfigErrors:
             "an auto re-sequencer takes its upstream RTO bound\n"
         )
 
+    @pytest.mark.parametrize("loss", [[], ["--loss", "lossless"],
+                                      ["--loss", "lossy"], ["--loss", "both"]])
+    def test_only_resequencers_is_input_error(self, tmp_path, capsys, loss):
+        cfg = bundled_with(tmp_path, lambda c: c.update(elements=c["elements"][-1:]))
+        assert main(["analyze", "--config", cfg] + loss) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: path contains only re-sequencers\n"
+
     @pytest.mark.parametrize("eid", [["h1", "fifo"], 7, {"a": 1}])
     def test_element_id_must_be_a_string(self, tmp_path, capsys, eid):
         # a list id was a TypeError traceback from the unique-id check, and
@@ -258,6 +280,11 @@ GOLDEN_EXIT = {"lossy_backlog_discard.json": DISCARD}  # OK for the rest
          "lossy_backlog_simulate.json"),
         (["simulate", "--timeout", "10ms", "--buffer", "640", LOSSY_BACKLOG],
          "lossy_backlog_discard.json"),
+    ] + [
+        # the config's own loss mode (lossy), its baseline from the lossless walk
+        (["analyze", "--config", str(BUNDLED), "--format", fmt],
+         f"analyze_lossy.{fmt}")
+        for fmt in ("table", "csv")
     ],
 )
 def test_whole_output_matches_golden(argv, golden, capsys):

@@ -1,10 +1,14 @@
 import json
 import random
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reseqkit.bounds import LOSSLESS, LOSSY
+from reseqkit import bounds
+from reseqkit.bounds import LOSSLESS, LOSSY, SequenceElement
 from reseqkit.curves import (
     FlowSpec,
     check_conforms,
@@ -17,8 +21,8 @@ from reseqkit.path_analysis import (
     PathConfigError,
     PathSpec,
     ResequencerElement,
+    analyze_both,
     analyze_path,
-    baseline,
     compare_placements,
     insert_resequencers,
     load_path,
@@ -26,7 +30,8 @@ from reseqkit.path_analysis import (
     render_report_table,
     report_to_json,
 )
-from reseqkit.curves import RateLatencyService
+from reseqkit.curves import MinAffineCurve, RateLatencyService
+from reseqkit.rational import INF
 from reseqkit.scenarios import packetize
 
 US = F(1, 10**6)
@@ -62,6 +67,14 @@ def small_path(loss_mode=LOSSY, with_reseq=True):
     if with_reseq:
         elements.append(ResequencerElement("rb"))
     return PathSpec(flow64(), tuple(elements), loss_mode)
+
+
+def stripped_totals(path):
+    """(e2e delay, e2e jitter) of the path with its re-sequencers removed:
+    the no-re-sequencing baseline, computed without the lossless walk."""
+    kept = tuple(e for e in path.elements if e.kind != "resequencer")
+    rep = analyze_path(replace(path, elements=kept))
+    return rep.e2e_delay, rep.e2e_jitter
 
 
 class TestWalk:
@@ -227,9 +240,13 @@ class TestCurvePropagationSoundness:
 
 class TestBaselineAndPlacements:
     def test_baseline_strips_resequencers(self):
-        d, v = baseline(small_path(LOSSY, with_reseq=True))
+        path = small_path(LOSSY, with_reseq=True)
+        d, v = stripped_totals(path)
         rep = analyze_path(small_path(LOSSY, with_reseq=False))
         assert (d, v) == (rep.e2e_delay, rep.e2e_jitter)
+        assert (d, v) == (
+            analyze_path(path).baseline_delay, analyze_path(path).baseline_jitter
+        )
 
     def test_baseline_jitter_is_sum_of_element_jitters(self):
         rep = analyze_path(small_path(LOSSY, with_reseq=False))
@@ -243,7 +260,7 @@ class TestBaselineAndPlacements:
         assert all(list(by_mode) == [LOSSLESS, LOSSY] for by_mode in reports.values())
         # every placement's baseline is the base path itself
         assert all(
-            (r.baseline_delay, r.baseline_jitter) == baseline(base)
+            (r.baseline_delay, r.baseline_jitter) == stripped_totals(base)
             for by_mode in reports.values() for r in by_mode.values()
         )
         assert reports["none"][LOSSY].delta_delay == 0
@@ -367,3 +384,126 @@ class TestConfigAndRendering:
         text = render_report_table(rep)
         assert "h1.fifo" in text
         assert "e2e delay" in text
+
+
+# -- the shared lossless baseline against independent oracles -----------------
+
+small_fractions = st.fractions(min_value=0, max_value=5, max_denominator=8)
+
+
+@st.composite
+def mixed_paths(draw):
+    """A path of FIFO ports, fabrics, fixed stages and auto or explicit
+    re-sequencers (timeouts and capacities possibly infinite) behind a
+    source curve of 1 to 8 pieces."""
+    l_min = F(1)
+    l_max = draw(st.sampled_from([F(1), F(2), F(3)]))
+    pieces = draw(st.lists(
+        st.tuples(
+            st.fractions(min_value=1, max_value=50, max_denominator=8),
+            st.fractions(min_value=l_max, max_value=50, max_denominator=8),
+        ),
+        min_size=1, max_size=8,
+    ))
+    flow = FlowSpec(MinAffineCurve(tuple(pieces)), l_min, l_max)
+    elements = []
+    for i in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["fifo", "fabric", "fixed", "auto", "explicit"]))
+        if kind in ("auto", "explicit") and elements and (
+            elements[-1].kind == "resequencer"
+        ):
+            kind = "fixed"  # no adjacent re-sequencers
+        eid = f"e{i}"
+        if kind == "fifo":
+            rate = draw(st.fractions(min_value=60, max_value=200, max_denominator=8))
+            elements.append(FifoServiceElement(
+                eid, RateLatencyService(rate, draw(small_fractions))
+            ))
+        elif kind in ("fabric", "fixed"):
+            lo = draw(small_fractions)
+            cls = FabricElement if kind == "fabric" else FixedDelayElement
+            elements.append(cls(eid, lo, lo + draw(small_fractions)))
+        elif kind == "auto":
+            elements.append(ResequencerElement(eid))
+        else:
+            elements.append(ResequencerElement(
+                eid, "explicit",
+                timeout=draw(st.one_of(st.just(INF), small_fractions)),
+                capacity=draw(st.one_of(
+                    st.none(), st.just(INF),
+                    st.fractions(min_value=0, max_value=200, max_denominator=8),
+                )),
+            ))
+    if len(elements) == 1 and elements[0].kind == "resequencer":
+        elements.append(FixedDelayElement("tail", F(0), draw(small_fractions)))
+    return PathSpec(flow, tuple(elements), draw(st.sampled_from([LOSSLESS, LOSSY])))
+
+
+def assert_same_report(a, b):
+    for f in fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def sequence_rules(path, rep):
+    """Each re-sequencer's upstream RTO and lossless size by the sequence
+    rules over whole stage lists, each stage with its entrance curve: the
+    RTO over the segment since the previous re-sequencer, and the RBO over
+    every stage from the source, re-sequencers included."""
+    curve, flow = path.flow.source_curve, path.flow
+    whole, segment, rtos, sizes = [], [], [], []
+    elements, reseqs = iter(rep.elements), iter(rep.resequencers)
+    for el in path.elements:
+        if el.kind == "resequencer":
+            r = next(reseqs)
+            rtos.append(
+                bounds.rto_bound_sequence(segment, flow.l_min).value if segment else 0
+            )
+            sizes.append(
+                bounds.rbo_bound_sequence(whole, flow.source_curve, flow.l_min)
+            )
+            jitter = bounds.resequencer_delay_effect(rep.loss_mode, r.timeout)[1]
+            stage = SequenceElement(jitter, True, None, curve)
+            segment, curve = [], r.output_curve
+        else:
+            e = next(elements)
+            stage = SequenceElement(e.jitter, e.kind != "fabric", e.rto_bound, curve)
+            curve = e.output_curve
+        segment.append(stage)
+        whole.append(stage)
+    return rtos, sizes
+
+
+class TestSharedBaseline:
+    @settings(max_examples=150)
+    @given(path=mixed_paths())
+    def test_both_modes_match_single_mode_and_oracles(self, path):
+        baseline = stripped_totals(path)
+        if any(
+            e.kind == "resequencer" and e.timeout is INF for e in path.elements
+        ):
+            # lossy mode refuses an infinite timeout, whichever entry is used
+            for analyze in (
+                analyze_both, lambda p: analyze_path(replace(p, loss_mode=LOSSY))
+            ):
+                with pytest.raises(PathConfigError, match="infinite timeout"):
+                    analyze(path)
+            reports = {LOSSLESS: analyze_path(replace(path, loss_mode=LOSSLESS))}
+        else:
+            reports = analyze_both(path)
+            assert list(reports) == [LOSSLESS, LOSSY]
+            for mode, rep in reports.items():
+                assert_same_report(rep, analyze_path(replace(path, loss_mode=mode)))
+        for mode, rep in reports.items():
+            assert (rep.baseline_delay, rep.baseline_jitter) == baseline
+            rtos, sizes = sequence_rules(path, rep)
+            assert [r.upstream_rto for r in rep.resequencers] == rtos
+            if mode == LOSSLESS:
+                assert (rep.delta_delay, rep.delta_jitter) == (0, 0)
+                assert [r.required_buffer_exact for r in rep.resequencers] == sizes
+
+    def test_only_resequencers_rejected(self):
+        for mode in (LOSSLESS, LOSSY):
+            with pytest.raises(
+                PathConfigError, match="path contains only re-sequencers"
+            ):
+                PathSpec(flow64(), (ResequencerElement("rb"),), mode)
