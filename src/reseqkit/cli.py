@@ -32,8 +32,8 @@ from .path_analysis import (
     render_report_table,
     report_to_json,
 )
-from .rational import fmt_rat, parse_finite, parse_finite_time, parse_rat
-from .rational import parse_time, seconds_to_us_display
+from .rational import fmt_rat, fmt_ticks, parse_finite, parse_finite_time
+from .rational import parse_rat, parse_time, seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
 
@@ -166,9 +166,10 @@ def cmd_simulate(args) -> int:
     print(
         json.dumps(
             {
-                "departures": {
-                    str(i): fmt_rat(t) for i, t in sorted(outcome.departures.items())
-                },
+                "departures": dict(zip(
+                    map(str, range(1, len(outcome.departure_ticks) + 1)),
+                    fmt_ticks(outcome.departure_ticks, outcome.time_den),
+                )),
                 "discards": {
                     str(i): reason for i, reason in sorted(outcome.discards.items())
                 },

@@ -86,6 +86,16 @@ class MinAffineCurve:
             hull.append((r, b))
         object.__setattr__(self, "pieces", tuple(hull))
 
+    @classmethod
+    def _from_envelope(cls, pieces: Tuple[Tuple[Fraction, Fraction], ...],
+                       unit: str) -> "MinAffineCurve":
+        """A curve from pieces that already are an envelope of Fractions:
+        nothing is checked, sorted or re-hulled."""
+        curve = cls.__new__(cls)
+        object.__setattr__(curve, "pieces", pieces)
+        object.__setattr__(curve, "unit", unit)
+        return curve
+
     def value(self, t: Rat) -> Rat:
         """Curve value at t (0 at t = 0, min of the pieces for t > 0)."""
         if is_inf(t):
@@ -274,6 +284,11 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
 
     Each affine piece (r, b) becomes (r, b + r*V).  Staircase curves are not
     shifted here; callers replace them by an affine upper bound first.
+
+    A shift keeps the rates and their order, so the envelope needs no new
+    hull, O(k): it loses only the fastest pieces, those that were the
+    minimum on (0, V] alone, i.e. whose breakpoint with their slower
+    neighbour is at most V.
     """
     if not isinstance(curve, MinAffineCurve):
         raise CurveError("jitter shift is defined for min-affine curves only")
@@ -282,8 +297,15 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
         raise ValueError("jitter must be >= 0")
     if v == 0:
         return curve
-    return MinAffineCurve(
-        tuple((r, b + r * v) for r, b in curve.pieces), curve.unit
+    pieces = curve.pieces
+    keep = len(pieces)
+    while keep > 1:
+        (r_slow, b_slow), (r_fast, b_fast) = pieces[keep - 2], pieces[keep - 1]
+        if b_slow - b_fast > v * (r_fast - r_slow):
+            break  # the breakpoint (b_slow - b_fast) / (r_fast - r_slow) is past V
+        keep -= 1
+    return MinAffineCurve._from_envelope(
+        tuple((r, b + r * v) for r, b in pieces[:keep]), curve.unit
     )
 
 

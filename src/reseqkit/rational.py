@@ -5,9 +5,10 @@ every public interface, so that derived quantities are bit-exact.  Code
 that loops over packets carries them as integer ticks instead: each value
 times D, where D is the least common multiple of the denominators
 (``on_common_base``), and turns a result back into ``Fraction(ticks, D)``
-only where it is returned (``over``).  Lost-packet times use ``math.inf`` as
-an explicit sentinel; it compares and min/maxes correctly against Fractions
-and integers.  Floats never appear anywhere else.
+only where it is returned (``over``), or writes the ticks out directly
+(``fmt_ticks``).  Lost-packet times use ``math.inf`` as an explicit
+sentinel; it compares and min/maxes correctly against Fractions and
+integers.  Floats never appear anywhere else.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 #: A time or size value: an exact rational, or +inf for lost packets /
@@ -111,15 +113,50 @@ def fmt_rat(x: Rat) -> str:
     num, den = f.numerator, f.denominator
     if den == 1:
         return str(num)
-    twos = (den & -den).bit_length() - 1
-    rest, fives = den >> twos, 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    q, digits = _decimal_split(den)
+    if q != 1:
         return f"{num}/{den}"
-    digits = max(twos, fives)
     return _fixed_point(num * 10**digits // den, digits)
+
+
+def fmt_ticks(ticks: Sequence[Union[int, float]], den: int) -> List[str]:
+    """``[fmt_rat(Fraction(t, den)) for t in ticks]``, INF giving ``inf``.
+
+    ``den`` is factored once.  A value t/den is a finite decimal exactly
+    when the part q of ``den`` prime to 10 divides t; it is then written as
+    a fixed-point integer, trailing zeros stripped.  Any other value is
+    reduced by one integer gcd.
+    """
+    q, digits = _decimal_split(den)
+    scale = 10**digits * q // den  # 10**digits / (2^a * 5^b), exactly
+    out = []
+    for t in ticks:
+        if t is INF or t == INF:
+            out.append("inf")
+        elif t % q == 0:
+            out.append(_shortest(t // q * scale, digits))
+        else:
+            g = math.gcd(t, den)
+            out.append(f"{t // g}/{den // g}")
+    return out
+
+
+@lru_cache(maxsize=256)  # rendered values share a few denominators
+def _decimal_split(den: int) -> Tuple[int, int]:
+    """``den`` as q * 2^a * 5^b with q prime to 10: returns q and max(a, b),
+    the decimals that write k / (2^a * 5^b) exactly."""
+    twos = (den & -den).bit_length() - 1
+    q, fives = den >> twos, 0
+    while q % 5 == 0:
+        q //= 5
+        fives += 1
+    return q, max(twos, fives)
+
+
+def _shortest(scaled: int, digits: int) -> str:
+    """``scaled / 10**digits`` with the trailing zeros of its decimals dropped."""
+    text = _fixed_point(scaled, digits)
+    return text.rstrip("0").rstrip(".") if digits else text
 
 
 def _fixed_point(scaled: int, digits: int) -> str:

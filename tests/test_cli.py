@@ -285,6 +285,10 @@ GOLDEN_EXIT = {"lossy_backlog_discard.json": DISCARD}  # OK for the rest
         (["analyze", "--config", str(BUNDLED), "--format", fmt],
          f"analyze_lossy.{fmt}")
         for fmt in ("table", "csv")
+    ] + [
+        # a swap, a loss and a 1/3 s arrival: decimal, p/q and inf departures
+        (["simulate", "--timeout", "1/30", str(GOLDEN / "thirds.csv")],
+         "thirds_simulate.json"),
     ],
 )
 def test_whole_output_matches_golden(argv, golden, capsys):

@@ -304,6 +304,19 @@ class TestCanonicalEnvelope:
             assert all(r * t + b < v for v in others)
 
     @settings(max_examples=150, deadline=None)
+    @given(pieces=raw_pieces, at_break=st.booleans(), pick=st.integers(0, 7),
+           v=rationals)
+    def test_shift_equals_the_hull_of_every_shifted_piece(self, pieces, at_break,
+                                                          pick, v):
+        c = MinAffineCurve(tuple(pieces))
+        breaks = [(b0 - b1) / (r1 - r0)
+                  for (r0, b0), (r1, b1) in zip(c.pieces, c.pieces[1:])]
+        if at_break and breaks:
+            v = breaks[pick % len(breaks)]  # V exactly at a breakpoint
+        want = MinAffineCurve(tuple((r, b + r * v) for r, b in c.pieces))
+        assert shift_jitter(c, v) == want
+
+    @settings(max_examples=150, deadline=None)
     @given(pieces=raw_pieces, weights=st.lists(st.fractions(0, 1), max_size=4))
     def test_equality_is_equality_of_functions(self, pieces, weights):
         # a convex combination of two pieces is never below their minimum

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_trace_ticks import primes
 from reseqkit.rational import (
     INF,
     MAX_EXPONENT,
     fmt_rat,
+    fmt_ticks,
     floor_int,
     is_inf,
     on_common_base,
@@ -113,6 +116,36 @@ class TestTicks:
             assert text == f"{x.numerator}/{x.denominator}"
         else:
             assert "/" not in text and not ("." in text and text.endswith("0"))
+
+
+# 1, ns, 2^k, 5^k, 2^a*5^b, a non-decimal base, and the product of the first
+# 1000 primes, the time base of test_trace_ticks' prime-denominator trace
+TICK_BASES = (1, 10**9, 2**40, 5**17, 2**7 * 5**3, 3 * 7 * 1000,
+              math.prod(primes(1000)))
+
+
+class TestFmtTicks:
+    @given(st.data())
+    def test_equals_fmt_rat_of_each_value(self, data):
+        den = data.draw(st.sampled_from(TICK_BASES))
+        # a multiple of den/gcd(den, s) is the value n/gcd(den, s) on any base
+        short = st.builds(lambda n, s: n * (den // math.gcd(den, s)),
+                          st.integers(-10**6, 10**6),
+                          st.sampled_from((2, 3, 10, 10**12)))
+        ticks = data.draw(st.lists(st.one_of(
+            st.integers(-10**60, 10**60), st.just(0), short, st.just(INF)
+        ), max_size=30))
+        assert fmt_ticks(ticks, den) == [
+            fmt_rat(t if t is INF else F(t, den)) for t in ticks
+        ]
+
+    def test_mixed_column(self):
+        # on 21000 = 21 * 2^3 * 5^3: decimals where 21 divides the tick
+        ticks = [0, 500, -3, 21000, 2100, -105, 10**22, INF]
+        assert fmt_ticks(ticks, 21000) == [
+            "0", "1/42", "-1/7000", "1", "0.1", "-0.005",
+            "10000000000000000000/21", "inf",
+        ]
 
 
 class TestFormat:

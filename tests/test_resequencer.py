@@ -14,6 +14,7 @@ from reseqkit.resequencer import (
     INVALID_LATE,
     OVERFLOW,
     ResequencerConfig,
+    ResequencerOutcome,
     analytic_departures,
     simulate,
 )
@@ -277,3 +278,33 @@ class TestDeepBacklog:
         assert set(out.discards.values()) == {OVERFLOW}
         assert out.max_occupancy <= cfg.capacity
         assert out == list_scan_simulate(arrivals, cfg)
+
+
+class TestOutcome:
+    NS = F(1, 10**9)
+    # packet 1 lost; 3 and 2 wait for their timers; 4 comes in order
+    ARRIVALS = {2: (7 * NS, F(64)), 3: (5 * NS, F(64)), 4: (F(1, 2), F(64))}
+
+    def test_timeout_off_the_trace_base_extends_it(self):
+        trace = arrival_trace(self.ARRIVALS)
+        cfg = ResequencerConfig(F(1, 3), INF)
+        out = simulate(trace, cfg)
+        assert (trace.time_den, out.time_den) == (10**9, 3 * 10**9)
+        assert out == list_scan_simulate(self.ARRIVALS, cfg)
+        assert out.departures == {1: INF, 2: 5 * self.NS + F(1, 3),
+                                  3: 5 * self.NS + F(1, 3), 4: F(1, 2)}
+
+    def test_departures_map_is_built_once(self):
+        out = simulate(arrival_trace(self.ARRIVALS), ResequencerConfig(F(1, 3), INF))
+        first = out.departures
+        assert out.departures is first
+
+    def test_equal_values_on_other_bases_are_equal(self):
+        out = ResequencerOutcome({1: F(1, 2), 2: INF}, {}, F(0), F(0))
+        assert (out.time_den, out.departure_ticks) == (2, (1, INF))
+        assert ResequencerOutcome._from_ticks((3, INF), 6, {}, F(0), F(0)) == out
+        assert ResequencerOutcome._from_ticks((3, 4), 6, {}, F(0), F(0)) != out
+
+    def test_departures_must_be_keyed_from_one(self):
+        with pytest.raises(ValueError, match="keyed by 1..n"):
+            ResequencerOutcome({1: F(1), 3: F(2)}, {}, F(0), F(0))
