@@ -8,7 +8,6 @@ generators.
 """
 
 from .bounds import (
-    ElementBoundInput,
     SequenceElement,
     rbo_bound_element,
     rbo_bound_sequence,

@@ -8,7 +8,10 @@ The path is an ordered list of stages, each with a delay range [d_min, d_max]
   service curve; its output curve is the entrance curve advanced by the
   service latency, capped by the line rate plus one maximal packet.
 * ``fabric``: a parallel-stage switching fabric with a delay in
-  [d_min, d_max]; the only non-order-preserving element.
+  [d_min, d_max]; the only non-order-preserving element.  Its stage, built
+  by ``bounds.rto_bound_element``, holds its RTO bound ``[jitter -
+  min_spacing]^+`` and whether that clamp fired; every other stage has
+  ``rto`` None, which marks it order-preserving.
 * ``order_preserving_fixed``: any per-flow-FIFO stage with a delay range.
 * ``resequencer``: restores sequence order.  Its timeout T is the RTO bound
   of the segment since the previous re-sequencer (auto mode) or a
@@ -70,6 +73,12 @@ class FifoServiceElement:
     min_delay: Optional[Fraction] = None  # default: l_min / rate
 
     kind = "fifo_service"
+
+    def __post_init__(self) -> None:
+        if self.min_delay is not None and self.min_delay < 0:
+            raise PathConfigError(
+                f"{self.id}: min_delay_s {fmt_rat(self.min_delay)} is negative"
+            )
 
 
 @dataclass(frozen=True)
@@ -245,13 +254,13 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
 
     segment: List[SequenceElement] = []  # since the previous re-sequencer
     # the stages from the source through the last fabric, as one stage
-    reordering = SequenceElement(Fraction(0), True)
+    reordering = SequenceElement(Fraction(0))
     total_delay = Fraction(0)
     total_min_delay = Fraction(0)
     total_jitter = Fraction(0)
 
     for el in path.elements:
-        lam = None  # a fabric's own RTO bound, curve-based
+        stage = None  # set by the fabric and fixed-delay branches
         if el.kind == "fifo_service":
             svc = el.service
             d_max = horizontal_deviation(curve, svc)
@@ -277,18 +286,17 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
         elif el.kind in ("fabric", "order_preserving_fixed"):
             d_min, d_max = Fraction(el.d_min), Fraction(el.d_max)
             jitter = d_max - d_min
-            if el.kind == "fabric":
-                lam = bounds.rto_bound_element(
-                    bounds.ElementBoundInput(jitter, curve, flow.l_min)
-                )
+            stage = (
+                bounds.rto_bound_element(jitter, curve, flow.l_min)
+                if el.kind == "fabric"
+                else SequenceElement(jitter)
+            )
             curve = shift_jitter(curve, jitter)
             elements.append(
-                ElementReport(el.id, el.kind, d_min, d_max, jitter, lam, curve)
+                ElementReport(el.id, el.kind, d_min, d_max, jitter, stage.rto, curve)
             )
         elif el.kind == "resequencer":
-            upstream = bounds.rto_bound_sequence(
-                segment, flow.l_min
-            ).value if segment else Fraction(0)
+            upstream = bounds.rto_bound_sequence(segment).value
             timeout: Rat
             if el.mode == "auto":
                 timeout = upstream  # the timeout that never discards is the RTO
@@ -332,12 +340,11 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
         total_delay += d_max
         total_min_delay += d_min
         total_jitter += jitter
-        # no entrance curve: the only head term that reads it, a fabric's,
-        # is already curve-based through lam
-        stage = SequenceElement(jitter, el.kind != "fabric", lam, name=el.id)
+        if stage is None:  # a FIFO or re-sequencer: order-preserving
+            stage = SequenceElement(jitter)
+        elif stage.rto is not None:
+            reordering = replace(stage, jitter=total_jitter)
         segment.append(stage)
-        if not stage.order_preserving:
-            reordering = SequenceElement(total_jitter, False)
 
     return AnalysisReport(
         loss_mode=loss_mode,

@@ -168,16 +168,17 @@ def _fixed_point(scaled: int, digits: int) -> str:
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
+def _half_up(n: int, d: int) -> int:
+    """``n / d`` (d > 0) rounded to an integer, ties away from zero."""
+    r = (2 * abs(n) + d) // (2 * d)
+    return r if n >= 0 else -r
+
+
 def round_half_up(x: Fraction, digits: int) -> Fraction:
     """Round to ``digits`` decimal places, ties away from zero going up."""
     q = Fraction(10) ** digits
     scaled = x * q
-    n, d = scaled.numerator, scaled.denominator
-    if n >= 0:
-        rounded = (2 * n + d) // (2 * d)
-    else:
-        rounded = -((-2 * n + d) // (2 * d))
-    return Fraction(rounded, 1) / q
+    return _half_up(scaled.numerator, scaled.denominator) / q
 
 
 def floor_int(x: Rat) -> int:
@@ -191,8 +192,8 @@ def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
     """Format seconds as microseconds, rounded half-up to ``digits`` places."""
     if is_inf(t):
         return "inf"
-    r = round_half_up(Fraction(t) * 10**6, digits)
-    return _fixed_point(int(r * 10**digits), digits)
+    scaled = _half_up(t.numerator * 10 ** (6 + digits), t.denominator)
+    return _fixed_point(scaled, digits)
 
 
 #: An exact value as ``(numerator, denominator)``, or a cell that

@@ -206,6 +206,21 @@ class TestConfigErrors:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: h2.reseq: ") and name in err
 
+    @pytest.mark.parametrize("loss", ["lossless", "lossy", "both"])
+    @pytest.mark.parametrize("min_delay", ["-1", "-1/3"])
+    def test_negative_fifo_min_delay_is_input_error(
+        self, tmp_path, capsys, min_delay, loss
+    ):
+        # accepted once: the e2e jitter then exceeded the worst-case delay
+        cfg = bundled_with(
+            tmp_path, lambda c: c["elements"][0].update(min_delay_s=min_delay)
+        )
+        assert main(["analyze", "--config", cfg, "--loss", loss]) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: h1.fifo: min_delay_s {min_delay} is negative\n"
+        )
+
     @pytest.mark.parametrize("fields", [{"timeout_s": "0", "buffer_bytes": "0"},
                                         {"timeout_s": "0", "buffer_bytes": "inf"}])
     def test_zero_and_infinite_resequencer_fields_accepted(
@@ -257,7 +272,12 @@ class TestConfigErrors:
 
 
 LOSSY_BACKLOG = str(GOLDEN / "lossy_backlog.csv")
-GOLDEN_EXIT = {"lossy_backlog_discard.json": DISCARD}  # OK for the rest
+TWO_SEGMENTS = str(GOLDEN / "two_segments_path.json")
+GOLDEN_EXIT = {  # OK for the rest
+    "lossy_backlog_discard.json": DISCARD,
+    "two_segments_both.table": UNSAFE_WARNING,
+    "two_segments_both.json": UNSAFE_WARNING,
+}
 
 
 @pytest.mark.parametrize(
@@ -289,6 +309,13 @@ GOLDEN_EXIT = {"lossy_backlog_discard.json": DISCARD}  # OK for the rest
         # a swap, a loss and a 1/3 s arrival: decimal, p/q and inf departures
         (["simulate", "--timeout", "1/30", str(GOLDEN / "thirds.csv")],
          "thirds_simulate.json"),
+    ] + [
+        # two segments: a fabric whose RTO bound is clamped to 0, a mid-path
+        # auto re-sequencer, a 1/300000 s delay, and an explicit re-sequencer
+        # whose timeout and capacity are both too small (two warnings)
+        (["analyze", "--config", TWO_SEGMENTS, "--loss", "both", "--format", fmt],
+         f"two_segments_both.{fmt}")
+        for fmt in ("table", "json")
     ],
 )
 def test_whole_output_matches_golden(argv, golden, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bounds_oracle
 from reseqkit import bounds
-from reseqkit.bounds import LOSSLESS, LOSSY, SequenceElement
+from reseqkit.bounds import LOSSLESS, LOSSY
 from reseqkit.curves import (
     FlowSpec,
     check_conforms,
@@ -445,10 +446,12 @@ def assert_same_report(a, b):
 
 
 def sequence_rules(path, rep):
-    """Each re-sequencer's upstream RTO and lossless size by the sequence
-    rules over whole stage lists, each stage with its entrance curve: the
-    RTO over the segment since the previous re-sequencer, and the RBO over
-    every stage from the source, re-sequencers included."""
+    """Each re-sequencer's upstream RTO and lossless size by the reference
+    sequence rules (``bounds_oracle``) over whole stage lists, each stage
+    with its entrance curve and no exported RTO, so that the oracle derives
+    each head term from the curve itself: the RTO over the segment since
+    the previous re-sequencer, and the RBO over every stage from the source,
+    re-sequencers included."""
     curve, flow = path.flow.source_curve, path.flow
     whole, segment, rtos, sizes = [], [], [], []
     elements, reseqs = iter(rep.elements), iter(rep.resequencers)
@@ -456,17 +459,20 @@ def sequence_rules(path, rep):
         if el.kind == "resequencer":
             r = next(reseqs)
             rtos.append(
-                bounds.rto_bound_sequence(segment, flow.l_min).value if segment else 0
+                bounds_oracle.rto_bound_sequence(segment, flow.l_min).value
+                if segment else 0
             )
             sizes.append(
-                bounds.rbo_bound_sequence(whole, flow.source_curve, flow.l_min)
+                bounds_oracle.rbo_bound_sequence(whole, flow.source_curve, flow.l_min)
             )
             jitter = bounds.resequencer_delay_effect(rep.loss_mode, r.timeout)[1]
-            stage = SequenceElement(jitter, True, None, curve)
+            stage = bounds_oracle.SequenceElement(jitter, True, None, curve)
             segment, curve = [], r.output_curve
         else:
             e = next(elements)
-            stage = SequenceElement(e.jitter, e.kind != "fabric", e.rto_bound, curve)
+            stage = bounds_oracle.SequenceElement(
+                e.jitter, e.kind != "fabric", None, curve
+            )
             curve = e.output_curve
         segment.append(stage)
         whole.append(stage)

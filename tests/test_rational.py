@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,22 @@ class TestFormat:
         assert seconds_to_us_display(F("-0.004e-6")) == "0.00"
         assert seconds_to_us_display(F("-1.5e-6"), 0) == "-2"
         assert seconds_to_us_display(F("0.0625e-6"), 3) == "0.063"
+
+    @given(
+        t=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+        | st.fractions(max_denominator=64) | st.integers(-10**20, 10**20).map(F)
+        # ties at two decimals of a microsecond
+        | st.integers(-10**6, 10**6).map(lambda k: F(2 * k + 1, 2 * 10**8)),
+        digits=st.integers(0, 6),
+    )
+    def test_us_display_matches_fraction_path(self, t, digits):
+        # round half away from zero on the Fraction, then write it as a Decimal
+        scaled = t * 10**6 * 10**digits
+        r = math.floor(abs(scaled) + F(1, 2))
+        r = -r if scaled < 0 else r
+        assert round_half_up(t * 10**6, digits) == F(r, 10**digits)
+        want = Decimal(f"{r}E-{digits}")
+        assert seconds_to_us_display(t, digits) == f"{want:.{digits}f}"
 
     def test_floor(self):
         assert floor_int(F("6336.5068032")) == 6336
