@@ -11,6 +11,12 @@ Verbs:
 Exit codes: 0 success, 1 input or schema error, 2 analysis completed with an
 unsafe-configuration warning, 3 the simulation discarded a packet.  Output
 is deterministic for identical inputs.
+
+A call's fixed cost is paid once per process.  ``main`` parses with one
+parser, built on its first call and reused by every later one;
+``build_parser()`` still returns a fresh parser.  Every JSON output goes
+through ``_dump_json``, which writes the same bytes as ``json.dumps`` with
+``indent=2`` but encodes strings with the C encoder.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import List, Optional, Sequence, Tuple
 
 from .bounds import LOSSLESS, LOSSY
 from .case_study import render_case_study, run_case_study
@@ -40,9 +47,14 @@ from . import scenarios
 OK, INPUT_ERROR, UNSAFE_WARNING, DISCARD = 0, 1, 2, 3
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -120,7 +132,7 @@ def cmd_analyze(args) -> int:
         outputs = [analyze_path(replace(path_spec, loss_mode=mode))]
     code = UNSAFE_WARNING if any(r.warnings for r in outputs) else OK
     if args.format == "json":
-        print(json.dumps([report_to_json(r) for r in outputs], indent=2))
+        print(_dump_json([report_to_json(r) for r in outputs]))
     elif args.format == "csv":
         print("loss_mode,e2e_delay_us,e2e_jitter_us,delta_delay_us,delta_jitter_us")
         for r in outputs:
@@ -163,22 +175,17 @@ def cmd_simulate(args) -> int:
         trace = trace_from_csv(fh.read())
     cfg = ResequencerConfig(parse_time(args.timeout), parse_rat(args.buffer))
     outcome = simulate(trace, cfg)
-    print(
-        json.dumps(
-            {
-                "departures": dict(zip(
-                    map(str, range(1, len(outcome.departure_ticks) + 1)),
-                    fmt_ticks(outcome.departure_ticks, outcome.time_den),
-                )),
-                "discards": {
-                    str(i): reason for i, reason in sorted(outcome.discards.items())
-                },
-                "max_occupancy_bytes": fmt_rat(outcome.max_occupancy),
-                "max_residence_s": fmt_rat(outcome.max_residence),
-            },
-            indent=2,
-        )
-    )
+    print(_dump_json({
+        "departures": dict(zip(
+            map(str, range(1, len(outcome.departure_ticks) + 1)),
+            fmt_ticks(outcome.departure_ticks, outcome.time_den),
+        )),
+        "discards": {
+            str(i): reason for i, reason in sorted(outcome.discards.items())
+        },
+        "max_occupancy_bytes": fmt_rat(outcome.max_occupancy),
+        "max_residence_s": fmt_rat(outcome.max_residence),
+    }))
     return DISCARD if outcome.discards else OK
 
 
@@ -262,10 +269,77 @@ def cmd_case_study(args) -> int:
         }
         if args.check:
             payload["check"] = {"ok": result.ok, "mismatches": list(result.mismatches)}
-        print(json.dumps(payload, indent=2))
+        print(_dump_json(payload))
     else:
         print(render_case_study(result, check=args.check))
     return OK if result.ok else INPUT_ERROR
+
+
+# Per depth d: the opening "{" or "[" with the newline and indent of the
+# items, the separator between items, and the newline and indent of the
+# closing "}" or "]".  Built once per depth and shared by every container.
+_LAYOUT: List[Tuple[str, str, str, str, str]] = []
+
+
+def _layout(depth: int) -> Tuple[str, str, str, str, str]:
+    while len(_LAYOUT) <= depth:
+        inner = "\n" + "  " * (len(_LAYOUT) + 1)
+        outer = "\n" + "  " * len(_LAYOUT)
+        _LAYOUT.append(("{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]"))
+    return _LAYOUT[depth]
+
+
+def _dump_json(obj) -> str:
+    """What ``json.dumps`` with ``indent=2`` writes, byte for byte, for the
+    types the CLI prints: dicts with ``str`` keys, lists, ``str``, ``int``,
+    booleans and ``None``.  Any other type raises ``TypeError``.  With an
+    indent the standard library takes its pure-Python encoder; this writer
+    appends the pieces to one list and encodes each string with the C
+    ``encode_basestring_ascii``."""
+    chunks: List[str] = []
+    _write_json(obj, 0, chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(obj, depth: int, emit) -> None:
+    if isinstance(obj, str):
+        emit(encode_basestring_ascii(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        open_dict, _, sep, close_dict, _ = _layout(depth)
+        lead = open_dict
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            emit(lead)
+            lead = sep
+            emit(encode_basestring_ascii(key))
+            emit(": ")
+            _write_json(value, depth + 1, emit)
+        emit(close_dict)
+    elif isinstance(obj, list):
+        if not obj:
+            emit("[]")
+            return
+        _, open_list, sep, _, close_list = _layout(depth)
+        lead = open_list
+        for value in obj:
+            emit(lead)
+            lead = sep
+            _write_json(value, depth + 1, emit)
+        emit(close_list)
+    else:
+        raise TypeError(f"{type(obj).__name__} is not written as JSON")
 
 
 if __name__ == "__main__":

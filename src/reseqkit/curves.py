@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .rational import INF, Rat, fmt_rat, is_inf, parse_finite
 
@@ -72,19 +73,7 @@ class MinAffineCurve:
             if burst < 0:
                 raise CurveError("piece bursts must be >= 0")
             norm.append((rate, burst))
-        hull: List[Tuple[Fraction, Fraction]] = []  # the envelope so far
-        for r, b in sorted(norm):
-            if hull and b >= hull[-1][1]:
-                continue  # never below the last kept piece for t > 0
-            while len(hull) > 1:
-                (r0, b0), (r1, b1) = hull[-2:]
-                # (r1, b1) is the minimum from where (r, b) crosses it up to
-                # where (r0, b0) does; drop it when that interval is empty
-                if (b1 - b) * (r1 - r0) < (b0 - b1) * (r - r1):
-                    break
-                hull.pop()
-            hull.append((r, b))
-        object.__setattr__(self, "pieces", tuple(hull))
+        object.__setattr__(self, "pieces", _lower_envelope(sorted(norm)))
 
     @classmethod
     def _from_envelope(cls, pieces: Tuple[Tuple[Fraction, Fraction], ...],
@@ -191,6 +180,26 @@ class StaircaseCurve:
 
 
 Curve = MinAffineCurve | StaircaseCurve
+
+
+def _lower_envelope(
+    pieces: Iterable[Tuple[Fraction, Fraction]],
+) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """The pieces that are the minimum on some interval of t > 0, by one
+    stack pass over ``pieces`` sorted by rate, then burst."""
+    hull: List[Tuple[Fraction, Fraction]] = []  # the envelope so far
+    for r, b in pieces:
+        if hull and b >= hull[-1][1]:
+            continue  # never below the last kept piece for t > 0
+        while len(hull) > 1:
+            (r0, b0), (r1, b1) = hull[-2:]
+            # (r1, b1) is the minimum from where (r, b) crosses it up to
+            # where (r0, b0) does; drop it when that interval is empty
+            if (b1 - b) * (r1 - r0) < (b0 - b1) * (r - r1):
+                break
+            hull.pop()
+        hull.append((r, b))
+    return tuple(hull)
 
 
 def _ceil_div(num: Fraction, den: Fraction) -> int:
@@ -311,12 +320,15 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
 
 def min_curves(a: MinAffineCurve, b: MinAffineCurve) -> MinAffineCurve:
     """Pointwise minimum of two min-affine curves: the lower envelope of the
-    union of their pieces."""
+    union of their pieces.  Both envelopes are sorted already, so they are
+    merged, not sorted, and take the constructor's stack pass unchecked."""
     if not (isinstance(a, MinAffineCurve) and isinstance(b, MinAffineCurve)):
         raise CurveError("min is defined for min-affine curves only")
     if a.unit != b.unit:
         raise UnitMismatchError(f"cannot combine {a.unit} with {b.unit}")
-    return MinAffineCurve(a.pieces + b.pieces, a.unit)
+    return MinAffineCurve._from_envelope(
+        _lower_envelope(merge(a.pieces, b.pieces)), a.unit
+    )
 
 
 def horizontal_deviation(curve: MinAffineCurve, service: RateLatencyService) -> Fraction:

@@ -90,7 +90,7 @@ class FabricElement:
     kind = "fabric"
 
     def __post_init__(self) -> None:
-        _check_delay_range(self.d_min, self.d_max)
+        _check_delay_range(self)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class FixedDelayElement:
     kind = "order_preserving_fixed"
 
     def __post_init__(self) -> None:
-        _check_delay_range(self.d_min, self.d_max)
+        _check_delay_range(self)
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,10 @@ class ResequencerElement:
                 )
 
 
-def _check_delay_range(d_min, d_max) -> None:
-    if Fraction(d_min) < 0 or Fraction(d_max) < Fraction(d_min):
-        raise PathConfigError("need 0 <= d_min <= d_max")
+def _check_delay_range(element: FabricElement | FixedDelayElement) -> None:
+    d_min = Fraction(element.d_min)
+    if d_min < 0 or Fraction(element.d_max) < d_min:
+        raise PathConfigError(f"{element.id}: need 0 <= d_min <= d_max")
 
 
 PathElement = (

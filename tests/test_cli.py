@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reseqkit import path_analysis
+from reseqkit import cli, path_analysis
 from reseqkit.cli import DISCARD, INPUT_ERROR, OK, UNSAFE_WARNING, main
 from reseqkit.curves import horizontal_deviation
 from reseqkit.metrics import trace_from_csv, trace_to_csv
@@ -263,6 +263,20 @@ class TestConfigErrors:
             f"error: element id {json.dumps(eid)} is not a string\n"
         )
 
+    @pytest.mark.parametrize("loss", ["lossless", "lossy", "both"])
+    @pytest.mark.parametrize("kind", ["fabric", "order_preserving_fixed"])
+    @pytest.mark.parametrize("fields", [{"d_min_s": "-1"}, {"d_min_s": "3e-6"}],
+                             ids=["negative", "above-d_max"])
+    def test_delay_range_error_names_the_element(
+        self, tmp_path, capsys, fields, kind, loss
+    ):
+        cfg = bundled_with(
+            tmp_path, lambda c: c["elements"][1].update(kind=kind, **fields)
+        )
+        assert main(["analyze", "--config", cfg, "--loss", loss]) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: S1.fabric: need 0 <= d_min <= d_max\n"
+
     def test_json_ints_equal_strings(self, tmp_path, capsys):
         cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
         assert main(["analyze", "--config", cfg, "--loss", "both"]) == OK
@@ -316,6 +330,10 @@ GOLDEN_EXIT = {  # OK for the rest
         (["analyze", "--config", TWO_SEGMENTS, "--loss", "both", "--format", fmt],
          f"two_segments_both.{fmt}")
         for fmt in ("table", "json")
+    ] + [
+        # one report in the list: the config's own loss mode as JSON
+        (["analyze", "--config", str(BUNDLED), "--format", "json"],
+         "analyze_lossy.json"),
     ],
 )
 def test_whole_output_matches_golden(argv, golden, capsys):
@@ -698,3 +716,166 @@ def test_fuzzed_scenario_curve_json_exits_cleanly(fuzz_json, curve, kind):
     assert_clean_exit(["scenario", kind, "--curve-json", str(fuzz_json),
                        "--l-min", "64", "--l-max", "128"] + SCENARIO_ARGS[kind],
                       (OK, INPUT_ERROR))
+
+
+def run_on(parser, argv):
+    """``main(argv)`` through ``parser``, or through the process's shared
+    parser when it is None: the exit (a return, or argparse's SystemExit)
+    and what was printed."""
+    shared = cli._parser
+    if parser is not None:
+        cli._parser = parser
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                exit_ = ("return", main(argv))
+            except SystemExit as exc:
+                exit_ = ("SystemExit", exc.code)
+    finally:
+        if parser is not None:
+            cli._parser = shared
+    return exit_, out.getvalue(), err.getvalue()
+
+
+MISSING = str(GOLDEN / "missing")
+ARGV_FLAGS = {  # scenario writes to stdout: no file is written
+    "analyze": {
+        "--config": [str(BUNDLED), TWO_SEGMENTS, MISSING, LOSSY_BACKLOG],
+        "--loss": ["lossless", "lossy", "both", "lossier"],
+        "--format": ["table", "json", "csv", "xml"],
+    },
+    "metrics": {"--verbose": None},
+    "simulate": {
+        "--timeout": ["10ms", "1/30", "0", "inf", "-1", "soon"],
+        "--buffer": ["832", "640", "inf", "-1", "x"],
+    },
+    "scenario": {
+        "--rto": ["7us", "5ms", "0", "-1us", "x"],
+        "--t0": ["0", "1us", "x"],
+        "--jitter": ["1ms", "20ms", "0", "-1ms", "inf"],
+        "--timeout": ["10ms", "0", "x"],
+        "--eps": ["0.1ms", "0", "-1ms", "20ms"],
+        "--rate": ["6400", "0", "-6400", "abc"],
+        "--burst": ["640", "6400", "0", "abc"],
+        "--curve-json": [MISSING, str(BUNDLED)],
+        "--l-min": ["64", "128", "0", "x"],
+        "--l-max": ["64", "128", "32"],
+        "--sizes": ["64,64,64", "64,x", "", "0"],
+        "--first-size": ["64", "0", "x"],
+        "--stages": ["1.5us:0.988us,13.5us:0", "1us:2us", "1us", "x:y"],
+        "--head": ["1", "2", "0", "x"],
+    },
+    "case-study": {
+        "--check": None,
+        "--format": ["table", "json", "csv"],
+    },
+}
+ARGV_POSITIONALS = {
+    "metrics": [LOSSY_BACKLOG, str(GOLDEN / "thirds.csv"), MISSING, str(BUNDLED)],
+    "simulate": [LOSSY_BACKLOG, str(GOLDEN / "thirds.csv"), MISSING],
+    "scenario": ["two-packet-swap", "lossless-backlog", "lossy-backlog",
+                 "rto-tight", "rbo-tight", "rto-chain", "no-such-kind"],
+    "case-study": ["automotive", "other"],
+}
+
+
+ARGV_VALID = {  # argparse keeps a repeated flag's last value
+    "analyze": [["analyze", "--config", str(BUNDLED)],
+                ["analyze", "--config", str(BUNDLED), "--loss", "both",
+                 "--format", "json"]],
+    "metrics": [["metrics", LOSSY_BACKLOG], ["metrics", "--verbose", LOSSY_BACKLOG]],
+    "simulate": [["simulate", LOSSY_BACKLOG, "--timeout", "10ms"],
+                 ["simulate", LOSSY_BACKLOG, "--timeout", "10ms", "--buffer", "640"]],
+    "scenario": [
+        ["scenario", "two-packet-swap", "--rto", "7us"],
+        ["scenario", "lossless-backlog", "--rto", "5ms", "--sizes", "64,64,64"],
+        ["scenario", "lossy-backlog", "--rate", "6400", "--burst", "640",
+         "--jitter", "20ms", "--timeout", "10ms"],
+        ["scenario", "rbo-tight", "--jitter", "20ms", "--rate", "6400",
+         "--burst", "640"],
+        ["scenario", "rto-chain", "--stages", "1.5us:0.988us,13.5us:0"],
+    ],
+    "case-study": [["case-study", "automotive"],
+                   ["case-study", "automotive", "--check", "--format", "json"]],
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """One call of a verb: a valid call or a bare verb, then valid and junk
+    flags, values that override earlier ones, and flags whose value is
+    missing; now and then the verb itself is junk, missing, or asks for
+    help."""
+    verb = draw(st.sampled_from(sorted(ARGV_FLAGS) * 4 + ["bogus", "--help", None]))
+    if verb not in ARGV_FLAGS:
+        return [] if verb is None else [verb]
+    if draw(st.integers(0, 2)):
+        argv = list(draw(st.sampled_from(ARGV_VALID[verb])))
+    else:
+        argv = [verb]
+        if verb in ARGV_POSITIONALS and draw(st.booleans()):
+            argv.append(draw(st.sampled_from(ARGV_POSITIONALS[verb])))
+    flags = ARGV_FLAGS[verb]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 7)):
+            flag = draw(st.sampled_from(sorted(flags)))
+        else:
+            flag = draw(st.sampled_from(["--bogus", "-h", "--", "-"]))
+        argv.append(flag)
+        values = flags.get(flag)
+        if values and draw(st.integers(0, 7)):  # else the value is missing
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(max_examples=150)
+@given(calls=st.lists(fuzzed_argv(), min_size=2, max_size=6))
+def test_reused_parser_answers_like_a_fresh_one(calls):
+    """main's one parser per process leaks nothing from call to call: each
+    call exits, prints and errs exactly as on a freshly built parser.  Every
+    exit is 0-3 or argparse's 0/2, and an exit 1 prints one error line."""
+    for argv in calls:
+        shared = run_on(None, argv)
+        assert shared == run_on(cli.build_parser(), argv)
+        (how, code), out, err = shared
+        assert "Traceback" not in err
+        if how == "SystemExit":
+            assert code in (0, 2)
+            continue
+        assert code in (OK, INPUT_ERROR, UNSAFE_WARNING, DISCARD)
+        if code == INPUT_ERROR:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def json_documents(depth):
+    """JSON values nested up to ``depth`` containers deep, of the types the
+    CLI prints."""
+    text = st.text(st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/",
+                         "é", " ", "\ud800", "\U0001f600", "\U0010ffff"]),
+        st.characters(),
+    ), max_size=8)
+    leaves = st.one_of(st.none(), st.booleans(),
+                       st.integers(-10**60, 10**60), text)
+    if depth == 0:
+        return leaves
+    inner = json_documents(depth - 1)
+    return st.one_of(leaves, st.lists(inner, max_size=4),
+                     st.dictionaries(text, inner, max_size=4))
+
+
+@settings(max_examples=300)
+@given(doc=json_documents(6))
+def test_json_writer_matches_indented_json_dumps(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, F(1, 3), {1: "a"}, [{"a": [0.0]}], {"a": {None: 1}}, ("a",)],
+    ids=["float", "fraction", "int-key", "nested-float", "none-key", "tuple"],
+)
+def test_json_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._dump_json(doc)
