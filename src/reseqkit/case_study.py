@@ -10,9 +10,9 @@ bucket of constant 64 B packets.
 Four re-sequencer placements are compared: destination only, edge switch
 only, first switch plus destination, and both switches.  The module embeds
 the reference results (exact rationals) for all placements under lossless
-and lossy operation; ``run_case_study(check=True)`` recomputes everything
-and fails on any mismatch beyond the display tolerances (0.005 us on times,
-1 byte on sizes).
+and lossy operation; ``run_case_study(check=True)`` recomputes everything,
+compares every value exactly with its reference, and reports each one that
+differs with both values written out exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .path_analysis import (
     _align_rows,
     compare_placements,
 )
-from .rational import Rat, seconds_to_us_display
+from .rational import fmt_rat, seconds_to_us_display
 
 US = Fraction(1, 10**6)
 
@@ -120,9 +120,6 @@ REFERENCE: Dict[str, Reference] = {
     ),
 }
 
-TIME_TOLERANCE = _us("0.005")
-BYTE_TOLERANCE = 1
-
 
 @dataclass(frozen=True)
 class CaseStudyResult:
@@ -151,32 +148,27 @@ def _check_one(name: str, mode: str, rep: AnalysisReport) -> List[str]:
     exp_jitter = ref.jitter_lossless if mode == LOSSLESS else ref.jitter_lossy
     exp_buffer = ref.buffer_lossless if mode == LOSSLESS else ref.buffer_lossy
     out: List[str] = []
-
-    def close(a: Rat, b: Fraction) -> bool:
-        return abs(Fraction(a) - b) <= TIME_TOLERANCE
-
-    if not close(rep.e2e_delay, exp_delay):
+    if rep.e2e_delay != exp_delay:
         out.append(
-            f"{name}/{mode}: delay {seconds_to_us_display(rep.e2e_delay)} us, "
-            f"expected {seconds_to_us_display(exp_delay)} us"
+            f"{name}/{mode}: delay {fmt_rat(rep.e2e_delay)} s, "
+            f"expected {fmt_rat(exp_delay)} s"
         )
-    if not close(rep.e2e_jitter, exp_jitter):
+    if rep.e2e_jitter != exp_jitter:
         out.append(
-            f"{name}/{mode}: jitter {seconds_to_us_display(rep.e2e_jitter)} us, "
-            f"expected {seconds_to_us_display(exp_jitter)} us"
+            f"{name}/{mode}: jitter {fmt_rat(rep.e2e_jitter)} s, "
+            f"expected {fmt_rat(exp_jitter)} s"
         )
     got_timeouts = {r.element_id: r.timeout for r in rep.resequencers}
     for rid, exp_t in ref.timeouts:
         if rid not in got_timeouts:
             out.append(f"{name}/{mode}: missing re-sequencer {rid}")
-        elif not close(got_timeouts[rid], exp_t):
+        elif got_timeouts[rid] != exp_t:
             out.append(
-                f"{name}/{mode}: timeout[{rid}] "
-                f"{seconds_to_us_display(got_timeouts[rid])} us, "
-                f"expected {seconds_to_us_display(exp_t)} us"
+                f"{name}/{mode}: timeout[{rid}] {fmt_rat(got_timeouts[rid])} s, "
+                f"expected {fmt_rat(exp_t)} s"
             )
     for r in rep.resequencers:
-        if abs(r.buffer_size - exp_buffer) > BYTE_TOLERANCE:
+        if r.buffer_size != exp_buffer:
             out.append(
                 f"{name}/{mode}: size[{r.element_id}] {r.buffer_size} B, "
                 f"expected {exp_buffer} B"

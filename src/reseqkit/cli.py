@@ -152,10 +152,11 @@ def cmd_metrics(args) -> int:
         trace = trace_from_csv(fh.read())
     r_time = rto(trace)
     r_byte = rbo(trace)
+    # before any output: a trace with every packet lost fails here
+    dj = delay_jitter(trace) if trace.has_emit_times else None
     print(f"rto_s={fmt_rat(r_time.value)} ({seconds_to_us_display(r_time.value)} us)")
     print(f"rbo_bytes={fmt_rat(r_byte.value)}")
-    if trace.has_emit_times:
-        dj = delay_jitter(trace)
+    if dj is not None:
         print(f"d_max_s={fmt_rat(dj.d_max)} ({seconds_to_us_display(dj.d_max)} us)")
         print(f"d_min_s={fmt_rat(dj.d_min)} ({seconds_to_us_display(dj.d_min)} us)")
         print(f"jitter_s={fmt_rat(dj.jitter)} ({seconds_to_us_display(dj.jitter)} us)")

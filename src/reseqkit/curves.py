@@ -486,13 +486,16 @@ def _fenwick_min(tree: List[Rat], i: int) -> Rat:
 def check_trace_conforms(trace, curve: Curve) -> Conformance:
     """Conformance of a trace's emission times against `curve`.
 
-    Works on any object exposing ``packets`` with ``emit_time`` and ``size``;
-    all packets (including ones lost downstream) count at the source.
+    Reads the ``Trace`` tick columns; all packets (including ones lost
+    downstream) count at the source.
     """
-    pkts = list(trace.packets)
-    if any(p.emit_time is None for p in pkts):
+    if trace.emit_ticks is None:
         raise ValueError("trace has no emission times")
-    return check_conforms([p.emit_time for p in pkts], [p.size for p in pkts], curve)
+    return check_conforms(
+        [Fraction(t, trace.time_den) for t in trace.emit_ticks],
+        [Fraction(s, trace.size_den) for s in trace.size_ticks],
+        curve,
+    )
 
 
 def curve_from_json(obj: dict) -> Curve:

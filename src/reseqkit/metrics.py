@@ -21,7 +21,10 @@ multiple of their denominators (10**9 for a nanosecond capture), and sizes
 are ticks of 1/``size_den`` B.  Parsing, validation, ``rto``, ``rbo`` and
 ``delay_jitter`` run on those integers, so results stay exact; they become
 ``Fraction(ticks, den)`` only in the returned ``OffsetResult`` and
-``DelayJitter``.  ``Trace.packets`` is built from the columns on first use.
+``DelayJitter``.  A ``Trace`` is built from those columns,
+``Trace(sizes, emit_times, observe_times, flow)``, or read by
+``trace_from_csv``; ``trace_to_csv`` writes the ticks straight back out.
+``Trace.packets``, a per-packet view, is built from the columns on first use.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .rational import (
     INF,
     Cell,
     Rat,
-    fmt_rat,
+    fmt_ticks,
     is_inf,
     on_common_base,
     over,
@@ -86,29 +89,32 @@ class Trace:
     """A validated trace: per packet, in index order, its size and its emit
     and observe times as integer ticks (see the module docstring).
 
-    ``Trace(packets, flow)`` takes ``PacketObservation``s; ``trace_from_csv``
-    fills the columns directly.  Either way the same checks run on the
-    integer columns: contiguous indices from 1, emission times for all
-    packets or none, wide-sense increasing emissions, no observation before
-    emission, sizes inside the flow's [l_min, l_max], and distinct finite
-    observation times.
+    ``Trace(sizes, emit_times, observe_times, flow)`` takes one column per
+    quantity, position i being packet i+1, and ``emit_times=None`` for a
+    trace without emission times; ``trace_from_csv`` fills the columns from
+    the file.  Either way the same checks run on the integer columns:
+    contiguous indices from 1, emission times for all packets or none,
+    wide-sense increasing emissions, no observation before emission, sizes
+    inside the flow's [l_min, l_max], and distinct finite observation times.
     """
 
     __slots__ = ("flow", "time_den", "size_den", "size_ticks", "emit_ticks",
                  "observe_ticks", "_packets")
 
-    def __init__(self, packets: Sequence[PacketObservation],
-                 flow: Optional[FlowSpec] = None) -> None:
-        packets = tuple(packets)
-        self._set_columns(
-            [p.index for p in packets],
-            [p.size.as_integer_ratio() for p in packets],
-            [None if p.emit_time is None else p.emit_time.as_integer_ratio()
-             for p in packets],
-            [ratio(p.observe_time) for p in packets],
-            flow,
-        )
-        self._packets: Optional[Tuple[PacketObservation, ...]] = packets
+    def __init__(self, sizes: Sequence[Rat], emit_times: Optional[Sequence[Rat]],
+                 observe_times: Sequence[Rat], flow: Optional[FlowSpec] = None) -> None:
+        n = len(observe_times)
+        if len(sizes) != n or (emit_times is not None and len(emit_times) != n):
+            raise TraceError("size, emission and observation columns differ in length")
+        size_cells = list(map(ratio, sizes))
+        if any(c is INF or c[0] <= 0 for c in size_cells):
+            raise TraceError("packet sizes must be finite and > 0")
+        emits = [None] * n if emit_times is None else list(map(ratio, emit_times))
+        if INF in emits:
+            raise TraceError("emission times must be finite")
+        self._set_columns(list(range(1, n + 1)), size_cells, emits,
+                          list(map(ratio, observe_times)), flow)
+        self._packets: Optional[Tuple[PacketObservation, ...]] = None
 
     @classmethod
     def _from_cells(cls, indices: List[int], sizes: List[Cell], emits: List[Cell],
@@ -179,7 +185,10 @@ class Trace:
         return hash((self.packets, self.flow))
 
     def __repr__(self) -> str:
-        return f"Trace(packets={self.packets!r}, flow={self.flow!r})"
+        p = self.packets
+        emits = None if self.emit_ticks is None else [x.emit_time for x in p]
+        return (f"Trace({[x.size for x in p]!r}, {emits!r}, "
+                f"{[x.observe_time for x in p]!r}, flow={self.flow!r})")
 
 
 def _check_distinct_observations(observe_ticks: List[Union[int, float]]) -> None:
@@ -279,20 +288,14 @@ def delay_jitter(trace: Trace) -> DelayJitter:
 
 
 def trace_to_csv(trace: Trace) -> str:
-    """Serialize to the one-row-per-packet CSV format (exact numeric strings)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for p in trace.packets:
-        w.writerow(
-            [
-                p.index,
-                fmt_rat(p.size),
-                "-" if p.emit_time is None else fmt_rat(p.emit_time),
-                fmt_rat(p.observe_time),
-            ]
-        )
-    return buf.getvalue()
+    """Serialize to the one-row-per-packet CSV format (exact numeric strings),
+    each column written straight from its ticks."""
+    n = len(trace)
+    emits = (["-"] * n if trace.emit_ticks is None
+             else fmt_ticks(trace.emit_ticks, trace.time_den))
+    rows = zip(map(str, range(1, n + 1)), fmt_ticks(trace.size_ticks, trace.size_den),
+               emits, fmt_ticks(trace.observe_ticks, trace.time_den))
+    return "".join(f"{line}\n" for line in map(",".join, [CSV_HEADER, *rows]))
 
 
 def _cell(text: str, finite: bool) -> Cell:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
-from .metrics import PacketObservation, Trace
+from .metrics import Trace
 from .rational import INF, Rat, fmt_rat
 
 
@@ -120,12 +120,7 @@ def gen_two_packet_swap(rto_value: Rat, t0: Rat = 0) -> Trace:
     if lam <= 0:
         raise ScenarioError("the overtaking offset must be > 0")
     t0 = Fraction(t0)
-    return Trace(
-        (
-            PacketObservation(1, Fraction(64), None, t0 + lam),
-            PacketObservation(2, Fraction(64), None, t0),
-        )
-    )
+    return Trace([64, 64], None, [t0 + lam, t0])
 
 
 def gen_lossless_backlog_burst(
@@ -144,12 +139,8 @@ def gen_lossless_backlog_burst(
     if not burst:
         raise ScenarioError("need at least one early packet")
     k = len(burst)
-    packets = [PacketObservation(1, Fraction(first_size), None, lam)]
-    for j, s in enumerate(burst, start=2):
-        packets.append(
-            PacketObservation(j, s, None, Fraction(j - 2, k + 1) * lam)
-        )
-    return Trace(tuple(packets))
+    observes = [lam] + [Fraction(j, k + 1) * lam for j in range(k)]
+    return Trace([Fraction(first_size)] + burst, None, observes)
 
 
 def gen_lossy_backlog_burst(
@@ -196,18 +187,7 @@ def gen_lossy_backlog_burst(
     for k in range(2, n + 1):
         observes.append(max(observes[-1], emits[k]) + eps / (3 * (n - 1)))
 
-    packets = tuple(
-        PacketObservation(i + 1, all_sizes[i], emits[i], observes[i])
-        for i in range(n + 1)
-    )
-    trace = Trace(packets, flow)
-    verdict = check_conforms(emits, all_sizes, curve)
-    if not verdict:
-        raise ScenarioError(
-            "packetized emissions violate the curve "
-            f"(pair {verdict.first_index},{verdict.second_index})"
-        )
-    return trace
+    return _conforming_trace(all_sizes, emits, observes, flow, curve)
 
 
 def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
@@ -220,13 +200,7 @@ def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
     spacing = min_spacing(curve, lm)
     if v <= spacing:
         raise ScenarioError("jitter at or below the curve spacing: no reordering")
-    a1, a2 = Fraction(0), spacing
-    return Trace(
-        (
-            PacketObservation(1, lm, a1, a1 + v),
-            PacketObservation(2, lm, a2, a2),
-        )
-    )
+    return Trace([lm, lm], [Fraction(0), spacing], [v, spacing])
 
 
 def gen_rbo_tight_burst(
@@ -255,10 +229,14 @@ def gen_rbo_tight_burst(
     observes: List[Fraction] = [v + eps]
     for k in range(2, n + 1):
         observes.append(v + Fraction(k - 2, n) * eps)
-    packets = tuple(
-        PacketObservation(i + 1, sizes[i], emits[i], observes[i]) for i in range(n)
-    )
-    trace = Trace(packets, flow)
+    return _conforming_trace(sizes, emits, observes, flow, curve)
+
+
+def _conforming_trace(sizes: List[Fraction], emits: List[Fraction],
+                      observes: List[Rat], flow: FlowSpec, curve: Curve) -> Trace:
+    """The generated trace, refused when its packetized emissions violate
+    the curve they were derived from."""
+    trace = Trace(sizes, emits, observes, flow)
     verdict = check_conforms(emits, sizes, curve)
     if not verdict:
         raise ScenarioError(
@@ -298,7 +276,6 @@ def gen_amplified_rto_chain(
     eps = Fraction(eps) if eps is not None else _default_eps(lam_s)
     if not 0 < eps < lam_s:
         raise ScenarioError("need 0 < eps < head-stage RTO")
-    size = Fraction(64)
 
     # Packet 2 enters at eps and crosses every stage with zero delay; packet
     # 1 enters at 0 and is held back by the head's RTO and every later jitter.
@@ -308,22 +285,11 @@ def gen_amplified_rto_chain(
         out1 = t1 + (0 if h < head else lam_s if h == head else Fraction(v_h))
         # Index packets by arrival order at this stage's input.
         pairs = [(t1, out1), (eps, eps)] if t1 < eps else [(eps, eps), (t1, out1)]
-        per_stage.append(
-            Trace(
-                tuple(
-                    PacketObservation(i + 1, size, a, e)
-                    for i, (a, e) in enumerate(pairs)
-                )
-            )
-        )
+        emits, observes = zip(*pairs)
+        per_stage.append(Trace([64, 64], emits, observes))
         t1 = out1
 
-    end_to_end = Trace(
-        (
-            PacketObservation(1, size, Fraction(0), t1),
-            PacketObservation(2, size, eps, eps),
-        )
-    )
+    end_to_end = Trace([64, 64], [Fraction(0), eps], [t1, eps])
     downstream = sum(
         (Fraction(v) for v, _ in stages[head:]), Fraction(0)
     )

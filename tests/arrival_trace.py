@@ -1,6 +1,8 @@
-"""Hand-written arrival maps as the ``Trace`` that ``simulate`` takes."""
+"""Test-side inputs as the column-built ``Trace`` that ``simulate`` and the
+metrics take: hand-written arrival maps, and ``PacketObservation`` records
+read by the ``Fraction`` oracle."""
 
-from reseqkit.metrics import PacketObservation, Trace
+from reseqkit.metrics import Trace
 from reseqkit.rational import INF
 
 LOST = (INF, 1)  # a lost packet's size is never read
@@ -9,8 +11,13 @@ LOST = (INF, 1)  # a lost packet's size is never read
 def arrival_trace(arrivals):
     """``{seq: (observe_time, size)}`` as a trace without emission times; a
     missing index up to the largest one is a lost packet."""
-    return Trace(tuple(
-        PacketObservation(i, size, None, t)
-        for i in range(1, max(arrivals, default=0) + 1)
-        for t, size in [arrivals.get(i, LOST)]
-    ))
+    cells = [arrivals.get(i, LOST) for i in range(1, max(arrivals, default=0) + 1)]
+    return Trace([size for _, size in cells], None, [t for t, _ in cells])
+
+
+def packets_trace(packets, flow=None):
+    """Records indexed 1..n in order, as the ``Trace`` of their columns."""
+    assert [p.index for p in packets] == list(range(1, len(packets) + 1))
+    emits = [p.emit_time for p in packets]
+    return Trace([p.size for p in packets], None if None in emits else emits,
+                 [p.observe_time for p in packets], flow)

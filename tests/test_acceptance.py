@@ -28,7 +28,7 @@ from reseqkit.curves import (
     leaky_bucket,
     min_curves,
 )
-from reseqkit.metrics import PacketObservation, Trace, delay_jitter, rbo, rto
+from reseqkit.metrics import Trace, delay_jitter, rbo, rto
 from reseqkit.path_analysis import PathSpec, analyze_path, insert_resequencers
 from reseqkit.rational import INF, round_half_up
 from reseqkit.resequencer import (
@@ -354,10 +354,7 @@ def random_conforming_trace(rng, flow, jitter_bound, n, lose=False):
                 used.add(a + d)
                 observes.append(a + d)
                 break
-    packets = tuple(
-        PacketObservation(i + 1, sizes[i], emits[i], observes[i]) for i in range(n)
-    )
-    return Trace(packets, flow)
+    return Trace(sizes, emits, observes, flow)
 
 
 class TestCriterion4DimensioningGuarantees:

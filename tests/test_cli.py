@@ -1,14 +1,15 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reseqkit import cli, path_analysis
+from reseqkit import case_study, cli, path_analysis
 from reseqkit.cli import DISCARD, INPUT_ERROR, OK, UNSAFE_WARNING, main
 from reseqkit.curves import horizontal_deviation
 from reseqkit.metrics import trace_from_csv, trace_to_csv
@@ -287,6 +288,8 @@ class TestConfigErrors:
 
 LOSSY_BACKLOG = str(GOLDEN / "lossy_backlog.csv")
 TWO_SEGMENTS = str(GOLDEN / "two_segments_path.json")
+STAIRCASE_CURVE = str(GOLDEN / "staircase_curve.json")
+PACKET_CURVE = str(GOLDEN / "packet_curve.json")
 GOLDEN_EXIT = {  # OK for the rest
     "lossy_backlog_discard.json": DISCARD,
     "two_segments_both.table": UNSAFE_WARNING,
@@ -334,6 +337,27 @@ GOLDEN_EXIT = {  # OK for the rest
         # one report in the list: the config's own loss mode as JSON
         (["analyze", "--config", str(BUNDLED), "--format", "json"],
          "analyze_lossy.json"),
+    ] + [
+        # one trace per generator: p/q times, --t0, a non-integer size, a
+        # constant-size flow, a staircase and a packet-unit curve
+        (["scenario", "two-packet-swap", "--rto", "1/3", "--t0", "1/7"],
+         "two_packet_swap.csv"),
+        (["scenario", "lossless-backlog", "--rto", "5ms", "--sizes", "64,100,64.5"],
+         "lossless_backlog.csv"),
+        (["scenario", "lossy-backlog", "--rate", "12800", "--burst", "320",
+          "--jitter", "7ms", "--timeout", "3ms"],
+         "lossy_backlog_constant.csv"),
+        (["scenario", "lossy-backlog", "--curve-json", STAIRCASE_CURVE,
+          "--jitter", "20ms", "--timeout", "10ms", "--l-min", "64", "--l-max", "128"],
+         "lossy_backlog_staircase.csv"),
+        (["scenario", "rto-tight", "--curve-json", PACKET_CURVE, "--jitter", "5ms"],
+         "rto_tight_packets.csv"),
+        (["scenario", "rbo-tight", "--rate", "6400", "--burst", "640",
+          "--jitter", "20ms", "--l-min", "64", "--l-max", "128", "--eps", "1/3000"],
+         "rbo_tight.csv"),
+        (["scenario", "rto-chain", "--stages", "1/3:1/7,1/11:0,2:1", "--head", "3",
+          "--eps", "1/1000"],
+         "rto_chain.csv"),
     ],
 )
 def test_whole_output_matches_golden(argv, golden, capsys):
@@ -405,6 +429,12 @@ def test_malformed_curve_json_is_input_error(curve, message, tmp_path, capsys):
     assert out == "" and err == f"error: {message}\n"
 
 
+# every packet has an emission time, and every packet is lost
+ALL_LOST_WITH_EMISSIONS = (
+    "index,size_bytes,emit_time_s,observe_time_s\n1,64,0,inf\n2,64,1,inf\n"
+)
+
+
 class TestMetrics:
     def test_swap_trace_reports_requested_offset(self, swap_trace_file, capsys):
         assert main(["metrics", swap_trace_file]) == OK
@@ -434,6 +464,14 @@ class TestMetrics:
         out = capsys.readouterr().out
         assert "packet 1:" not in out
         assert "packet 2:" in out
+
+    def test_all_lost_with_emissions_prints_only_the_error(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        p.write_text(ALL_LOST_WITH_EMISSIONS, encoding="utf-8")
+        assert main(["metrics", str(p)]) == INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: all packets lost; delay metrics undefined\n"
 
     def test_duplicate_times_error(self, tmp_path, capsys):
         p = tmp_path / "t.csv"
@@ -556,6 +594,27 @@ class TestCaseStudy:
         blob = json.loads(capsys.readouterr().out)
         assert blob["only at h2"]["lossless"]["e2e"]["delay_us_display"] == "95.22"
 
+    def test_delay_one_ns_off_is_a_mismatch(self, monkeypatch, capsys):
+        ref = case_study.REFERENCE["only at h2"]
+        moved = replace(ref, delay_lossless=ref.delay_lossless + F(1, 10**9))
+        monkeypatch.setitem(case_study.REFERENCE, "only at h2", moved)
+        assert main(["case-study", "automotive", "--check"]) == INPUT_ERROR
+        assert capsys.readouterr().out.endswith(
+            "check: MISMATCH\n"
+            "  only at h2/lossless: delay 0.000095224 s, expected 0.000095225 s\n"
+        )
+
+    def test_buffer_one_byte_off_is_a_mismatch(self, monkeypatch, capsys):
+        ref = case_study.REFERENCE["at S1 and S2"]
+        moved = replace(ref, buffer_lossy=ref.buffer_lossy + 1)
+        monkeypatch.setitem(case_study.REFERENCE, "at S1 and S2", moved)
+        assert main(["case-study", "automotive", "--check"]) == INPUT_ERROR
+        assert capsys.readouterr().out.endswith(
+            "check: MISMATCH\n"
+            "  at S1 and S2/lossy: size[S1.fabric.reseq] 6400 B, expected 6401 B\n"
+            "  at S1 and S2/lossy: size[S2.fabric.reseq] 6400 B, expected 6401 B\n"
+        )
+
 
 HEADER = "index,size_bytes,emit_time_s,observe_time_s"
 CELLS = st.one_of(
@@ -612,6 +671,7 @@ def fuzz_file(tmp_path_factory):
 
 @settings(max_examples=200)
 @given(text=fuzzed_csv(), timeout=st.sampled_from(["inf", "0", "1", "2ns", "1/3"]))
+@example(text=ALL_LOST_WITH_EMISSIONS, timeout="inf")
 def test_fuzzed_trace_csv_exits_cleanly(fuzz_file, text, timeout):
     """metrics and simulate exit 0, 1 or 3 on any CSV; an exit 1 prints one
     error line and nothing else."""

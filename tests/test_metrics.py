@@ -5,6 +5,7 @@ import pytest
 
 from reseqkit.curves import FlowSpec, leaky_bucket
 from reseqkit.metrics import (
+    CSV_HEADER,
     DuplicateObservationError,
     PacketObservation,
     Trace,
@@ -15,19 +16,11 @@ from reseqkit.metrics import (
     trace_from_csv,
     trace_to_csv,
 )
-from reseqkit.rational import INF
+from reseqkit.rational import INF, fmt_rat
 
 
 def make_trace(observations, sizes=None, emits=None):
-    n = len(observations)
-    sizes = sizes or [F(64)] * n
-    emits = emits if emits is not None else [None] * n
-    return Trace(
-        tuple(
-            PacketObservation(i + 1, sizes[i], emits[i], observations[i])
-            for i in range(n)
-        )
-    )
+    return Trace(sizes or [F(64)] * len(observations), emits, observations)
 
 
 def rto_naive(trace):
@@ -68,7 +61,7 @@ def random_trace(rng, max_packets=40, with_emits=True, loss_prob=F(1, 8)):
     used = set()
     for _ in range(n):
         emit += F(rng.randint(0, 50), 16)
-        emits.append(emit if with_emits else None)
+        emits.append(emit)
         sizes.append(F(rng.choice([64, 100, 128, 200])))
         if rng.random() < loss_prob:
             observes.append(INF)
@@ -79,7 +72,43 @@ def random_trace(rng, max_packets=40, with_emits=True, loss_prob=F(1, 8)):
                     used.add(t)
                     observes.append(t)
                     break
-    return make_trace(observes, sizes, emits)
+    return make_trace(observes, sizes, emits if with_emits else None)
+
+
+class TestColumns:
+    def test_packets_view_reads_the_columns(self):
+        trace = Trace([64, F(129, 2)], [0, F(1, 3)], [F(1, 7), INF])
+        assert trace.packets == (
+            PacketObservation(1, F(64), F(0), F(1, 7)),
+            PacketObservation(2, F(129, 2), F(1, 3), INF),
+        )
+        assert not Trace([64], None, [1]).has_emit_times
+
+    @pytest.mark.parametrize("sizes,emits,observes,message", [
+        ([64], None, [1, 2], "columns differ in length"),
+        ([64, 64], [0], [1, 2], "columns differ in length"),
+        ([64, 0], None, [1, 2], "packet sizes must be finite and > 0"),
+        ([F(-1, 3)], [0], [1], "packet sizes must be finite and > 0"),
+        ([INF], None, [1], "packet sizes must be finite and > 0"),
+        ([64, 64], [0, INF], [1, INF], "emission times must be finite"),
+    ])
+    def test_bad_columns_raise_trace_error(self, sizes, emits, observes, message):
+        with pytest.raises(TraceError, match=message):
+            Trace(sizes, emits, observes)
+
+    def test_csv_cells_are_fmt_rat_of_each_value(self):
+        rng = random.Random(606)
+        traces = [random_trace(rng, with_emits=bool(k % 2)) for k in range(20)]
+        traces.append(Trace([F(3, 7), F("64.5")], [F(-1, 3), F("0.25")],
+                            [INF, F(2, 3)]))
+        for trace in traces:
+            rows = [",".join(CSV_HEADER)] + [
+                f"{p.index},{fmt_rat(p.size)},"
+                f"{'-' if p.emit_time is None else fmt_rat(p.emit_time)},"
+                f"{fmt_rat(p.observe_time)}"
+                for p in trace.packets
+            ]
+            assert trace_to_csv(trace) == "\n".join(rows) + "\n"
 
 
 class TestRto:
@@ -182,12 +211,8 @@ class TestInvariants:
             kept = [p for p in trace.packets if not p.lost]
             if not kept:
                 continue
-            reindexed = Trace(
-                tuple(
-                    PacketObservation(i + 1, p.size, None, p.observe_time)
-                    for i, p in enumerate(kept)
-                )
-            )
+            reindexed = Trace([p.size for p in kept], None,
+                              [p.observe_time for p in kept])
             assert rto(trace).value == rto(reindexed).value
             assert rbo(trace).value == rbo(reindexed).value
 
@@ -196,14 +221,9 @@ class TestInvariants:
         shift = F(977, 3)
         for _ in range(50):
             trace = random_trace(rng)
-            shifted = Trace(
-                tuple(
-                    PacketObservation(
-                        p.index, p.size, p.emit_time + shift, p.observe_time + shift
-                    )
-                    for p in trace.packets
-                )
-            )
+            shifted = Trace([p.size for p in trace.packets],
+                            [p.emit_time + shift for p in trace.packets],
+                            [p.observe_time + shift for p in trace.packets])
             assert rto(trace).value == rto(shifted).value
             assert rbo(trace).value == rbo(shifted).value
             if any(not p.lost for p in trace.packets):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_trace_oracle as oracle
+from arrival_trace import packets_trace
 from list_scan_oracle import simulate as list_scan_simulate
 from reseqkit.curves import FlowSpec, leaky_bucket
 from reseqkit.metrics import (
@@ -114,7 +115,7 @@ def assert_same_results(text, timeout, capacity):
     trace, ref = trace_from_csv(text), oracle.trace_from_csv(text)
     assert trace.packets == ref.packets
     assert all(type(t) is int or t is INF for t in trace.observe_ticks)
-    from_packets = Trace(ref.packets)
+    from_packets = packets_trace(ref.packets)
     for t in (trace, from_packets):
         assert rto(t) == oracle.rto(ref)
         assert rbo(t) == oracle.rbo(ref)
@@ -213,7 +214,7 @@ def test_flow_size_range_checked_like_oracle(rows, flow):
     text = csv_text(rows)
     assert parsed(trace_from_csv, text, flow) == parsed(oracle.trace_from_csv, text, flow)
     packets = oracle.trace_from_csv(text).packets
-    assert (outcome(lambda: Trace(packets, flow).packets)
+    assert (outcome(lambda: packets_trace(packets, flow).packets)
             == outcome(lambda: oracle.Trace(packets, flow).packets))
 
 
@@ -227,30 +228,31 @@ def primes(count):
     return found
 
 
-def prime_denominator_trace(n, seed=7):
-    """n packets whose emit and observe times have denominator p_i, the i-th
-    prime, so that the common denominator is the product of n primes; sizes
-    carry the first 50 primes.  Observations reorder over a few units."""
+def prime_denominator_columns(n, seed=7):
+    """Sizes, emit and observe times of n packets whose times have
+    denominator p_i, the i-th prime, so that the common denominator is the
+    product of n primes; sizes carry the first 50 primes.  Observations
+    reorder over a few units."""
     rng = random.Random(seed)
     ps = primes(n)
-    packets = []
+    sizes, emits, observes = [], [], []
     for i, p in enumerate(ps, start=1):
-        emit = i + F(1, p)
-        obs = INF if i % 97 == 0 else i + rng.randrange(4) + F(rng.randrange(1, p), p)
-        size = 64 + F(1, ps[i % 50])
-        packets.append(PacketObservation(i, size, emit, obs))
-    return packets
+        sizes.append(64 + F(1, ps[i % 50]))
+        emits.append(i + F(1, p))
+        observes.append(
+            INF if i % 97 == 0 else i + rng.randrange(4) + F(rng.randrange(1, p), p))
+    return sizes, emits, observes
 
 
 def test_prime_denominators_match_oracle():
-    packets = prime_denominator_trace(1000)
-    ref = oracle.Trace(tuple(packets))
-    trace = trace_from_csv(trace_to_csv(Trace(packets)))
+    columns = prime_denominator_columns(1000)
+    ref = oracle.Trace(tuple(map(PacketObservation, range(1, 1001), *columns)))
+    trace = trace_from_csv(trace_to_csv(Trace(*columns)))
     assert trace.packets == ref.packets
     assert rto(trace) == oracle.rto(ref)
     assert rbo(trace) == oracle.rbo(ref)
     assert delay_jitter(trace) == oracle.delay_jitter(ref)
-    arrivals = {p.index: (p.observe_time, p.size) for p in packets}
+    arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
     cfg = ResequencerConfig(F(3, 2), F(640))
     assert simulate(trace, cfg) == list_scan_simulate(arrivals, cfg)
     times = {i: t for i, (t, _) in arrivals.items()}
