@@ -22,7 +22,7 @@ from .curves import (
     RateLatencyService,
     StaircaseCurve,
     backlog_bound,
-    check_trace_conforms,
+    check_conforms,
     curve_from_json,
     horizontal_deviation,
     leaky_bucket,

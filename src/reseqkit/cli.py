@@ -9,8 +9,9 @@ Verbs:
 * ``case-study``: the bundled automotive example, with ``--check``.
 
 Exit codes: 0 success, 1 input or schema error, 2 analysis completed with an
-unsafe-configuration warning, 3 the simulation discarded a packet.  Output
-is deterministic for identical inputs.
+unsafe-configuration warning, 3 the simulation discarded a packet, 4
+``case-study --check`` found a figure off its reference.  Output is
+deterministic for identical inputs.
 
 A call's fixed cost is paid once per process.  ``main`` parses with one
 parser, built on its first call and reused by every later one;
@@ -44,7 +45,7 @@ from .rational import parse_rat, parse_time, seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
 
-OK, INPUT_ERROR, UNSAFE_WARNING, DISCARD = 0, 1, 2, 3
+OK, INPUT_ERROR, UNSAFE_WARNING, DISCARD, MISMATCH = 0, 1, 2, 3, 4
 
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -273,7 +274,7 @@ def cmd_case_study(args) -> int:
         print(_dump_json(payload))
     else:
         print(render_case_study(result, check=args.check))
-    return OK if result.ok else INPUT_ERROR
+    return OK if result.ok else MISMATCH
 
 
 # Per depth d: the opening "{" or "[" with the newline and indent of the

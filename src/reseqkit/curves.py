@@ -19,7 +19,8 @@ Every operation is pure and exact over Fractions.  The lower pseudo-inverse
 volume constraints into minimum spacing; ``min_spacing`` is the gap of two
 packets that every reordering bound subtracts.
 
-The trace conformance check (``check_conforms``) never enumerates packet
+The trace conformance check, ``check_conforms(trace, curve)``, takes a
+``metrics.Trace`` and runs on its integer ticks; it never enumerates packet
 pairs.  A min-affine curve is the minimum of its leaky buckets, so a trace
 conforms to it exactly when it conforms to every bucket; each bucket takes
 one token-bucket (GCRA) pass, O(n*k) for k pieces.  A staircase takes one
@@ -365,18 +366,20 @@ class Conformance:
         return self.ok
 
 
-def check_conforms(
-    emit_times: Sequence[Rat], sizes: Sequence[Rat], curve: Curve
-) -> Conformance:
-    """Check the spacing characterization of the arrival-curve constraint.
+def check_conforms(trace, curve: Curve) -> Conformance:
+    """Check a ``Trace``'s emission times against the spacing
+    characterization of the arrival-curve constraint.  Every packet counts
+    at the source, including ones lost downstream.
 
     For every pair m <= n the emission gap must satisfy
     ``A_n - A_m >= inv(sum of sizes m..n)`` (byte curves) or
     ``A_n - A_m >= inv(n - m + 1)`` (packet curves).
 
-    No pair is enumerated.  With prefix volumes P (bytes, or packet counts),
-    a min-affine curve is the minimum of its leaky buckets (r, b), and the
-    window m..n overflows bucket (r, b) iff
+    No pair is enumerated, and the check runs on the trace's integer ticks:
+    each piece, or the staircase, is scaled once to integer constants on
+    the trace's time and size bases.  With prefix volumes P (bytes, or
+    packet counts), a min-affine curve is the minimum of its leaky buckets
+    (r, b), and the window m..n overflows bucket (r, b) iff
     ``(P_n - r*A_n) - (P_{m-1} - r*A_m) > b``: one forward pass per piece
     with a running minimum of the subtrahend, O(n*k) for k pieces.  For a
     staircase b * ceil(t / tau), write ``A = tau * (q + f)`` with integer q
@@ -386,82 +389,89 @@ def check_conforms(
 
     The witness is the first non-conforming packet: the smallest violating n
     and, for that n, the smallest violating m (1-based), with the gap the
-    curve requires and the one observed.
+    curve requires and the one observed, the only Fractions the check makes.
     """
-    times = [Fraction(t) for t in emit_times]
-    if len(sizes) != len(times):
-        raise ValueError(
-            f"{len(sizes)} packet sizes for {len(times)} emission times"
-        )
-    if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
-        raise ValueError("emission times must be wide-sense increasing")
-    sizes = [Fraction(s) for s in sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError("packet sizes must be >= 0")
+    emits = trace.emit_ticks
+    if emits is None:
+        raise ValueError("trace has no emission times")
     if curve.unit == PACKETS:
-        vol: List[Rat] = list(range(len(times) + 1))
+        vol_den, vol = 1, range(len(emits) + 1)
     else:
-        vol = list(accumulate(sizes, initial=Fraction(0)))
-    if isinstance(curve, MinAffineCurve):
-        n = _first_affine_violation(times, vol, curve.pieces)
-    else:
-        n = _first_staircase_violation(times, vol, curve.burst, curve.period)
-    if n is None:
+        vol_den, vol = trace.size_den, list(accumulate(trace.size_ticks, initial=0))
+    sweep = (_affine_violation if isinstance(curve, MinAffineCurve)
+             else _staircase_violation)
+    pair = sweep(emits, vol, curve, trace.time_den, vol_den)
+    if pair is None:
         return Conformance(True)
-    m = next(
-        m
-        for m in range(n + 1)
-        if times[n] - times[m] < curve.pseudo_inverse(vol[n + 1] - vol[m])
-    )
-    need = Fraction(curve.pseudo_inverse(vol[n + 1] - vol[m]))
-    return Conformance(False, m + 1, n + 1, need, times[n] - times[m])
+    m, n = pair
+    need = curve.pseudo_inverse(Fraction(vol[n + 1] - vol[m], vol_den))
+    return Conformance(False, m + 1, n + 1, need,
+                       Fraction(emits[n] - emits[m], trace.time_den))
 
 
-def _first_affine_violation(
-    times: List[Fraction], vol: List[Rat], pieces: Sequence[Tuple[Fraction, Fraction]]
-) -> Optional[int]:
-    """0-based index of the first packet that overflows some leaky bucket."""
-    first = len(times)
-    for rate, burst in pieces:
+def _affine_violation(emits: Sequence[int], vol: Sequence[int], curve: MinAffineCurve,
+                      time_den: int, vol_den: int) -> Optional[Tuple[int, int]]:
+    """0-based (m, n) of the first packet n that overflows some bucket.
+
+    Bucket (r, b), scaled by ``time_den * vol_den * r.den * b.den``, is the
+    weights of a volume tick and of a time tick, and the burst ``cap``."""
+    buckets = []
+    for rate, burst in curve.pieces:
+        (rn, rd), (bn, bd) = rate.as_integer_ratio(), burst.as_integer_ratio()
+        buckets.append((time_den * rd * bd, vol_den * rn * bd,
+                        bn * vol_den * time_den * rd))
+    first = len(emits)
+    for per_vol, per_tick, cap in buckets:
         low: Rat = INF  # min over packets m <= n of P_{m-1} - r*A_m
         for n in range(first):
-            drained = rate * times[n]
-            low = min(low, vol[n] - drained)
-            if vol[n + 1] - drained - low > burst:
+            drained = per_tick * emits[n]
+            low = min(low, vol[n] * per_vol - drained)
+            if vol[n + 1] * per_vol - drained - low > cap:
                 first = n
                 break
-    return first if first < len(times) else None
+    if first == len(emits):
+        return None
+    n = first
+    return next(
+        (m, n) for m in range(n + 1)
+        if any((vol[n + 1] - vol[m]) * per_vol - per_tick * (emits[n] - emits[m]) > cap
+               for per_vol, per_tick, cap in buckets)
+    )
 
 
-def _first_staircase_violation(
-    times: List[Fraction], vol: List[Rat], burst: Fraction, period: Fraction
-) -> Optional[int]:
-    """0-based index of the first packet that overflows the staircase.
+def _staircase_violation(emits: Sequence[int], vol: Sequence[int],
+                         curve: StaircaseCurve, time_den: int,
+                         vol_den: int) -> Optional[Tuple[int, int]]:
+    """0-based (m, n) of the first packet n that overflows the staircase.
 
+    Volumes are scaled by ``burst.den``, so the burst is ``step`` ticks, and
+    ``divmod(A * period.den, per_period)`` is q and f in ticks of a period.
     Sweeps n forward and keeps, in two min-Fenwick trees keyed by phase rank,
     ``P_{m-1} - b*q_m`` over the m <= n with f_m <= f_n and with f_m > f_n.
     """
-    steps, phases = [], []
-    for t in times:
-        x = t / period
-        q = x.numerator // x.denominator
-        steps.append(q)
-        phases.append(x - q)
-    rank = {f: i for i, f in enumerate(sorted(set(phases)), start=1)}
+    bn, bd = curve.burst.as_integer_ratio()
+    pn, pd = curve.period.as_integer_ratio()
+    step, per_period = bn * vol_den, pn * time_den
+    split = [divmod(t * pd, per_period) for t in emits]
+    rank = {f: i for i, f in enumerate(sorted({f for _, f in split}), start=1)}
     size = len(rank)
     low_le: List[Rat] = [INF] * (size + 1)  # by phase rank
     low_gt: List[Rat] = [INF] * (size + 1)  # by reversed phase rank
-    for n, (q, f) in enumerate(zip(steps, phases)):
-        key = vol[n] - burst * q
+    for n, (q, f) in enumerate(split):
+        top = vol[n + 1] * bd - step * q
+        key = vol[n] * bd - step * q
         r = rank[f]
         _fenwick_lower(low_le, r, key)
         _fenwick_lower(low_gt, size + 1 - r, key)
-        top = vol[n + 1] - burst * q
         if (
-            _fenwick_min(low_le, r) < top - burst
+            _fenwick_min(low_le, r) < top - step
             or _fenwick_min(low_gt, size - r) < top
         ):
-            return n
+            return next(
+                (m, n) for m in range(n + 1)
+                if (vol[n + 1] - vol[m]) * bd
+                > step * ((emits[n] - emits[m]) * pd // per_period + 1)
+            )
     return None
 
 
@@ -481,21 +491,6 @@ def _fenwick_min(tree: List[Rat], i: int) -> Rat:
             best = tree[i]
         i -= i & -i
     return best
-
-
-def check_trace_conforms(trace, curve: Curve) -> Conformance:
-    """Conformance of a trace's emission times against `curve`.
-
-    Reads the ``Trace`` tick columns; all packets (including ones lost
-    downstream) count at the source.
-    """
-    if trace.emit_ticks is None:
-        raise ValueError("trace has no emission times")
-    return check_conforms(
-        [Fraction(t, trace.time_den) for t in trace.emit_ticks],
-        [Fraction(s, trace.size_den) for s in trace.size_ticks],
-        curve,
-    )
 
 
 def curve_from_json(obj: dict) -> Curve:

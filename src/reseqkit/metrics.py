@@ -34,6 +34,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import gt, le
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -91,8 +92,9 @@ class Trace:
 
     ``Trace(sizes, emit_times, observe_times, flow)`` takes one column per
     quantity, position i being packet i+1, and ``emit_times=None`` for a
-    trace without emission times; ``trace_from_csv`` fills the columns from
-    the file.  Either way the same checks run on the integer columns:
+    trace without emission times; its values are exact (a float other than
+    ``INF`` is refused).  ``trace_from_csv`` fills the columns from the
+    file.  Either way the same checks run on the integer columns:
     contiguous indices from 1, emission times for all packets or none,
     wide-sense increasing emissions, no observation before emission, sizes
     inside the flow's [l_min, l_max], and distinct finite observation times.
@@ -106,6 +108,9 @@ class Trace:
         n = len(observe_times)
         if len(sizes) != n or (emit_times is not None and len(emit_times) != n):
             raise TraceError("size, emission and observation columns differ in length")
+        for x in chain(sizes, emit_times or (), observe_times):
+            if isinstance(x, float) and x != INF:  # 0.1 is not 1/10; -inf, nan no time
+                raise TraceError(f"not an exact number: {x!r}")
         size_cells = list(map(ratio, sizes))
         if any(c is INF or c[0] <= 0 for c in size_cells):
             raise TraceError("packet sizes must be finite and > 0")
@@ -118,9 +123,9 @@ class Trace:
 
     @classmethod
     def _from_cells(cls, indices: List[int], sizes: List[Cell], emits: List[Cell],
-                    observes: List[Cell], flow: Optional[FlowSpec]) -> "Trace":
+                    observes: List[Cell]) -> "Trace":
         trace = cls.__new__(cls)
-        trace._set_columns(indices, sizes, emits, observes, flow)
+        trace._set_columns(indices, sizes, emits, observes, None)
         trace._packets = None
         return trace
 
@@ -317,14 +322,14 @@ def _cell(text: str, finite: bool) -> Cell:
     return INF if is_inf(x) else x.as_integer_ratio()
 
 
-def trace_from_csv(text: str, flow: Optional[FlowSpec] = None) -> Trace:
+def trace_from_csv(text: str) -> Trace:
     try:
-        return _read_csv(csv.reader(io.StringIO(text)), flow)
+        return _read_csv(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise TraceError(f"unreadable trace CSV: {exc}") from exc
 
 
-def _read_csv(rows: Iterator[List[str]], flow: Optional[FlowSpec]) -> Trace:
+def _read_csv(rows: Iterator[List[str]]) -> Trace:
     """Rows are read one at a time, so no list of them is ever held."""
     header = next(rows, None)
     if header is None or [h.strip() for h in header] != CSV_HEADER:
@@ -350,4 +355,4 @@ def _read_csv(rows: Iterator[List[str]], flow: Optional[FlowSpec]) -> Trace:
             raise TraceError("packet sizes must be > 0")
         indices.append(index)
         sizes.append(size_cell)
-    return Trace._from_cells(indices, sizes, emits, observes, flow)
+    return Trace._from_cells(indices, sizes, emits, observes)

@@ -174,13 +174,6 @@ def _half_up(n: int, d: int) -> int:
     return r if n >= 0 else -r
 
 
-def round_half_up(x: Fraction, digits: int) -> Fraction:
-    """Round to ``digits`` decimal places, ties away from zero going up."""
-    q = Fraction(10) ** digits
-    scaled = x * q
-    return _half_up(scaled.numerator, scaled.denominator) / q
-
-
 def floor_int(x: Rat) -> int:
     """Floor to an integer; used for byte displays."""
     if is_inf(x):

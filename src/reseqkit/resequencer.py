@@ -48,7 +48,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .metrics import Trace
 from .rational import INF, Cell, Rat, is_inf, on_common_base, over, ratio
@@ -78,69 +79,22 @@ INVALID_LATE = "invalid_late"
 OVERFLOW = "overflow"
 
 
+@dataclass(frozen=True)
 class ResequencerOutcome:
     """What a run of the buffer did.  Packet seq left at
     ``departure_ticks[seq - 1]`` ticks of 1/``time_den`` s, INF when it was
     lost, discarded or never released; ``departures`` is the same column as
-    ``{seq: Fraction}``, built on first use.
+    ``{seq: Fraction}``, built on first use."""
 
-    ``ResequencerOutcome(departures, ...)`` takes that map, keyed 1..n, and
-    puts it on the least common base of its values.  Outcomes are equal
-    when their values are, whatever their bases.
-    """
+    departure_ticks: Tuple[Union[int, float], ...]
+    time_den: int
+    discards: Dict[int, str]
+    max_occupancy: Fraction
+    max_residence: Fraction
 
-    __slots__ = ("departure_ticks", "time_den", "discards", "max_occupancy",
-                 "max_residence", "_departures")
-
-    def __init__(self, departures: Mapping[int, Rat], discards: Dict[int, str],
-                 max_occupancy: Fraction, max_residence: Fraction) -> None:
-        if sorted(departures) != list(range(1, len(departures) + 1)):
-            raise ValueError("departures must be keyed by 1..n")
-        den, (ticks,) = on_common_base(
-            [ratio(departures[seq]) for seq in range(1, len(departures) + 1)]
-        )
-        self._set(ticks, den, discards, max_occupancy, max_residence)
-
-    @classmethod
-    def _from_ticks(cls, ticks: Sequence[Union[int, float]], den: int,
-                    discards: Dict[int, str], max_occupancy: Fraction,
-                    max_residence: Fraction) -> "ResequencerOutcome":
-        outcome = cls.__new__(cls)
-        outcome._set(ticks, den, discards, max_occupancy, max_residence)
-        return outcome
-
-    def _set(self, ticks: Sequence[Union[int, float]], den: int,
-             discards: Dict[int, str], max_occupancy: Fraction,
-             max_residence: Fraction) -> None:
-        self.departure_ticks = tuple(ticks)
-        self.time_den = den
-        self.discards = discards
-        self.max_occupancy = max_occupancy
-        self.max_residence = max_residence
-        self._departures: Optional[Dict[int, Rat]] = None
-
-    @property
+    @cached_property
     def departures(self) -> Dict[int, Rat]:
-        if self._departures is None:
-            self._departures = over(
-                dict(enumerate(self.departure_ticks, start=1)), self.time_den
-            )
-        return self._departures
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResequencerOutcome):
-            return NotImplemented
-        if self.time_den == other.time_den:
-            same = self.departure_ticks == other.departure_ticks
-        else:
-            same = self.departures == other.departures
-        return same and (self.discards, self.max_occupancy, self.max_residence) == (
-            other.discards, other.max_occupancy, other.max_residence)
-
-    def __repr__(self) -> str:
-        return (f"ResequencerOutcome(departures={self.departures!r}, "
-                f"discards={self.discards!r}, max_occupancy={self.max_occupancy!r}, "
-                f"max_residence={self.max_residence!r})")
+        return over(dict(enumerate(self.departure_ticks, start=1)), self.time_den)
 
 
 def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
@@ -222,8 +176,8 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
                 break
             next_expected = seq + 1
 
-    return ResequencerOutcome._from_ticks(
-        departures,
+    return ResequencerOutcome(
+        tuple(departures),
         time_den,
         discards,
         Fraction(max_occupancy, size_den),

@@ -237,7 +237,7 @@ def _conforming_trace(sizes: List[Fraction], emits: List[Fraction],
     """The generated trace, refused when its packetized emissions violate
     the curve they were derived from."""
     trace = Trace(sizes, emits, observes, flow)
-    verdict = check_conforms(emits, sizes, curve)
+    verdict = check_conforms(trace, curve)
     if not verdict:
         raise ScenarioError(
             "packetized emissions violate the curve "

@@ -21,3 +21,10 @@ def packets_trace(packets, flow=None):
     emits = [p.emit_time for p in packets]
     return Trace([p.size for p in packets], None if None in emits else emits,
                  [p.observe_time for p in packets], flow)
+
+
+def source_trace(sizes, emits):
+    """Packets of ``sizes`` emitted at ``emits``, as a trace that sees none
+    of them arrive: every packet counts at the source, as ``check_conforms``
+    counts them."""
+    return Trace(sizes, emits, [INF] * len(sizes))

@@ -151,7 +151,7 @@ def delay_jitter(trace: Trace) -> DelayJitter:
     return DelayJitter(d_max, d_min, d_max - d_min)
 
 
-def trace_from_csv(text: str, flow: Optional[FlowSpec] = None) -> Trace:
+def trace_from_csv(text: str) -> Trace:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [h.strip() for h in rows[0]] != CSV_HEADER:
         raise TraceError(f"trace CSV must start with header {','.join(CSV_HEADER)}")
@@ -170,7 +170,7 @@ def trace_from_csv(text: str, flow: Optional[FlowSpec] = None) -> Trace:
                 observe_time=parse_rat(obs),
             )
         )
-    return Trace(tuple(packets), flow)
+    return Trace(tuple(packets))
 
 
 def analytic_departures(

@@ -5,7 +5,9 @@ to a heap, kept verbatim as a differential oracle.  Every event rebuilds the
 list of pending deadlines and takes its minimum, so the next timer is chosen
 by an independent method, at O(backlog) per event.  It also keeps its own
 copy of the ``Fraction`` arrival checks that ``simulate`` ran before it
-moved to integer ticks.  Only the tests use it.
+moved to integer ticks.  It returns the outcome as the tuple
+``(departures, discards, max_occupancy, max_residence)``, which
+``fields`` reads off a ``ResequencerOutcome``.  Only the tests use it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ from reseqkit.resequencer import (
     ResequencerConfig,
     ResequencerOutcome,
 )
+
+Outcome = Tuple[Dict[int, Rat], Dict[int, str], Fraction, Fraction]
+
+
+def fields(outcome: ResequencerOutcome) -> Outcome:
+    """The four fields of ``outcome`` that ``simulate`` below returns."""
+    return (outcome.departures, outcome.discards, outcome.max_occupancy,
+            outcome.max_residence)
 
 
 def _normalize_arrivals(
@@ -46,7 +56,7 @@ def _normalize_arrivals(
 def simulate(
     arrivals: Mapping[int, Tuple[Rat, Rat]],
     cfg: ResequencerConfig,
-) -> ResequencerOutcome:
+) -> Outcome:
     """Run the buffer over ``{seq: (arrival_time, size)}``; a missing index or
     an inf arrival time is a packet lost upstream.
 
@@ -133,4 +143,4 @@ def simulate(
             del timers[deadline_seq]
             handle_timeout(deadline_seq, next_deadline)
 
-    return ResequencerOutcome(departures, discards, max_occupancy, max_residence)
+    return departures, discards, max_occupancy, max_residence

@@ -30,7 +30,7 @@ from reseqkit.curves import (
 )
 from reseqkit.metrics import Trace, delay_jitter, rbo, rto
 from reseqkit.path_analysis import PathSpec, analyze_path, insert_resequencers
-from reseqkit.rational import INF, round_half_up
+from reseqkit.rational import INF, seconds_to_us_display
 from reseqkit.resequencer import (
     INVALID_LATE,
     ResequencerConfig,
@@ -60,7 +60,7 @@ def us(x: str) -> F:
 
 
 def display_us(x) -> F:
-    return round_half_up(F(x) / US, 2)
+    return F(seconds_to_us_display(x))
 
 
 # frozen per-element figures of the automotive path (exact)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reseqkit import case_study, cli, path_analysis
-from reseqkit.cli import DISCARD, INPUT_ERROR, OK, UNSAFE_WARNING, main
+from reseqkit.cli import DISCARD, INPUT_ERROR, MISMATCH, OK, UNSAFE_WARNING, main
 from reseqkit.curves import horizontal_deviation
 from reseqkit.metrics import trace_from_csv, trace_to_csv
 from reseqkit.scenarios import gen_two_packet_swap
@@ -598,7 +598,7 @@ class TestCaseStudy:
         ref = case_study.REFERENCE["only at h2"]
         moved = replace(ref, delay_lossless=ref.delay_lossless + F(1, 10**9))
         monkeypatch.setitem(case_study.REFERENCE, "only at h2", moved)
-        assert main(["case-study", "automotive", "--check"]) == INPUT_ERROR
+        assert main(["case-study", "automotive", "--check"]) == MISMATCH
         assert capsys.readouterr().out.endswith(
             "check: MISMATCH\n"
             "  only at h2/lossless: delay 0.000095224 s, expected 0.000095225 s\n"
@@ -608,7 +608,7 @@ class TestCaseStudy:
         ref = case_study.REFERENCE["at S1 and S2"]
         moved = replace(ref, buffer_lossy=ref.buffer_lossy + 1)
         monkeypatch.setitem(case_study.REFERENCE, "at S1 and S2", moved)
-        assert main(["case-study", "automotive", "--check"]) == INPUT_ERROR
+        assert main(["case-study", "automotive", "--check"]) == MISMATCH
         assert capsys.readouterr().out.endswith(
             "check: MISMATCH\n"
             "  at S1 and S2/lossy: size[S1.fabric.reseq] 6400 B, expected 6401 B\n"

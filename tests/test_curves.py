@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curve_oracle
+from arrival_trace import source_trace
 from pairwise_conformance_oracle import check_conforms as pairwise_check_conforms
+from test_trace_ticks import prime_denominator_columns
 from reseqkit.curves import (
     BYTES,
     PACKETS,
@@ -26,6 +28,7 @@ from reseqkit.curves import (
     min_curves,
     shift_jitter,
 )
+from reseqkit.metrics import CSV_HEADER, Trace, TraceError, trace_from_csv
 from reseqkit.scenarios import packetize
 
 US = F(1, 10**6)
@@ -356,40 +359,78 @@ class TestCanonicalEnvelope:
 
 class TestConformance:
     def test_single_max_packet(self):
-        verdict = check_conforms([F(0)], [F(64)], AUTOMOTIVE_ALPHA1)
+        verdict = check_conforms(source_trace([F(64)], [F(0)]), AUTOMOTIVE_ALPHA1)
         assert verdict.ok
 
     def test_back_to_back_packets_violate(self):
-        verdict = check_conforms([F(0), F(0)], [F(64), F(64)], AUTOMOTIVE_ALPHA1)
+        trace = source_trace([F(64), F(64)], [F(0), F(0)])
+        verdict = check_conforms(trace, AUTOMOTIVE_ALPHA1)
         assert not verdict.ok
         assert (verdict.first_index, verdict.second_index) == (1, 2)
         assert verdict.required_gap == F("0.512") * US
 
     def test_gap_exactly_at_inverse_conforms(self):
         gap = F("0.512") * US
-        verdict = check_conforms([F(0), gap], [F(64), F(64)], AUTOMOTIVE_ALPHA1)
-        assert verdict.ok
+        trace = source_trace([F(64), F(64)], [F(0), gap])
+        assert check_conforms(trace, AUTOMOTIVE_ALPHA1).ok
 
     def test_packet_curve_spacing(self):
         c = StaircaseCurve(F(1), F("0.008"), "packets")
-        assert not check_conforms([F(0), F("0.004")], [F(10), F(10)], c).ok
-        assert check_conforms([F(0), F("0.008")], [F(10), F(10)], c).ok
+        assert not check_conforms(source_trace([F(10)] * 2, [F(0), F("0.004")]), c).ok
+        assert check_conforms(source_trace([F(10)] * 2, [F(0), F("0.008")]), c).ok
 
+    @pytest.mark.parametrize("curve", [
+        MinAffineCurve(((F(1, 1000), F(1)),), PACKETS),  # 1 ns short: 1 unit over
+        leaky_bucket(F(6400, 3), F(1283, 2)),
+        min_curves(leaky_bucket(F(6400, 3), F(1283, 2)), leaky_bucket(F(128000, 7), 64)),
+        StaircaseCurve(F(129, 2), F(1, 3)),
+        StaircaseCurve(F(3), F(2, 7), PACKETS),
+    ])
+    def test_one_ns_early_violates(self, curve):
+        # packetize leaves every packet at its earliest conforming time; the
+        # last one starts a period, and 1 ns is one tick of the pulled trace
+        sizes = [F(64)] * 13
+        emits = packetize(curve, sizes if curve.unit == BYTES else [F(1)] * 13)
+        assert check_conforms(source_trace(sizes, emits), curve).ok
+        emits[-1] -= F(1, 10**9)
+        assert emits[-2] < emits[-1]
+        verdict = check_conforms(source_trace(sizes, emits), curve)
+        assert not verdict.ok
+        assert verdict == pairwise_check_conforms(emits, sizes, curve)
+
+    # a trace that the check could not read is refused when it is built
     def test_decreasing_times_rejected(self):
-        with pytest.raises(ValueError):
-            check_conforms([F(1), F(0)], [F(1), F(1)], AUTOMOTIVE_ALPHA1)
+        with pytest.raises(TraceError, match="wide-sense increasing"):
+            source_trace([F(1), F(1)], [F(1), F(0)])
 
     def test_fewer_sizes_than_times_rejected(self):
-        with pytest.raises(ValueError, match="2 packet sizes for 3 emission times"):
-            check_conforms([F(0), F(1), F(2)], [F(64), F(64)], AUTOMOTIVE_ALPHA1)
+        with pytest.raises(TraceError, match="columns differ in length"):
+            source_trace([F(64), F(64)], [F(0), F(1), F(2)])
 
     def test_more_sizes_than_times_rejected(self):
-        with pytest.raises(ValueError, match="3 packet sizes for 2 emission times"):
-            check_conforms([F(0), F(1)], [F(64), F(64), F(64)], AUTOMOTIVE_ALPHA1)
+        with pytest.raises(TraceError, match="columns differ in length"):
+            source_trace([F(64), F(64), F(64)], [F(0), F(1)])
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError, match="sizes must be >= 0"):
-            check_conforms([F(0), F(1)], [F(64), F(-1)], AUTOMOTIVE_ALPHA1)
+        with pytest.raises(TraceError, match="sizes must be finite and > 0"):
+            source_trace([F(64), F(-1)], [F(0), F(1)])
+
+    def test_trace_without_emission_times_refused(self):
+        with pytest.raises(ValueError, match="no emission times"):
+            check_conforms(Trace([F(64)], None, [F(0)]), AUTOMOTIVE_ALPHA1)
+
+    def test_emission_literals_give_one_verdict(self):
+        # "0.50" puts the CSV trace on base 100, not 2; every form of the
+        # schedule gives the same verdict and witness
+        c = leaky_bucket(F(64), F(64))
+        verdicts = set()
+        for half in ("0.50", "1/2", "0.5"):
+            text = "".join(
+                f"{i},64,{t},inf\n" for i, t in enumerate(("0", half, "1"), start=1)
+            )
+            trace = trace_from_csv(",".join(CSV_HEADER) + "\n" + text)
+            verdicts.add(check_conforms(trace, c))
+        assert verdicts == {Conformance(False, 1, 2, F(1), F(1, 2))}
 
 
 @st.composite
@@ -461,11 +502,27 @@ class TestConformanceMatchesPairwise:
     @given(case=conformance_cases())
     def test_verdict_and_witness_identical(self, case):
         curve, sizes, emits, pulls = case
-        assert check_conforms(emits, sizes, curve) == Conformance(True)
+        assert check_conforms(source_trace(sizes, emits), curve) == Conformance(True)
         pulled = pulled_earlier(emits, pulls)
-        assert check_conforms(pulled, sizes, curve) == pairwise_check_conforms(
-            pulled, sizes, curve
+        assert check_conforms(source_trace(sizes, pulled), curve) == (
+            pairwise_check_conforms(pulled, sizes, curve)
         )
+
+    def test_prime_denominator_emissions(self):
+        # 200 times over the product of the first 200 primes, sizes over the
+        # first 50: the sweeps' constants run to hundreds of digits
+        sizes, emits, _ = prime_denominator_columns(200)
+        trace = source_trace(sizes, emits)
+        curves = [
+            leaky_bucket(64, 104),
+            min_curves(leaky_bucket(64, 100), leaky_bucket(128, 70)),  # fails at 1,101
+            MinAffineCurve(((F(1), F(5, 4)),), PACKETS),
+            StaircaseCurve(F(643, 5), F(1)),  # packets 50 and 51 top 128.6 B
+            StaircaseCurve(F(3), F(2), PACKETS),
+        ]
+        verdicts = [check_conforms(trace, c) for c in curves]
+        assert verdicts == [pairwise_check_conforms(emits, sizes, c) for c in curves]
+        assert [v.ok for v in verdicts] == [True, False, False, False, True]
 
 
 class TestConformanceAtScale:
@@ -477,12 +534,12 @@ class TestConformanceAtScale:
         spacing = F(64, 125_000_000)
         emits = [k * spacing for k in range(self.N)]
         sizes = [F(64)] * self.N
-        assert check_conforms(emits, sizes, curve).ok
+        assert check_conforms(source_trace(sizes, emits), curve).ok
         # packet 8000 half a spacing early: window 1..8000 holds 8000 packets
         # in 7998.5 spacings, and every shorter window ending there is short
         # of its spacing by the same half
         emits[7999] -= spacing / 2
-        verdict = check_conforms(emits, sizes, curve)
+        verdict = check_conforms(source_trace(sizes, emits), curve)
         assert (verdict.ok, verdict.first_index, verdict.second_index) == (False, 1, 8000)
         assert verdict.required_gap == 7999 * spacing
         assert verdict.actual_gap == F(15997, 2) * spacing
@@ -494,12 +551,12 @@ class TestConformanceAtScale:
         spacing = period / 4
         emits = [k * spacing for k in range(self.N)]
         sizes = [F(64)] * self.N
-        assert check_conforms(emits, sizes, curve).ok
+        assert check_conforms(source_trace(sizes, emits), curve).ok
         # packet 8000 half a spacing early: a window m..8000 of d + 1 packets
         # now spans d - 1/2 spacings and needs floor(d/4) periods, which fails
         # exactly when 4 divides d; the longest such window has d = 7996
         emits[7999] -= spacing / 2
-        verdict = check_conforms(emits, sizes, curve)
+        verdict = check_conforms(source_trace(sizes, emits), curve)
         assert (verdict.ok, verdict.first_index, verdict.second_index) == (False, 4, 8000)
         assert verdict.required_gap == 1999 * period
         assert verdict.actual_gap == F(15991, 2) * spacing

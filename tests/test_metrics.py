@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -91,6 +92,9 @@ class TestColumns:
         ([F(-1, 3)], [0], [1], "packet sizes must be finite and > 0"),
         ([INF], None, [1], "packet sizes must be finite and > 0"),
         ([64, 64], [0, INF], [1, INF], "emission times must be finite"),
+        ([64], [0], [0.1], "not an exact number: 0.1"),
+        ([64], [-INF], [1], "not an exact number: -inf"),
+        ([math.nan], None, [1], "not an exact number: nan"),
     ])
     def test_bad_columns_raise_trace_error(self, sizes, emits, observes, message):
         with pytest.raises(TraceError, match=message):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bounds_oracle
+from arrival_trace import source_trace
 from reseqkit import bounds
 from reseqkit.bounds import LOSSLESS, LOSSY
 from reseqkit.curves import (
@@ -229,7 +230,8 @@ class TestCurvePropagationSoundness:
                         break
             order = sorted(range(len(exits)), key=lambda i: exits[i])
             verdict = check_conforms(
-                [exits[i] for i in order], [sizes[i] for i in order], out_curve
+                source_trace([sizes[i] for i in order], [exits[i] for i in order]),
+                out_curve,
             )
             assert verdict.ok
 

@@ -20,7 +20,6 @@ from reseqkit.rational import (
     parse_finite_time,
     parse_rat,
     parse_time,
-    round_half_up,
     seconds_to_us_display,
 )
 
@@ -159,12 +158,6 @@ class TestFormat:
         assert fmt_rat(F(1, 3)) == "1/3"
         assert fmt_rat(INF) == "inf"
 
-    def test_round_half_up(self):
-        assert round_half_up(F("92.688"), 2) == F("92.69")
-        assert round_half_up(F("95.224"), 2) == F("95.22")
-        assert round_half_up(F("0.985"), 2) == F("0.99")
-        assert round_half_up(F("-0.985"), 2) == F("-0.99")
-
     def test_us_display(self):
         assert seconds_to_us_display(F("29.488e-6")) == "29.49"
         assert seconds_to_us_display(F("95.224e-6")) == "95.22"
@@ -189,7 +182,6 @@ class TestFormat:
         scaled = t * 10**6 * 10**digits
         r = math.floor(abs(scaled) + F(1, 2))
         r = -r if scaled < 0 else r
-        assert round_half_up(t * 10**6, digits) == F(r, 10**digits)
         want = Decimal(f"{r}E-{digits}")
         assert seconds_to_us_display(t, digits) == f"{want:.{digits}f}"
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrival_trace import arrival_trace
-from list_scan_oracle import simulate as list_scan_simulate
+from list_scan_oracle import fields, simulate as list_scan_simulate
 from reseqkit.curves import backlog_bound, leaky_bucket
 from reseqkit.metrics import DuplicateObservationError, TraceError, rto
 from reseqkit.rational import INF
@@ -14,7 +14,6 @@ from reseqkit.resequencer import (
     INVALID_LATE,
     OVERFLOW,
     ResequencerConfig,
-    ResequencerOutcome,
     analytic_departures,
     simulate,
 )
@@ -243,7 +242,7 @@ class TestHeapMatchesListScan:
     def test_outcome_identical(self, arrivals, timeout, capacity):
         cfg = ResequencerConfig(timeout, capacity)
         want = list_scan_simulate(arrivals, cfg)
-        assert simulate(arrival_trace(arrivals), cfg) == want
+        assert fields(simulate(arrival_trace(arrivals), cfg)) == want
 
 
 def deep_backlog_arrivals(n=2000, hole_every=500, size=F(64)):
@@ -277,7 +276,7 @@ class TestDeepBacklog:
         assert out.discards
         assert set(out.discards.values()) == {OVERFLOW}
         assert out.max_occupancy <= cfg.capacity
-        assert out == list_scan_simulate(arrivals, cfg)
+        assert fields(out) == list_scan_simulate(arrivals, cfg)
 
 
 class TestOutcome:
@@ -290,7 +289,7 @@ class TestOutcome:
         cfg = ResequencerConfig(F(1, 3), INF)
         out = simulate(trace, cfg)
         assert (trace.time_den, out.time_den) == (10**9, 3 * 10**9)
-        assert out == list_scan_simulate(self.ARRIVALS, cfg)
+        assert fields(out) == list_scan_simulate(self.ARRIVALS, cfg)
         assert out.departures == {1: INF, 2: 5 * self.NS + F(1, 3),
                                   3: 5 * self.NS + F(1, 3), 4: F(1, 2)}
 
@@ -299,12 +298,3 @@ class TestOutcome:
         first = out.departures
         assert out.departures is first
 
-    def test_equal_values_on_other_bases_are_equal(self):
-        out = ResequencerOutcome({1: F(1, 2), 2: INF}, {}, F(0), F(0))
-        assert (out.time_den, out.departure_ticks) == (2, (1, INF))
-        assert ResequencerOutcome._from_ticks((3, INF), 6, {}, F(0), F(0)) == out
-        assert ResequencerOutcome._from_ticks((3, 4), 6, {}, F(0), F(0)) != out
-
-    def test_departures_must_be_keyed_from_one(self):
-        with pytest.raises(ValueError, match="keyed by 1..n"):
-            ResequencerOutcome({1: F(1), 3: F(2)}, {}, F(0), F(0))

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrival_trace import source_trace
 from reseqkit.curves import (
     FlowSpec,
     MinAffineCurve,
     StaircaseCurve,
     check_conforms,
-    check_trace_conforms,
     leaky_bucket,
     min_curves,
 )
@@ -80,9 +80,9 @@ class TestPacketize:
         sizes = [F(32)] + [F(64)] * 6 + [F(52), F(32)]
         times = packetize(STAIR, sizes)
         assert times == [F(q, 1000) for q in (0, 0, 1, 2, 3, 4, 5, 6, 6)]
-        assert check_conforms(times, sizes, STAIR).ok
+        assert check_conforms(source_trace(sizes, times), STAIR).ok
         prefix_only = [STAIR.pseudo_inverse(sum(sizes[:k])) for k in range(1, 10)]
-        verdict = check_conforms(prefix_only, sizes, STAIR)
+        verdict = check_conforms(source_trace(sizes, prefix_only), STAIR)
         assert (verdict.first_index, verdict.second_index) == (4, 5)
 
     def test_rbo_tight_staircase_too_slow_for_the_window(self):
@@ -115,7 +115,7 @@ class TestPacketize:
         for k in range(1, len(sizes)):
             want.append(max(want[m] + inv(prefix[k + 1] - prefix[m]) for m in range(k)))
         assert times == want
-        assert check_conforms(times, sizes, curve).ok
+        assert check_conforms(source_trace(sizes, times), curve).ok
 
 
 class TestTwoPacketSwap:
@@ -181,7 +181,7 @@ class TestLossyBacklogBurst:
     def test_conforms_and_jitter_bounded(self):
         v, t = F(6, 1000), F(5, 1000)
         trace = gen_lossy_backlog_burst(FIXED64.source_curve, v, t, FIXED64)
-        assert check_trace_conforms(trace, FIXED64.source_curve).ok
+        assert check_conforms(trace, FIXED64.source_curve).ok
         assert trace.packets[0].lost
         assert delay_jitter(trace).jitter <= v
 
@@ -191,7 +191,7 @@ class TestLossyBacklogBurst:
         target = MIXED.source_curve.value(v + t - eps)
         out = simulate(trace, ResequencerConfig(t, INF))
         assert out.max_occupancy == target
-        assert check_trace_conforms(trace, MIXED.source_curve).ok
+        assert check_conforms(trace, MIXED.source_curve).ok
 
     def test_eps_bounds_checked(self):
         with pytest.raises(ScenarioError):
@@ -230,7 +230,7 @@ class TestRtoTightPair:
 
     def test_conforms(self):
         trace = gen_rto_tight_pair(F("1.5") * US, ALPHA1, F(64))
-        assert check_trace_conforms(trace, ALPHA1).ok
+        assert check_conforms(trace, ALPHA1).ok
 
     def test_no_reordering_possible_rejected(self):
         with pytest.raises(ScenarioError):
@@ -264,7 +264,7 @@ class TestRboTightBurst:
         v, eps = F(1, 100), F(1, 10000)
         trace = gen_rbo_tight_burst(v, MIXED.source_curve, MIXED, eps)
         assert delay_jitter(trace).jitter <= v
-        assert check_trace_conforms(trace, MIXED.source_curve).ok
+        assert check_conforms(trace, MIXED.source_curve).ok
 
     def test_indecomposable_window_rejected(self):
         with pytest.raises(DecompositionError):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import fraction_trace_oracle as oracle
 from arrival_trace import packets_trace
-from list_scan_oracle import simulate as list_scan_simulate
+from list_scan_oracle import fields, simulate as list_scan_simulate
 from reseqkit.curves import FlowSpec, leaky_bucket
 from reseqkit.metrics import (
     CSV_HEADER,
@@ -122,7 +122,7 @@ def assert_same_results(text, timeout, capacity):
         assert outcome(delay_jitter, t) == outcome(oracle.delay_jitter, ref)
     arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
     cfg = ResequencerConfig(timeout, capacity)
-    assert simulate(trace, cfg) == list_scan_simulate(arrivals, cfg)
+    assert fields(simulate(trace, cfg)) == list_scan_simulate(arrivals, cfg)
     times = {i: t for i, (t, _) in arrivals.items()}
     assert analytic_departures(times, timeout) == oracle.analytic_departures(times, timeout)
 
@@ -169,10 +169,10 @@ def defective_rows(draw):
     return rows
 
 
-def parsed(parse, text, flow=None):
+def parsed(parse, text):
     """The packets ``parse`` reads from ``text``, or what it raises."""
     try:
-        return parse(text, flow).packets
+        return parse(text).packets
     except Exception as exc:  # the comparison is the point
         return type(exc), str(exc)
 
@@ -204,16 +204,13 @@ FLOWS = [FlowSpec(leaky_bucket(10**6, 3000), lo, hi)
 ], ids=lambda rows: "|".join(rows))
 def test_several_defects_report_the_oracle_error(rows):
     text = csv_text([r.split(",") for r in rows])
-    for flow in (None, FLOWS[1]):
-        assert parsed(trace_from_csv, text, flow) == parsed(oracle.trace_from_csv, text, flow)
+    assert parsed(trace_from_csv, text) == parsed(oracle.trace_from_csv, text)
 
 
 @settings(max_examples=100)
 @given(trace_rows(max_packets=8), st.sampled_from(FLOWS))
 def test_flow_size_range_checked_like_oracle(rows, flow):
-    text = csv_text(rows)
-    assert parsed(trace_from_csv, text, flow) == parsed(oracle.trace_from_csv, text, flow)
-    packets = oracle.trace_from_csv(text).packets
+    packets = oracle.trace_from_csv(csv_text(rows)).packets
     assert (outcome(lambda: packets_trace(packets, flow).packets)
             == outcome(lambda: oracle.Trace(packets, flow).packets))
 
@@ -254,6 +251,6 @@ def test_prime_denominators_match_oracle():
     assert delay_jitter(trace) == oracle.delay_jitter(ref)
     arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
     cfg = ResequencerConfig(F(3, 2), F(640))
-    assert simulate(trace, cfg) == list_scan_simulate(arrivals, cfg)
+    assert fields(simulate(trace, cfg)) == list_scan_simulate(arrivals, cfg)
     times = {i: t for i, (t, _) in arrivals.items()}
     assert analytic_departures(times, F(3, 2)) == oracle.analytic_departures(times, F(3, 2))
