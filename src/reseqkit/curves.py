@@ -168,9 +168,6 @@ class StaircaseCurve:
             return Fraction(0)
         return self.period * steps
 
-    def long_run_rate(self) -> Fraction:
-        return self.burst / self.period
-
     def to_json(self) -> dict:
         return {
             "unit": self.unit,

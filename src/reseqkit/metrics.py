@@ -22,23 +22,21 @@ are ticks of 1/``size_den`` B.  Parsing, validation, ``rto``, ``rbo`` and
 ``delay_jitter`` run on those integers, so results stay exact; they become
 ``Fraction(ticks, den)`` only in the returned ``OffsetResult`` and
 ``DelayJitter``.  A ``Trace`` is built from those columns,
-``Trace(sizes, emit_times, observe_times, flow)``, or read by
-``trace_from_csv``; ``trace_to_csv`` writes the ticks straight back out.
-``Trace.packets``, a per-packet view, is built from the columns on first use.
+``Trace(sizes, emit_times, observe_times)``, or read by ``trace_from_csv``;
+``trace_to_csv`` writes the ticks straight back out.  ``Trace.packets``, a
+per-packet view, is built from the columns on first use and cached.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
 from operator import gt, le
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .curves import FlowSpec
 from .rational import (
     INF,
     Cell,
@@ -65,21 +63,12 @@ class DuplicateObservationError(TraceError):
 
 @dataclass(frozen=True)
 class PacketObservation:
+    """One packet of ``Trace.packets``, read from the validated columns."""
+
     index: int
     size: Fraction
     emit_time: Optional[Fraction]
     observe_time: Rat  # Fraction, or INF when lost
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise TraceError("packet indices start at 1")
-        object.__setattr__(self, "size", Fraction(self.size))
-        if self.size <= 0:
-            raise TraceError("packet sizes must be > 0")
-        if self.emit_time is not None:
-            object.__setattr__(self, "emit_time", Fraction(self.emit_time))
-        if not is_inf(self.observe_time):
-            object.__setattr__(self, "observe_time", Fraction(self.observe_time))
 
     @property
     def lost(self) -> bool:
@@ -90,51 +79,38 @@ class Trace:
     """A validated trace: per packet, in index order, its size and its emit
     and observe times as integer ticks (see the module docstring).
 
-    ``Trace(sizes, emit_times, observe_times, flow)`` takes one column per
+    ``Trace(sizes, emit_times, observe_times)`` takes one column per
     quantity, position i being packet i+1, and ``emit_times=None`` for a
     trace without emission times; its values are exact (a float other than
     ``INF`` is refused).  ``trace_from_csv`` fills the columns from the
     file.  Either way the same checks run on the integer columns:
     contiguous indices from 1, emission times for all packets or none,
-    wide-sense increasing emissions, no observation before emission, sizes
-    inside the flow's [l_min, l_max], and distinct finite observation times.
+    wide-sense increasing emissions, no observation before emission, and
+    distinct finite observation times.  ``packets`` is a per-packet view of
+    the columns, built on first use.
     """
 
-    __slots__ = ("flow", "time_den", "size_den", "size_ticks", "emit_ticks",
-                 "observe_ticks", "_packets")
-
     def __init__(self, sizes: Sequence[Rat], emit_times: Optional[Sequence[Rat]],
-                 observe_times: Sequence[Rat], flow: Optional[FlowSpec] = None) -> None:
+                 observe_times: Sequence[Rat]) -> None:
         n = len(observe_times)
         if len(sizes) != n or (emit_times is not None and len(emit_times) != n):
             raise TraceError("size, emission and observation columns differ in length")
-        for x in chain(sizes, emit_times or (), observe_times):
-            if isinstance(x, float) and x != INF:  # 0.1 is not 1/10; -inf, nan no time
-                raise TraceError(f"not an exact number: {x!r}")
-        size_cells = list(map(ratio, sizes))
+        try:
+            size_cells = list(map(ratio, sizes))
+            emits = [None] * n if emit_times is None else list(map(ratio, emit_times))
+            observes = list(map(ratio, observe_times))
+        except ValueError as exc:
+            raise TraceError(str(exc)) from None
         if any(c is INF or c[0] <= 0 for c in size_cells):
             raise TraceError("packet sizes must be finite and > 0")
-        emits = [None] * n if emit_times is None else list(map(ratio, emit_times))
         if INF in emits:
             raise TraceError("emission times must be finite")
-        self._set_columns(list(range(1, n + 1)), size_cells, emits,
-                          list(map(ratio, observe_times)), flow)
-        self._packets: Optional[Tuple[PacketObservation, ...]] = None
+        self._set_columns(size_cells, emits, observes)
 
-    @classmethod
-    def _from_cells(cls, indices: List[int], sizes: List[Cell], emits: List[Cell],
-                    observes: List[Cell]) -> "Trace":
-        trace = cls.__new__(cls)
-        trace._set_columns(indices, sizes, emits, observes, None)
-        trace._packets = None
-        return trace
-
-    def _set_columns(self, indices: List[int], sizes: List[Cell], emits: List[Cell],
-                     observes: List[Cell], flow: Optional[FlowSpec]) -> None:
+    def _set_columns(self, sizes: List[Cell], emits: List[Cell],
+                     observes: List[Cell]) -> None:
         """Validate exact cells and keep them as ticks; the order of the
         checks fixes which error a trace with several defects reports."""
-        if indices != list(range(1, len(indices) + 1)):
-            raise TraceError("packet indices must be contiguous from 1")
         missing = emits.count(None)
         if 0 < missing < len(emits):
             raise TraceError("emission times must be present for all packets or none")
@@ -147,32 +123,19 @@ class Trace:
                 raise TraceError("emission times must be wide-sense increasing")
             if any(map(gt, emit_ticks, observe_ticks)):  # never true for INF
                 raise TraceError("observation before emission")
-        if flow is not None:
-            lo, hi = math.ceil(flow.l_min * size_den), math.floor(flow.l_max * size_den)
-            for pos, s in enumerate(size_ticks, start=1):
-                if not lo <= s <= hi:
-                    raise TraceError(
-                        f"packet {pos} size {Fraction(s, size_den)} outside "
-                        f"[{flow.l_min}, {flow.l_max}]"
-                    )
         _check_distinct_observations(observe_ticks)
-        self.flow = flow
         self.time_den, self.size_den = time_den, size_den
         self.size_ticks = tuple(size_ticks)
         self.emit_ticks = None if emit_ticks is None else tuple(emit_ticks)
         self.observe_ticks = tuple(observe_ticks)
 
-    @property
+    @cached_property
     def packets(self) -> Tuple[PacketObservation, ...]:
-        if self._packets is None:
-            times = over(dict(enumerate(self.observe_ticks, start=1)), self.time_den)
-            sizes = over(dict(enumerate(self.size_ticks, start=1)), self.size_den)
-            emits = (dict.fromkeys(times) if self.emit_ticks is None else
-                     over(dict(enumerate(self.emit_ticks, start=1)), self.time_den))
-            self._packets = tuple(
-                PacketObservation(i, sizes[i], emits[i], times[i]) for i in times
-            )
-        return self._packets
+        times = over(dict(enumerate(self.observe_ticks, start=1)), self.time_den)
+        sizes = over(dict(enumerate(self.size_ticks, start=1)), self.size_den)
+        emits = (dict.fromkeys(times) if self.emit_ticks is None else
+                 over(dict(enumerate(self.emit_ticks, start=1)), self.time_den))
+        return tuple(PacketObservation(i, sizes[i], emits[i], times[i]) for i in times)
 
     @property
     def has_emit_times(self) -> bool:
@@ -180,20 +143,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.observe_ticks)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (self.packets, self.flow) == (other.packets, other.flow)
-
-    def __hash__(self) -> int:
-        return hash((self.packets, self.flow))
-
-    def __repr__(self) -> str:
-        p = self.packets
-        emits = None if self.emit_ticks is None else [x.emit_time for x in p]
-        return (f"Trace({[x.size for x in p]!r}, {emits!r}, "
-                f"{[x.observe_time for x in p]!r}, flow={self.flow!r})")
 
 
 def _check_distinct_observations(observe_ticks: List[Union[int, float]]) -> None:
@@ -348,11 +297,14 @@ def _read_csv(rows: Iterator[List[str]]) -> Trace:
         size_cell = _cell(size, finite=True)
         emits.append(None if emit == "-" else _cell(emit, finite=True))
         observes.append(_cell(obs, finite=False))
-        # the checks of PacketObservation, in its order
         if index < 1:
             raise TraceError("packet indices start at 1")
         if size_cell[0] <= 0:
             raise TraceError("packet sizes must be > 0")
         indices.append(index)
         sizes.append(size_cell)
-    return Trace._from_cells(indices, sizes, emits, observes)
+    if indices != list(range(1, len(indices) + 1)):
+        raise TraceError("packet indices must be contiguous from 1")
+    trace = Trace.__new__(Trace)
+    trace._set_columns(sizes, emits, observes)
+    return trace

@@ -116,9 +116,9 @@ class ResequencerElement:
 
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "explicit"):
-            raise PathConfigError(f"unknown re-sequencer mode {self.mode!r}")
+            raise PathConfigError(f"{self.id}: unknown re-sequencer mode {self.mode!r}")
         if self.mode == "explicit" and self.timeout is None:
-            raise PathConfigError("explicit re-sequencer needs a timeout")
+            raise PathConfigError(f"{self.id}: explicit re-sequencer needs a timeout")
         if self.mode == "auto" and self.timeout is not None:
             raise PathConfigError(
                 f"{self.id}: timeout_s is read only in explicit mode; "
@@ -425,9 +425,12 @@ def element_from_json(obj: dict) -> PathElement:
     if not isinstance(eid, str):
         raise PathConfigError(f"element id {json.dumps(eid)} is not a string")
     if kind == "fifo_service":
-        svc = RateLatencyService(
-            parse_finite(obj["rate_Bps"]), parse_finite(obj["latency_s"])
-        )
+        try:
+            svc = RateLatencyService(
+                parse_finite(obj["rate_Bps"]), parse_finite(obj["latency_s"])
+            )
+        except CurveError as exc:
+            raise PathConfigError(f"{eid}: {exc}") from exc
         min_delay = (
             parse_finite(obj["min_delay_s"]) if "min_delay_s" in obj else None
         )

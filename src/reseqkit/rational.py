@@ -8,7 +8,8 @@ times D, where D is the least common multiple of the denominators
 only where it is returned (``over``), or writes the ticks out directly
 (``fmt_ticks``).  Lost-packet times use ``math.inf`` as an explicit
 sentinel; it compares and min/maxes correctly against Fractions and
-integers.  Floats never appear anywhere else.
+integers.  Floats never appear anywhere else: ``exact``, which every tick
+intake goes through, refuses any other float.
 """
 
 from __future__ import annotations
@@ -194,9 +195,20 @@ def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
 Cell = Union[Tuple[int, int], float, None]
 
 
+def exact(x: Rat) -> Rat:
+    """``x`` as a ``Fraction``; INF stays INF, and any other float is
+    refused: 0.1 is not 1/10, and -inf and nan are no time or size."""
+    if isinstance(x, float):
+        if x == INF:
+            return INF
+        raise ValueError(f"not an exact number: {x!r}")
+    return Fraction(x)
+
+
 def ratio(x: Rat) -> Cell:
-    """``x`` as a ``(numerator, denominator)`` cell; INF stays INF."""
-    return INF if is_inf(x) else Fraction(x).as_integer_ratio()
+    """``exact(x)`` as a ``(numerator, denominator)`` cell; INF stays INF."""
+    x = exact(x)
+    return x if x is INF else x.as_integer_ratio()
 
 
 def on_common_base(*columns: Sequence[Cell]) -> Tuple[int, List[list]]:

@@ -52,7 +52,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .metrics import Trace
-from .rational import INF, Cell, Rat, is_inf, on_common_base, over, ratio
+from .rational import INF, Cell, Rat, exact, on_common_base, over, ratio
 
 
 class ArrivalError(ValueError):
@@ -65,14 +65,11 @@ class ResequencerConfig:
     capacity: Rat = INF
 
     def __post_init__(self) -> None:
-        if not is_inf(self.timeout):
-            object.__setattr__(self, "timeout", Fraction(self.timeout))
-            if self.timeout < 0:
-                raise ValueError("timeout must be >= 0")
-        if not is_inf(self.capacity):
-            object.__setattr__(self, "capacity", Fraction(self.capacity))
-            if self.capacity < 0:
-                raise ValueError("capacity must be >= 0")
+        for name in ("timeout", "capacity"):
+            value = exact(getattr(self, name))  # a float other than INF is refused
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
+            object.__setattr__(self, name, value)
 
 
 INVALID_LATE = "invalid_late"

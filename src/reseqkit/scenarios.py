@@ -187,7 +187,7 @@ def gen_lossy_backlog_burst(
     for k in range(2, n + 1):
         observes.append(max(observes[-1], emits[k]) + eps / (3 * (n - 1)))
 
-    return _conforming_trace(all_sizes, emits, observes, flow, curve)
+    return _conforming_trace(all_sizes, emits, observes, curve)
 
 
 def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
@@ -229,14 +229,14 @@ def gen_rbo_tight_burst(
     observes: List[Fraction] = [v + eps]
     for k in range(2, n + 1):
         observes.append(v + Fraction(k - 2, n) * eps)
-    return _conforming_trace(sizes, emits, observes, flow, curve)
+    return _conforming_trace(sizes, emits, observes, curve)
 
 
 def _conforming_trace(sizes: List[Fraction], emits: List[Fraction],
-                      observes: List[Rat], flow: FlowSpec, curve: Curve) -> Trace:
+                      observes: List[Rat], curve: Curve) -> Trace:
     """The generated trace, refused when its packetized emissions violate
     the curve they were derived from."""
-    trace = Trace(sizes, emits, observes, flow)
+    trace = Trace(sizes, emits, observes)
     verdict = check_conforms(trace, curve)
     if not verdict:
         raise ScenarioError(

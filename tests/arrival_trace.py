@@ -15,12 +15,12 @@ def arrival_trace(arrivals):
     return Trace([size for _, size in cells], None, [t for t, _ in cells])
 
 
-def packets_trace(packets, flow=None):
+def packets_trace(packets):
     """Records indexed 1..n in order, as the ``Trace`` of their columns."""
     assert [p.index for p in packets] == list(range(1, len(packets) + 1))
     emits = [p.emit_time for p in packets]
     return Trace([p.size for p in packets], None if None in emits else emits,
-                 [p.observe_time for p in packets], flow)
+                 [p.observe_time for p in packets])
 
 
 def source_trace(sizes, emits):

@@ -4,9 +4,10 @@ These are ``reseqkit.metrics``' ``Trace`` validation, ``rto``, ``rbo``,
 ``delay_jitter`` and ``trace_from_csv``, and ``reseqkit.resequencer``'s
 ``analytic_departures``, as they were before traces moved to integer ticks
 over a common denominator, kept verbatim as a differential oracle.  Every
-value is a ``Fraction`` and every packet a ``PacketObservation``, so the
-arithmetic is checked by an independent representation.  Only the tests
-use them.
+value is a ``Fraction`` and every packet a ``PacketObservation`` built by
+``record``, which checks and coerces its values as the record itself once
+did, so the arithmetic is checked by an independent representation.  Only
+the tests use them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from reseqkit.curves import FlowSpec
 from reseqkit.metrics import (
     CSV_HEADER,
     DelayJitter,
@@ -30,10 +30,24 @@ from reseqkit.rational import INF, Rat, is_inf, parse_finite, parse_rat
 from reseqkit.resequencer import ArrivalError
 
 
+def record(index: int, size: Rat, emit_time: Optional[Rat],
+           observe_time: Rat) -> PacketObservation:
+    """A ``PacketObservation`` of exact values, refused like a CSV row."""
+    if index < 1:
+        raise TraceError("packet indices start at 1")
+    size = Fraction(size)
+    if size <= 0:
+        raise TraceError("packet sizes must be > 0")
+    if emit_time is not None:
+        emit_time = Fraction(emit_time)
+    if not is_inf(observe_time):
+        observe_time = Fraction(observe_time)
+    return PacketObservation(index, size, emit_time, observe_time)
+
+
 @dataclass(frozen=True)
 class Trace:
     packets: Tuple[PacketObservation, ...]
-    flow: Optional[FlowSpec] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "packets", tuple(self.packets))
@@ -50,13 +64,6 @@ class Trace:
             for p in self.packets:
                 if not p.lost and p.emit_time > p.observe_time:
                     raise TraceError("observation before emission")
-        if self.flow is not None:
-            for p in self.packets:
-                if not self.flow.l_min <= p.size <= self.flow.l_max:
-                    raise TraceError(
-                        f"packet {p.index} size {p.size} outside "
-                        f"[{self.flow.l_min}, {self.flow.l_max}]"
-                    )
         _check_distinct_observations(self.packets)
 
     @property
@@ -163,7 +170,7 @@ def trace_from_csv(text: str) -> Trace:
             raise TraceError(f"line {lineno}: expected 4 columns")
         idx, size, emit, obs = (c.strip() for c in row)
         packets.append(
-            PacketObservation(
+            record(
                 index=int(idx),
                 size=parse_finite(size),
                 emit_time=None if emit == "-" else parse_finite(emit),

@@ -354,7 +354,7 @@ def random_conforming_trace(rng, flow, jitter_bound, n, lose=False):
                 used.add(a + d)
                 observes.append(a + d)
                 break
-    return Trace(sizes, emits, observes, flow)
+    return Trace(sizes, emits, observes)
 
 
 class TestCriterion4DimensioningGuarantees:

@@ -278,6 +278,25 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: S1.fabric: need 0 <= d_min <= d_max\n"
 
+    @pytest.mark.parametrize(
+        "index,fields,message",
+        [
+            (-1, {"mode": "explicit"},
+             "h2.reseq: explicit re-sequencer needs a timeout"),
+            (-1, {"mode": "manual"}, "h2.reseq: unknown re-sequencer mode 'manual'"),
+            (0, {"rate_Bps": "0"}, "h1.fifo: service rate must be > 0"),
+            (0, {"latency_s": "-1"}, "h1.fifo: service latency must be >= 0"),
+        ],
+        ids=["no-timeout", "unknown-mode", "zero-rate", "negative-latency"],
+    )
+    def test_element_error_names_the_element(
+        self, tmp_path, capsys, index, fields, message
+    ):
+        cfg = bundled_with(tmp_path, lambda c: c["elements"][index].update(fields))
+        assert main(["analyze", "--config", cfg]) == INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_json_ints_equal_strings(self, tmp_path, capsys):
         cfg = bundled_with(tmp_path, lambda c: c["flow"].update(l_min=64, l_max=64))
         assert main(["analyze", "--config", cfg, "--loss", "both"]) == OK
@@ -296,70 +315,71 @@ GOLDEN_EXIT = {  # OK for the rest
     "two_segments_both.json": UNSAFE_WARNING,
 }
 
+# Every whole-output case: the argv and its golden stdout file.  The console
+# script check (check_console_script.py) runs the same list.
+GOLDEN_CASES = [
+    (["analyze", "--config", str(BUNDLED), "--loss", "both", "--format", fmt],
+     f"analyze_both.{fmt}")
+    for fmt in ("table", "json", "csv")
+] + [
+    (["case-study", "automotive", "--check", "--format", fmt],
+     f"case_study_check.{fmt}")
+    for fmt in ("table", "json")
+] + [
+    # one lost packet, then seven survivors at p/q times
+    (["scenario", "lossy-backlog", "--rate", "6400", "--burst", "640",
+      "--jitter", "20ms", "--timeout", "10ms", "--l-min", "64", "--l-max", "128"],
+     "lossy_backlog.csv"),
+    (["metrics", "--verbose", LOSSY_BACKLOG], "lossy_backlog_metrics.txt"),
+    (["simulate", "--timeout", "10ms", "--buffer", "832", LOSSY_BACKLOG],
+     "lossy_backlog_simulate.json"),
+    (["simulate", "--timeout", "10ms", "--buffer", "640", LOSSY_BACKLOG],
+     "lossy_backlog_discard.json"),
+] + [
+    # the config's own loss mode (lossy), its baseline from the lossless walk
+    (["analyze", "--config", str(BUNDLED), "--format", fmt],
+     f"analyze_lossy.{fmt}")
+    for fmt in ("table", "csv")
+] + [
+    # a swap, a loss and a 1/3 s arrival: decimal, p/q and inf departures
+    (["simulate", "--timeout", "1/30", str(GOLDEN / "thirds.csv")],
+     "thirds_simulate.json"),
+] + [
+    # two segments: a fabric whose RTO bound is clamped to 0, a mid-path
+    # auto re-sequencer, a 1/300000 s delay, and an explicit re-sequencer
+    # whose timeout and capacity are both too small (two warnings)
+    (["analyze", "--config", TWO_SEGMENTS, "--loss", "both", "--format", fmt],
+     f"two_segments_both.{fmt}")
+    for fmt in ("table", "json")
+] + [
+    # one report in the list: the config's own loss mode as JSON
+    (["analyze", "--config", str(BUNDLED), "--format", "json"],
+     "analyze_lossy.json"),
+] + [
+    # one trace per generator: p/q times, --t0, a non-integer size, a
+    # constant-size flow, a staircase and a packet-unit curve
+    (["scenario", "two-packet-swap", "--rto", "1/3", "--t0", "1/7"],
+     "two_packet_swap.csv"),
+    (["scenario", "lossless-backlog", "--rto", "5ms", "--sizes", "64,100,64.5"],
+     "lossless_backlog.csv"),
+    (["scenario", "lossy-backlog", "--rate", "12800", "--burst", "320",
+      "--jitter", "7ms", "--timeout", "3ms"],
+     "lossy_backlog_constant.csv"),
+    (["scenario", "lossy-backlog", "--curve-json", STAIRCASE_CURVE,
+      "--jitter", "20ms", "--timeout", "10ms", "--l-min", "64", "--l-max", "128"],
+     "lossy_backlog_staircase.csv"),
+    (["scenario", "rto-tight", "--curve-json", PACKET_CURVE, "--jitter", "5ms"],
+     "rto_tight_packets.csv"),
+    (["scenario", "rbo-tight", "--rate", "6400", "--burst", "640",
+      "--jitter", "20ms", "--l-min", "64", "--l-max", "128", "--eps", "1/3000"],
+     "rbo_tight.csv"),
+    (["scenario", "rto-chain", "--stages", "1/3:1/7,1/11:0,2:1", "--head", "3",
+      "--eps", "1/1000"],
+     "rto_chain.csv"),
+]
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (["analyze", "--config", str(BUNDLED), "--loss", "both", "--format", fmt],
-         f"analyze_both.{fmt}")
-        for fmt in ("table", "json", "csv")
-    ] + [
-        (["case-study", "automotive", "--check", "--format", fmt],
-         f"case_study_check.{fmt}")
-        for fmt in ("table", "json")
-    ] + [
-        # one lost packet, then seven survivors at p/q times
-        (["scenario", "lossy-backlog", "--rate", "6400", "--burst", "640",
-          "--jitter", "20ms", "--timeout", "10ms", "--l-min", "64", "--l-max", "128"],
-         "lossy_backlog.csv"),
-        (["metrics", "--verbose", LOSSY_BACKLOG], "lossy_backlog_metrics.txt"),
-        (["simulate", "--timeout", "10ms", "--buffer", "832", LOSSY_BACKLOG],
-         "lossy_backlog_simulate.json"),
-        (["simulate", "--timeout", "10ms", "--buffer", "640", LOSSY_BACKLOG],
-         "lossy_backlog_discard.json"),
-    ] + [
-        # the config's own loss mode (lossy), its baseline from the lossless walk
-        (["analyze", "--config", str(BUNDLED), "--format", fmt],
-         f"analyze_lossy.{fmt}")
-        for fmt in ("table", "csv")
-    ] + [
-        # a swap, a loss and a 1/3 s arrival: decimal, p/q and inf departures
-        (["simulate", "--timeout", "1/30", str(GOLDEN / "thirds.csv")],
-         "thirds_simulate.json"),
-    ] + [
-        # two segments: a fabric whose RTO bound is clamped to 0, a mid-path
-        # auto re-sequencer, a 1/300000 s delay, and an explicit re-sequencer
-        # whose timeout and capacity are both too small (two warnings)
-        (["analyze", "--config", TWO_SEGMENTS, "--loss", "both", "--format", fmt],
-         f"two_segments_both.{fmt}")
-        for fmt in ("table", "json")
-    ] + [
-        # one report in the list: the config's own loss mode as JSON
-        (["analyze", "--config", str(BUNDLED), "--format", "json"],
-         "analyze_lossy.json"),
-    ] + [
-        # one trace per generator: p/q times, --t0, a non-integer size, a
-        # constant-size flow, a staircase and a packet-unit curve
-        (["scenario", "two-packet-swap", "--rto", "1/3", "--t0", "1/7"],
-         "two_packet_swap.csv"),
-        (["scenario", "lossless-backlog", "--rto", "5ms", "--sizes", "64,100,64.5"],
-         "lossless_backlog.csv"),
-        (["scenario", "lossy-backlog", "--rate", "12800", "--burst", "320",
-          "--jitter", "7ms", "--timeout", "3ms"],
-         "lossy_backlog_constant.csv"),
-        (["scenario", "lossy-backlog", "--curve-json", STAIRCASE_CURVE,
-          "--jitter", "20ms", "--timeout", "10ms", "--l-min", "64", "--l-max", "128"],
-         "lossy_backlog_staircase.csv"),
-        (["scenario", "rto-tight", "--curve-json", PACKET_CURVE, "--jitter", "5ms"],
-         "rto_tight_packets.csv"),
-        (["scenario", "rbo-tight", "--rate", "6400", "--burst", "640",
-          "--jitter", "20ms", "--l-min", "64", "--l-max", "128", "--eps", "1/3000"],
-         "rbo_tight.csv"),
-        (["scenario", "rto-chain", "--stages", "1/3:1/7,1/11:0,2:1", "--head", "3",
-          "--eps", "1/1000"],
-         "rto_chain.csv"),
-    ],
-)
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES)
 def test_whole_output_matches_golden(argv, golden, capsys):
     assert main(argv) == GOLDEN_EXIT.get(golden, OK)
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
@@ -616,6 +636,41 @@ class TestCaseStudy:
         )
 
 
+    def test_jitter_one_ns_off_is_a_mismatch(self, monkeypatch, capsys):
+        ref = case_study.REFERENCE["only at h2"]
+        moved = replace(ref, jitter_lossy=ref.jitter_lossy + F(1, 10**9))
+        monkeypatch.setitem(case_study.REFERENCE, "only at h2", moved)
+        assert main(["case-study", "automotive", "--check"]) == MISMATCH
+        assert capsys.readouterr().out.endswith(
+            "check: MISMATCH\n"
+            "  only at h2/lossy: jitter 0.000122176 s, expected 0.000122177 s\n"
+        )
+
+    def test_timeout_one_ns_off_is_a_mismatch(self, monkeypatch, capsys):
+        ref = case_study.REFERENCE["only at S2"]
+        moved = replace(ref, timeouts=(("S2.fabric.reseq", F("15.989e-6")),))
+        monkeypatch.setitem(case_study.REFERENCE, "only at S2", moved)
+        assert main(["case-study", "automotive", "--check"]) == MISMATCH
+        assert capsys.readouterr().out.endswith(
+            "check: MISMATCH\n"
+            "  only at S2/lossless: timeout[S2.fabric.reseq] 0.000015988 s, "
+            "expected 0.000015989 s\n"
+            "  only at S2/lossy: timeout[S2.fabric.reseq] 0.000015988 s, "
+            "expected 0.000015989 s\n"
+        )
+
+    def test_missing_resequencer_is_a_mismatch(self, monkeypatch, capsys):
+        ref = case_study.REFERENCE["only at h2"]
+        moved = replace(ref, timeouts=ref.timeouts + (("S1.fabric.reseq", F(0)),))
+        monkeypatch.setitem(case_study.REFERENCE, "only at h2", moved)
+        assert main(["case-study", "automotive", "--check"]) == MISMATCH
+        assert capsys.readouterr().out.endswith(
+            "check: MISMATCH\n"
+            "  only at h2/lossless: missing re-sequencer S1.fabric.reseq\n"
+            "  only at h2/lossy: missing re-sequencer S1.fabric.reseq\n"
+        )
+
+
 HEADER = "index,size_bytes,emit_time_s,observe_time_s"
 CELLS = st.one_of(
     st.sampled_from([
@@ -654,7 +709,8 @@ def run_cli(argv):
 
 def assert_clean_exit(argv, codes):
     """The run exits with one of ``codes``; an exit 1 prints one error line
-    and nothing else, any other exit prints output and no error."""
+    and nothing else, any other exit prints output and no error.  Returns
+    what was printed to stderr."""
     code, out, err = run_cli(argv)
     assert code in codes
     assert "Traceback" not in err
@@ -662,6 +718,49 @@ def assert_clean_exit(argv, codes):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert out and err == ""
+    return err
+
+
+STAIRCASE_SOURCE = {"unit": "bytes", "kind": "staircase", "burst": "6400",
+                    "period": "1"}
+PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
+                 "pieces": [{"rate": "100", "burst": "100"}]}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (analyze_edited(lambda c: c.update(elements=[])),
+         "path needs at least one element"),
+        (analyze_edited(lambda c: c.update(loss_mode="lossier")),
+         "unknown loss mode 'lossier'"),
+        (analyze_edited(lambda c: c["flow"].update(curve=STAIRCASE_SOURCE)),
+         "path propagation needs a min-affine source curve; "
+         "replace staircase sources by an affine upper bound"),
+        (analyze_edited(lambda c: c["flow"].update(curve=PACKET_SOURCE)),
+         "source_curve must be in bytes"),
+        (analyze_edited(
+            lambda c: c["flow"]["curve"]["pieces"][0].update(burst="-1")),
+         "piece bursts must be >= 0"),
+        (analyze_edited(lambda c: c["elements"][0].update(min_delay_s="1")),
+         "h1.fifo: minimum delay exceeds the worst-case bound"),
+        (lambda _: ["simulate", "--timeout", "-1", LOSSY_BACKLOG],
+         "timeout must be >= 0"),
+        (lambda _: ["simulate", "--timeout", "1", "--buffer", "-5", LOSSY_BACKLOG],
+         "capacity must be >= 0"),
+        (lambda _: ["scenario", "lossless-backlog", "--rto", "5ms"],
+         "lossless-backlog needs --sizes"),
+        (lambda _: ["scenario", "rto-chain"],
+         "rto-chain needs --stages jitter:rto,jitter:rto,..."),
+        (lambda _: ["scenario", "two-packet-swap"], "missing --rto"),
+    ],
+    ids=["no-elements", "loss-mode", "staircase-source", "packet-source",
+         "negative-burst", "min-delay-above-bound", "simulate-timeout",
+         "simulate-buffer", "lossless-backlog-sizes", "rto-chain-stages",
+         "two-packet-swap-rto"],
+)
+def test_input_error_is_one_line(argv, message, tmp_path):
+    assert assert_clean_exit(argv(tmp_path), (INPUT_ERROR,)) == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")

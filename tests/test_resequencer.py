@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -298,3 +300,25 @@ class TestOutcome:
         first = out.departures
         assert out.departures is first
 
+
+
+class TestExactInputs:
+    """A float other than INF is no exact time or size: 0.1 is not 1/10, and
+    -inf and nan are no value at all."""
+
+    FLOATS = pytest.mark.parametrize("value", [-math.inf, 0.1, math.nan],
+                                     ids=["-inf", "0.1", "nan"])
+
+    @FLOATS
+    def test_config_refuses_inexact_timeout_and_capacity(self, value):
+        for args in ((value, INF), (F(1), value), (value, value)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"not an exact number: {value!r}")):
+                ResequencerConfig(*args)
+
+    @FLOATS
+    def test_analytic_departures_refuses_inexact_times(self, value):
+        for arrivals, timeout in (({1: value, 2: F(0)}, F(1)), ({1: F(0)}, value)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"not an exact number: {value!r}")):
+                analytic_departures(arrivals, timeout)

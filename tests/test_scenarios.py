@@ -271,6 +271,29 @@ class TestRboTightBurst:
             gen_rbo_tight_burst(F(3, 1000), FIXED64.source_curve, FIXED64, F(1, 1000))
 
 
+class TestSizesWithinFlow:
+    """A generated trace keeps every size in the flow's [l_min, l_max]
+    (``Trace`` does not check sizes against a flow): ``decompose_bytes``
+    rebalances a short remainder into l_max + rem - l_min, in range as
+    l_max >= 2*l_min, and the head packet is l_min or l_max."""
+
+    FLOWS = [FIXED64, MIXED, FlowSpec(leaky_bucket(6400, 640), F(129, 2), F(129)),
+             FlowSpec(leaky_bucket(6400, 6400), F(32), F(100))]
+
+    @settings(max_examples=60)
+    @given(flow=st.sampled_from(FLOWS),
+           v=st.fractions(F(1, 1000), F(2, 100), max_denominator=1000),
+           t=st.fractions(F(1, 1000), F(1, 100), max_denominator=1000))
+    def test_generated_sizes_within_flow(self, flow, v, t):
+        curve = flow.source_curve
+        for make in (lambda: gen_lossy_backlog_burst(curve, v, t, flow),
+                     lambda: gen_rbo_tight_burst(v, curve, flow)):
+            try:
+                trace = make()
+            except ScenarioError:
+                continue
+            assert all(flow.l_min <= p.size <= flow.l_max for p in trace.packets)
+
 class TestOracleEquivalenceOnGeneratedTraces:
     def test_simulator_matches_recursion(self):
         from reseqkit.resequencer import analytic_departures

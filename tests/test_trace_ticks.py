@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 import fraction_trace_oracle as oracle
 from arrival_trace import packets_trace
 from list_scan_oracle import fields, simulate as list_scan_simulate
-from reseqkit.curves import FlowSpec, leaky_bucket
 from reseqkit.metrics import (
     CSV_HEADER,
-    PacketObservation,
     Trace,
     delay_jitter,
     rbo,
@@ -187,10 +185,6 @@ def test_defective_traces_fail_like_oracle(rows):
         assert_same_results(text, INF, INF)
 
 
-FLOWS = [FlowSpec(leaky_bucket(10**6, 3000), lo, hi)
-         for lo, hi in ((F(64), F(1500)), (F(100), F(100)), (F(3, 7), F(64)))]
-
-
 @pytest.mark.parametrize("rows", [
     ["0,0,-,1"],  # index and size both bad
     ["0,abc,-,1"],  # a cell that does not parse comes first
@@ -205,14 +199,6 @@ FLOWS = [FlowSpec(leaky_bucket(10**6, 3000), lo, hi)
 def test_several_defects_report_the_oracle_error(rows):
     text = csv_text([r.split(",") for r in rows])
     assert parsed(trace_from_csv, text) == parsed(oracle.trace_from_csv, text)
-
-
-@settings(max_examples=100)
-@given(trace_rows(max_packets=8), st.sampled_from(FLOWS))
-def test_flow_size_range_checked_like_oracle(rows, flow):
-    packets = oracle.trace_from_csv(csv_text(rows)).packets
-    assert (outcome(lambda: packets_trace(packets, flow).packets)
-            == outcome(lambda: oracle.Trace(packets, flow).packets))
 
 
 def primes(count):
@@ -243,7 +229,7 @@ def prime_denominator_columns(n, seed=7):
 
 def test_prime_denominators_match_oracle():
     columns = prime_denominator_columns(1000)
-    ref = oracle.Trace(tuple(map(PacketObservation, range(1, 1001), *columns)))
+    ref = oracle.Trace(tuple(map(oracle.record, range(1, 1001), *columns)))
     trace = trace_from_csv(trace_to_csv(Trace(*columns)))
     assert trace.packets == ref.packets
     assert rto(trace) == oracle.rto(ref)
