@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .curves import BYTES, Curve, min_spacing
-from .rational import Rat
+from .rational import Rat, exact, finite
 
 LOSSLESS = "lossless"
 LOSSY = "lossy"
@@ -45,11 +45,11 @@ class SequenceElement:
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jitter", Fraction(self.jitter))
+        object.__setattr__(self, "jitter", finite(self.jitter))
         if self.jitter < 0:
             raise ValueError("jitter must be >= 0")
         if self.rto is not None:
-            object.__setattr__(self, "rto", Fraction(self.rto))
+            object.__setattr__(self, "rto", finite(self.rto))
             if not 0 <= self.rto <= self.jitter:
                 raise ValueError("a stage's RTO lies between 0 and its jitter")
 
@@ -57,7 +57,8 @@ class SequenceElement:
 def rto_bound_element(jitter: Rat, curve: Curve, l_min: Rat) -> SequenceElement:
     """The stage of an element that may reorder: jitter V and late-time-offset
     bound ``[V - min_spacing(curve, l_min)]^+``."""
-    head = Fraction(jitter) - min_spacing(curve, l_min)
+    jitter = finite(jitter)
+    head = jitter - min_spacing(curve, l_min)
     clamped = head < 0
     return SequenceElement(jitter, Fraction(0) if clamped else head, clamped)
 
@@ -67,11 +68,11 @@ def rbo_bound_element(jitter: Rat, curve: Curve, l_min: Rat) -> Fraction:
     fewer than two minimal packets per jitter window."""
     if curve.unit != BYTES:
         raise ValueError("the RBO bound works on the byte-level curve")
-    l_min = Fraction(l_min)
-    volume = curve.value(jitter)
+    l_min = finite(l_min)
+    volume = curve.value(finite(jitter))
     if volume < 2 * l_min:
         return Fraction(0)
-    return Fraction(volume) - l_min
+    return volume - l_min
 
 
 def resequencer_delay_effect(mode: str, timeout: Rat) -> tuple[Rat, Rat]:
@@ -80,6 +81,7 @@ def resequencer_delay_effect(mode: str, timeout: Rat) -> tuple[Rat, Rat]:
     timeout each when losses are possible.  The buffer's output curve is its
     input curve shifted by that jitter (``curves.shift_jitter``)."""
     _check_mode(mode)
+    timeout = exact(timeout)
     if mode == LOSSLESS:
         return Fraction(0), Fraction(0)
     return timeout, timeout

@@ -31,7 +31,7 @@ from .path_analysis import (
     _align_rows,
     compare_placements,
 )
-from .rational import fmt_rat, seconds_to_us_display
+from .rational import exact, fmt_rat, seconds_to_us_display
 
 US = Fraction(1, 10**6)
 
@@ -84,7 +84,7 @@ class Reference:
 
 
 def _us(x: str) -> Fraction:
-    return Fraction(x) * US
+    return exact(x) * US
 
 
 # Derived once from the element parameters above and frozen; every value is

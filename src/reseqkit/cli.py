@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bounds import LOSSLESS, LOSSY
 from .case_study import render_case_study, run_case_study
-from .curves import curve_from_json, leaky_bucket
+from .curves import FlowSpec, curve_from_json, leaky_bucket
 from .metrics import delay_jitter, rbo, rto, trace_from_csv, trace_to_csv
 from .path_analysis import (
     analyze_both,
@@ -40,8 +40,8 @@ from .path_analysis import (
     render_report_table,
     report_to_json,
 )
-from .rational import fmt_rat, fmt_ticks, parse_finite, parse_finite_time
-from .rational import parse_rat, parse_time, seconds_to_us_display
+from .rational import finite, fmt_rat, fmt_ticks, parse_finite_time, parse_time
+from .rational import seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
 
@@ -175,7 +175,7 @@ def cmd_metrics(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = trace_from_csv(fh.read())
-    cfg = ResequencerConfig(parse_time(args.timeout), parse_rat(args.buffer))
+    cfg = ResequencerConfig(parse_time(args.timeout), args.buffer)
     outcome = simulate(trace, cfg)
     print(_dump_json({
         "departures": dict(zip(
@@ -196,14 +196,12 @@ def _scenario_curve(args):
         with open(args.curve_json, "r", encoding="utf-8") as fh:
             return curve_from_json(json.load(fh))
     if args.rate and args.burst:
-        return leaky_bucket(parse_finite(args.rate), parse_finite(args.burst))
+        return leaky_bucket(args.rate, args.burst)
     raise ValueError("scenario needs --curve-json or --rate/--burst")
 
 
 def _scenario_flow(args, curve):
-    from .curves import FlowSpec
-
-    return FlowSpec(curve, parse_finite(args.l_min), parse_finite(args.l_max))
+    return FlowSpec(curve, args.l_min, args.l_max)
 
 
 def cmd_scenario(args) -> int:
@@ -216,9 +214,10 @@ def cmd_scenario(args) -> int:
     elif kind == "lossless-backlog":
         if not args.sizes:
             raise ValueError("lossless-backlog needs --sizes")
-        sizes = [parse_finite(s) for s in args.sizes.split(",")]
+        # parsed here, so that inf is worded as in every finite field
+        sizes = [finite(s) for s in args.sizes.split(",")]
         trace = scenarios.gen_lossless_backlog_burst(
-            _required(args.rto, "--rto"), sizes, parse_finite(args.first_size)
+            _required(args.rto, "--rto"), sizes, finite(args.first_size)
         )
     elif kind == "lossy-backlog":
         curve = _scenario_curve(args)
@@ -230,7 +229,7 @@ def cmd_scenario(args) -> int:
     elif kind == "rto-tight":
         curve = _scenario_curve(args)
         trace = scenarios.gen_rto_tight_pair(
-            _required(args.jitter, "--jitter"), curve, parse_finite(args.l_min)
+            _required(args.jitter, "--jitter"), curve, args.l_min
         )
     elif kind == "rbo-tight":
         curve = _scenario_curve(args)

@@ -36,7 +36,7 @@ from heapq import merge
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rational import INF, Rat, fmt_rat, is_inf, parse_finite
+from .rational import INF, Rat, exact, finite, fmt_rat
 
 BYTES = "bytes"
 PACKETS = "packets"
@@ -62,19 +62,17 @@ class MinAffineCurve:
     unit: str = BYTES
 
     def __post_init__(self) -> None:
-        if not self.pieces:
+        pieces = [(finite(rate), finite(burst)) for rate, burst in self.pieces]
+        if not pieces:
             raise CurveError("min-affine curve needs at least one piece")
         if self.unit not in (BYTES, PACKETS):
             raise CurveError(f"unknown unit {self.unit!r}")
-        norm = []
-        for rate, burst in self.pieces:
-            rate, burst = Fraction(rate), Fraction(burst)
+        for rate, burst in pieces:
             if rate <= 0:
                 raise CurveError("piece rates must be > 0 (curves are unbounded)")
             if burst < 0:
                 raise CurveError("piece bursts must be >= 0")
-            norm.append((rate, burst))
-        object.__setattr__(self, "pieces", _lower_envelope(sorted(norm)))
+        object.__setattr__(self, "pieces", _lower_envelope(sorted(pieces)))
 
     @classmethod
     def _from_envelope(cls, pieces: Tuple[Tuple[Fraction, Fraction], ...],
@@ -88,9 +86,9 @@ class MinAffineCurve:
 
     def value(self, t: Rat) -> Rat:
         """Curve value at t (0 at t = 0, min of the pieces for t > 0)."""
-        if is_inf(t):
+        t = exact(t)
+        if t is INF:
             return INF
-        t = Fraction(t)
         if t < 0:
             raise ValueError("curves are defined on t >= 0")
         if t == 0:
@@ -102,7 +100,7 @@ class MinAffineCurve:
 
     def pseudo_inverse(self, x: Rat) -> Rat:
         """inf{s >= 0 | value(s) >= x}: the max over per-piece [(x-b)/r]^+."""
-        x = Fraction(x)
+        x = finite(x)
         if x < 0:
             raise ValueError("pseudo-inverse is defined on x >= 0")
         if x == 0:
@@ -136,17 +134,17 @@ class StaircaseCurve:
     unit: str = BYTES
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "burst", finite(self.burst))
+        object.__setattr__(self, "period", finite(self.period))
         if self.unit not in (BYTES, PACKETS):
             raise CurveError(f"unknown unit {self.unit!r}")
-        object.__setattr__(self, "burst", Fraction(self.burst))
-        object.__setattr__(self, "period", Fraction(self.period))
         if self.burst <= 0 or self.period <= 0:
             raise CurveError("staircase burst and period must be > 0")
 
     def value(self, t: Rat) -> Rat:
-        if is_inf(t):
+        t = exact(t)
+        if t is INF:
             return INF
-        t = Fraction(t)
         if t < 0:
             raise ValueError("curves are defined on t >= 0")
         if t == 0:
@@ -158,7 +156,7 @@ class StaircaseCurve:
 
     def pseudo_inverse(self, x: Rat) -> Rat:
         """period * ceil((x - burst) / burst) for x > 0, and 0 at x = 0."""
-        x = Fraction(x)
+        x = finite(x)
         if x < 0:
             raise ValueError("pseudo-inverse is defined on x >= 0")
         if x == 0:
@@ -206,7 +204,7 @@ def _ceil_div(num: Fraction, den: Fraction) -> int:
 
 
 def leaky_bucket(rate: Rat, burst: Rat, unit: str = BYTES) -> MinAffineCurve:
-    return MinAffineCurve(((Fraction(rate), Fraction(burst)),), unit)
+    return MinAffineCurve(((rate, burst),), unit)
 
 
 @dataclass(frozen=True)
@@ -217,8 +215,8 @@ class RateLatencyService:
     latency: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", Fraction(self.rate))
-        object.__setattr__(self, "latency", Fraction(self.latency))
+        object.__setattr__(self, "rate", finite(self.rate))
+        object.__setattr__(self, "latency", finite(self.latency))
         if self.rate <= 0:
             raise CurveError("service rate must be > 0")
         if self.latency < 0:
@@ -240,8 +238,8 @@ class FlowSpec:
     l_max: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l_min", Fraction(self.l_min))
-        object.__setattr__(self, "l_max", Fraction(self.l_max))
+        object.__setattr__(self, "l_min", finite(self.l_min))
+        object.__setattr__(self, "l_max", finite(self.l_max))
         if not 0 < self.l_min <= self.l_max:
             raise CurveError("need 0 < l_min <= l_max")
         if self.source_curve.unit != BYTES:
@@ -261,7 +259,7 @@ class FlowSpec:
         """Largest finite sum of admissible packet sizes that is <= x: the
         whole-packet floor of a buffer bound, and x itself exactly when x is
         a reachable byte total.  0 when nothing fits."""
-        x = Fraction(x)
+        x = finite(x)
         if x < self.l_min:
             return Fraction(0)
         return (x // self.l_min) * self.l_min if self.constant_size else x
@@ -271,17 +269,18 @@ def min_spacing(curve: Curve, l_min: Optional[Rat] = None) -> Fraction:
     """Shortest emission gap of two packets the curve allows: ``inv(2)`` for
     a packet curve, ``inv(2*l_min)`` for a byte curve."""
     if curve.unit == PACKETS:
-        return Fraction(curve.pseudo_inverse(2))
+        return curve.pseudo_inverse(2)
     if l_min is None:
         raise ValueError("byte-curve packet spacing needs l_min")
-    return Fraction(curve.pseudo_inverse(2 * Fraction(l_min)))
+    return curve.pseudo_inverse(2 * finite(l_min))
 
 
 def backlog_bound(curve: Curve, max_delay: Rat) -> Rat:
     """Data of the flow inside a system with delay bound U is at most curve(U)
     (Le Boudec & Thiran, *Network Calculus*).  With U the jitter plus the
     timeout, this is the size of a re-sequencing buffer that may see losses."""
-    if Fraction(max_delay) < 0:
+    max_delay = exact(max_delay)
+    if max_delay < 0:
         raise ValueError("delay bound must be >= 0")
     return curve.value(max_delay)
 
@@ -299,7 +298,7 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
     """
     if not isinstance(curve, MinAffineCurve):
         raise CurveError("jitter shift is defined for min-affine curves only")
-    v = Fraction(jitter)
+    v = finite(jitter)
     if v < 0:
         raise ValueError("jitter must be >= 0")
     if v == 0:
@@ -498,17 +497,14 @@ def curve_from_json(obj: dict) -> Curve:
     kind, unit = obj.get("kind"), obj.get("unit", BYTES)
     try:
         if kind == "staircase":
-            return StaircaseCurve(
-                parse_finite(obj["burst"]), parse_finite(obj["period"]), unit
-            )
+            return StaircaseCurve(obj["burst"], obj["period"], unit)
         if kind == "min_affine":
             pieces = obj["pieces"]
             if not isinstance(pieces, list):
                 raise CurveError("curve pieces must be a list")
             if not all(isinstance(p, dict) for p in pieces):
                 raise CurveError("curve piece must be an object")
-            pairs = [(parse_finite(p["rate"]), parse_finite(p["burst"])) for p in pieces]
-            return MinAffineCurve(tuple(pairs), unit)
+            return MinAffineCurve(tuple((p["rate"], p["burst"]) for p in pieces), unit)
     except KeyError as exc:
         raise CurveError(f"missing curve key: {exc}") from exc
     raise CurveError(f"unknown curve kind {kind!r}")

@@ -35,20 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import gt, le
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .rational import (
-    INF,
-    Cell,
-    Rat,
-    fmt_ticks,
-    is_inf,
-    on_common_base,
-    over,
-    parse_finite,
-    parse_rat,
-    ratio,
-)
+from .rational import INF, Cell, Rat, exact, finite, fmt_ticks
+from .rational import on_common_base, over, ratio
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -72,7 +62,7 @@ class PacketObservation:
 
     @property
     def lost(self) -> bool:
-        return is_inf(self.observe_time)
+        return self.observe_time is INF
 
 
 class Trace:
@@ -252,12 +242,13 @@ def trace_to_csv(trace: Trace) -> str:
     return "".join(f"{line}\n" for line in map(",".join, [CSV_HEADER, *rows]))
 
 
-def _cell(text: str, finite: bool) -> Cell:
+def _cell(text: str, parse: Callable[[str], Rat]) -> Cell:
     """Exact value of a CSV cell as ``(numerator, denominator)``, or INF.
 
     Plain decimals (``"64"``, ``"0.000012345"``) are read straight into
     integers; every other form, and a decimal beyond ``int``'s digit limit,
-    goes through ``parse_rat`` with its checks and messages.
+    goes through ``parse`` (``exact``, or ``finite``) with its checks and
+    messages.
     """
     try:
         if text.isdecimal():
@@ -267,8 +258,7 @@ def _cell(text: str, finite: bool) -> Cell:
             return int(whole + frac), 10 ** len(frac)
     except ValueError:
         pass
-    x = parse_finite(text) if finite else parse_rat(text)
-    return INF if is_inf(x) else x.as_integer_ratio()
+    return ratio(parse(text))
 
 
 def trace_from_csv(text: str) -> Trace:
@@ -294,9 +284,9 @@ def _read_csv(rows: Iterator[List[str]]) -> Trace:
             raise TraceError(f"line {lineno}: expected 4 columns")
         idx, size, emit, obs = map(str.strip, row)
         index = int(idx)
-        size_cell = _cell(size, finite=True)
-        emits.append(None if emit == "-" else _cell(emit, finite=True))
-        observes.append(_cell(obs, finite=False))
+        size_cell = _cell(size, finite)
+        emits.append(None if emit == "-" else _cell(emit, finite))
+        observes.append(_cell(obs, exact))
         if index < 1:
             raise TraceError("packet indices start at 1")
         if size_cell[0] <= 0:

@@ -32,6 +32,7 @@ Reports carry exact rationals; rounding happens only in the renderers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,15 +52,7 @@ from .curves import (
     min_curves,
     shift_jitter,
 )
-from .rational import (
-    Rat,
-    floor_int,
-    fmt_rat,
-    is_inf,
-    parse_finite,
-    parse_rat,
-    seconds_to_us_display,
-)
+from .rational import INF, Rat, exact, finite, fmt_rat, seconds_to_us_display
 
 
 class PathConfigError(ValueError):
@@ -75,7 +68,10 @@ class FifoServiceElement:
     kind = "fifo_service"
 
     def __post_init__(self) -> None:
-        if self.min_delay is not None and self.min_delay < 0:
+        if self.min_delay is None:
+            return
+        object.__setattr__(self, "min_delay", finite(self.min_delay))
+        if self.min_delay < 0:
             raise PathConfigError(
                 f"{self.id}: min_delay_s {fmt_rat(self.min_delay)} is negative"
             )
@@ -115,6 +111,9 @@ class ResequencerElement:
     kind = "resequencer"
 
     def __post_init__(self) -> None:
+        for name in ("timeout", "capacity"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, exact(getattr(self, name)))
         if self.mode not in ("auto", "explicit"):
             raise PathConfigError(f"{self.id}: unknown re-sequencer mode {self.mode!r}")
         if self.mode == "explicit" and self.timeout is None:
@@ -133,8 +132,11 @@ class ResequencerElement:
 
 
 def _check_delay_range(element: FabricElement | FixedDelayElement) -> None:
-    d_min = Fraction(element.d_min)
-    if d_min < 0 or Fraction(element.d_max) < d_min:
+    """Convert the element's delay range and check it."""
+    d_min, d_max = finite(element.d_min), finite(element.d_max)
+    object.__setattr__(element, "d_min", d_min)
+    object.__setattr__(element, "d_max", d_max)
+    if d_min < 0 or d_max < d_min:
         raise PathConfigError(f"{element.id}: need 0 <= d_min <= d_max")
 
 
@@ -266,9 +268,7 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
             svc = el.service
             d_max = horizontal_deviation(curve, svc)
             d_min = (
-                Fraction(el.min_delay)
-                if el.min_delay is not None
-                else flow.l_min / svc.rate
+                el.min_delay if el.min_delay is not None else flow.l_min / svc.rate
             )
             if d_min > d_max:
                 raise PathConfigError(
@@ -285,7 +285,7 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
                 )
             )
         elif el.kind in ("fabric", "order_preserving_fixed"):
-            d_min, d_max = Fraction(el.d_min), Fraction(el.d_max)
+            d_min, d_max = el.d_min, el.d_max
             jitter = d_max - d_min
             stage = (
                 bounds.rto_bound_element(jitter, curve, flow.l_min)
@@ -298,13 +298,8 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
             )
         elif el.kind == "resequencer":
             upstream = bounds.rto_bound_sequence(segment).value
-            timeout: Rat
-            if el.mode == "auto":
-                timeout = upstream  # the timeout that never discards is the RTO
-            else:
-                timeout = (
-                    el.timeout if is_inf(el.timeout) else Fraction(el.timeout)
-                )
+            # in auto mode, the timeout that never discards: the RTO
+            timeout: Rat = upstream if el.mode == "auto" else el.timeout
             unsafe = timeout < upstream
             if unsafe:
                 warnings.append(
@@ -313,7 +308,7 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
                     "packets may be discarded"
                 )
             if lossy:
-                if is_inf(timeout):
+                if timeout is INF:
                     raise PathConfigError(
                         f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
                     )
@@ -322,7 +317,7 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
                 req = bounds.rbo_bound_sequence(
                     (reordering,), flow.source_curve, flow.l_min
                 )
-            size = floor_int(flow.reachable_floor(req))
+            size = math.floor(flow.reachable_floor(req))
             if el.capacity is not None and el.capacity < size:
                 warnings.append(
                     f"{el.id}: configured capacity {fmt_rat(el.capacity)} B "
@@ -409,11 +404,7 @@ def _typed(value, kind: type, what: str):
 
 def flow_from_json(obj: dict) -> FlowSpec:
     obj = _typed(obj, dict, "flow")
-    return FlowSpec(
-        source_curve=curve_from_json(obj["curve"]),
-        l_min=parse_finite(obj["l_min"]),
-        l_max=parse_finite(obj["l_max"]),
-    )
+    return FlowSpec(curve_from_json(obj["curve"]), obj["l_min"], obj["l_max"])
 
 
 def element_from_json(obj: dict) -> PathElement:
@@ -426,25 +417,20 @@ def element_from_json(obj: dict) -> PathElement:
         raise PathConfigError(f"element id {json.dumps(eid)} is not a string")
     if kind == "fifo_service":
         try:
-            svc = RateLatencyService(
-                parse_finite(obj["rate_Bps"]), parse_finite(obj["latency_s"])
-            )
+            svc = RateLatencyService(obj["rate_Bps"], obj["latency_s"])
         except CurveError as exc:
             raise PathConfigError(f"{eid}: {exc}") from exc
-        min_delay = (
-            parse_finite(obj["min_delay_s"]) if "min_delay_s" in obj else None
-        )
+        # optional keys are parsed here, so that a JSON null is refused,
+        # not read as absent
+        min_delay = finite(obj["min_delay_s"]) if "min_delay_s" in obj else None
         return FifoServiceElement(eid, svc, min_delay)
     if kind in ("fabric", "order_preserving_fixed"):
-        d_min = parse_finite(obj["d_min_s"])
-        d_max = parse_finite(obj["d_max_s"])
         cls = FabricElement if kind == "fabric" else FixedDelayElement
-        return cls(eid, d_min, d_max)
+        return cls(eid, obj["d_min_s"], obj["d_max_s"])
     if kind == "resequencer":
-        mode = obj.get("mode", "auto")
-        timeout = parse_rat(obj["timeout_s"]) if "timeout_s" in obj else None
-        capacity = parse_rat(obj["buffer_bytes"]) if "buffer_bytes" in obj else None
-        return ResequencerElement(eid, mode, timeout, capacity)
+        timeout = exact(obj["timeout_s"]) if "timeout_s" in obj else None
+        capacity = exact(obj["buffer_bytes"]) if "buffer_bytes" in obj else None
+        return ResequencerElement(eid, obj.get("mode", "auto"), timeout, capacity)
     raise PathConfigError(f"unknown element kind {kind!r}")
 
 

@@ -1,15 +1,21 @@
-"""Exact number handling: rationals, the +inf sentinel, parsing and display.
+"""Exact number handling: the one intake, the +inf sentinel and display.
 
 Times (seconds) and sizes (bytes or packets) are exact: a ``Fraction`` at
-every public interface, so that derived quantities are bit-exact.  Code
-that loops over packets carries them as integer ticks instead: each value
-times D, where D is the least common multiple of the denominators
+every public interface, so that derived quantities are bit-exact.  Every
+number enters through ``exact``, or ``finite`` where inf is no value: a
+CSV cell, a JSON value, a CLI flag and a value from a library caller alike.
+It takes an ``int`` or a ``Fraction``, ``math.inf`` (returned as the
+``INF`` object), or a string in one literal grammar, and refuses any other
+float, ``bool``, ``None`` and type.  Each record converts its fields once,
+in its constructor, and code that reads a field trusts it; ``x is INF`` is
+the one test of infinity.
+
+Code that loops over packets carries values as integer ticks instead: each
+value times D, where D is the least common multiple of the denominators
 (``on_common_base``), and turns a result back into ``Fraction(ticks, D)``
 only where it is returned (``over``), or writes the ticks out directly
-(``fmt_ticks``).  Lost-packet times use ``math.inf`` as an explicit
-sentinel; it compares and min/maxes correctly against Fractions and
-integers.  Floats never appear anywhere else: ``exact``, which every tick
-intake goes through, refuses any other float.
+(``fmt_ticks``).  Lost-packet times use ``INF`` as an explicit sentinel;
+it compares and min/maxes correctly against Fractions and integers.
 """
 
 from __future__ import annotations
@@ -26,92 +32,95 @@ Rat = Union[Fraction, float]
 
 INF: float = math.inf
 
-
-def is_inf(x: Rat) -> bool:
-    return isinstance(x, float) and math.isinf(x)
-
-
-_TIME_SUFFIXES = {
-    "s": Fraction(1),
-    "ms": Fraction(1, 10**3),
-    "us": Fraction(1, 10**6),
-    "µs": Fraction(1, 10**6),
-    "μs": Fraction(1, 10**6),
-    "ns": Fraction(1, 10**9),
-}
+# longest first: "12ms" ends with "s" too
+_TIME_SUFFIXES = (
+    ("ms", Fraction(1, 10**3)),
+    ("us", Fraction(1, 10**6)),
+    ("µs", Fraction(1, 10**6)),
+    ("μs", Fraction(1, 10**6)),
+    ("ns", Fraction(1, 10**9)),
+    ("s", Fraction(1)),
+)
 
 _NUMBER_RE = re.compile(
     r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$|^[+-]?\d+/\d+$"
 )
 
-#: Largest decimal exponent magnitude ``parse_rat`` accepts: ``1e1000`` is
-#: a 1001-digit integer, while ``1e999999999`` would need gigabytes.
+#: Largest decimal exponent magnitude ``exact`` accepts in a string:
+#: ``1e1000`` is a 1001-digit integer, while ``1e999999999`` would need
+#: gigabytes.
 MAX_EXPONENT = 1000
 
 
-def parse_rat(text: Union[str, int]) -> Rat:
-    """Parse a numeric string, or an integer, into an exact value.
+def exact(x: Union[Rat, int, str]) -> Rat:
+    """The exact value of ``x``: the one way a number enters reseqkit.
 
-    Accepted forms: plain/decimal integers (``"64"``, ``"251.5"``),
-    scientific notation (``"125e6"``, ``"12e-6"``), explicit fractions
-    (``"3/7"``), ``"inf"`` and ints.  Floats are refused: JSON gives no
-    exact value for them, and so is an exponent beyond ``MAX_EXPONENT``.
+    Takes an ``int`` or a ``Fraction``; ``math.inf``, returned as ``INF``;
+    or a string: a decimal integer or fraction (``"64"``, ``"251.5"``),
+    scientific notation with an exponent of at most ``MAX_EXPONENT``
+    (``"125e6"``, ``"12e-6"``), ``"p/q"`` (``"3/7"``) or ``"inf"``.  Any
+    other float is refused, as JSON gives no exact value for it (0.1 is
+    not 1/10, and -inf and nan are no time or size), and so are ``bool``,
+    ``None`` and every other type.
     """
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise ValueError(f"not an exact number: {text!r}; give a string or an integer")
-    s = text.strip()
-    if s.lower() in ("inf", "+inf", "infinity"):
-        return INF
-    m = _NUMBER_RE.match(s)
-    if not m:
-        raise ValueError(f"not an exact numeric literal: {text!r}")
-    exponent = m.group(3)  # "e-6", or None
-    if exponent:
-        # the length test first: a long run of digits is never converted
-        digits = exponent[1:].lstrip("+-").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"exponent beyond +/-{MAX_EXPONENT}: {text!r}")
-    elif "/" in s and not s.rpartition("/")[2].strip("0"):
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(s)
+    if x.__class__ is Fraction:
+        return x
+    if isinstance(x, str):
+        s = x.strip()
+        if s.lower() in ("inf", "+inf", "infinity"):
+            return INF
+        m = _NUMBER_RE.match(s)
+        if not m:
+            raise ValueError(f"not an exact numeric literal: {x!r}")
+        exponent = m.group(3)  # "e-6", or None
+        if exponent:
+            # the length test first: a long run of digits is never converted
+            digits = exponent[1:].lstrip("+-").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond +/-{MAX_EXPONENT}: {x!r}")
+        elif "/" in s and not s.rpartition("/")[2].strip("0"):
+            raise ValueError(f"zero denominator: {x!r}")
+        return Fraction(s)
+    if isinstance(x, float):
+        if x == INF:
+            return INF
+    elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"not an exact number: {x!r}; give a string or an integer")
 
 
-def parse_finite(text: Union[str, int]) -> Fraction:
-    """``parse_rat`` for a quantity that must be finite: ``inf`` is refused."""
-    return _finite(parse_rat(text), text)
+def finite(x: Union[Rat, int, str]) -> Fraction:
+    """``exact`` for a quantity that must be finite: inf is refused."""
+    return _finite(exact(x), x)
 
 
 def parse_finite_time(text: str) -> Fraction:
-    """``parse_time`` for a time that must be finite: ``inf`` is refused."""
+    """``parse_time`` for a time that must be finite: inf is refused."""
     return _finite(parse_time(text), text)
 
 
-def _finite(x: Rat, text) -> Fraction:
-    if is_inf(x):
-        raise ValueError(f"not a finite number: {text!r}")
+def _finite(x: Rat, given) -> Fraction:
+    if x is INF:
+        raise ValueError(f"not a finite number: {given!r}")
     return x
 
 
 def parse_time(text: str) -> Rat:
     """Parse a time with an optional unit suffix (s, ms, us, ns) into seconds."""
     s = text.strip()
-    if s.lower() in ("inf", "+inf", "infinity"):
-        return INF
-    for suffix, scale in sorted(_TIME_SUFFIXES.items(), key=lambda kv: -len(kv[0])):
+    for suffix, scale in _TIME_SUFFIXES:
         if s.endswith(suffix):
-            return parse_rat(s[: -len(suffix)]) * scale
-    return parse_rat(s)
+            x = exact(s[: -len(suffix)])
+            return x if x is INF else x * scale
+    return exact(s)
 
 
 def fmt_rat(x: Rat) -> str:
     """Render a value exactly: finite decimal when the denominator is 2^a*5^b,
     otherwise ``"p/q"``; ``inf`` for the sentinel."""
-    if is_inf(x):
+    if x is INF:
         return "inf"
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    num, den = f.numerator, f.denominator
+    num, den = x.numerator, x.denominator
     if den == 1:
         return str(num)
     q, digits = _decimal_split(den)
@@ -132,7 +141,7 @@ def fmt_ticks(ticks: Sequence[Union[int, float]], den: int) -> List[str]:
     scale = 10**digits * q // den  # 10**digits / (2^a * 5^b), exactly
     out = []
     for t in ticks:
-        if t is INF or t == INF:
+        if t is INF:
             out.append("inf")
         elif t % q == 0:
             out.append(_shortest(t // q * scale, digits))
@@ -175,16 +184,9 @@ def _half_up(n: int, d: int) -> int:
     return r if n >= 0 else -r
 
 
-def floor_int(x: Rat) -> int:
-    """Floor to an integer; used for byte displays."""
-    if is_inf(x):
-        raise ValueError("cannot floor inf")
-    return math.floor(Fraction(x))
-
-
 def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
     """Format seconds as microseconds, rounded half-up to ``digits`` places."""
-    if is_inf(t):
+    if t is INF:
         return "inf"
     scaled = _half_up(t.numerator * 10 ** (6 + digits), t.denominator)
     return _fixed_point(scaled, digits)
@@ -195,17 +197,7 @@ def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
 Cell = Union[Tuple[int, int], float, None]
 
 
-def exact(x: Rat) -> Rat:
-    """``x`` as a ``Fraction``; INF stays INF, and any other float is
-    refused: 0.1 is not 1/10, and -inf and nan are no time or size."""
-    if isinstance(x, float):
-        if x == INF:
-            return INF
-        raise ValueError(f"not an exact number: {x!r}")
-    return Fraction(x)
-
-
-def ratio(x: Rat) -> Cell:
+def ratio(x: Union[Rat, int, str]) -> Cell:
     """``exact(x)`` as a ``(numerator, denominator)`` cell; INF stays INF."""
     x = exact(x)
     return x if x is INF else x.as_integer_ratio()

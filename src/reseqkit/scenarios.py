@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
 from .metrics import Trace
-from .rational import INF, Rat, fmt_rat
+from .rational import INF, Rat, finite, fmt_rat
 
 
 class ScenarioError(ValueError):
@@ -44,7 +44,7 @@ class DecompositionError(ScenarioError):
 
 def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
     """Split ``total`` into packet sizes within [l_min, l_max], exactly."""
-    total = Fraction(total)
+    total = finite(total)
     if total < 0:
         raise DecompositionError("byte totals are non-negative")
     if total == 0:
@@ -79,6 +79,7 @@ def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
     every A_m on a multiple q_m of tau, and then
     ``q_k = ceil(P_k/b + max over m < k of (q_m - P_{m-1}/b)) - 1``.
     """
+    sizes = list(map(finite, sizes))
     times: List[Fraction] = []
     acc = Fraction(0)
     if isinstance(curve, StaircaseCurve):
@@ -90,8 +91,8 @@ def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
             times.append(curve.period * q)
         return times
     for s in sizes:
-        acc += Fraction(s)
-        times.append(Fraction(curve.pseudo_inverse(acc)))
+        acc += s
+        times.append(curve.pseudo_inverse(acc))
     return times
 
 
@@ -109,17 +110,16 @@ def _packetize_by(curve: Curve, sizes: Sequence[Fraction], deadline: Fraction,
     return times
 
 
-def _default_eps(target: Rat) -> Fraction:
-    return Fraction(target) / 10**6
+def _default_eps(target: Fraction) -> Fraction:
+    return target / 10**6
 
 
 def gen_two_packet_swap(rto_value: Rat, t0: Rat = 0) -> Trace:
     """Two 64-byte packets where packet 2 overtakes packet 1 by exactly the
     given offset; any re-sequencer timeout below it discards packet 1."""
-    lam = Fraction(rto_value)
+    lam, t0 = finite(rto_value), finite(t0)
     if lam <= 0:
         raise ScenarioError("the overtaking offset must be > 0")
-    t0 = Fraction(t0)
     return Trace([64, 64], None, [t0 + lam, t0])
 
 
@@ -132,15 +132,14 @@ def gen_lossless_backlog_burst(
     The buffer holds all of ``sizes`` when packet 1 arrives, so the peak
     occupancy equals their sum, the trace's byte offset.
     """
-    lam = Fraction(rto_value)
+    lam = finite(rto_value)
     if lam <= 0:
         raise ScenarioError("the overtaking offset must be > 0")
-    burst = [Fraction(s) for s in sizes]
-    if not burst:
+    if not sizes:
         raise ScenarioError("need at least one early packet")
-    k = len(burst)
+    k = len(sizes)
     observes = [lam] + [Fraction(j, k + 1) * lam for j in range(k)]
-    return Trace([Fraction(first_size)] + burst, None, observes)
+    return Trace([first_size, *sizes], None, observes)
 
 
 def gen_lossy_backlog_burst(
@@ -160,10 +159,10 @@ def gen_lossy_backlog_burst(
     cannot emit the burst within V + T - eps, as with a staircase whose
     periods these packet sizes cannot fill.
     """
-    v, t = Fraction(jitter), Fraction(timeout)
+    v, t = finite(jitter), finite(timeout)
     if v <= 0 or t <= 0:
         raise ScenarioError("the construction needs jitter > 0 and timeout > 0")
-    eps = Fraction(eps) if eps is not None else _default_eps(min(v, t))
+    eps = finite(eps) if eps is not None else _default_eps(min(v, t))
     if not 0 < eps < min(v, t):
         raise ScenarioError("need 0 < eps < min(jitter, timeout)")
     target = flow.reachable_floor(curve.value(v + t - eps))
@@ -176,7 +175,7 @@ def gen_lossy_backlog_burst(
     )
 
     all_sizes = [flow.l_max] + burst_sizes
-    t0 = Fraction(curve.pseudo_inverse(sum(all_sizes)))
+    t0 = curve.pseudo_inverse(sum(all_sizes))
     emits = [Fraction(0)] + [t0 + bt for bt in burst_times]
 
     # First survivor lands eps/2 short of the jitter bound; later ones trail
@@ -196,7 +195,7 @@ def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
 
     The measured offset is exactly ``jitter - min_spacing(curve, l_min)``.
     """
-    v, lm = Fraction(jitter), Fraction(l_min)
+    v, lm = finite(jitter), finite(l_min)
     spacing = min_spacing(curve, lm)
     if v <= spacing:
         raise ScenarioError("jitter at or below the curve spacing: no reordering")
@@ -214,13 +213,13 @@ def gen_rbo_tight_burst(
 
     Refused when the curve cannot emit the whole burst by V - eps, as with
     a staircase whose periods these packet sizes cannot fill."""
-    v = Fraction(jitter)
+    v = finite(jitter)
     if v <= 0:
         raise ScenarioError("the construction needs jitter > 0")
-    eps = Fraction(eps) if eps is not None else _default_eps(v)
+    eps = finite(eps) if eps is not None else _default_eps(v)
     if not 0 < eps < v:
         raise ScenarioError("need 0 < eps < jitter")
-    total = Fraction(curve.value(v - eps))
+    total = curve.value(v - eps)
     if total < 2 * flow.l_min:
         raise ScenarioError("curve window admits fewer than two packets")
     sizes = [flow.l_min] + decompose_bytes(total - flow.l_min, flow)
@@ -266,14 +265,15 @@ def gen_amplified_rto_chain(
     ``stages`` lists (jitter, rto) per stage; stages before ``head`` forward
     both packets with identical delay.
     """
+    stages = [(finite(v), finite(lam)) for v, lam in stages]
     if not 1 <= head <= len(stages):
         raise ScenarioError("head stage out of range")
-    v_s, lam_s = (Fraction(x) for x in stages[head - 1])
+    v_s, lam_s = stages[head - 1]
     if lam_s <= 0:
         raise ScenarioError("head stage needs a positive RTO")
     if lam_s > v_s:
         raise ScenarioError("per-stage RTO cannot exceed its jitter")
-    eps = Fraction(eps) if eps is not None else _default_eps(lam_s)
+    eps = finite(eps) if eps is not None else _default_eps(lam_s)
     if not 0 < eps < lam_s:
         raise ScenarioError("need 0 < eps < head-stage RTO")
 
@@ -282,7 +282,7 @@ def gen_amplified_rto_chain(
     t1 = Fraction(0)
     per_stage: List[Trace] = []
     for h, (v_h, _) in enumerate(stages, start=1):
-        out1 = t1 + (0 if h < head else lam_s if h == head else Fraction(v_h))
+        out1 = t1 + (0 if h < head else lam_s if h == head else v_h)
         # Index packets by arrival order at this stage's input.
         pairs = [(t1, out1), (eps, eps)] if t1 < eps else [(eps, eps), (t1, out1)]
         emits, observes = zip(*pairs)
@@ -290,9 +290,7 @@ def gen_amplified_rto_chain(
         t1 = out1
 
     end_to_end = Trace([64, 64], [Fraction(0), eps], [t1, eps])
-    downstream = sum(
-        (Fraction(v) for v, _ in stages[head:]), Fraction(0)
-    )
+    downstream = sum((v for v, _ in stages[head:]), Fraction(0))
     return ConcatScenario(
         tuple(per_stage), end_to_end, lam_s - eps + downstream
     )

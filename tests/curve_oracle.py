@@ -11,13 +11,19 @@ curve there, O(k^3) for k pieces.  Only the tests use them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from reseqkit.curves import InstabilityError, RateLatencyService
-from reseqkit.rational import INF, Rat, is_inf
+from reseqkit.rational import INF, Rat
 
 Pieces = Sequence[Tuple[Fraction, Fraction]]
+
+
+def is_inf(x: Rat) -> bool:
+    """Whether x is +/-inf: this oracle's own test, apart from the code it checks."""
+    return isinstance(x, float) and math.isinf(x)
 
 
 def value(pieces: Pieces, t: Rat) -> Rat:

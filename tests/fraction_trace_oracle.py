@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -26,8 +27,13 @@ from reseqkit.metrics import (
     PacketObservation,
     TraceError,
 )
-from reseqkit.rational import INF, Rat, is_inf, parse_finite, parse_rat
+from reseqkit.rational import INF, Rat, exact, finite
 from reseqkit.resequencer import ArrivalError
+
+
+def is_inf(x: Rat) -> bool:
+    """Whether x is +/-inf: this oracle's own test, apart from the code it checks."""
+    return isinstance(x, float) and math.isinf(x)
 
 
 def record(index: int, size: Rat, emit_time: Optional[Rat],
@@ -172,9 +178,9 @@ def trace_from_csv(text: str) -> Trace:
         packets.append(
             record(
                 index=int(idx),
-                size=parse_finite(size),
-                emit_time=None if emit == "-" else parse_finite(emit),
-                observe_time=parse_rat(obs),
+                size=finite(size),
+                emit_time=None if emit == "-" else finite(emit),
+                observe_time=exact(obs),
             )
         )
     return Trace(tuple(packets))

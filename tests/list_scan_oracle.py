@@ -12,10 +12,11 @@ moved to integer ticks.  It returns the outcome as the tuple
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
-from reseqkit.rational import INF, Rat, is_inf
+from reseqkit.rational import INF, Rat
 from reseqkit.resequencer import (
     INVALID_LATE,
     OVERFLOW,
@@ -25,6 +26,11 @@ from reseqkit.resequencer import (
 )
 
 Outcome = Tuple[Dict[int, Rat], Dict[int, str], Fraction, Fraction]
+
+
+def is_inf(x: Rat) -> bool:
+    """Whether x is +/-inf: this oracle's own test, apart from the code it checks."""
+    return isinstance(x, float) and math.isinf(x)
 
 
 def fields(outcome: ResequencerOutcome) -> Outcome:

@@ -449,6 +449,92 @@ def test_malformed_curve_json_is_input_error(curve, message, tmp_path, capsys):
     assert out == "" and err == f"error: {message}\n"
 
 
+# A bad literal and the one error line it gets, wherever it is given.
+BAD_LITERALS = {
+    "abc": "not an exact numeric literal: 'abc'",
+    "1_000": "not an exact numeric literal: '1_000'",
+    "1e2000": "exponent beyond +/-1000: '1e2000'",
+    "-inf": "not an exact numeric literal: '-inf'",
+    0.1: "not an exact number: 0.1; give a string or an integer",
+    None: "not an exact number: None; give a string or an integer",
+    True: "not an exact number: True; give a string or an integer",
+}
+EXPLICIT = {"mode": "explicit", "timeout_s": "29.488e-6"}
+STAIRCASE_FLOW = {"unit": "bytes", "kind": "staircase", "burst": "6400",
+                  "period": "1"}
+# Each numeric config key, as an edit that sets it to a value.
+CONFIG_KEYS = {
+    "l_min": lambda c, v: c["flow"].update(l_min=v),
+    "l_max": lambda c, v: c["flow"].update(l_max=v),
+    "piece-rate": lambda c, v: c["flow"]["curve"]["pieces"][0].update(rate=v),
+    "piece-burst": lambda c, v: c["flow"]["curve"]["pieces"][0].update(burst=v),
+    "staircase-burst": lambda c, v: c["flow"].update(
+        curve=dict(STAIRCASE_FLOW, burst=v)),
+    "staircase-period": lambda c, v: c["flow"].update(
+        curve=dict(STAIRCASE_FLOW, period=v)),
+    "rate_Bps": lambda c, v: c["elements"][0].update(rate_Bps=v),
+    "latency_s": lambda c, v: c["elements"][0].update(latency_s=v),
+    "min_delay_s": lambda c, v: c["elements"][0].update(min_delay_s=v),
+    "d_min_s": lambda c, v: c["elements"][1].update(d_min_s=v),
+    "d_max_s": lambda c, v: c["elements"][1].update(d_max_s=v),
+    "timeout_s": lambda c, v: c["elements"][-1].update(EXPLICIT, timeout_s=v),
+    "buffer_bytes": lambda c, v: c["elements"][-1].update(EXPLICIT, buffer_bytes=v),
+}
+
+
+@pytest.mark.parametrize("value", list(BAD_LITERALS), ids=repr)
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_bad_config_literal_wording(key, value, tmp_path, capsys):
+    cfg = bundled_with(tmp_path, lambda c: CONFIG_KEYS[key](c, value))
+    assert main(["analyze", "--config", cfg]) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {BAD_LITERALS[value]}\n"
+
+
+# Each numeric flag of simulate and scenario, as an argv around a value;
+# "@" marks where the value goes, after "=" so that "-inf" is no option.
+CURVE_ARGS = ["--rate", "6400", "--burst", "640"]
+FLAG_ARGVS = {
+    "simulate --timeout": ["simulate", LOSSY_BACKLOG, "--timeout=@"],
+    "simulate --buffer": ["simulate", LOSSY_BACKLOG, "--buffer=@"],
+    "--rto": ["scenario", "two-packet-swap", "--rto=@"],
+    "--t0": ["scenario", "two-packet-swap", "--rto", "1ms", "--t0=@"],
+    "--jitter": ["scenario", "rto-tight", *CURVE_ARGS, "--jitter=@"],
+    "--timeout": ["scenario", "lossy-backlog", *CURVE_ARGS, "--jitter", "20ms",
+                  "--l-max", "128", "--timeout=@"],
+    "--eps": ["scenario", "rbo-tight", *CURVE_ARGS, "--jitter", "20ms",
+              "--eps=@"],
+    "--rate": ["scenario", "rbo-tight", "--jitter", "20ms", "--burst", "640",
+               "--rate=@"],
+    "--burst": ["scenario", "rbo-tight", "--jitter", "20ms", "--rate", "6400",
+                "--burst=@"],
+    "--l-min": ["scenario", "rbo-tight", *CURVE_ARGS, "--jitter", "20ms",
+                "--l-min=@"],
+    "--l-max": ["scenario", "rbo-tight", *CURVE_ARGS, "--jitter", "20ms",
+                "--l-max=@"],
+    "--sizes": ["scenario", "lossless-backlog", "--rto", "5ms", "--sizes=64,@"],
+    "--first-size": ["scenario", "lossless-backlog", "--rto", "5ms",
+                     "--sizes", "64", "--first-size=@"],
+    "--stages jitter": ["scenario", "rto-chain", "--stages=@:1/7"],
+    "--stages rto": ["scenario", "rto-chain", "--stages=1/3:@"],
+}
+FLAG_CASES = [
+    (flag, value, BAD_LITERALS[value]) for flag in FLAG_ARGVS
+    for value in BAD_LITERALS if isinstance(value, str)
+] + [
+    (flag, "inf", "not a finite number: 'inf'") for flag in FLAG_ARGVS
+    if not flag.startswith("simulate")
+]
+
+
+@pytest.mark.parametrize("flag,value,message", FLAG_CASES)
+def test_bad_flag_literal_wording(flag, value, message, capsys):
+    argv = [a.replace("@", value) for a in FLAG_ARGVS[flag]]
+    assert main(argv) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 # every packet has an emission time, and every packet is lost
 ALL_LOST_WITH_EMISSIONS = (
     "index,size_bytes,emit_time_s,observe_time_s\n1,64,0,inf\n2,64,1,inf\n"

@@ -10,15 +10,13 @@ from test_trace_ticks import primes
 from reseqkit.rational import (
     INF,
     MAX_EXPONENT,
+    exact,
+    finite,
     fmt_rat,
     fmt_ticks,
-    floor_int,
-    is_inf,
     on_common_base,
     over,
-    parse_finite,
     parse_finite_time,
-    parse_rat,
     parse_time,
     seconds_to_us_display,
 )
@@ -38,26 +36,29 @@ class TestParse:
             ("1e1000", F(10) ** 1000),  # exponents up to MAX_EXPONENT
             ("-2.5E-0999", F(-25, 10**1000)),
             ("0.5e-6", F(1, 2 * 10**6)),
+            (F(3, 7), F(3, 7)),
         ],
     )
     def test_exact_forms(self, text, want):
-        assert parse_rat(text) == want
+        assert exact(text) == want and type(exact(text)) is F
 
     def test_inf(self):
-        assert is_inf(parse_rat("inf"))
-        assert is_inf(parse_rat("Infinity"))
+        # every spelling of +inf is the one INF object
+        for text in ("inf", "Infinity", "+inf", math.inf, float("inf")):
+            assert exact(text) is INF
 
     def test_rejects_junk(self):
         # JSON floats, null, booleans, lists and objects are no exact number
-        for bad in ("1.2.3", "0x10", "nan", "1e", "", 125e6, None, True, [64], {}):
+        for bad in ("1.2.3", "0x10", "nan", "1e", "", "1_000", "-inf", 125e6,
+                    0.1, -math.inf, math.nan, None, True, [64], {}):
             with pytest.raises(ValueError):
-                parse_rat(bad)
+                exact(bad)
 
     @pytest.mark.parametrize("text", ["3/0", "-1/000", "0/0", " 7/0 "])
     def test_zero_denominator_refused(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
-            parse_rat(text)
-        assert parse_rat("3/10") == F(3, 10)
+            exact(text)
+        assert exact("3/10") == F(3, 10)
 
     @pytest.mark.parametrize(
         "text", ["1e1001", "1e-1001", "0.5E+1001", "1e" + "9" * 5000, "1e+01001"]
@@ -66,7 +67,7 @@ class TestParse:
         # refused from the literal alone: no 10**1001 integer is built
         assert MAX_EXPONENT == 1000
         with pytest.raises(ValueError, match="exponent beyond"):
-            parse_rat(text)
+            exact(text)
         with pytest.raises(ValueError, match="exponent beyond"):
             parse_time(text + "us")
 
@@ -83,11 +84,15 @@ class TestParse:
     def test_time_suffixes(self, text, want):
         assert parse_time(text) == want
 
+    @pytest.mark.parametrize("text", ["inf", "infms", "inf us", "infs"])
+    def test_infinite_time_is_the_inf_object(self, text):
+        assert parse_time(text) is INF
+
     def test_finite_parsers_refuse_inf(self):
-        assert parse_finite("251.5") == F("251.5") and parse_finite(64) == 64
+        assert finite("251.5") == F("251.5") and finite(64) == 64
         assert parse_finite_time("29.49us") == F("29.49e-6")
-        for parse, text in [(parse_finite, "inf"), (parse_finite, "+inf"),
-                            (parse_finite, "Infinity"), (parse_finite_time, "inf"),
+        for parse, text in [(finite, "inf"), (finite, "+inf"),
+                            (finite, "Infinity"), (parse_finite_time, "inf"),
                             (parse_finite_time, "infms")]:
             with pytest.raises(ValueError) as exc:
                 parse(text)
@@ -104,14 +109,14 @@ class TestTicks:
     def test_over_shares_equal_values(self):
         out = over({1: 3, 2: INF, 3: 3, 4: 0}, 6)
         assert out == {1: F(1, 2), 2: INF, 3: F(1, 2), 4: 0}
-        assert out[1] is out[3] and is_inf(out[2])
+        assert out[1] is out[3] and out[2] is INF
 
     @given(st.integers(-10**12, 10**12), st.integers(0, 30), st.integers(0, 30),
            st.sampled_from([1, 3, 7]))
     def test_format_is_the_shortest_exact_literal(self, num, twos, fives, odd):
         x = F(num, 2**twos * 5**fives * odd)
         text = fmt_rat(x)
-        assert parse_rat(text) == x
+        assert exact(text) == x
         if x.denominator % 3 == 0 or x.denominator % 7 == 0:
             assert text == f"{x.numerator}/{x.denominator}"
         else:
@@ -151,7 +156,7 @@ class TestFmtTicks:
 class TestFormat:
     def test_round_trip(self):
         for x in (F(0), F(64), F("251.5"), F(3, 7), F(-9, 8), F(988, 10**9)):
-            assert parse_rat(fmt_rat(x)) == x
+            assert exact(fmt_rat(x)) == x
 
     def test_decimal_when_possible(self):
         assert fmt_rat(F("0.512e-6")) == "0.000000512"
@@ -184,8 +189,3 @@ class TestFormat:
         r = -r if scaled < 0 else r
         want = Decimal(f"{r}E-{digits}")
         assert seconds_to_us_display(t, digits) == f"{want:.{digits}f}"
-
-    def test_floor(self):
-        assert floor_int(F("6336.5068032")) == 6336
-        with pytest.raises(ValueError):
-            floor_int(INF)

@@ -28,7 +28,7 @@ from reseqkit.metrics import (
     trace_from_csv,
     trace_to_csv,
 )
-from reseqkit.rational import INF, fmt_rat, is_inf
+from reseqkit.rational import INF, fmt_rat
 from reseqkit.resequencer import ResequencerConfig, analytic_departures, simulate
 
 DENOMINATORS = (1, 2, 10, 1000, 10**9, 3, 7, 1024)
@@ -54,7 +54,7 @@ def decimal_digits(x):
 
 def literal(x, form):
     """An exact CSV literal for x in the given form, where x allows it."""
-    if is_inf(x):
+    if x is INF:
         return "inf"
     d = decimal_digits(x)
     if form == "fraction" or d is None:
