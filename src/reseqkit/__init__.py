@@ -30,7 +30,6 @@ from .curves import (
     shift_jitter,
 )
 from .metrics import (
-    PacketObservation,
     Trace,
     delay_jitter,
     rbo,

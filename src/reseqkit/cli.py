@@ -200,10 +200,6 @@ def _scenario_curve(args):
     raise ValueError("scenario needs --curve-json or --rate/--burst")
 
 
-def _scenario_flow(args, curve):
-    return FlowSpec(curve, args.l_min, args.l_max)
-
-
 def cmd_scenario(args) -> int:
     kind = args.kind
     eps = parse_finite_time(args.eps) if args.eps else None
@@ -224,7 +220,7 @@ def cmd_scenario(args) -> int:
         trace = scenarios.gen_lossy_backlog_burst(
             curve, _required(args.jitter, "--jitter"),
             _required(args.timeout, "--timeout"),
-            _scenario_flow(args, curve), eps,
+            FlowSpec(curve, args.l_min, args.l_max), eps,
         )
     elif kind == "rto-tight":
         curve = _scenario_curve(args)
@@ -235,15 +231,17 @@ def cmd_scenario(args) -> int:
         curve = _scenario_curve(args)
         trace = scenarios.gen_rbo_tight_burst(
             _required(args.jitter, "--jitter"), curve,
-            _scenario_flow(args, curve), eps,
+            FlowSpec(curve, args.l_min, args.l_max), eps,
         )
     else:  # rto-chain
         if not args.stages:
             raise ValueError("rto-chain needs --stages jitter:rto,jitter:rto,...")
         stages = []
         for part in args.stages.split(","):
-            v, lam = part.split(":")
-            stages.append((parse_finite_time(v), parse_finite_time(lam)))
+            pair = part.split(":")
+            if len(pair) != 2:
+                raise ValueError(f"--stages takes jitter:rto pairs, got {part!r}")
+            stages.append(tuple(map(parse_finite_time, pair)))
         chain = scenarios.gen_amplified_rto_chain(stages, args.head, eps)
         trace = chain.end_to_end
     text = trace_to_csv(trace)

@@ -24,8 +24,9 @@ The trace conformance check, ``check_conforms(trace, curve)``, takes a
 pairs.  A min-affine curve is the minimum of its leaky buckets, so a trace
 conforms to it exactly when it conforms to every bucket; each bucket takes
 one token-bucket (GCRA) pass, O(n*k) for k pieces.  A staircase takes one
-sweep over the emission phases modulo its period, O(n log n).  Its witness
-is the first non-conforming packet.
+sliding window of less than a period, O(n): it is subadditive, so a longer
+window that overflows holds a shorter one that does.  Its witness is the
+first non-conforming packet.
 """
 
 from __future__ import annotations
@@ -377,11 +378,13 @@ def check_conforms(trace, curve: Curve) -> Conformance:
     packet counts), a min-affine curve is the minimum of its leaky buckets
     (r, b), and the window m..n overflows bucket (r, b) iff
     ``(P_n - r*A_n) - (P_{m-1} - r*A_m) > b``: one forward pass per piece
-    with a running minimum of the subtrahend, O(n*k) for k pieces.  For a
-    staircase b * ceil(t / tau), write ``A = tau * (q + f)`` with integer q
-    and phase f in [0, 1); the window overflows iff
-    ``P_n - P_{m-1} > b * (q_n - q_m + 1 - [f_n < f_m])``, which one sweep
-    decides with prefix minima over phase ranks, O(n log n).
+    with a running minimum of the subtrahend, O(n*k) for k pieces.  A
+    staircase b * ceil(t / tau) allows the window m..n
+    ``b * (floor((A_n - A_m) / tau) + 1)``, as many bursts as the half-open
+    periods from A_m that cover it; if the window overflows, one of those
+    periods holds more than b, and for the first violating n it ends at n.
+    So only windows shorter than a period need checking: one two-pointer
+    pass, O(n).
 
     The witness is the first non-conforming packet: the smallest violating n
     and, for that n, the smallest violating m (1-based), with the gap the
@@ -440,53 +443,25 @@ def _staircase_violation(emits: Sequence[int], vol: Sequence[int],
                          vol_den: int) -> Optional[Tuple[int, int]]:
     """0-based (m, n) of the first packet n that overflows the staircase.
 
-    Volumes are scaled by ``burst.den``, so the burst is ``step`` ticks, and
-    ``divmod(A * period.den, per_period)`` is q and f in ticks of a period.
-    Sweeps n forward and keeps, in two min-Fenwick trees keyed by phase rank,
-    ``P_{m-1} - b*q_m`` over the m <= n with f_m <= f_n and with f_m > f_n.
+    Volumes are scaled by ``burst.den`` and times by ``period.den``, so the
+    burst is ``step`` volume ticks and the period ``per_period`` time ticks.
+    ``lo`` is the first packet less than one period before n, and n is the
+    first to overflow when the window lo..n holds more than one burst.
     """
     bn, bd = curve.burst.as_integer_ratio()
     pn, pd = curve.period.as_integer_ratio()
     step, per_period = bn * vol_den, pn * time_den
-    split = [divmod(t * pd, per_period) for t in emits]
-    rank = {f: i for i, f in enumerate(sorted({f for _, f in split}), start=1)}
-    size = len(rank)
-    low_le: List[Rat] = [INF] * (size + 1)  # by phase rank
-    low_gt: List[Rat] = [INF] * (size + 1)  # by reversed phase rank
-    for n, (q, f) in enumerate(split):
-        top = vol[n + 1] * bd - step * q
-        key = vol[n] * bd - step * q
-        r = rank[f]
-        _fenwick_lower(low_le, r, key)
-        _fenwick_lower(low_gt, size + 1 - r, key)
-        if (
-            _fenwick_min(low_le, r) < top - step
-            or _fenwick_min(low_gt, size - r) < top
-        ):
+    lo = 0
+    for n, t in enumerate(emits):
+        while (t - emits[lo]) * pd >= per_period:
+            lo += 1
+        if (vol[n + 1] - vol[lo]) * bd > step:
             return next(
                 (m, n) for m in range(n + 1)
                 if (vol[n + 1] - vol[m]) * bd
-                > step * ((emits[n] - emits[m]) * pd // per_period + 1)
+                > step * ((t - emits[m]) * pd // per_period + 1)
             )
     return None
-
-
-def _fenwick_lower(tree: List[Rat], i: int, value: Rat) -> None:
-    """Lower the minima of every prefix that contains position i (1-based)."""
-    while i < len(tree):
-        if value < tree[i]:
-            tree[i] = value
-        i += i & -i
-
-
-def _fenwick_min(tree: List[Rat], i: int) -> Rat:
-    """Minimum over positions 1..i (INF when i is 0)."""
-    best: Rat = INF
-    while i > 0:
-        if tree[i] < best:
-            best = tree[i]
-        i -= i & -i
-    return best
 
 
 def curve_from_json(obj: dict) -> Curve:

@@ -53,7 +53,10 @@ class DuplicateObservationError(TraceError):
 
 @dataclass(frozen=True)
 class PacketObservation:
-    """One packet of ``Trace.packets``, read from the validated columns."""
+    """One packet of ``Trace.packets``, read from the validated columns.
+
+    It converts nothing, so ``reseqkit`` does not export it: only
+    ``Trace.packets`` builds it, from a validated trace's ticks."""
 
     index: int
     size: Fraction

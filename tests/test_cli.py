@@ -838,11 +838,16 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
          "lossless-backlog needs --sizes"),
         (lambda _: ["scenario", "rto-chain"],
          "rto-chain needs --stages jitter:rto,jitter:rto,..."),
+        (lambda _: ["scenario", "rto-chain", "--stages", "1us"],
+         "--stages takes jitter:rto pairs, got '1us'"),
+        (lambda _: ["scenario", "rto-chain", "--stages", "1us:2us:3us"],
+         "--stages takes jitter:rto pairs, got '1us:2us:3us'"),
         (lambda _: ["scenario", "two-packet-swap"], "missing --rto"),
     ],
     ids=["no-elements", "loss-mode", "staircase-source", "packet-source",
          "negative-burst", "min-delay-above-bound", "simulate-timeout",
          "simulate-buffer", "lossless-backlog-sizes", "rto-chain-stages",
+         "rto-chain-lone-time", "rto-chain-three-times",
          "two-packet-swap-rto"],
 )
 def test_input_error_is_one_line(argv, message, tmp_path):

@@ -60,6 +60,28 @@ def test_no_fraction_coercion_outside_rational():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def unused_imports(path):
+    """Names that the module imports and never names again, with their
+    lines; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in bound.items() if name not in read}
+
+
+def test_no_unused_import():
+    found = {p.name: unused_imports(p) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    assert {name: unused for name, unused in found.items() if unused} == {}
+
+
 CURVE = leaky_bucket(6400, 640)
 FLOW = FlowSpec(CURVE, 64, 128)
 SERVICE = RateLatencyService(125_000_000, F(12, 10**6))
