@@ -25,6 +25,14 @@ are ticks of 1/``size_den`` B.  Parsing, validation, ``rto``, ``rbo`` and
 ``Trace(sizes, emit_times, observe_times)``, or read by ``trace_from_csv``;
 ``trace_to_csv`` writes the ticks straight back out.  ``Trace.packets``, a
 per-packet view, is built from the columns on first use and cached.
+
+Reading: ``trace_from_csv`` transposes the file's rows into four columns of
+cells and converts each column in a few passes over all of it: plain
+decimals become integer ticks directly, and only the other literals
+(``inf``, ``3/7``, ``12e-6``) are parsed one by one.  The checks then run
+on whole columns.  When one fails, a second reading, row by row, raises the
+defect that comes first in the file, so a trace with several defects
+reports the same error however it is read.
 """
 
 from __future__ import annotations
@@ -34,11 +42,12 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from operator import gt, le
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .rational import INF, Cell, Rat, exact, finite, fmt_ticks
-from .rational import on_common_base, over, ratio
+from .rational import INF, LiteralTicks, Rat, check_digit_limit, exact, finite, fmt_ticks
+from .rational import literals_on_common_base, on_common_base, over, ratio, read_literals
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -90,7 +99,7 @@ class Trace:
             raise TraceError("size, emission and observation columns differ in length")
         try:
             size_cells = list(map(ratio, sizes))
-            emits = [None] * n if emit_times is None else list(map(ratio, emit_times))
+            emits = [] if emit_times is None else list(map(ratio, emit_times))
             observes = list(map(ratio, observe_times))
         except ValueError as exc:
             raise TraceError(str(exc)) from None
@@ -98,20 +107,16 @@ class Trace:
             raise TraceError("packet sizes must be finite and > 0")
         if INF in emits:
             raise TraceError("emission times must be finite")
-        self._set_columns(size_cells, emits, observes)
-
-    def _set_columns(self, sizes: List[Cell], emits: List[Cell],
-                     observes: List[Cell]) -> None:
-        """Validate exact cells and keep them as ticks; the order of the
-        checks fixes which error a trace with several defects reports."""
-        missing = emits.count(None)
-        if 0 < missing < len(emits):
-            raise TraceError("emission times must be present for all packets or none")
-        size_den, (size_ticks,) = on_common_base(sizes)
+        size_den, (size_ticks,) = on_common_base(size_cells)
         time_den, (emit_ticks, observe_ticks) = on_common_base(emits, observes)
-        if missing or not emits:
-            emit_ticks = None
-        else:
+        self._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
+
+    def _set_columns(self, size_den: int, size_ticks: List[int], time_den: int,
+                     emit_ticks: List[int], observe_ticks: List[Union[int, float]]) -> None:
+        """Validate integer tick columns and keep them; ``emit_ticks`` is
+        empty for a trace without emission times.  The order of the checks
+        fixes which error a trace with several defects reports."""
+        if emit_ticks:
             if not all(map(le, emit_ticks, emit_ticks[1:])):
                 raise TraceError("emission times must be wide-sense increasing")
             if any(map(gt, emit_ticks, observe_ticks)):  # never true for INF
@@ -119,7 +124,7 @@ class Trace:
         _check_distinct_observations(observe_ticks)
         self.time_den, self.size_den = time_den, size_den
         self.size_ticks = tuple(size_ticks)
-        self.emit_ticks = None if emit_ticks is None else tuple(emit_ticks)
+        self.emit_ticks = tuple(emit_ticks) if emit_ticks else None
         self.observe_ticks = tuple(observe_ticks)
 
     @cached_property
@@ -245,59 +250,103 @@ def trace_to_csv(trace: Trace) -> str:
     return "".join(f"{line}\n" for line in map(",".join, [CSV_HEADER, *rows]))
 
 
-def _cell(text: str, parse: Callable[[str], Rat]) -> Cell:
-    """Exact value of a CSV cell as ``(numerator, denominator)``, or INF.
-
-    Plain decimals (``"64"``, ``"0.000012345"``) are read straight into
-    integers; every other form, and a decimal beyond ``int``'s digit limit,
-    goes through ``parse`` (``exact``, or ``finite``) with its checks and
-    messages.
-    """
-    try:
-        if text.isdecimal():
-            return int(text), 1
-        whole, dot, frac = text.partition(".")
-        if dot and whole.isdecimal() and frac.isdecimal():
-            return int(whole + frac), 10 ** len(frac)
-    except ValueError:
-        pass
-    return ratio(parse(text))
-
-
 def trace_from_csv(text: str) -> Trace:
+    """Read a trace from CSV text (see ``trace_to_csv``).
+
+    The columns are read and checked whole (``_read_columns``).  When that
+    fails, a pass row by row (``_raise_first_row_defect``) reports the
+    defect that comes first in the file, so a trace with several defects
+    always reports the same one; when no row is at fault, the column
+    check's own error stands."""
     try:
-        return _read_csv(csv.reader(io.StringIO(text)))
+        try:
+            return _read_columns(text)
+        except (ValueError, csv.Error):
+            _raise_first_row_defect(text)
+            raise
     except csv.Error as exc:
         raise TraceError(f"unreadable trace CSV: {exc}") from exc
 
 
-def _read_csv(rows: Iterator[List[str]]) -> Trace:
-    """Rows are read one at a time, so no list of them is ever held."""
-    header = next(rows, None)
+def _check_header(header: Optional[List[str]]) -> None:
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise TraceError(f"trace CSV must start with header {','.join(CSV_HEADER)}")
+
+
+#: Rows read at a time: a chunk's cells are strings only until its columns
+#: are converted, so the strings of the whole file are never held at once.
+_CHUNK_ROWS = 1024
+
+
+def _read_columns(text: str) -> Trace:
+    """The trace in ``text``, read column by column.
+
+    Each chunk of rows is transposed into four columns of stripped cells,
+    and each column is converted in a few passes: the indices by ``int``,
+    sizes and times by ``read_literals``, which reads plain decimals
+    straight into integer ticks.  The checks run on whole columns, so when
+    several fail, the one raised need not be the first in the file
+    (``trace_from_csv`` finds that one)."""
+    reader = csv.reader(io.StringIO(text))
+    _check_header(next(reader, None))
+    n = missing = 0
+    sizes: List[LiteralTicks] = []
+    emits: List[LiteralTicks] = []
+    observes: List[LiteralTicks] = []
+    for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+        idx, size, emit, obs = _columns(rows)
+        if list(map(int, idx)) != list(range(n + 1, n + len(idx) + 1)):
+            raise TraceError("packet indices must be contiguous from 1")
+        n += len(idx)
+        sizes.append(read_literals(size, finite))
+        dashes = emit.count("-")
+        if dashes == 0:
+            emits.append(read_literals(emit, finite))
+        missing += dashes
+        observes.append(read_literals(obs, exact))
+    if 0 < missing < n:
+        raise TraceError("emission times must be present for all packets or none")
+    size_den, (size_ticks,) = literals_on_common_base(sizes)
+    if min(size_ticks, default=1) <= 0:
+        raise TraceError("packet sizes must be > 0")
+    time_den, (emit_ticks, observe_ticks) = literals_on_common_base(emits, observes)
+    trace = Trace.__new__(Trace)
+    trace._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
+    return trace
+
+
+def _columns(rows: List[List[str]]) -> List[List[str]]:
+    """The four columns of stripped cells of ``rows``, blank rows dropped."""
+    rows = [row for row in rows if any(map(str.strip, row))]
+    if any(len(row) != 4 for row in rows):
+        raise TraceError("expected 4 columns")
+    return [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
+
+
+def _raise_first_row_defect(text: str) -> None:
+    """Read ``text`` row by row and raise its first defect in file order:
+    a row with the wrong number of cells, a cell that does not parse, an
+    index below 1 or a size not above 0, then indices that are not
+    contiguous.  Returns when there is none; it never builds a trace."""
+    rows = csv.reader(io.StringIO(text))
+    _check_header(next(rows, None))
     indices: List[int] = []
-    sizes: List[Cell] = []
-    emits: List[Cell] = []
-    observes: List[Cell] = []
     for lineno, row in enumerate(rows, start=2):
         if not any(map(str.strip, row)):
             continue
         if len(row) != 4:
             raise TraceError(f"line {lineno}: expected 4 columns")
         idx, size, emit, obs = map(str.strip, row)
+        check_digit_limit(idx)
         index = int(idx)
-        size_cell = _cell(size, finite)
-        emits.append(None if emit == "-" else _cell(emit, finite))
-        observes.append(_cell(obs, exact))
+        size_value = finite(size)
+        if emit != "-":
+            finite(emit)
+        exact(obs)
         if index < 1:
             raise TraceError("packet indices start at 1")
-        if size_cell[0] <= 0:
+        if size_value <= 0:
             raise TraceError("packet sizes must be > 0")
         indices.append(index)
-        sizes.append(size_cell)
     if indices != list(range(1, len(indices) + 1)):
         raise TraceError("packet indices must be contiguous from 1")
-    trace = Trace.__new__(Trace)
-    trace._set_columns(sizes, emits, observes)
-    return trace

@@ -14,17 +14,23 @@ Code that loops over packets carries values as integer ticks instead: each
 value times D, where D is the least common multiple of the denominators
 (``on_common_base``), and turns a result back into ``Fraction(ticks, D)``
 only where it is returned (``over``), or writes the ticks out directly
-(``fmt_ticks``).  Lost-packet times use ``INF`` as an explicit sentinel;
-it compares and min/maxes correctly against Fractions and integers.
+(``fmt_ticks``).  ``read_literals`` reads a column of literal strings,
+plain decimals straight into integers and every other literal through
+``exact``, and ``literals_on_common_base`` puts such columns on one base.
+Lost-packet times use ``INF`` as an explicit sentinel; it compares and
+min/maxes correctly against Fractions and integers.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from itertools import repeat
+from operator import mul, sub
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 #: A time or size value: an exact rational, or +inf for lost packets /
 #: unbounded capacities.
@@ -46,6 +52,10 @@ _NUMBER_RE = re.compile(
     r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$|^[+-]?\d+/\d+$"
 )
 
+#: The interpreter's limit on the digits of an ``int`` read from a string
+#: (0 when there is none; Python before 3.10.7 has no limit at all).
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 #: Largest decimal exponent magnitude ``exact`` accepts in a string:
 #: ``1e1000`` is a 1001-digit integer, while ``1e999999999`` would need
 #: gigabytes.
@@ -58,7 +68,8 @@ def exact(x: Union[Rat, int, str]) -> Rat:
     Takes an ``int`` or a ``Fraction``; ``math.inf``, returned as ``INF``;
     or a string: a decimal integer or fraction (``"64"``, ``"251.5"``),
     scientific notation with an exponent of at most ``MAX_EXPONENT``
-    (``"125e6"``, ``"12e-6"``), ``"p/q"`` (``"3/7"``) or ``"inf"``.  Any
+    (``"125e6"``, ``"12e-6"``), ``"p/q"`` (``"3/7"``) or ``"inf"``, of at
+    most as many digits as the interpreter reads into an ``int``.  Any
     other float is refused, as JSON gives no exact value for it (0.1 is
     not 1/10, and -inf and nan are no time or size), and so are ``bool``,
     ``None`` and every other type.
@@ -80,6 +91,7 @@ def exact(x: Union[Rat, int, str]) -> Rat:
                 raise ValueError(f"exponent beyond +/-{MAX_EXPONENT}: {x!r}")
         elif "/" in s and not s.rpartition("/")[2].strip("0"):
             raise ValueError(f"zero denominator: {x!r}")
+        check_digit_limit(s)
         return Fraction(s)
     if isinstance(x, float):
         if x == INF:
@@ -87,6 +99,18 @@ def exact(x: Union[Rat, int, str]) -> Rat:
     elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"not an exact number: {x!r}; give a string or an integer")
+
+
+def check_digit_limit(s: str) -> None:
+    """Refuse a literal with more digits than the interpreter reads into an
+    ``int``, which would otherwise fail with the interpreter's own advice.
+
+    All the digits of the literal count, so ``"1" * 3000 + "." + "1" * 3000``
+    is refused although each part would fit: a trace's plain decimals are
+    read as one integer of all their digits."""
+    limit = _int_digit_limit()
+    if limit and len(s) > limit and sum(map(str.isdecimal, s)) > limit:
+        raise ValueError(f"literal beyond {limit} digits: {s[:20] + '...'!r}")
 
 
 def finite(x: Union[Rat, int, str]) -> Fraction:
@@ -230,3 +254,78 @@ def over(ticks: Mapping[int, Union[int, float]], den: int) -> Dict[int, Rat]:
             f = made[t] = Fraction(t, den)
         out[k] = f
     return out
+
+
+#: A plain decimal: digits, with a point between digits or none
+#: (``"64"``, ``"0.000012345"``; not ``".5"``, ``"5."`` or ``"+5"``).
+_PLAIN = re.compile(r"\d+(?:\.\d+)?")
+
+
+class LiteralTicks(NamedTuple):
+    """Cells of a column of literal strings as ``read_literals`` reads them."""
+
+    ticks: List[int]  # each plain decimal cell, on 10**decimals
+    decimals: int  # the most decimals of a plain cell
+    others: Dict[int, Cell]  # position: ratio(parse(cell)) of the other cells
+
+
+def read_literals(cells: Sequence[str], parse: Callable[[str], Rat]) -> LiteralTicks:
+    """Read stripped literal strings, ``parse`` being ``exact`` or
+    ``finite``, in a few passes over all of them.
+
+    A plain decimal with d decimals is read straight into an integer over
+    10**d, trailing zeros and all (``"1.500"`` is 1500/10**3); only the
+    other cells are parsed one by one, with ``parse``'s checks and
+    messages.  ``literals_on_common_base`` puts the result on one base.
+    """
+    if not cells:
+        return LiteralTicks([], 0, {})
+    joined = "\n".join(cells)
+    first = cells[0]
+    d = len(first) - first.find(".") - 1 if "." in first else 0
+    cell = rf"[0-9]+\.[0-9]{{{d}}}" if d else "[0-9]+"  # ASCII, d decimals
+    if (joined.count("\n") == len(cells) - 1  # no cell holds a line break
+            and re.fullmatch(rf"{cell}(?:\n{cell})*", joined)):  # the usual capture
+        digits = joined.replace(".", "").split("\n") if d else cells
+        return LiteralTicks(list(map(int, digits)), d, {})
+    others = {i: ratio(parse(c)) for i, c in enumerate(cells) if not _PLAIN.fullmatch(c)}
+    if others:
+        cells = list(cells)
+        for i in others:
+            cells[i] = "0"
+        joined = "\n".join(cells)
+    points = list(map(str.find, cells, repeat(".")))
+    ends = list(map(sub, map(len, cells), points))  # decimals + 1 where there is a point
+    if -1 in points:  # whole numbers among decimals
+        ends = [e if p >= 0 else 1 for e, p in zip(ends, points)]
+    d = max(ends) - 1
+    scale = [10 ** (d + 1 - e) for e in range(d + 2)]
+    ticks = map(int, joined.replace(".", "").split("\n"))
+    return LiteralTicks(list(map(mul, ticks, map(scale.__getitem__, ends))), d, others)
+
+
+def literals_on_common_base(*columns: Sequence[LiteralTicks]) -> Tuple[int, List[list]]:
+    """``on_common_base`` of columns read by ``read_literals``, each in one
+    or more chunks.
+
+    D is the least common multiple of 10**d, d the most decimals of a plain
+    cell, and the denominators of the other cells: the D that
+    ``on_common_base`` gives when a plain decimal keeps its 10**d
+    denominator unreduced.  Each column comes back as one list of integer
+    ticks on D; INF passes through.
+    """
+    parts = [part for column in columns for part in column]
+    dens = {c[1] for part in parts for c in part.others.values() if c is not INF}
+    den = math.lcm(10 ** max((part.decimals for part in parts), default=0), *dens)
+    out = []
+    for column in columns:
+        ticks: list = []
+        for part_ticks, d, others in column:
+            scale = den // 10**d
+            if scale != 1:
+                part_ticks = list(map(mul, part_ticks, repeat(scale)))
+            for i, c in others.items():
+                part_ticks[i] = c if c is INF else c[0] * (den // c[1])
+            ticks += part_ticks
+        out.append(ticks)
+    return den, out

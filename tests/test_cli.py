@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -309,6 +310,7 @@ LOSSY_BACKLOG = str(GOLDEN / "lossy_backlog.csv")
 TWO_SEGMENTS = str(GOLDEN / "two_segments_path.json")
 STAIRCASE_CURVE = str(GOLDEN / "staircase_curve.json")
 PACKET_CURVE = str(GOLDEN / "packet_curve.json")
+CAPTURE_SHAPE = str(GOLDEN / "capture_shape.csv")
 GOLDEN_EXIT = {  # OK for the rest
     "lossy_backlog_discard.json": DISCARD,
     "two_segments_both.table": UNSAFE_WARNING,
@@ -376,6 +378,11 @@ GOLDEN_CASES = [
     (["scenario", "rto-chain", "--stages", "1/3:1/7,1/11:0,2:1", "--head", "3",
       "--eps", "1/1000"],
      "rto_chain.csv"),
+] + [
+    # a capture's shape: nanosecond times with their trailing zeros stripped
+    # or whole, padded cells, an empty and a ",,," line and one loss
+    (["metrics", "--verbose", CAPTURE_SHAPE], "capture_shape_metrics.txt"),
+    (["simulate", "--timeout", "2us", CAPTURE_SHAPE], "capture_shape_simulate.json"),
 ]
 
 
@@ -447,6 +454,27 @@ def test_malformed_curve_json_is_input_error(curve, message, tmp_path, capsys):
     assert main(argv) == INPUT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+LONG = "1" * 5000  # beyond the interpreter's int-string limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        metrics_of(f"1,64,0,{LONG}"),
+        metrics_of(f"{LONG},64,0,1"),
+        analyze_edited(lambda c: c["flow"].update(l_min=LONG)),
+        lambda _: ["simulate", "--timeout", LONG, LOSSY_BACKLOG],
+    ],
+    ids=["csv-cell", "csv-index", "config-string", "flag"],
+)
+def test_literal_beyond_int_digit_limit_is_one_line(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert out == "" and err == (
+        f"error: literal beyond {limit} digits: '{LONG[:20]}...'\n")
 
 
 # A bad literal and the one error line it gets, wherever it is given.

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from fractions import Fraction as F
@@ -304,3 +305,38 @@ class TestCsv:
         text = "index,size_bytes,emit_time_s,observe_time_s\n1,64,-,3\n3,64,-,1\n"
         with pytest.raises(TraceError):
             trace_from_csv(text)
+
+
+def error_of(text):
+    """The type and message of what ``trace_from_csv(text)`` raises."""
+    with pytest.raises(ValueError) as info:
+        trace_from_csv(text)
+    return type(info.value), str(info.value)
+
+
+HEADER = ",".join(CSV_HEADER)
+
+
+class TestErrorOrder:
+    """A trace with several defects reports the first in row order."""
+
+    def test_short_row_before_an_unreadable_field(self):
+        field = "1" * (csv.field_size_limit() + 1)
+        text = f"{HEADER}\n1,64,-\n2,64,-,{field}\n"
+        assert error_of(text) == (TraceError, "line 2: expected 4 columns")
+
+    @pytest.mark.parametrize("last,message", [
+        ("1000,64,-,1000,5", "line 1001: expected 4 columns"),
+        ("1000,0,-,1000", "packet sizes must be > 0"),
+    ])
+    def test_defect_in_the_last_of_1000_rows(self, last, message):
+        rows = [f"{i},64,-,{i}" for i in range(1, 1000)] + [last]
+        assert error_of("\n".join([HEADER, *rows]) + "\n") == (TraceError, message)
+
+    @pytest.mark.parametrize("rows,error", [
+        ("0,64,-,abc", (ValueError, "not an exact numeric literal: 'abc'")),
+        ("x,64,-,abc", (ValueError, "invalid literal for int() with base 10: 'x'")),
+        ("1,64,-,5\n0,64,-,5", (TraceError, "packet indices start at 1")),
+    ])
+    def test_bad_index_and_observation_in_one_row(self, rows, error):
+        assert error_of(f"{HEADER}\n{rows}\n") == error

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from test_trace_ticks import primes
+from reseqkit import rational
 from reseqkit.rational import (
     INF,
     MAX_EXPONENT,
@@ -70,6 +71,18 @@ class TestParse:
             exact(text)
         with pytest.raises(ValueError, match="exponent beyond"):
             parse_time(text + "us")
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 3000 + "." + "1" * 3000, "1" * 3000 + "/" + "7" * 3000],
+        ids=["decimal", "fraction"],
+    )
+    def test_digit_limit_counts_the_whole_literal(self, text, monkeypatch):
+        # each part fits in the limit, but the literal's digits together do
+        # not: a plain decimal's digits are read as one integer
+        monkeypatch.setattr(rational, "_int_digit_limit", lambda: 4300)
+        with pytest.raises(ValueError, match=r"^literal beyond 4300 digits: '1{20}\.\.\.'$"):
+            exact(text)
+        assert exact(text[:4300]) == F(text[:4300])
 
     @pytest.mark.parametrize(
         "text,want",

@@ -9,8 +9,13 @@ without emission times, and require the same results from both sides, or
 the same exception type and message.
 """
 
+import csv
+import io
+import math
 import random
+import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 import fraction_trace_oracle as oracle
 from arrival_trace import packets_trace
 from list_scan_oracle import fields, simulate as list_scan_simulate
+from reseqkit import metrics
 from reseqkit.metrics import (
     CSV_HEADER,
     Trace,
@@ -109,9 +115,32 @@ TIMEOUTS = st.one_of(
 CAPACITIES = st.one_of(st.just(INF), st.sampled_from([F(0), F(64), F(129, 2), F(3000, 7)]))
 
 
+def literal_den(cell):
+    """The denominator a CSV cell puts on its column's base: 10**d for a
+    plain decimal with d decimals, however many of them are trailing zeros,
+    and the reduced denominator of any other literal."""
+    plain = re.fullmatch(r"[0-9]+(?:\.([0-9]+))?", cell)
+    if plain:
+        return 10 ** len(plain.group(1) or "")
+    return F(cell).denominator
+
+
+def csv_bases(text):
+    """``(time_den, size_den)`` of a trace CSV, read from its text: the lcm
+    of its time cells' and of its size cells' denominators."""
+    times, sizes = [1], [1]
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        cells = [c.strip() for c in row]
+        if any(cells):
+            sizes.append(literal_den(cells[1]))
+            times += [literal_den(c) for c in cells[2:] if c not in ("-", "inf")]
+    return math.lcm(*times), math.lcm(*sizes)
+
+
 def assert_same_results(text, timeout, capacity):
     trace, ref = trace_from_csv(text), oracle.trace_from_csv(text)
     assert trace.packets == ref.packets
+    assert (trace.time_den, trace.size_den) == csv_bases(text)
     assert all(type(t) is int or t is INF for t in trace.observe_ticks)
     from_packets = packets_trace(ref.packets)
     for t in (trace, from_packets):
@@ -183,6 +212,20 @@ def test_defective_traces_fail_like_oracle(rows):
     assert got == parsed(oracle.trace_from_csv, text)
     if not (len(got) == 2 and isinstance(got[0], type)):  # a harmless defect
         assert_same_results(text, INF, INF)
+
+
+@settings(max_examples=150)
+@given(st.one_of(trace_rows(), defective_rows()), st.integers(1, 4))
+def test_reading_in_chunks_matches_oracle(rows, chunk):
+    """A trace longer than a chunk of rows reads as in one chunk: each
+    chunk's columns are converted on their own base and put on one base at
+    the end, and a defect anywhere still gets the oracle's error."""
+    text = csv_text(rows)
+    with mock.patch.object(metrics, "_CHUNK_ROWS", chunk):
+        got = parsed(trace_from_csv, text)
+        assert got == parsed(oracle.trace_from_csv, text)
+        if not (len(got) == 2 and isinstance(got[0], type)):
+            assert_same_results(text, INF, INF)
 
 
 @pytest.mark.parametrize("rows", [
