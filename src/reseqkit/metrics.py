@@ -111,6 +111,15 @@ class Trace:
         time_den, (emit_ticks, observe_ticks) = on_common_base(emits, observes)
         self._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
 
+    @classmethod
+    def _from_ticks(cls, size_den: int, size_ticks: List[int], time_den: int,
+                    emit_ticks: List[int], observe_ticks: List[Union[int, float]]) -> "Trace":
+        """A trace from integer tick columns on the given bases, checked
+        as ``Trace(...)`` checks its own (``_set_columns``)."""
+        trace = cls.__new__(cls)
+        trace._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
+        return trace
+
     def _set_columns(self, size_den: int, size_ticks: List[int], time_den: int,
                      emit_ticks: List[int], observe_ticks: List[Union[int, float]]) -> None:
         """Validate integer tick columns and keep them; ``emit_ticks`` is
@@ -282,11 +291,12 @@ def _read_columns(text: str) -> Trace:
     """The trace in ``text``, read column by column.
 
     Each chunk of rows is transposed into four columns of stripped cells,
-    and each column is converted in a few passes: the indices by ``int``,
-    sizes and times by ``read_literals``, which reads plain decimals
-    straight into integer ticks.  The checks run on whole columns, so when
-    several fail, the one raised need not be the first in the file
-    (``trace_from_csv`` finds that one)."""
+    and each column is converted in a few passes: the indices are compared
+    with the ones ``trace_to_csv`` writes and read by ``_packet_index``
+    only when they differ (``"01"``), sizes and times by ``read_literals``,
+    which reads plain decimals straight into integer ticks.  The checks run
+    on whole columns, so when several fail, the one raised need not be the
+    first in the file (``trace_from_csv`` finds that one)."""
     reader = csv.reader(io.StringIO(text))
     _check_header(next(reader, None))
     n = missing = 0
@@ -295,7 +305,8 @@ def _read_columns(text: str) -> Trace:
     observes: List[LiteralTicks] = []
     for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
         idx, size, emit, obs = _columns(rows)
-        if list(map(int, idx)) != list(range(n + 1, n + len(idx) + 1)):
+        want = range(n + 1, n + len(idx) + 1)
+        if idx != list(map(str, want)) and list(map(_packet_index, idx)) != list(want):
             raise TraceError("packet indices must be contiguous from 1")
         n += len(idx)
         sizes.append(read_literals(size, finite))
@@ -310,9 +321,7 @@ def _read_columns(text: str) -> Trace:
     if min(size_ticks, default=1) <= 0:
         raise TraceError("packet sizes must be > 0")
     time_den, (emit_ticks, observe_ticks) = literals_on_common_base(emits, observes)
-    trace = Trace.__new__(Trace)
-    trace._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
-    return trace
+    return Trace._from_ticks(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
 
 
 def _columns(rows: List[List[str]]) -> List[List[str]]:
@@ -321,6 +330,15 @@ def _columns(rows: List[List[str]]) -> List[List[str]]:
     if any(len(row) != 4 for row in rows):
         raise TraceError("expected 4 columns")
     return [list(map(str.strip, col)) for col in zip(*rows)] or [[], [], [], []]
+
+
+def _packet_index(cell: str) -> int:
+    """The index in a stripped cell of ASCII digits; a sign, ``_`` or any
+    other digit is refused."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"not a packet index: {cell!r}")
+    check_digit_limit(cell)
+    return int(cell)
 
 
 def _raise_first_row_defect(text: str) -> None:
@@ -337,8 +355,7 @@ def _raise_first_row_defect(text: str) -> None:
         if len(row) != 4:
             raise TraceError(f"line {lineno}: expected 4 columns")
         idx, size, emit, obs = map(str.strip, row)
-        check_digit_limit(idx)
-        index = int(idx)
+        index = _packet_index(idx)
         size_value = finite(size)
         if emit != "-":
             finite(emit)

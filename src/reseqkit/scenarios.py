@@ -15,9 +15,14 @@ Each generator builds the worst-case packet timeline for one bound:
   jitter of every later stage.
 
 Emission times that must saturate an arrival curve are produced by
-packetizing the fluid curve (packet k leaves as soon as every window of
-packets ending at it fits under the curve); every generated trace is
-re-validated against its curve.
+packetizing the fluid curve: packet k leaves as soon as every window of
+packets ending at it fits under the curve.  Packetization runs on integer
+ticks (``_packetize_ticks``), O(n*k) for n packets and k curve pieces, with
+no ``Fraction`` per packet.  ``gen_lossy_backlog_burst`` and
+``gen_rbo_tight_burst`` build their size, emission and observation columns
+as ticks on one base each and hand them to the trace unconverted, on the
+bases ``Trace(sizes, emits, observes)`` would compute.  Every generated
+trace is re-validated against its curve.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
@@ -44,28 +50,48 @@ class DecompositionError(ScenarioError):
 
 def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
     """Split ``total`` into packet sizes within [l_min, l_max], exactly."""
-    total = finite(total)
+    count, tail = _decompose(finite(total), flow)
+    return [flow.l_max] * count + tail
+
+
+def _decompose(total: Fraction, flow: FlowSpec) -> Tuple[int, List[Fraction]]:
+    """``decompose_bytes`` as ``count`` packets of l_max followed by the
+    sizes in ``tail``, so that a generator can repeat one size tick."""
     if total < 0:
         raise DecompositionError("byte totals are non-negative")
     if total == 0:
-        return []
+        return 0, []
     if flow.constant_size:
         count, rem = divmod(total, flow.l_min)
         if rem != 0:
             raise DecompositionError(
                 f"{total} is not a multiple of the packet size {flow.l_min}"
             )
-        return [flow.l_min] * int(count)
+        return int(count), []
     if total < flow.l_min:
         raise DecompositionError(f"{total} is below the minimum packet size")
     count = int(total // flow.l_max)
     rem = total - count * flow.l_max
     if rem == 0:
-        return [flow.l_max] * count
+        return count, []
     if rem >= flow.l_min:
-        return [flow.l_max] * count + [rem]
+        return count, [rem]
     # rem < l_min needs count >= 1; rebalance the last two packets.
-    return [flow.l_max] * (count - 1) + [flow.l_max + rem - flow.l_min, flow.l_min]
+    return count - 1, [flow.l_max + rem - flow.l_min, flow.l_min]
+
+
+def _size_ticks(head: Fraction, total: Fraction, flow: FlowSpec) -> Tuple[int, List[int]]:
+    """A base of 1/D B and, as ticks on it, a packet of ``head`` bytes
+    followed by ``decompose_bytes(total, flow)``."""
+    count, tail = _decompose(total, flow)
+    den = math.lcm(head.denominator, flow.l_max.denominator, *(s.denominator for s in tail))
+    return den, ([_ticks(head, den)] + [_ticks(flow.l_max, den)] * count
+                 + [_ticks(s, den) for s in tail])
+
+
+def _ticks(x: Fraction, den: int) -> int:
+    """``x * den`` as an integer, ``den`` being a multiple of x's denominator."""
+    return x.numerator * (den // x.denominator)
 
 
 def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
@@ -78,36 +104,65 @@ def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
     whenever each packet fits in the burst.  A staircase b*ceil(t/tau) puts
     every A_m on a multiple q_m of tau, and then
     ``q_k = ceil(P_k/b + max over m < k of (q_m - P_{m-1}/b)) - 1``.
+
+    The sizes are put on their common base and packetized on integer ticks
+    (``_packetize_ticks``); only the returned times are Fractions.
     """
     sizes = list(map(finite, sizes))
-    times: List[Fraction] = []
-    acc = Fraction(0)
+    size_den = math.lcm(*(s.denominator for s in sizes))
+    ticks, den = _packetize_ticks(curve, [_ticks(s, size_den) for s in sizes], size_den)
+    return [Fraction(t, den) for t in ticks]
+
+
+def _packetize_ticks(curve: Curve, sizes: Sequence[int],
+                     size_den: int) -> Tuple[List[int], int]:
+    """``packetize`` of sizes given as ticks of 1/``size_den`` B: the
+    emission times as ticks of 1/D s, and D.
+
+    Min-affine: with integer prefix volumes p_k = P_k * size_den, piece
+    (r, b) puts A_k at (p_k*b.den - b.num*size_den) * r.den over
+    size_den*b.den*r.num; D is the lcm of those bases, and A_k*D the
+    largest piece's value scaled to D, or 0.  Staircase: the q-recurrence
+    with P/b kept as integers over size_den*b.num, ceilings by exact
+    integer division, and D = tau.den.
+    """
     if isinstance(curve, StaircaseCurve):
-        lead = Fraction(0)  # max over m < k of q_m - P_{m-1}/b
+        bn, bd = curve.burst.as_integer_ratio()
+        pn, pd = curve.period.as_integer_ratio()
+        per_burst = size_den * bn  # x/b is x's ticks * bd over per_burst
+        acc = lead = 0  # P_{k-1}'s ticks; (max over m < k of q_m - P_{m-1}/b) * per_burst
+        times = []
         for s in sizes:
-            q = math.ceil((acc + s) / curve.burst + lead) - 1
-            lead = max(lead, q - acc / curve.burst)
+            q = -(-((acc + s) * bd + lead) // per_burst) - 1
+            lead = max(lead, q * per_burst - acc * bd)
             acc += s
-            times.append(curve.period * q)
-        return times
-    for s in sizes:
-        acc += s
-        times.append(curve.pseudo_inverse(acc))
-    return times
+            times.append(pn * q)
+        return times, pd
+    prefix = list(accumulate(sizes))
+    if prefix and min(prefix) < 0:  # as pseudo_inverse refuses it
+        raise ValueError("pseudo-inverse is defined on x >= 0")
+    pieces = [(*rate.as_integer_ratio(), *burst.as_integer_ratio())
+              for rate, burst in curve.pieces]
+    den = math.lcm(*(size_den * bd * rn for rn, _, _, bd in pieces))
+    columns = []
+    for rn, rd, bn, bd in pieces:
+        offset, scale = bn * size_den, rd * (den // (size_den * bd * rn))
+        columns.append([(p * bd - offset) * scale for p in prefix])
+    return list(map(max, repeat(0, len(prefix)), *columns)), den
 
 
-def _packetize_by(curve: Curve, sizes: Sequence[Fraction], deadline: Fraction,
-                  window: str) -> List[Fraction]:
-    """``packetize``, refused when the last packet cannot leave by
+def _packetize_by(curve: Curve, sizes: Sequence[int], size_den: int,
+                  deadline: Fraction, window: str) -> Tuple[List[int], int]:
+    """``_packetize_ticks``, refused when the last packet cannot leave by
     ``deadline``, the end of the generator's ``window``."""
-    times = packetize(curve, sizes)
-    if times[-1] > deadline:
+    times, den = _packetize_ticks(curve, sizes, size_den)
+    if times[-1] * deadline.denominator > deadline.numerator * den:
         raise ScenarioError(
             f"the curve lets the last of these packets leave only at "
-            f"{fmt_rat(times[-1])} s, after the {window} window ends at "
-            f"{fmt_rat(deadline)} s"
+            f"{fmt_rat(Fraction(times[-1], den))} s, after the {window} window "
+            f"ends at {fmt_rat(deadline)} s"
         )
-    return times
+    return times, den
 
 
 def _default_eps(target: Fraction) -> Fraction:
@@ -166,27 +221,29 @@ def gen_lossy_backlog_burst(
     if not 0 < eps < min(v, t):
         raise ScenarioError("need 0 < eps < min(jitter, timeout)")
     target = flow.reachable_floor(curve.value(v + t - eps))
-    burst_sizes = decompose_bytes(target, flow)
-    if not burst_sizes:
+    size_den, sizes = _size_ticks(flow.l_max, target, flow)
+    n = len(sizes) - 1
+    if not n:
         raise DecompositionError("curve window admits no packet")
-    n = len(burst_sizes)
-    burst_times = _packetize_by(
-        curve, burst_sizes, v + t - eps, "jitter-plus-timeout"
-    )
+    times, den = _packetize_by(curve, sizes[1:], size_den, v + t - eps,
+                               "jitter-plus-timeout")
 
-    all_sizes = [flow.l_max] + burst_sizes
-    t0 = curve.pseudo_inverse(sum(all_sizes))
-    emits = [Fraction(0)] + [t0 + bt for bt in burst_times]
-
-    # First survivor lands eps/2 short of the jitter bound; later ones trail
-    # it by eps/(3(n-1)) hops.  Their delays can grow by at most eps/3 in
-    # total, so every delay stays below v and every arrival beats the
-    # timeout deadline at observes[1] + t.
-    observes: List[Rat] = [INF, v + emits[1] - eps / 2]
-    for k in range(2, n + 1):
-        observes.append(max(observes[-1], emits[k]) + eps / (3 * (n - 1)))
-
-    return _conforming_trace(all_sizes, emits, observes, curve)
+    # The burst starts once the lost packet and the burst together fit.
+    # The first survivor lands eps/2 short of the jitter bound; later ones
+    # (none when n == 1) trail it by eps/(3(n-1)) hops.  Their delays can
+    # grow by at most eps/3 in total, so every delay stays below v and every
+    # arrival beats the timeout deadline at observes[1] + t.
+    t0 = curve.pseudo_inverse(flow.l_max + target)
+    lag, hop = eps / 2, eps / (3 * max(n - 1, 1))
+    base = math.lcm(den, t0.denominator, v.denominator, lag.denominator, hop.denominator)
+    start, scale, step = _ticks(t0, base), base // den, _ticks(hop, base)
+    emits = [0] + [start + e * scale for e in times]
+    observe = _ticks(v, base) + emits[1] - _ticks(lag, base)
+    observes = [INF, observe]
+    for e in emits[2:]:
+        observe = max(observe, e) + step
+        observes.append(observe)
+    return _conforming_trace(curve, size_den, sizes, base, emits, observes)
 
 
 def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
@@ -222,20 +279,27 @@ def gen_rbo_tight_burst(
     total = curve.value(v - eps)
     if total < 2 * flow.l_min:
         raise ScenarioError("curve window admits fewer than two packets")
-    sizes = [flow.l_min] + decompose_bytes(total - flow.l_min, flow)
+    size_den, sizes = _size_ticks(flow.l_min, total - flow.l_min, flow)
     n = len(sizes)
-    emits = _packetize_by(curve, sizes, v - eps, "jitter")
-    observes: List[Fraction] = [v + eps]
-    for k in range(2, n + 1):
-        observes.append(v + Fraction(k - 2, n) * eps)
-    return _conforming_trace(sizes, emits, observes, curve)
+    times, den = _packetize_by(curve, sizes, size_den, v - eps, "jitter")
+    # packet 1 arrives at v + eps, packet k >= 2 at v + (k - 2) * eps/n
+    hop = eps / n
+    base = math.lcm(den, v.denominator, eps.denominator, hop.denominator)
+    first, step = _ticks(v, base), _ticks(hop, base)
+    emits = [e * (base // den) for e in times]
+    observes = [first + _ticks(eps, base), *range(first, first + (n - 1) * step, step)]
+    return _conforming_trace(curve, size_den, sizes, base, emits, observes)
 
 
-def _conforming_trace(sizes: List[Fraction], emits: List[Fraction],
-                      observes: List[Rat], curve: Curve) -> Trace:
-    """The generated trace, refused when its packetized emissions violate
-    the curve they were derived from."""
-    trace = Trace(sizes, emits, observes)
+def _conforming_trace(curve: Curve, size_den: int, sizes: List[int], time_den: int,
+                      emits: List[int], observes: List[Rat]) -> Trace:
+    """The generated trace from its tick columns, each base first divided
+    by the gcd of its column and itself, so the bases are the ones
+    ``Trace(sizes, emits, observes)`` gives; refused when the packetized
+    emissions violate the curve they were derived from."""
+    size_den, (sizes,) = _reduced(size_den, sizes)
+    time_den, (emits, observes) = _reduced(time_den, emits, observes)
+    trace = Trace._from_ticks(size_den, sizes, time_den, emits, observes)
     verdict = check_conforms(trace, curve)
     if not verdict:
         raise ScenarioError(
@@ -243,6 +307,16 @@ def _conforming_trace(sizes: List[Fraction], emits: List[Fraction],
             f"(pair {verdict.first_index},{verdict.second_index})"
         )
     return trace
+
+
+def _reduced(den: int, *columns: List[Rat]) -> Tuple[int, Tuple[List[Rat], ...]]:
+    """``den`` and the tick ``columns`` on it, both divided by their gcd:
+    the least base that holds every value, INF passing through."""
+    g = math.gcd(den, *(t for column in columns for t in column if t is not INF))
+    if g == 1:
+        return den, columns
+    return den // g, tuple([t if t is INF else t // g for t in column]
+                           for column in columns)
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,8 @@ def trace_from_csv(text: str) -> Trace:
         if len(row) != 4:
             raise TraceError(f"line {lineno}: expected 4 columns")
         idx, size, emit, obs = (c.strip() for c in row)
+        if not (idx.isascii() and idx.isdigit()):
+            raise ValueError(f"not a packet index: {idx!r}")
         packets.append(
             record(
                 index=int(idx),

@@ -310,6 +310,7 @@ LOSSY_BACKLOG = str(GOLDEN / "lossy_backlog.csv")
 TWO_SEGMENTS = str(GOLDEN / "two_segments_path.json")
 STAIRCASE_CURVE = str(GOLDEN / "staircase_curve.json")
 PACKET_CURVE = str(GOLDEN / "packet_curve.json")
+TWO_PIECE_CURVE = str(GOLDEN / "two_piece_curve.json")
 CAPTURE_SHAPE = str(GOLDEN / "capture_shape.csv")
 GOLDEN_EXIT = {  # OK for the rest
     "lossy_backlog_discard.json": DISCARD,
@@ -378,6 +379,15 @@ GOLDEN_CASES = [
     (["scenario", "rto-chain", "--stages", "1/3:1/7,1/11:0,2:1", "--head", "3",
       "--eps", "1/1000"],
      "rto_chain.csv"),
+] + [
+    # a two-piece curve whose second piece binds the burst's head and whose
+    # first binds its tail: p/q emissions and a non-integer last size
+    (["scenario", "lossy-backlog", "--curve-json", TWO_PIECE_CURVE,
+      "--jitter", "60ms", "--timeout", "40ms", "--l-min", "64", "--l-max", "128"],
+     "lossy_backlog_two_piece.csv"),
+    (["scenario", "rbo-tight", "--curve-json", TWO_PIECE_CURVE, "--jitter", "100ms",
+      "--l-min", "64", "--l-max", "128", "--eps", "1ms"],
+     "rbo_tight_two_piece.csv"),
 ] + [
     # a capture's shape: nanosecond times with their trailing zeros stripped
     # or whole, padded cells, an empty and a ",,," line and one loss
@@ -475,6 +485,14 @@ def test_literal_beyond_int_digit_limit_is_one_line(argv, tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
     assert out == "" and err == (
         f"error: literal beyond {limit} digits: '{LONG[:20]}...'\n")
+
+
+@pytest.mark.parametrize("index", ["x", "+1", "0_2", "\u0661", "1.0"],
+                         ids=["letter", "sign", "underscore", "arabic-indic-one", "decimal"])
+def test_index_cell_of_other_than_ascii_digits_is_one_line(index, tmp_path, capsys):
+    assert main(metrics_of(f"{index},64,0,1")(tmp_path)) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: not a packet index: {index!r}\n"
 
 
 # A bad literal and the one error line it gets, wherever it is given.

@@ -335,7 +335,7 @@ class TestErrorOrder:
 
     @pytest.mark.parametrize("rows,error", [
         ("0,64,-,abc", (ValueError, "not an exact numeric literal: 'abc'")),
-        ("x,64,-,abc", (ValueError, "invalid literal for int() with base 10: 'x'")),
+        ("x,64,-,abc", (ValueError, "not a packet index: 'x'")),
         ("1,64,-,5\n0,64,-,5", (TraceError, "packet indices start at 1")),
     ])
     def test_bad_index_and_observation_in_one_row(self, rows, error):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenario_oracle as oracle
 from arrival_trace import source_trace
 from reseqkit.curves import (
     FlowSpec,
@@ -354,3 +355,112 @@ class TestAmplifiedRtoChain:
     def test_eps_must_sit_below_head_rto(self):
         with pytest.raises(ScenarioError):
             gen_amplified_rto_chain([(F(5), F(2))], head=1, eps=F(2))
+
+
+def fractions(lo, hi, max_den):
+    """p/q with p in [lo, hi] and q in [1, max_den]."""
+    return st.builds(F, st.integers(lo, hi), st.integers(1, max_den))
+
+
+@st.composite
+def scenario_inputs(draw):
+    """A flow of constant or variable packet sizes on a min-affine curve of
+    1-4 pieces or a staircase, with p/q jitter, timeout and eps (or the
+    default eps); some draws break a generator's preconditions."""
+    l_min = draw(fractions(16, 128, 4))
+    l_max = l_min if draw(st.booleans()) else 2 * l_min + draw(fractions(0, 64, 3))
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.tuples(fractions(100, 20_000, 7),
+                                         fractions(0, 2_000, 4).map(l_max.__add__)),
+                               min_size=1, max_size=4))
+        curve = MinAffineCurve(tuple(pieces))
+    else:
+        curve = StaircaseCurve(l_max + draw(fractions(0, 500, 3)),
+                               draw(fractions(1, 40, 13)) / 1000)
+    v, t = (draw(fractions(1, 120, 13)) / 1000 for _ in range(2))
+    eps = draw(st.one_of(st.none(), fractions(1, 110, 7).map(lambda x: x / 100 * min(v, t))))
+    return FlowSpec(curve, l_min, l_max), v, t, eps
+
+
+def outcome(make):
+    """What ``make()`` returns, or the type and text of what it raises."""
+    try:
+        return make()
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+def columns(trace):
+    return (trace.size_den, trace.size_ticks, trace.time_den, trace.emit_ticks,
+            trace.observe_ticks)
+
+
+class TestMatchesFractionOracle:
+    """The tick generators build the very columns and bases, and refuse with
+    the very error, of the Fraction code they replaced
+    (``tests/scenario_oracle.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_inputs())
+    def test_lossy_backlog(self, inputs):
+        flow, v, t, eps = inputs
+        curve = flow.source_curve
+        assert (outcome(lambda: columns(gen_lossy_backlog_burst(curve, v, t, flow, eps)))
+                == outcome(lambda: columns(oracle.gen_lossy_backlog_burst(curve, v, t, flow, eps))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_inputs())
+    def test_rbo_tight(self, inputs):
+        flow, v, _, eps = inputs
+        curve = flow.source_curve
+        assert (outcome(lambda: columns(gen_rbo_tight_burst(v, curve, flow, eps)))
+                == outcome(lambda: columns(oracle.gen_rbo_tight_burst(v, curve, flow, eps))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_inputs(), st.lists(fractions(-50, 400, 6), max_size=30))
+    def test_packetize(self, inputs, sizes):
+        curve = inputs[0].source_curve
+        assert outcome(lambda: packetize(curve, sizes)) == \
+            outcome(lambda: oracle.packetize(curve, sizes))
+
+    @pytest.mark.parametrize("total", [F(0), F(64), F(130), F(401, 2), F(-1), F(10)])
+    def test_decompose_bytes(self, total):
+        for flow in (FIXED64, MIXED):
+            assert outcome(lambda: decompose_bytes(total, flow)) == \
+                outcome(lambda: oracle.decompose_bytes(total, flow))
+
+
+def fractions_made(monkeypatch, make):
+    """How many Fractions ``make()`` constructs, counted by wrapping
+    ``Fraction.__new__`` (and ``_from_coprime_ints``, by which newer Pythons
+    build arithmetic results)."""
+    made = 0
+
+    def counting(construct):
+        def wrapper(*args, **kwargs):
+            nonlocal made
+            made += 1
+            return construct(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", counting(F.__new__))
+        if "_from_coprime_ints" in vars(F):
+            patch.setattr(F, "_from_coprime_ints",
+                          classmethod(counting(F._from_coprime_ints.__func__)))
+        make()
+    return made
+
+
+@pytest.mark.parametrize("make", [
+    # windows of 2 and 8 s (plus 1/7 s): about 100 and 300 packets of
+    # 64-200 B with a fractional tail
+    lambda w: gen_lossy_backlog_burst(MIXED.source_curve, w / 2 + F(1, 7), w / 2,
+                                      MIXED, F(1, 3000)),
+    lambda w: gen_rbo_tight_burst(w + F(1, 7), MIXED.source_curve, MIXED, F(1, 3000)),
+], ids=["lossy-backlog", "rbo-tight"])
+def test_no_fraction_per_packet(make, monkeypatch):
+    small, large = make(F(2)), make(F(8))
+    assert 90 <= len(small) <= 110 and 280 <= len(large) <= 320
+    assert (fractions_made(monkeypatch, lambda: make(F(8)))
+            <= fractions_made(monkeypatch, lambda: make(F(2))))
