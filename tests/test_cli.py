@@ -380,6 +380,11 @@ GOLDEN_CASES = [
       "--eps", "1/1000"],
      "rto_chain.csv"),
 ] + [
+    # a capture's shape: nanosecond times with their trailing zeros stripped
+    # or whole, padded cells, an empty and a ",,," line and one loss
+    (["metrics", "--verbose", CAPTURE_SHAPE], "capture_shape_metrics.txt"),
+    (["simulate", "--timeout", "2us", CAPTURE_SHAPE], "capture_shape_simulate.json"),
+] + [
     # a two-piece curve whose second piece binds the burst's head and whose
     # first binds its tail: p/q emissions and a non-integer last size
     (["scenario", "lossy-backlog", "--curve-json", TWO_PIECE_CURVE,
@@ -388,11 +393,6 @@ GOLDEN_CASES = [
     (["scenario", "rbo-tight", "--curve-json", TWO_PIECE_CURVE, "--jitter", "100ms",
       "--l-min", "64", "--l-max", "128", "--eps", "1ms"],
      "rbo_tight_two_piece.csv"),
-] + [
-    # a capture's shape: nanosecond times with their trailing zeros stripped
-    # or whole, padded cells, an empty and a ",,," line and one loss
-    (["metrics", "--verbose", CAPTURE_SHAPE], "capture_shape_metrics.txt"),
-    (["simulate", "--timeout", "2us", CAPTURE_SHAPE], "capture_shape_simulate.json"),
 ]
 
 
