@@ -291,9 +291,10 @@ def _read_columns(text: str) -> Trace:
     """The trace in ``text``, read column by column.
 
     Each chunk of rows is transposed into four columns of stripped cells,
-    and each column is converted in a few passes: the indices are compared
-    with the ones ``trace_to_csv`` writes and read by ``_packet_index``
-    only when they differ (``"01"``), sizes and times by ``read_literals``,
+    and each column is converted in a few passes: the indices by one
+    ASCII-digit test of the joined column and ``int`` (an empty or
+    over-long cell makes ``int`` raise, and the row pass reports it through
+    ``_packet_index``), sizes and times by ``read_literals``,
     which reads plain decimals straight into integer ticks.  The checks run
     on whole columns, so when several fail, the one raised need not be the
     first in the file (``trace_from_csv`` finds that one)."""
@@ -305,8 +306,10 @@ def _read_columns(text: str) -> Trace:
     observes: List[LiteralTicks] = []
     for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
         idx, size, emit, obs = _columns(rows)
-        want = range(n + 1, n + len(idx) + 1)
-        if idx != list(map(str, want)) and list(map(_packet_index, idx)) != list(want):
+        digits = "".join(idx)
+        if not (digits.isascii() and (digits.isdigit() or not digits)):
+            raise TraceError("packet indices must be ASCII digits")
+        if list(map(int, idx)) != list(range(n + 1, n + len(idx) + 1)):
             raise TraceError("packet indices must be contiguous from 1")
         n += len(idx)
         sizes.append(read_literals(size, finite))

@@ -50,43 +50,36 @@ class DecompositionError(ScenarioError):
 
 def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
     """Split ``total`` into packet sizes within [l_min, l_max], exactly."""
-    count, tail = _decompose(finite(total), flow)
-    return [flow.l_max] * count + tail
-
-
-def _decompose(total: Fraction, flow: FlowSpec) -> Tuple[int, List[Fraction]]:
-    """``decompose_bytes`` as ``count`` packets of l_max followed by the
-    sizes in ``tail``, so that a generator can repeat one size tick."""
+    total = finite(total)
     if total < 0:
         raise DecompositionError("byte totals are non-negative")
     if total == 0:
-        return 0, []
+        return []
     if flow.constant_size:
         count, rem = divmod(total, flow.l_min)
         if rem != 0:
             raise DecompositionError(
                 f"{total} is not a multiple of the packet size {flow.l_min}"
             )
-        return int(count), []
+        return [flow.l_min] * int(count)
     if total < flow.l_min:
         raise DecompositionError(f"{total} is below the minimum packet size")
     count = int(total // flow.l_max)
     rem = total - count * flow.l_max
     if rem == 0:
-        return count, []
+        return [flow.l_max] * count
     if rem >= flow.l_min:
-        return count, [rem]
+        return [flow.l_max] * count + [rem]
     # rem < l_min needs count >= 1; rebalance the last two packets.
-    return count - 1, [flow.l_max + rem - flow.l_min, flow.l_min]
+    return [flow.l_max] * (count - 1) + [flow.l_max + rem - flow.l_min, flow.l_min]
 
 
 def _size_ticks(head: Fraction, total: Fraction, flow: FlowSpec) -> Tuple[int, List[int]]:
     """A base of 1/D B and, as ticks on it, a packet of ``head`` bytes
     followed by ``decompose_bytes(total, flow)``."""
-    count, tail = _decompose(total, flow)
-    den = math.lcm(head.denominator, flow.l_max.denominator, *(s.denominator for s in tail))
-    return den, ([_ticks(head, den)] + [_ticks(flow.l_max, den)] * count
-                 + [_ticks(s, den) for s in tail])
+    sizes = [head] + decompose_bytes(total, flow)
+    den = math.lcm(*{s.denominator for s in sizes})
+    return den, [_ticks(s, den) for s in sizes]
 
 
 def _ticks(x: Fraction, den: int) -> int:

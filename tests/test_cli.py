@@ -495,6 +495,11 @@ def test_index_cell_of_other_than_ascii_digits_is_one_line(index, tmp_path, caps
     assert out == "" and err == f"error: not a packet index: {index!r}\n"
 
 
+def test_index_cells_with_leading_zeros_are_read(tmp_path, capsys):
+    assert main(metrics_of("01,64,0,1\n002,64,1,2")(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+
+
 # A bad literal and the one error line it gets, wherever it is given.
 BAD_LITERALS = {
     "abc": "not an exact numeric literal: 'abc'",
