@@ -36,6 +36,7 @@ from .metrics import delay_jitter, rbo, rto, trace_from_csv, trace_to_csv
 from .path_analysis import (
     analyze_both,
     analyze_path,
+    load_json,
     load_path,
     render_report_table,
     report_to_json,
@@ -193,8 +194,7 @@ def cmd_simulate(args) -> int:
 
 def _scenario_curve(args):
     if args.curve_json:
-        with open(args.curve_json, "r", encoding="utf-8") as fh:
-            return curve_from_json(json.load(fh))
+        return curve_from_json(load_json(args.curve_json))
     if args.rate and args.burst:
         return leaky_bucket(args.rate, args.burst)
     raise ValueError("scenario needs --curve-json or --rate/--burst")

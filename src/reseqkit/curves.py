@@ -14,10 +14,19 @@ packets) on (s, t] never exceed alpha(t - s).  Two shapes are supported:
 * ``StaircaseCurve``: b * ceil(t / tau), the periodic-burst constraint used
   for packet-level regulation (K packets per period).
 
-Every operation is pure and exact over Fractions.  The lower pseudo-inverse
-``inf{s >= 0 | alpha(s) >= x}`` (``pseudo_inverse`` on each curve) converts
-volume constraints into minimum spacing; ``min_spacing`` is the gap of two
-packets that every reordering bound subtracts.
+Every operation is pure and exact.  A ``MinAffineCurve`` is an integer
+record: its rates are ticks on one rate base and its bursts ticks on one
+burst base, each base reduced, so that equal functions are equal records.
+The kernels of the path walk run on those integers: ``shift_jitter``,
+``min_curves`` and its envelope pass, ``horizontal_deviation``,
+``pseudo_inverse`` and ``min_spacing``, ``value`` and ``backlog_bound``.
+Each builds one ``Fraction`` per scalar it returns and none per piece; a
+curve result builds none.  ``pieces``, the ``Fraction`` view of the
+columns, is built on first use, and ``to_json`` writes the ticks directly
+(``fmt_ticks``).  A ``StaircaseCurve`` keeps its two Fractions.  The lower
+pseudo-inverse ``inf{s >= 0 | alpha(s) >= x}`` (``pseudo_inverse`` on each
+curve) converts volume constraints into minimum spacing; ``min_spacing`` is
+the gap of two packets that every reordering bound subtracts.
 
 The trace conformance check, ``check_conforms(trace, curve)``, takes a
 ``metrics.Trace`` and runs on its integer ticks; it never enumerates packet
@@ -31,13 +40,15 @@ first non-conforming packet.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rational import INF, Rat, exact, finite, fmt_rat
+from .rational import INF, Rat, exact, finite, fmt_rat, fmt_ticks
 
 BYTES = "bytes"
 PACKETS = "packets"
@@ -55,35 +66,62 @@ class InstabilityError(ValueError):
     """Arrival rate exceeds the service rate; no finite delay bound exists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MinAffineCurve:
-    """min_i (rate_i * t + burst_i) for t > 0, and 0 at t = 0."""
+    """min_i (rate_i * t + burst_i) for t > 0, and 0 at t = 0.
 
-    pieces: Tuple[Tuple[Fraction, Fraction], ...]
-    unit: str = BYTES
+    ``MinAffineCurve(pieces, unit)`` takes exact ``(rate, burst)`` pairs and
+    keeps their lower envelope as two integer columns: ``rates`` on
+    ``rate_den`` and ``bursts`` on ``burst_den``, rate ascending, so the
+    bursts strictly decrease.  Each base is the least common multiple of its
+    column's denominators.  ``pieces`` is the ``Fraction`` view of the
+    columns, built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        pieces = [(finite(rate), finite(burst)) for rate, burst in self.pieces]
-        if not pieces:
+    rates: Tuple[int, ...]
+    rate_den: int
+    bursts: Tuple[int, ...]
+    burst_den: int
+    unit: str
+
+    def __init__(self, pieces: Iterable[Tuple[Rat, Rat]], unit: str = BYTES) -> None:
+        pairs = [(finite(rate), finite(burst)) for rate, burst in pieces]
+        if not pairs:
             raise CurveError("min-affine curve needs at least one piece")
-        if self.unit not in (BYTES, PACKETS):
-            raise CurveError(f"unknown unit {self.unit!r}")
-        for rate, burst in pieces:
+        if unit not in (BYTES, PACKETS):
+            raise CurveError(f"unknown unit {unit!r}")
+        for rate, burst in pairs:
             if rate <= 0:
                 raise CurveError("piece rates must be > 0 (curves are unbounded)")
             if burst < 0:
                 raise CurveError("piece bursts must be >= 0")
-        object.__setattr__(self, "pieces", _lower_envelope(sorted(pieces)))
+        rate_den = math.lcm(*(r.denominator for r, _ in pairs))
+        burst_den = math.lcm(*(b.denominator for _, b in pairs))
+        ticks = sorted((r.numerator * (rate_den // r.denominator),
+                        b.numerator * (burst_den // b.denominator)) for r, b in pairs)
+        rates, bursts = zip(*_lower_envelope(ticks))
+        self._set(rates, rate_den, bursts, burst_den, unit)
 
     @classmethod
-    def _from_envelope(cls, pieces: Tuple[Tuple[Fraction, Fraction], ...],
-                       unit: str) -> "MinAffineCurve":
-        """A curve from pieces that already are an envelope of Fractions:
-        nothing is checked, sorted or re-hulled."""
+    def _from_ticks(cls, rates: Sequence[int], rate_den: int, bursts: Sequence[int],
+                    burst_den: int, unit: str) -> "MinAffineCurve":
+        """A curve from tick columns that already are an envelope: nothing
+        is checked, sorted or re-hulled; the bases are reduced."""
         curve = cls.__new__(cls)
-        object.__setattr__(curve, "pieces", pieces)
-        object.__setattr__(curve, "unit", unit)
+        curve._set(rates, rate_den, bursts, burst_den, unit)
         return curve
+
+    def _set(self, rates: Sequence[int], rate_den: int, bursts: Sequence[int],
+             burst_den: int, unit: str) -> None:
+        rate_den, rates = _reduced(rate_den, rates)
+        burst_den, bursts = _reduced(burst_den, bursts)
+        vars(self).update(rates=rates, rate_den=rate_den, bursts=bursts,
+                          burst_den=burst_den, unit=unit)  # frozen fields
+
+    @cached_property
+    def pieces(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(r, self.rate_den), Fraction(b, self.burst_den))
+                     for r, b in zip(self.rates, self.bursts))
 
     def value(self, t: Rat) -> Rat:
         """Curve value at t (0 at t = 0, min of the pieces for t > 0)."""
@@ -94,10 +132,15 @@ class MinAffineCurve:
             raise ValueError("curves are defined on t >= 0")
         if t == 0:
             return Fraction(0)
-        return min(r * t + b for r, b in self.pieces)
+        # r/rd * tn/td + b/bd, all on rd * td * bd
+        tn, td = t.numerator, t.denominator
+        per_rate, per_burst = tn * self.burst_den, td * self.rate_den
+        return Fraction(min(r * per_rate + b * per_burst
+                            for r, b in zip(self.rates, self.bursts)),
+                        per_burst * self.burst_den)
 
     def value_at_zero_plus(self) -> Fraction:
-        return self.pieces[-1][1]
+        return Fraction(self.bursts[-1], self.burst_den)
 
     def pseudo_inverse(self, x: Rat) -> Rat:
         """inf{s >= 0 | value(s) >= x}: the max over per-piece [(x-b)/r]^+."""
@@ -106,22 +149,24 @@ class MinAffineCurve:
             raise ValueError("pseudo-inverse is defined on x >= 0")
         if x == 0:
             return Fraction(0)
-        best = Fraction(0)
-        for r, b in self.pieces:
-            cand = (x - b) / r
-            if cand > best:
-                best = cand
-        return best
-
-    def long_run_rate(self) -> Fraction:
-        return self.pieces[0][0]
+        # (x - b)/r is (xn*bd - b*xd) * rd / (xd * bd * r): compare over r
+        xn, xd, bd = x.numerator, x.denominator, self.burst_den
+        per_x = xn * bd
+        best, best_rate = 0, 1
+        for r, b in zip(self.rates, self.bursts):
+            above = per_x - b * xd
+            if above * best_rate > best * r:
+                best, best_rate = above, r
+        return Fraction(best * self.rate_den, xd * bd * best_rate)
 
     def to_json(self) -> dict:
         return {
             "unit": self.unit,
             "kind": "min_affine",
             "pieces": [
-                {"rate": fmt_rat(r), "burst": fmt_rat(b)} for r, b in self.pieces
+                {"rate": r, "burst": b} for r, b in zip(
+                    fmt_ticks(self.rates, self.rate_den),
+                    fmt_ticks(self.bursts, self.burst_den))
             ],
         }
 
@@ -179,12 +224,11 @@ class StaircaseCurve:
 Curve = MinAffineCurve | StaircaseCurve
 
 
-def _lower_envelope(
-    pieces: Iterable[Tuple[Fraction, Fraction]],
-) -> Tuple[Tuple[Fraction, Fraction], ...]:
+def _lower_envelope(pieces: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """The pieces that are the minimum on some interval of t > 0, by one
-    stack pass over ``pieces`` sorted by rate, then burst."""
-    hull: List[Tuple[Fraction, Fraction]] = []  # the envelope so far
+    stack pass over ``(rate, burst)`` ticks sorted by rate, then burst, each
+    column on one base."""
+    hull: List[Tuple[int, int]] = []  # the envelope so far
     for r, b in pieces:
         if hull and b >= hull[-1][1]:
             continue  # never below the last kept piece for t > 0
@@ -196,7 +240,16 @@ def _lower_envelope(
                 break
             hull.pop()
         hull.append((r, b))
-    return tuple(hull)
+    return hull
+
+
+def _reduced(den: int, ticks: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """``den`` and ``ticks`` divided by their gcd: the least base of the
+    values."""
+    g = math.gcd(den, *ticks)
+    if g == 1:
+        return den, tuple(ticks)
+    return den // g, tuple(t // g for t in ticks)
 
 
 def _ceil_div(num: Fraction, den: Fraction) -> int:
@@ -304,48 +357,79 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
         raise ValueError("jitter must be >= 0")
     if v == 0:
         return curve
-    pieces = curve.pieces
-    keep = len(pieces)
+    rates, bursts, rd, bd = curve.rates, curve.bursts, curve.rate_den, curve.burst_den
+    vn, vd = v.numerator, v.denominator
+    keep = len(rates)
     while keep > 1:
-        (r_slow, b_slow), (r_fast, b_fast) = pieces[keep - 2], pieces[keep - 1]
-        if b_slow - b_fast > v * (r_fast - r_slow):
-            break  # the breakpoint (b_slow - b_fast) / (r_fast - r_slow) is past V
+        # the breakpoint (b_slow - b_fast) / (r_fast - r_slow) is past V
+        if ((bursts[keep - 2] - bursts[keep - 1]) * vd * rd
+                > vn * (rates[keep - 1] - rates[keep - 2]) * bd):
+            break
         keep -= 1
-    return MinAffineCurve._from_envelope(
-        tuple((r, b + r * v) for r, b in pieces[:keep]), curve.unit
+    # b/bd + r/rd * vn/vd on the least common multiple of bd and rd * vd
+    den = math.lcm(bd, rd * vd)
+    per_burst, per_rate = den // bd, vn * (den // (rd * vd))
+    return MinAffineCurve._from_ticks(
+        rates[:keep], rd,
+        [b * per_burst + r * per_rate for r, b in zip(rates[:keep], bursts)],
+        den, curve.unit,
     )
 
 
 def min_curves(a: MinAffineCurve, b: MinAffineCurve) -> MinAffineCurve:
     """Pointwise minimum of two min-affine curves: the lower envelope of the
-    union of their pieces.  Both envelopes are sorted already, so they are
-    merged, not sorted, and take the constructor's stack pass unchecked."""
+    union of their pieces, put on common bases.  Both envelopes are sorted
+    already, so the sort merges two runs, and the constructor's stack pass
+    takes them unchecked."""
     if not (isinstance(a, MinAffineCurve) and isinstance(b, MinAffineCurve)):
         raise CurveError("min is defined for min-affine curves only")
     if a.unit != b.unit:
         raise UnitMismatchError(f"cannot combine {a.unit} with {b.unit}")
-    return MinAffineCurve._from_envelope(
-        _lower_envelope(merge(a.pieces, b.pieces)), a.unit
-    )
+    rate_den = math.lcm(a.rate_den, b.rate_den)
+    burst_den = math.lcm(a.burst_den, b.burst_den)
+    rates, bursts = zip(*_lower_envelope(sorted(
+        [*zip(_rebased(a.rates, a.rate_den, rate_den),
+              _rebased(a.bursts, a.burst_den, burst_den)),
+         *zip(_rebased(b.rates, b.rate_den, rate_den),
+              _rebased(b.bursts, b.burst_den, burst_den))])))
+    return MinAffineCurve._from_ticks(rates, rate_den, bursts, burst_den, a.unit)
+
+
+def _rebased(ticks: Sequence[int], den: int, new_den: int) -> Sequence[int]:
+    """``ticks`` on ``den`` as ticks on ``new_den``, a multiple of ``den``."""
+    scale = new_den // den
+    return ticks if scale == 1 else [t * scale for t in ticks]
 
 
 def horizontal_deviation(curve: MinAffineCurve, service: RateLatencyService) -> Fraction:
     """Worst-case delay of a FIFO element: latency + sup_t(alpha(t) - R*t)/R.
 
-    alpha is concave, so the sup is attained as t -> 0+ or at a breakpoint
-    between adjacent envelope pieces, where the slower piece takes over.
+    alpha is concave, so alpha(t) - R*t rises while the piece that is the
+    minimum is faster than R, and falls after.  The sup is attained at the
+    breakpoint where the slowest piece faster than R hands over to the
+    fastest that is not, or as t -> 0+ when no piece is faster than R.
     """
     if not isinstance(curve, MinAffineCurve):
         raise CurveError("delay bound requires a min-affine arrival curve")
-    if curve.long_run_rate() > service.rate:
+    rates, bursts, rd, bd = curve.rates, curve.bursts, curve.rate_den, curve.burst_den
+    sn, sd = service.rate.numerator, service.rate.denominator
+    slow = bisect_right(rates, sn * rd // sd)  # the pieces no faster than R
+    if not slow:
         raise InstabilityError(
             "arrival rate exceeds service rate; backlog grows without bound"
         )
-    best = curve.value_at_zero_plus()  # t -> 0+
-    for (r_slow, b_slow), (r_fast, b_fast) in zip(curve.pieces, curve.pieces[1:]):
-        t = (b_slow - b_fast) / (r_fast - r_slow)
-        best = max(best, r_slow * t + b_slow - service.rate * t)
-    return service.latency + best / service.rate
+    if slow == len(rates):  # t -> 0+: the burst of the fastest piece
+        best, best_den = bursts[-1] * sd, bd
+    else:
+        # with s the slow piece, f the fast one and t their breakpoint
+        # (bs - bf)/(rf - rs), b_s + (r_s - R)*t over bd * sd * (rf - rs)
+        rs, rf, bs, bf = rates[slow - 1], rates[slow], bursts[slow - 1], bursts[slow]
+        best = bs * sd * (rf - rs) + (rs * sd - sn * rd) * (bs - bf)
+        best_den = bd * (rf - rs)
+    # latency + best / (best_den * sd) * sd / sn
+    ln, ld = service.latency.numerator, service.latency.denominator
+    per_sn = best_den * sn
+    return Fraction(ln * per_sn + best * ld, ld * per_sn)
 
 
 @dataclass(frozen=True)
@@ -412,13 +496,13 @@ def _affine_violation(emits: Sequence[int], vol: Sequence[int], curve: MinAffine
                       time_den: int, vol_den: int) -> Optional[Tuple[int, int]]:
     """0-based (m, n) of the first packet n that overflows some bucket.
 
-    Bucket (r, b), scaled by ``time_den * vol_den * r.den * b.den``, is the
-    weights of a volume tick and of a time tick, and the burst ``cap``."""
-    buckets = []
-    for rate, burst in curve.pieces:
-        (rn, rd), (bn, bd) = rate.as_integer_ratio(), burst.as_integer_ratio()
-        buckets.append((time_den * rd * bd, vol_den * rn * bd,
-                        bn * vol_den * time_den * rd))
+    Bucket (r, b), scaled by ``time_den * vol_den * rate_den * burst_den``,
+    is the weights of a volume tick and of a time tick, and the burst
+    ``cap``."""
+    rd, bd = curve.rate_den, curve.burst_den
+    per_vol = time_den * rd * bd
+    buckets = [(per_vol, vol_den * r * bd, b * vol_den * time_den * rd)
+               for r, b in zip(curve.rates, curve.bursts)]
     first = len(emits)
     for per_vol, per_tick, cap in buckets:
         low: Rat = INF  # min over packets m <= n of P_{m-1} - r*A_m

@@ -25,6 +25,11 @@ so the lossless walk's totals are the baseline, the same path without
 re-sequencers, against which both loss modes report their deltas.  A walk is
 linear in the path length: each RTO bound sees only its own segment, and
 each lossless size sees the jitter through the last fabric as one stage.
+The loss mode is first read at a re-sequencer, so ``analyze_both`` walks the
+stages before the first one once and forks the walk's state (``_Walk``)
+there into the lossless and the lossy walk of the rest.  The curve kernels
+run on integer ticks (see ``curves``); a stage's delays and jitter are
+Fractions.
 
 Reports carry exact rationals; rounding happens only in the renderers.
 """
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -229,40 +234,75 @@ def analyze_path(path: PathSpec) -> AnalysisReport:
         e.kind == "resequencer" for e in path.elements
     ):
         return analyze_both(path)[LOSSY]
-    return _walk(path, path.loss_mode)
+    return _walk(path, path.loss_mode, _Walk(path.flow.source_curve),
+                 path.elements).report(path.loss_mode)
 
 
 def analyze_both(path: PathSpec) -> Dict[str, AnalysisReport]:
-    """Reports of ``path`` lossless then lossy, from one walk each.
+    """Reports of ``path`` lossless then lossy.
 
-    A lossless re-sequencer is a [0, 0] stage that leaves the curve as it
-    is, so the lossless walk's totals are those of the path without
-    re-sequencing: they are the baseline of both reports."""
-    lossless = _walk(path, LOSSLESS)
+    The loss modes differ only from the first re-sequencer on, so the
+    stages before it are walked once and the walk forks there.  A lossless
+    re-sequencer is a [0, 0] stage that leaves the curve as it is, so the
+    lossless walk's totals are those of the path without re-sequencing:
+    they are the baseline of both reports."""
+    elements = path.elements
+    first = next((i for i, e in enumerate(elements) if e.kind == "resequencer"),
+                 len(elements))
+    # no stage before the first re-sequencer reads the loss mode
+    prefix = _walk(path, LOSSLESS, _Walk(path.flow.source_curve), elements[:first])
+    lossy_start = prefix.fork()
+    lossless = _walk(path, LOSSLESS, prefix, elements[first:]).report(LOSSLESS)
     lossy = replace(
-        _walk(path, LOSSY),
+        _walk(path, LOSSY, lossy_start, elements[first:]).report(LOSSY),
         baseline_delay=lossless.e2e_delay,
         baseline_jitter=lossless.e2e_jitter,
     )
     return {LOSSLESS: lossless, LOSSY: lossy}
 
 
-def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
+@dataclass
+class _Walk:
+    """The state of a walk after some stages: the curve and the sums so
+    far, and the reports.  ``fork`` copies it where the loss modes part."""
+
+    curve: MinAffineCurve
+    elements: List[ElementReport] = field(default_factory=list)
+    reseqs: List[ResequencerReport] = field(default_factory=list)
+    warnings: List[str] = field(default_factory=list)
+    segment: List[SequenceElement] = field(default_factory=list)  # since the last re-sequencer
+    # the stages from the source through the last fabric, as one stage
+    reordering: SequenceElement = SequenceElement(Fraction(0))
+    total_delay: Fraction = Fraction(0)
+    total_min_delay: Fraction = Fraction(0)
+    total_jitter: Fraction = Fraction(0)
+
+    def fork(self) -> "_Walk":
+        return replace(self, elements=self.elements[:], reseqs=self.reseqs[:],
+                       warnings=self.warnings[:], segment=self.segment[:])
+
+    def report(self, loss_mode: str) -> AnalysisReport:
+        return AnalysisReport(
+            loss_mode=loss_mode,
+            elements=tuple(self.elements),
+            resequencers=tuple(self.reseqs),
+            e2e_delay=self.total_delay,
+            e2e_min_delay=self.total_min_delay,
+            e2e_jitter=self.total_jitter,
+            destination_curve=self.curve,
+            baseline_delay=self.total_delay,
+            baseline_jitter=self.total_jitter,
+            warnings=tuple(self.warnings),
+        )
+
+
+def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
+          stages: Sequence[PathElement]) -> _Walk:
+    """``walk`` carried on through ``stages`` in ``loss_mode``."""
     flow = path.flow
     lossy = loss_mode == LOSSY
-    curve = flow.source_curve
-    elements: List[ElementReport] = []
-    reseqs: List[ResequencerReport] = []
-    warnings: List[str] = []
-
-    segment: List[SequenceElement] = []  # since the previous re-sequencer
-    # the stages from the source through the last fabric, as one stage
-    reordering = SequenceElement(Fraction(0))
-    total_delay = Fraction(0)
-    total_min_delay = Fraction(0)
-    total_jitter = Fraction(0)
-
-    for el in path.elements:
+    for el in stages:
+        curve = walk.curve
         stage = None  # set by the fabric and fixed-delay branches
         if el.kind == "fifo_service":
             svc = el.service
@@ -279,7 +319,7 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
             curve = min_curves(
                 post_queue, leaky_bucket(svc.rate, flow.l_max, curve.unit)
             )
-            elements.append(
+            walk.elements.append(
                 ElementReport(
                     el.id, el.kind, d_min, d_max, jitter, None, curve, post_queue
                 )
@@ -293,16 +333,16 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
                 else SequenceElement(jitter)
             )
             curve = shift_jitter(curve, jitter)
-            elements.append(
+            walk.elements.append(
                 ElementReport(el.id, el.kind, d_min, d_max, jitter, stage.rto, curve)
             )
         elif el.kind == "resequencer":
-            upstream = bounds.rto_bound_sequence(segment).value
+            upstream = bounds.rto_bound_sequence(walk.segment).value
             # in auto mode, the timeout that never discards: the RTO
             timeout: Rat = upstream if el.mode == "auto" else el.timeout
             unsafe = timeout < upstream
             if unsafe:
-                warnings.append(
+                walk.warnings.append(
                     f"{el.id}: explicit timeout {fmt_rat(timeout)} s is below "
                     f"the upstream RTO bound {fmt_rat(upstream)} s; "
                     "packets may be discarded"
@@ -312,48 +352,38 @@ def _walk(path: PathSpec, loss_mode: str) -> AnalysisReport:
                     raise PathConfigError(
                         f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
                     )
-                req = backlog_bound(flow.source_curve, total_jitter + timeout)
+                req = backlog_bound(flow.source_curve, walk.total_jitter + timeout)
             else:
                 req = bounds.rbo_bound_sequence(
-                    (reordering,), flow.source_curve, flow.l_min
+                    (walk.reordering,), flow.source_curve, flow.l_min
                 )
             size = math.floor(flow.reachable_floor(req))
             if el.capacity is not None and el.capacity < size:
-                warnings.append(
+                walk.warnings.append(
                     f"{el.id}: configured capacity {fmt_rat(el.capacity)} B "
                     f"is below the required size {size} B"
                 )
             d_min = Fraction(0)  # now an order-preserving stage, delay [0, d_max]
             d_max, jitter = bounds.resequencer_delay_effect(loss_mode, timeout)
             curve = shift_jitter(curve, jitter)
-            reseqs.append(
+            walk.reseqs.append(
                 ResequencerReport(el.id, upstream, timeout, req, size, unsafe, curve)
             )
-            segment = []  # restarts here; the RTO bound skips this first stage
+            walk.segment = []  # restarts here; the RTO bound skips this first stage
         else:  # pragma: no cover - exhaustive over PathElement
             raise PathConfigError(f"unknown element kind {el.kind!r}")
 
-        total_delay += d_max
-        total_min_delay += d_min
-        total_jitter += jitter
+        walk.curve = curve
+        walk.total_delay += d_max
+        walk.total_min_delay += d_min
+        walk.total_jitter += jitter
         if stage is None:  # a FIFO or re-sequencer: order-preserving
             stage = SequenceElement(jitter)
         elif stage.rto is not None:
-            reordering = replace(stage, jitter=total_jitter)
-        segment.append(stage)
+            walk.reordering = replace(stage, jitter=walk.total_jitter)
+        walk.segment.append(stage)
 
-    return AnalysisReport(
-        loss_mode=loss_mode,
-        elements=tuple(elements),
-        resequencers=tuple(reseqs),
-        e2e_delay=total_delay,
-        e2e_min_delay=total_min_delay,
-        e2e_jitter=total_jitter,
-        destination_curve=curve,
-        baseline_delay=total_delay,
-        baseline_jitter=total_jitter,
-        warnings=tuple(warnings),
-    )
+    return walk
 
 
 # -- placement comparison ----------------------------------------------------
@@ -449,9 +479,19 @@ def path_from_json(obj: dict) -> PathSpec:
     return PathSpec(flow, elements, loss_mode)
 
 
-def load_path(path: str) -> PathSpec:
+def load_json(path: str):
+    """The value in the JSON file ``path``: the one reader of reseqkit's
+    JSON inputs.  Nesting deeper than the parser recurses is an input
+    error, not a traceback."""
     with open(path, "r", encoding="utf-8") as fh:
-        return path_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_path(path: str) -> PathSpec:
+    return path_from_json(load_json(path))
 
 
 def report_to_json(rep: AnalysisReport) -> dict:

@@ -18,11 +18,12 @@ Emission times that must saturate an arrival curve are produced by
 packetizing the fluid curve: packet k leaves as soon as every window of
 packets ending at it fits under the curve.  Packetization runs on integer
 ticks (``_packetize_ticks``), O(n*k) for n packets and k curve pieces, with
-no ``Fraction`` per packet.  ``gen_lossy_backlog_burst`` and
-``gen_rbo_tight_burst`` build their size, emission and observation columns
-as ticks on one base each and hand them to the trace unconverted, on the
-bases ``Trace(sizes, emits, observes)`` would compute.  Every generated
-trace is re-validated against its curve.
+no ``Fraction`` per packet.  ``gen_lossy_backlog_burst``,
+``gen_rbo_tight_burst`` and ``gen_lossless_backlog_burst`` build their size,
+emission and observation columns as ticks on one base each and hand them to
+the trace unconverted, on the bases ``Trace(sizes, emits, observes)`` would
+compute.  Every generated trace that saturates a curve is re-validated
+against it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import accumulate, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
-from .metrics import Trace
+from .metrics import Trace, TraceError
 from .rational import INF, Rat, finite, fmt_rat
 
 
@@ -112,12 +113,12 @@ def _packetize_ticks(curve: Curve, sizes: Sequence[int],
     """``packetize`` of sizes given as ticks of 1/``size_den`` B: the
     emission times as ticks of 1/D s, and D.
 
-    Min-affine: with integer prefix volumes p_k = P_k * size_den, piece
-    (r, b) puts A_k at (p_k*b.den - b.num*size_den) * r.den over
-    size_den*b.den*r.num; D is the lcm of those bases, and A_k*D the
-    largest piece's value scaled to D, or 0.  Staircase: the q-recurrence
-    with P/b kept as integers over size_den*b.num, ceilings by exact
-    integer division, and D = tau.den.
+    Min-affine: with integer prefix volumes p_k = P_k * size_den and the
+    curve's columns, piece (r, b) puts A_k at (p_k*bd - b*size_den) * rd
+    over size_den*bd*r; D is the lcm of those bases, and A_k*D the largest
+    piece's value scaled to D, or 0.  Staircase: the q-recurrence with P/b
+    kept as integers over size_den*b.num, ceilings by exact integer
+    division, and D = tau.den.
     """
     if isinstance(curve, StaircaseCurve):
         bn, bd = curve.burst.as_integer_ratio()
@@ -134,12 +135,12 @@ def _packetize_ticks(curve: Curve, sizes: Sequence[int],
     prefix = list(accumulate(sizes))
     if prefix and min(prefix) < 0:  # as pseudo_inverse refuses it
         raise ValueError("pseudo-inverse is defined on x >= 0")
-    pieces = [(*rate.as_integer_ratio(), *burst.as_integer_ratio())
-              for rate, burst in curve.pieces]
-    den = math.lcm(*(size_den * bd * rn for rn, _, _, bd in pieces))
+    rd, bd = curve.rate_den, curve.burst_den
+    per_rate = size_den * bd
+    den = math.lcm(*(per_rate * r for r in curve.rates))
     columns = []
-    for rn, rd, bn, bd in pieces:
-        offset, scale = bn * size_den, rd * (den // (size_den * bd * rn))
+    for r, b in zip(curve.rates, curve.bursts):
+        offset, scale = b * size_den, rd * (den // (per_rate * r))
         columns.append([(p * bd - offset) * scale for p in prefix])
     return list(map(max, repeat(0, len(prefix)), *columns)), den
 
@@ -185,9 +186,16 @@ def gen_lossless_backlog_burst(
         raise ScenarioError("the overtaking offset must be > 0")
     if not sizes:
         raise ScenarioError("need at least one early packet")
-    k = len(sizes)
-    observes = [lam] + [Fraction(j, k + 1) * lam for j in range(k)]
-    return Trace([first_size, *sizes], None, observes)
+    sizes = [finite(first_size), *map(finite, sizes)]
+    size_den = math.lcm(*{s.denominator for s in sizes})
+    size_ticks = [_ticks(s, size_den) for s in sizes]
+    if min(size_ticks) <= 0:
+        raise TraceError("packet sizes must be finite and > 0")
+    # packet 1 at lam, early packet j + 2 at lam * j/(k+1): ticks on lam.den*(k+1)
+    k, step = len(sizes) - 1, lam.numerator
+    time_den, (observes,) = _reduced(lam.denominator * (k + 1),
+                                     [step * (k + 1), *range(0, step * k, step)])
+    return Trace._from_ticks(size_den, size_ticks, time_den, [], observes)
 
 
 def gen_lossy_backlog_burst(

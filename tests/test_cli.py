@@ -103,7 +103,8 @@ class TestAnalyze:
         assert "e2e delay" in out  # report still emitted
 
     def test_both_modes_walk_the_path_once_each(self, monkeypatch, capsys):
-        # 2 walks x 3 FIFO ports: the lossless walk is the lossy baseline
+        # the lossless walk is the lossy baseline, and the walks fork at the
+        # re-sequencer: the 3 FIFO ports before it are walked once for both
         calls = []
 
         def counting(curve, service):
@@ -112,7 +113,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(path_analysis, "horizontal_deviation", counting)
         assert main(["analyze", "--config", str(BUNDLED), "--loss", "both"]) == OK
-        assert len(calls) == 6
+        assert len(calls) == 3
 
 
 def bundled_with(tmp_path, edit):
@@ -311,6 +312,7 @@ TWO_SEGMENTS = str(GOLDEN / "two_segments_path.json")
 STAIRCASE_CURVE = str(GOLDEN / "staircase_curve.json")
 PACKET_CURVE = str(GOLDEN / "packet_curve.json")
 TWO_PIECE_CURVE = str(GOLDEN / "two_piece_curve.json")
+MULTI_PIECE = str(GOLDEN / "multi_piece_path.json")
 CAPTURE_SHAPE = str(GOLDEN / "capture_shape.csv")
 GOLDEN_EXIT = {  # OK for the rest
     "lossy_backlog_discard.json": DISCARD,
@@ -393,6 +395,14 @@ GOLDEN_CASES = [
     (["scenario", "rbo-tight", "--curve-json", TWO_PIECE_CURVE, "--jitter", "100ms",
       "--l-min", "64", "--l-max", "128", "--eps", "1ms"],
      "rbo_tight_two_piece.csv"),
+] + [
+    # a 4-piece p/q source: a FIFO port slower than its fastest pieces (the
+    # delay at a breakpoint), a clamped fabric, a fixed stage, an auto
+    # re-sequencer, then a fabric whose shift drops pieces and an explicit
+    # re-sequencer
+    (["analyze", "--config", MULTI_PIECE, "--loss", "both", "--format", fmt],
+     f"multi_piece_both.{fmt}")
+    for fmt in ("json", "table")
 ]
 
 
@@ -903,6 +913,22 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
 )
 def test_input_error_is_one_line(argv, message, tmp_path):
     assert assert_clean_exit(argv(tmp_path), (INPUT_ERROR,)) == f"error: {message}\n"
+
+
+DEEP_ARRAY = "[" * 100000
+DEEP_FLOW = '{"flow": ' + '{"a": ' * 50000 + "1" + "}" * 50001
+
+
+@pytest.mark.parametrize("verb", [
+    lambda p: ["analyze", "--config", str(p)],
+    lambda p: ["scenario", "rbo-tight", "--jitter", "1ms", "--curve-json", str(p)],
+], ids=["analyze", "scenario"])
+@pytest.mark.parametrize("text", [DEEP_ARRAY, DEEP_FLOW], ids=["array", "object"])
+def test_deeply_nested_json_is_input_error(verb, text, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(text, encoding="utf-8")
+    err = assert_clean_exit(verb(p), (INPUT_ERROR,))
+    assert err == f"error: {p}: JSON nested too deeply\n"
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curve_oracle
+import fraction_curve_oracle
 from arrival_trace import source_trace
 from pairwise_conformance_oracle import check_conforms as pairwise_check_conforms
 from test_trace_ticks import prime_denominator_columns
@@ -26,9 +27,11 @@ from reseqkit.curves import (
     horizontal_deviation,
     leaky_bucket,
     min_curves,
+    min_spacing,
     shift_jitter,
 )
 from reseqkit.metrics import CSV_HEADER, Trace, TraceError, trace_from_csv
+from reseqkit.rational import fmt_rat
 from reseqkit.scenarios import packetize
 
 US = F(1, 10**6)
@@ -355,6 +358,67 @@ class TestCanonicalEnvelope:
                     horizontal_deviation(c, service)
             else:
                 assert horizontal_deviation(c, service) == want
+
+
+p_over_q = st.fractions(min_value=F(1, 97), max_value=10**4, max_denominator=97)
+kernel_pieces = st.lists(
+    st.tuples(st.one_of(piece_rates, p_over_q),
+              st.one_of(piece_bursts, p_over_q, st.just(F(0)))),
+    min_size=1, max_size=9,
+)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the kernels and the oracle raise alike
+        return type(exc), str(exc)
+
+
+class TestIntegerKernelsMatchFractionOracle:
+    """Each kernel on integer ticks against the Fraction kernels it replaced
+    (``fraction_curve_oracle``): the same curve, value or exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=kernel_pieces, other=kernel_pieces, data=st.data())
+    def test_kernels(self, raw, other, data):
+        c, env = MinAffineCurve(tuple(raw)), fraction_curve_oracle.envelope(raw)
+        assert c.pieces == env
+        assert c == MinAffineCurve(env)  # reduced bases: one record per function
+        assert c.to_json()["pieces"] == [
+            {"rate": fmt_rat(r), "burst": fmt_rat(b)} for r, b in env]
+        breaks = [(b0 - b1) / (r1 - r0) for (r0, b0), (r1, b1) in zip(env, env[1:])]
+        # 0, a drawn jitter, and one at or just past a breakpoint, which
+        # drops every piece faster than it
+        jitters = [F(0), data.draw(p_over_q)]
+        if breaks:
+            jitters.append(data.draw(st.sampled_from(breaks))
+                           + data.draw(st.sampled_from([F(0), F(1, 10**6)])))
+        for v in jitters:
+            got = outcome(lambda: shift_jitter(c, v))
+            want = outcome(lambda: fraction_curve_oracle.shift_jitter(env, v))
+            if isinstance(got, MinAffineCurve):
+                assert got.pieces == want and got == MinAffineCurve(want)
+            else:
+                assert got == want
+        b = MinAffineCurve(tuple(other))
+        m = min_curves(c, b)
+        want = fraction_curve_oracle.min_curves(env, b.pieces)
+        assert m.pieces == want and m == MinAffineCurve(want)
+        latency = data.draw(st.one_of(st.just(F(0)), p_over_q))
+        for rate in (env[0][0], data.draw(p_over_q)):  # R = the long-run rate too
+            svc = RateLatencyService(rate, latency)
+            assert outcome(lambda: horizontal_deviation(c, svc)) == outcome(
+                lambda: fraction_curve_oracle.horizontal_deviation(env, svc))
+        for t in {F(0), data.draw(p_over_q), *breaks}:
+            assert c.value(t) == curve_oracle.value(env, t)
+            assert backlog_bound(c, t) == curve_oracle.value(env, t)
+            x = curve_oracle.value(env, t) + data.draw(st.sampled_from([F(0), t]))
+            assert c.pseudo_inverse(x) == curve_oracle.pseudo_inverse(env, x)
+        l_min = data.draw(p_over_q)
+        assert min_spacing(c, l_min) == curve_oracle.pseudo_inverse(env, 2 * l_min)
+        assert c.value_at_zero_plus() == env[-1][1]
 
 
 class TestConformance:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import fields, replace
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import bounds_oracle
 from arrival_trace import source_trace
-from reseqkit import bounds
+from reseqkit import bounds, path_analysis
 from reseqkit.bounds import LOSSLESS, LOSSY
 from reseqkit.curves import (
     FlowSpec,
@@ -509,9 +510,57 @@ class TestSharedBaseline:
                 assert (rep.delta_delay, rep.delta_jitter) == (0, 0)
                 assert [r.required_buffer_exact for r in rep.resequencers] == sizes
 
+    @settings(max_examples=100)
+    @given(path=mixed_paths())
+    def test_forked_walks_match_whole_walks(self, path):
+        # analyze_both walks the stages before the first re-sequencer once;
+        # each mode's report equals a walk of the whole path in that mode
+        try:
+            reports = analyze_both(path)
+        except PathConfigError as exc:
+            with pytest.raises(PathConfigError, match=re.escape(str(exc))):
+                path_analysis._walk(path, LOSSY, path_analysis._Walk(
+                    path.flow.source_curve), path.elements)
+            return
+        for mode, rep in reports.items():
+            whole = path_analysis._walk(path, mode, path_analysis._Walk(
+                path.flow.source_curve), path.elements).report(mode)
+            assert_same_report(rep, replace(
+                whole, baseline_delay=rep.baseline_delay,
+                baseline_jitter=rep.baseline_jitter))
+
     def test_only_resequencers_rejected(self):
         for mode in (LOSSLESS, LOSSY):
             with pytest.raises(
                 PathConfigError, match="path contains only re-sequencers"
             ):
                 PathSpec(flow64(), (ResequencerElement("rb"),), mode)
+
+
+def cycled_path(source_pieces, length=50):
+    """A path cycling FIFO port, fabric, FIFO port, fabric and auto
+    re-sequencer behind a source of p/q pieces, every burst at least two
+    minimal packets, so no RTO head term is clamped."""
+    cycle = [
+        lambda i: FifoServiceElement(f"e{i}", RateLatencyService(F(10**9, 7), F(3, 10**6))),
+        lambda i: FabricElement(f"e{i}", F(1, 10**6), F(19, 7 * 10**6)),
+        lambda i: FifoServiceElement(f"e{i}", RateLatencyService(F(10**9, 7), F(5, 10**6))),
+        lambda i: FabricElement(f"e{i}", F(1, 3 * 10**6), F(2, 10**6)),
+        lambda i: ResequencerElement(f"e{i}"),
+    ]
+    flow = FlowSpec(MinAffineCurve(source_pieces), 64, 64)
+    return PathSpec(flow, tuple(cycle[i % 5](i) for i in range(length)))
+
+
+def test_walk_makes_no_fraction_per_piece(monkeypatch):
+    from test_scenarios import fractions_made
+
+    def source(ks):
+        return tuple((F(6400, 3) * 5**k, 129 + F(5120, 7) / 3**k) for k in ks)
+
+    two, eight = cycled_path(source((0, 7))), cycled_path(source(range(8)))
+    assert len(two.flow.source_curve.pieces) == 2
+    assert len(eight.flow.source_curve.pieces) == 8
+    assert len(analyze_both(eight)[LOSSY].elements[-1].output_curve.pieces) > 2
+    assert (fractions_made(monkeypatch, lambda: analyze_both(eight))
+            <= fractions_made(monkeypatch, lambda: analyze_both(two)))

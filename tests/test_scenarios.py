@@ -458,7 +458,10 @@ def fractions_made(monkeypatch, make):
     lambda w: gen_lossy_backlog_burst(MIXED.source_curve, w / 2 + F(1, 7), w / 2,
                                       MIXED, F(1, 3000)),
     lambda w: gen_rbo_tight_burst(w + F(1, 7), MIXED.source_curve, MIXED, F(1, 3000)),
-], ids=["lossy-backlog", "rbo-tight"])
+    # 100 and 300 early packets of 64 B and 100.5 B
+    lambda w: gen_lossless_backlog_burst(
+        F(1, 7), [F(64), F(201, 2)] * int((w + 1) * 50 / 3), F(64)),
+], ids=["lossy-backlog", "rbo-tight", "lossless-backlog"])
 def test_no_fraction_per_packet(make, monkeypatch):
     small, large = make(F(2)), make(F(8))
     assert 90 <= len(small) <= 110 and 280 <= len(large) <= 320
