@@ -165,11 +165,10 @@ def cmd_metrics(args) -> int:
     else:
         print("d_max_s=- d_min_s=- jitter_s=-  (no emission times)")
     if args.verbose:
-        for idx in sorted(r_time.per_packet):
-            print(
-                f"packet {idx}: lambda_s={fmt_rat(r_time.per_packet[idx])} "
-                f"pi_bytes={fmt_rat(r_byte.per_packet[idx])}"
-            )
+        lams, pis = fmt_ticks(r_time.ticks, r_time.den), fmt_ticks(r_byte.ticks, r_byte.den)
+        for idx, (lam, pi) in enumerate(zip(lams, pis), start=1):
+            if lam != "inf":  # a lost packet has no offset
+                print(f"packet {idx}: lambda_s={lam} pi_bytes={pi}")
     return OK
 
 

@@ -16,7 +16,8 @@ packets) on (s, t] never exceed alpha(t - s).  Two shapes are supported:
 
 Every operation is pure and exact.  A ``MinAffineCurve`` is an integer
 record: its rates are ticks on one rate base and its bursts ticks on one
-burst base, each base reduced, so that equal functions are equal records.
+burst base, each the least that holds its column (``rational.reduced``), so
+that equal functions are equal records.
 The kernels of the path walk run on those integers: ``shift_jitter``,
 ``min_curves`` and its envelope pass, ``horizontal_deviation``,
 ``pseudo_inverse`` and ``min_spacing``, ``value`` and ``backlog_bound``.
@@ -48,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rational import INF, Rat, exact, finite, fmt_rat, fmt_ticks
+from .rational import INF, Rat, exact, finite, fmt_rat, fmt_ticks, rebased, reduced
 
 BYTES = "bytes"
 PACKETS = "packets"
@@ -73,9 +74,9 @@ class MinAffineCurve:
     ``MinAffineCurve(pieces, unit)`` takes exact ``(rate, burst)`` pairs and
     keeps their lower envelope as two integer columns: ``rates`` on
     ``rate_den`` and ``bursts`` on ``burst_den``, rate ascending, so the
-    bursts strictly decrease.  Each base is the least common multiple of its
-    column's denominators.  ``pieces`` is the ``Fraction`` view of the
-    columns, built on first use.
+    bursts strictly decrease.  Each base is the least that holds its
+    column.  ``pieces`` is the ``Fraction`` view of the columns, built on
+    first use.
     """
 
     rates: Tuple[int, ...]
@@ -113,9 +114,9 @@ class MinAffineCurve:
 
     def _set(self, rates: Sequence[int], rate_den: int, bursts: Sequence[int],
              burst_den: int, unit: str) -> None:
-        rate_den, rates = _reduced(rate_den, rates)
-        burst_den, bursts = _reduced(burst_den, bursts)
-        vars(self).update(rates=rates, rate_den=rate_den, bursts=bursts,
+        rate_den, (rates,) = reduced(rate_den, rates)
+        burst_den, (bursts,) = reduced(burst_den, bursts)
+        vars(self).update(rates=tuple(rates), rate_den=rate_den, bursts=tuple(bursts),
                           burst_den=burst_den, unit=unit)  # frozen fields
 
     @cached_property
@@ -241,15 +242,6 @@ def _lower_envelope(pieces: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
             hull.pop()
         hull.append((r, b))
     return hull
-
-
-def _reduced(den: int, ticks: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    """``den`` and ``ticks`` divided by their gcd: the least base of the
-    values."""
-    g = math.gcd(den, *ticks)
-    if g == 1:
-        return den, tuple(ticks)
-    return den // g, tuple(t // g for t in ticks)
 
 
 def _ceil_div(num: Fraction, den: Fraction) -> int:
@@ -385,20 +377,12 @@ def min_curves(a: MinAffineCurve, b: MinAffineCurve) -> MinAffineCurve:
         raise CurveError("min is defined for min-affine curves only")
     if a.unit != b.unit:
         raise UnitMismatchError(f"cannot combine {a.unit} with {b.unit}")
-    rate_den = math.lcm(a.rate_den, b.rate_den)
-    burst_den = math.lcm(a.burst_den, b.burst_den)
+    rate_den, (a_rates, b_rates) = rebased((a.rate_den, a.rates), (b.rate_den, b.rates))
+    burst_den, (a_bursts, b_bursts) = rebased((a.burst_den, a.bursts),
+                                              (b.burst_den, b.bursts))
     rates, bursts = zip(*_lower_envelope(sorted(
-        [*zip(_rebased(a.rates, a.rate_den, rate_den),
-              _rebased(a.bursts, a.burst_den, burst_den)),
-         *zip(_rebased(b.rates, b.rate_den, rate_den),
-              _rebased(b.bursts, b.burst_den, burst_den))])))
+        [*zip(a_rates, a_bursts), *zip(b_rates, b_bursts)])))
     return MinAffineCurve._from_ticks(rates, rate_den, bursts, burst_den, a.unit)
-
-
-def _rebased(ticks: Sequence[int], den: int, new_den: int) -> Sequence[int]:
-    """``ticks`` on ``den`` as ticks on ``new_den``, a multiple of ``den``."""
-    scale = new_den // den
-    return ticks if scale == 1 else [t * scale for t in ticks]
 
 
 def horizontal_deviation(curve: MinAffineCurve, service: RateLatencyService) -> Fraction:

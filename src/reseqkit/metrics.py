@@ -19,12 +19,14 @@ Time base: a ``Trace`` keeps its columns as integers.  Emit and observe
 times are ticks of 1/``time_den`` s, where ``time_den`` is the least common
 multiple of their denominators (10**9 for a nanosecond capture), and sizes
 are ticks of 1/``size_den`` B.  Parsing, validation, ``rto``, ``rbo`` and
-``delay_jitter`` run on those integers, so results stay exact; they become
-``Fraction(ticks, den)`` only in the returned ``OffsetResult`` and
-``DelayJitter``.  A ``Trace`` is built from those columns,
-``Trace(sizes, emit_times, observe_times)``, or read by ``trace_from_csv``;
-``trace_to_csv`` writes the ticks straight back out.  ``Trace.packets``, a
-per-packet view, is built from the columns on first use and cached.
+``delay_jitter`` run on those integers, so results stay exact.  ``rto``
+and ``rbo`` return an ``OffsetResult``: the offset of each packet as a
+column of ticks on the trace's base, INF for a lost packet, and the flow's
+offset as one ``Fraction``; ``DelayJitter`` holds three.  A ``Trace`` is
+built from those columns, ``Trace(sizes, emit_times, observe_times)``, or
+read by ``trace_from_csv``; ``trace_to_csv`` writes the ticks straight back
+out.  ``Trace.packets``, a per-packet view, is built from the columns on
+first use and cached.
 
 Reading: ``trace_from_csv`` transposes the file's rows into four columns of
 cells and converts each column in a few passes over all of it: plain
@@ -44,10 +46,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import gt, le
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rational import INF, LiteralTicks, Rat, check_digit_limit, exact, finite, fmt_ticks
-from .rational import literals_on_common_base, on_common_base, over, ratio, read_literals
+from .rational import INF, LiteralTicks, Rat, Tick, check_digit_limit, exact, finite
+from .rational import fmt_ticks, literals_on_common_base, on_common_base, over, ratio
+from .rational import read_literals
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -113,7 +116,7 @@ class Trace:
 
     @classmethod
     def _from_ticks(cls, size_den: int, size_ticks: List[int], time_den: int,
-                    emit_ticks: List[int], observe_ticks: List[Union[int, float]]) -> "Trace":
+                    emit_ticks: List[int], observe_ticks: List[Tick]) -> "Trace":
         """A trace from integer tick columns on the given bases, checked
         as ``Trace(...)`` checks its own (``_set_columns``)."""
         trace = cls.__new__(cls)
@@ -121,7 +124,7 @@ class Trace:
         return trace
 
     def _set_columns(self, size_den: int, size_ticks: List[int], time_den: int,
-                     emit_ticks: List[int], observe_ticks: List[Union[int, float]]) -> None:
+                     emit_ticks: List[int], observe_ticks: List[Tick]) -> None:
         """Validate integer tick columns and keep them; ``emit_ticks`` is
         empty for a trace without emission times.  The order of the checks
         fixes which error a trace with several defects reports."""
@@ -152,7 +155,7 @@ class Trace:
         return len(self.observe_ticks)
 
 
-def _check_distinct_observations(observe_ticks: List[Union[int, float]]) -> None:
+def _check_distinct_observations(observe_ticks: List[Tick]) -> None:
     lost = observe_ticks.count(INF)
     if len(set(observe_ticks)) == len(observe_ticks) - lost + (lost > 0):
         return
@@ -171,14 +174,13 @@ def _check_distinct_observations(observe_ticks: List[Union[int, float]]) -> None
 
 @dataclass(frozen=True)
 class OffsetResult:
-    """Flow-level offset (RTO or RBO) and the offset of each delivered packet."""
+    """A flow's offset (RTO or RBO), the maximum over its delivered packets
+    or 0, and each packet's: packet n's is ``ticks[n - 1]`` ticks of
+    1/``den`` (s or B), INF when it was lost."""
 
+    ticks: Tuple[Tick, ...]
+    den: int
     value: Fraction
-    per_packet: Dict[int, Fraction]
-
-    @classmethod
-    def _from_ticks(cls, per: Dict[int, int], den: int) -> "OffsetResult":
-        return cls(Fraction(max(per.values(), default=0), den), over(per, den))
 
 
 @dataclass(frozen=True)
@@ -195,15 +197,18 @@ def rto(trace: Trace) -> OffsetResult:
     observation times gives lambda_n directly; one backward pass suffices.
     """
     observes = trace.observe_ticks
-    per: Dict[int, int] = {}
-    suffix_min: Union[int, float] = INF
-    for index in range(len(observes), 0, -1):
-        t = observes[index - 1]
+    ticks: List[Tick] = [INF] * len(observes)
+    suffix_min: Tick = INF
+    best = 0
+    for pos in range(len(observes) - 1, -1, -1):
+        t = observes[pos]
         if t is not INF:
             if t < suffix_min:
                 suffix_min = t
-            per[index] = t - suffix_min
-    return OffsetResult._from_ticks(dict(reversed(per.items())), trace.time_den)
+            late = ticks[pos] = t - suffix_min
+            if late > best:
+                best = late
+    return OffsetResult(tuple(ticks), trace.time_den, Fraction(best, trace.time_den))
 
 
 def rbo(trace: Trace) -> OffsetResult:
@@ -216,8 +221,8 @@ def rbo(trace: Trace) -> OffsetResult:
     observes, sizes = trace.observe_ticks, trace.size_ticks
     n = len(observes)
     tree = [0] * (n + 1)  # Fenwick tree of size ticks by 1-based index
-    seen = 0
-    per: Dict[int, int] = {}
+    ticks: List[Tick] = [INF] * n
+    seen = best = 0
     delivered = [pos for pos in range(n) if observes[pos] is not INF]
     for pos in sorted(delivered, key=observes.__getitem__):
         i = pos + 1
@@ -225,14 +230,16 @@ def rbo(trace: Trace) -> OffsetResult:
         while i:
             ahead -= tree[i]
             i &= i - 1
-        per[pos + 1] = ahead
+        ticks[pos] = ahead
+        if ahead > best:
+            best = ahead
         size = sizes[pos]
         seen += size
         i = pos + 1
         while i <= n:
             tree[i] += size
             i += i & -i
-    return OffsetResult._from_ticks(dict(sorted(per.items())), trace.size_den)
+    return OffsetResult(tuple(ticks), trace.size_den, Fraction(best, trace.size_den))
 
 
 def delay_jitter(trace: Trace) -> DelayJitter:

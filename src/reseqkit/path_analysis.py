@@ -24,7 +24,8 @@ Lossless re-sequencing is free: a [0, 0] stage leaves the curve unchanged,
 so the lossless walk's totals are the baseline, the same path without
 re-sequencers, against which both loss modes report their deltas.  A walk is
 linear in the path length: each RTO bound sees only its own segment, and
-each lossless size sees the jitter through the last fabric as one stage.
+each lossless size is the element RBO bound at the jitter through the last
+fabric, a jitter so far being the delay sum minus the minimum-delay sum.
 The loss mode is first read at a re-sequencer, so ``analyze_both`` walks the
 stages before the first one once and forks the walk's state (``_Walk``)
 there into the lossless and the lossy walk of the rest.  The curve kernels
@@ -271,27 +272,26 @@ class _Walk:
     reseqs: List[ResequencerReport] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     segment: List[SequenceElement] = field(default_factory=list)  # since the last re-sequencer
-    # the stages from the source through the last fabric, as one stage
-    reordering: SequenceElement = SequenceElement(Fraction(0))
+    reordering: Fraction = Fraction(0)  # the jitter from the source through the last fabric
     total_delay: Fraction = Fraction(0)
     total_min_delay: Fraction = Fraction(0)
-    total_jitter: Fraction = Fraction(0)
 
     def fork(self) -> "_Walk":
         return replace(self, elements=self.elements[:], reseqs=self.reseqs[:],
                        warnings=self.warnings[:], segment=self.segment[:])
 
     def report(self, loss_mode: str) -> AnalysisReport:
+        jitter = self.total_delay - self.total_min_delay
         return AnalysisReport(
             loss_mode=loss_mode,
             elements=tuple(self.elements),
             resequencers=tuple(self.reseqs),
             e2e_delay=self.total_delay,
             e2e_min_delay=self.total_min_delay,
-            e2e_jitter=self.total_jitter,
+            e2e_jitter=jitter,
             destination_curve=self.curve,
             baseline_delay=self.total_delay,
-            baseline_jitter=self.total_jitter,
+            baseline_jitter=jitter,
             warnings=tuple(self.warnings),
         )
 
@@ -352,11 +352,11 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
                     raise PathConfigError(
                         f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
                     )
-                req = backlog_bound(flow.source_curve, walk.total_jitter + timeout)
+                window = walk.total_delay - walk.total_min_delay + timeout
+                req = backlog_bound(flow.source_curve, window)
             else:
-                req = bounds.rbo_bound_sequence(
-                    (walk.reordering,), flow.source_curve, flow.l_min
-                )
+                req = bounds.rbo_bound_element(walk.reordering, flow.source_curve,
+                                               flow.l_min)
             size = math.floor(flow.reachable_floor(req))
             if el.capacity is not None and el.capacity < size:
                 walk.warnings.append(
@@ -376,11 +376,10 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
         walk.curve = curve
         walk.total_delay += d_max
         walk.total_min_delay += d_min
-        walk.total_jitter += jitter
         if stage is None:  # a FIFO or re-sequencer: order-preserving
             stage = SequenceElement(jitter)
         elif stage.rto is not None:
-            walk.reordering = replace(stage, jitter=walk.total_jitter)
+            walk.reordering = walk.total_delay - walk.total_min_delay
         walk.segment.append(stage)
 
     return walk

@@ -10,14 +10,17 @@ float, ``bool``, ``None`` and type.  Each record converts its fields once,
 in its constructor, and code that reads a field trusts it; ``x is INF`` is
 the one test of infinity.
 
-Code that loops over packets carries values as integer ticks instead: each
-value times D, where D is the least common multiple of the denominators
-(``on_common_base``), and turns a result back into ``Fraction(ticks, D)``
-only where it is returned (``over``), or writes the ticks out directly
-(``fmt_ticks``).  ``read_literals`` reads a column of literal strings,
-plain decimals straight into integers and every other literal through
-``exact``, and ``literals_on_common_base`` puts such columns on one base.
-Lost-packet times use ``INF`` as an explicit sentinel; it compares and
+Code that loops over packets or curve pieces carries values as integer
+ticks instead: each value times a base D, the least common multiple of the
+denominators.  Only this module makes, moves and reduces a base
+(``on_common_base``, ``rebased``, ``reduced``).  A per-packet result stays
+a tick column, INF for a lost packet, written out from its ticks
+(``fmt_ticks``); only a scalar becomes ``Fraction(ticks, D)``, and ``over``
+maps a column for the two views that hand out ``{index: Fraction}``
+(``Trace.packets``, ``analytic_departures``).  ``read_literals`` reads a
+column of literal strings, plain decimals straight into integers and every
+other literal through ``exact``, and ``literals_on_common_base`` puts such
+columns on one base.  ``INF``, the lost-packet sentinel, compares and
 min/maxes correctly against Fractions and integers.
 """
 
@@ -28,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul, sub
 from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
@@ -37,6 +40,9 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple, U
 Rat = Union[Fraction, float]
 
 INF: float = math.inf
+
+#: A value as an integer count of 1/D on some base D, or INF.
+Tick = Union[int, float]
 
 # longest first: "12ms" ends with "s" too
 _TIME_SUFFIXES = (
@@ -153,7 +159,7 @@ def fmt_rat(x: Rat) -> str:
     return _fixed_point(num * 10**digits // den, digits)
 
 
-def fmt_ticks(ticks: Sequence[Union[int, float]], den: int) -> List[str]:
+def fmt_ticks(ticks: Sequence[Tick], den: int) -> List[str]:
     """``[fmt_rat(Fraction(t, den)) for t in ticks]``, INF giving ``inf``.
 
     ``den`` is factored once.  A value t/den is a finite decimal exactly
@@ -243,10 +249,39 @@ def on_common_base(*columns: Sequence[Cell]) -> Tuple[int, List[list]]:
     ]
 
 
-def over(ticks: Mapping[int, Union[int, float]], den: int) -> Dict[int, Rat]:
+def reduced(den: int, *columns: Sequence[Tick]) -> Tuple[int, Sequence[Sequence[Tick]]]:
+    """``den`` and the tick ``columns`` on it divided by their gcd: the least
+    base that holds every value, and the columns on it; INF passes through.
+    Columns already on their least base come back as given."""
+    if den == 1:  # the least base of any integers
+        return den, columns
+    try:
+        g = math.gcd(den, *(columns[0] if len(columns) == 1 else chain(*columns)))
+    except TypeError:  # INF, a float, among the ticks
+        g = math.gcd(den, *[t for column in columns for t in column if t is not INF])
+    if g == 1:
+        return den, columns
+    return den // g, [[t if t is INF else t // g for t in column] for column in columns]
+
+
+def rebased(*columns: Tuple[int, Sequence[Tick]]) -> Tuple[int, List[Sequence[Tick]]]:
+    """Tick columns, each given as ``(base, ticks)``, moved to D, the least
+    common multiple of their bases: returns D and each column as ticks on D,
+    a column already on D as given; INF passes through."""
+    den = math.lcm(*[d for d, _ in columns])
+    out = []
+    for d, ticks in columns:
+        if d != den:
+            k = den // d
+            ticks = [t if t is INF else t * k for t in ticks]
+        out.append(ticks)
+    return den, out
+
+
+def over(ticks: Mapping[int, Tick], den: int) -> Dict[int, Rat]:
     """``{k: Fraction(t, den)}`` for integer tick counts ``t`` on base
     ``den``; INF stays INF, and equal counts share one Fraction."""
-    made: Dict[Union[int, float], Rat] = {INF: INF}
+    made: Dict[Tick, Rat] = {INF: INF}
     out: Dict[int, Rat] = {}
     for k, t in ticks.items():
         f = made.get(t)

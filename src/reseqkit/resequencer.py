@@ -33,26 +33,24 @@ checks nothing.  ``analytic_departures`` takes a ``{seq: time}`` map.
 Time base: both functions run on integers.  Times, and the timeout, are
 ticks over the least common multiple of their denominators; sizes, and the
 capacity, over theirs.  A ``Trace`` brings its columns already in ticks
-(``metrics``); the timeout and capacity are rebased onto them, and a
-timeout whose denominator does not divide the trace's base extends it.
-``simulate`` keeps its departures as ticks on that base in the returned
-``ResequencerOutcome``, which builds the ``{seq: Fraction}`` map only when
-it is read; the CLI prints straight from the ticks (``rational.fmt_ticks``).
-Occupancy, residence and the departure map of ``analytic_departures``
-become ``Fraction(ticks, den)`` when they are returned.
+(``metrics``); ``rational.rebased`` puts the timeout and capacity on
+them, and a timeout whose denominator does not divide the trace's base
+extends it.  ``simulate`` returns its departures as a column of ticks on
+that base in the ``ResequencerOutcome``, and the CLI prints straight from
+the ticks (``rational.fmt_ticks``).  Occupancy, residence and the
+departure map of ``analytic_departures`` become ``Fraction(ticks, den)``
+when they are returned.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Tuple
 
 from .metrics import Trace
-from .rational import INF, Cell, Rat, exact, on_common_base, over, ratio
+from .rational import INF, Cell, Rat, Tick, exact, on_common_base, over, ratio, rebased
 
 
 class ArrivalError(ValueError):
@@ -80,18 +78,13 @@ OVERFLOW = "overflow"
 class ResequencerOutcome:
     """What a run of the buffer did.  Packet seq left at
     ``departure_ticks[seq - 1]`` ticks of 1/``time_den`` s, INF when it was
-    lost, discarded or never released; ``departures`` is the same column as
-    ``{seq: Fraction}``, built on first use."""
+    lost, discarded or never released."""
 
-    departure_ticks: Tuple[Union[int, float], ...]
+    departure_ticks: Tuple[Tick, ...]
     time_den: int
     discards: Dict[int, str]
     max_occupancy: Fraction
     max_residence: Fraction
-
-    @cached_property
-    def departures(self) -> Dict[int, Rat]:
-        return over(dict(enumerate(self.departure_ticks, start=1)), self.time_den)
 
 
 def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
@@ -108,10 +101,10 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
     reaches the top.  An event therefore costs O(log backlog), and the whole
     trace O(n log n) in the number of packets n.
     """
-    time_den, times, timeout = _rebase(trace.time_den, trace.observe_ticks,
-                                       cfg.timeout)
-    size_den, sizes, capacity = _rebase(trace.size_den, trace.size_ticks,
-                                        cfg.capacity)
+    time_den, (times, (timeout,)) = rebased((trace.time_den, trace.observe_ticks),
+                                            _tick_column(cfg.timeout))
+    size_den, (sizes, (capacity,)) = rebased((trace.size_den, trace.size_ticks),
+                                             _tick_column(cfg.capacity))
     n_max = len(times)
     order = sorted((pos for pos in range(n_max) if times[pos] is not INF),
                    key=times.__getitem__)
@@ -123,7 +116,7 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
     timers: List[Tuple[int, int]] = []
     finite_timeout = timeout is not INF
     next_expected = 1
-    departures: List[Union[int, float]] = [INF] * n_max  # by seq - 1
+    departures: List[Tick] = [INF] * n_max  # by seq - 1
     discards: Dict[int, str] = {}
     occupancy = max_occupancy = max_residence = 0
 
@@ -182,17 +175,10 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
     )
 
 
-def _rebase(den: int, ticks: Sequence[Union[int, float]],
-            extra: Rat) -> Tuple[int, Sequence[Union[int, float]], Union[int, float]]:
-    """Move ``ticks`` on base ``den`` and the value ``extra`` to their common
-    base: returns it, the ticks and ``extra`` in ticks (INF stays INF)."""
-    cell = ratio(extra)
-    if cell is INF:
-        return den, ticks, INF
-    if den % cell[1]:
-        k = math.lcm(den, cell[1]) // den
-        den, ticks = den * k, [t if t is INF else t * k for t in ticks]
-    return den, ticks, cell[0] * (den // cell[1])
+def _tick_column(x: Rat) -> Tuple[int, List[Tick]]:
+    """``x`` as ``(base, ticks)``, a column of one tick: its numerator over
+    its denominator, or INF over 1."""
+    return (1, [INF]) if x is INF else (x.denominator, [x.numerator])
 
 
 def analytic_departures(
@@ -210,13 +196,13 @@ def analytic_departures(
             raise ArrivalError("sequence numbers start at 1")
         cells[idx] = ratio(t)
     den, (e, (timeout_t,)) = on_common_base(cells, [ratio(timeout)])
-    suffix_min: List[Union[int, float]] = [INF] * (n_max + 2)
+    suffix_min: List[Tick] = [INF] * (n_max + 2)
     for n in range(n_max, 0, -1):
         suffix_min[n] = e[n] if e[n] < suffix_min[n + 1] else suffix_min[n + 1]
 
     # No tick is ever added to INF: a large int would overflow the float.
-    out: Dict[int, Union[int, float]] = {}
-    prev_d: Union[int, float] = INF
+    out: Dict[int, Tick] = {}
+    prev_d: Tick = INF
     for n in range(1, n_max + 1):
         sm = suffix_min[n]
         flush = INF if sm is INF or timeout_t is INF else sm + timeout_t

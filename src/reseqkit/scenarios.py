@@ -20,10 +20,10 @@ packets ending at it fits under the curve.  Packetization runs on integer
 ticks (``_packetize_ticks``), O(n*k) for n packets and k curve pieces, with
 no ``Fraction`` per packet.  ``gen_lossy_backlog_burst``,
 ``gen_rbo_tight_burst`` and ``gen_lossless_backlog_burst`` build their size,
-emission and observation columns as ticks on one base each and hand them to
-the trace unconverted, on the bases ``Trace(sizes, emits, observes)`` would
-compute.  Every generated trace that saturates a curve is re-validated
-against it.
+emission and observation columns as ticks on one base each, made and
+reduced by ``rational``, and hand them to the trace unconverted, on the
+bases ``Trace(sizes, emits, observes)`` would compute.  Every generated
+trace that saturates a curve is re-validated against it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
 from .metrics import Trace, TraceError
-from .rational import INF, Rat, finite, fmt_rat
+from .rational import INF, Rat, finite, fmt_rat, on_common_base, reduced
 
 
 class ScenarioError(ValueError):
@@ -75,12 +75,11 @@ def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
     return [flow.l_max] * (count - 1) + [flow.l_max + rem - flow.l_min, flow.l_min]
 
 
-def _size_ticks(head: Fraction, total: Fraction, flow: FlowSpec) -> Tuple[int, List[int]]:
-    """A base of 1/D B and, as ticks on it, a packet of ``head`` bytes
-    followed by ``decompose_bytes(total, flow)``."""
-    sizes = [head] + decompose_bytes(total, flow)
-    den = math.lcm(*{s.denominator for s in sizes})
-    return den, [_ticks(s, den) for s in sizes]
+def _size_ticks(head: Fraction, total: Fraction, flow: FlowSpec) -> Tuple[int, List[list]]:
+    """A base of 1/D B and one column of ticks on it: a packet of ``head``
+    bytes followed by ``decompose_bytes(total, flow)``."""
+    return on_common_base(
+        [s.as_integer_ratio() for s in [head, *decompose_bytes(total, flow)]])
 
 
 def _ticks(x: Fraction, den: int) -> int:
@@ -102,9 +101,8 @@ def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
     The sizes are put on their common base and packetized on integer ticks
     (``_packetize_ticks``); only the returned times are Fractions.
     """
-    sizes = list(map(finite, sizes))
-    size_den = math.lcm(*(s.denominator for s in sizes))
-    ticks, den = _packetize_ticks(curve, [_ticks(s, size_den) for s in sizes], size_den)
+    size_den, (sizes,) = on_common_base([finite(s).as_integer_ratio() for s in sizes])
+    ticks, den = _packetize_ticks(curve, sizes, size_den)
     return [Fraction(t, den) for t in ticks]
 
 
@@ -186,15 +184,14 @@ def gen_lossless_backlog_burst(
         raise ScenarioError("the overtaking offset must be > 0")
     if not sizes:
         raise ScenarioError("need at least one early packet")
-    sizes = [finite(first_size), *map(finite, sizes)]
-    size_den = math.lcm(*{s.denominator for s in sizes})
-    size_ticks = [_ticks(s, size_den) for s in sizes]
+    size_den, (size_ticks,) = on_common_base(
+        [finite(s).as_integer_ratio() for s in [first_size, *sizes]])
     if min(size_ticks) <= 0:
         raise TraceError("packet sizes must be finite and > 0")
     # packet 1 at lam, early packet j + 2 at lam * j/(k+1): ticks on lam.den*(k+1)
-    k, step = len(sizes) - 1, lam.numerator
-    time_den, (observes,) = _reduced(lam.denominator * (k + 1),
-                                     [step * (k + 1), *range(0, step * k, step)])
+    k, step = len(sizes), lam.numerator
+    time_den, (observes,) = reduced(lam.denominator * (k + 1),
+                                    [step * (k + 1), *range(0, step * k, step)])
     return Trace._from_ticks(size_den, size_ticks, time_den, [], observes)
 
 
@@ -222,7 +219,7 @@ def gen_lossy_backlog_burst(
     if not 0 < eps < min(v, t):
         raise ScenarioError("need 0 < eps < min(jitter, timeout)")
     target = flow.reachable_floor(curve.value(v + t - eps))
-    size_den, sizes = _size_ticks(flow.l_max, target, flow)
+    size_den, (sizes,) = _size_ticks(flow.l_max, target, flow)
     n = len(sizes) - 1
     if not n:
         raise DecompositionError("curve window admits no packet")
@@ -280,7 +277,7 @@ def gen_rbo_tight_burst(
     total = curve.value(v - eps)
     if total < 2 * flow.l_min:
         raise ScenarioError("curve window admits fewer than two packets")
-    size_den, sizes = _size_ticks(flow.l_min, total - flow.l_min, flow)
+    size_den, (sizes,) = _size_ticks(flow.l_min, total - flow.l_min, flow)
     n = len(sizes)
     times, den = _packetize_by(curve, sizes, size_den, v - eps, "jitter")
     # packet 1 arrives at v + eps, packet k >= 2 at v + (k - 2) * eps/n
@@ -294,12 +291,12 @@ def gen_rbo_tight_burst(
 
 def _conforming_trace(curve: Curve, size_den: int, sizes: List[int], time_den: int,
                       emits: List[int], observes: List[Rat]) -> Trace:
-    """The generated trace from its tick columns, each base first divided
-    by the gcd of its column and itself, so the bases are the ones
-    ``Trace(sizes, emits, observes)`` gives; refused when the packetized
-    emissions violate the curve they were derived from."""
-    size_den, (sizes,) = _reduced(size_den, sizes)
-    time_den, (emits, observes) = _reduced(time_den, emits, observes)
+    """The generated trace from its tick columns, each base first reduced,
+    so the bases are the ones ``Trace(sizes, emits, observes)`` gives;
+    refused when the packetized emissions violate the curve they were
+    derived from."""
+    size_den, (sizes,) = reduced(size_den, sizes)
+    time_den, (emits, observes) = reduced(time_den, emits, observes)
     trace = Trace._from_ticks(size_den, sizes, time_den, emits, observes)
     verdict = check_conforms(trace, curve)
     if not verdict:
@@ -308,16 +305,6 @@ def _conforming_trace(curve: Curve, size_den: int, sizes: List[int], time_den: i
             f"(pair {verdict.first_index},{verdict.second_index})"
         )
     return trace
-
-
-def _reduced(den: int, *columns: List[Rat]) -> Tuple[int, Tuple[List[Rat], ...]]:
-    """``den`` and the tick ``columns`` on it, both divided by their gcd:
-    the least base that holds every value, INF passing through."""
-    g = math.gcd(den, *(t for column in columns for t in column if t is not INF))
-    if g == 1:
-        return den, columns
-    return den // g, tuple([t if t is INF else t // g for t in column]
-                           for column in columns)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ These are ``reseqkit.metrics``' ``Trace`` validation, ``rto``, ``rbo``,
 over a common denominator, kept verbatim as a differential oracle.  Every
 value is a ``Fraction`` and every packet a ``PacketObservation`` built by
 ``record``, which checks and coerces its values as the record itself once
-did, so the arithmetic is checked by an independent representation.  Only
-the tests use them.
+did, so the arithmetic is checked by an independent representation.
+``rto`` and ``rbo`` return ``(value, {index: offset})`` over the delivered
+packets, which the tests compare with the library's tick columns read the
+same way (``tick_columns.offsets``).  Only the tests use them.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from reseqkit.metrics import (
     CSV_HEADER,
     DelayJitter,
     DuplicateObservationError,
-    OffsetResult,
     PacketObservation,
     TraceError,
 )
 from reseqkit.rational import INF, Rat, exact, finite
 from reseqkit.resequencer import ArrivalError
+
+#: A flow's offset and each delivered packet's, ``(value, {index: offset})``.
+Offsets = Tuple[Fraction, Dict[int, Fraction]]
 
 
 def is_inf(x: Rat) -> bool:
@@ -91,7 +95,7 @@ def _check_distinct_observations(packets: Sequence[PacketObservation]) -> None:
         seen[p.observe_time] = p.index
 
 
-def rto(trace: Trace) -> OffsetResult:
+def rto(trace: Trace) -> Offsets:
     """Reordering late time offset of the flow and of each delivered packet.
 
     Because index n itself belongs to {j >= n}, the suffix minimum of the
@@ -105,10 +109,10 @@ def rto(trace: Trace) -> OffsetResult:
         if not p.lost:
             per[p.index] = p.observe_time - suffix_min
     value = max(per.values(), default=Fraction(0))
-    return OffsetResult(Fraction(value), dict(sorted(per.items())))
+    return Fraction(value), dict(sorted(per.items()))
 
 
-def rbo(trace: Trace) -> OffsetResult:
+def rbo(trace: Trace) -> Offsets:
     """Reordering byte offset: per delivered packet, the bytes of
     later-indexed packets observed strictly earlier.
 
@@ -123,7 +127,7 @@ def rbo(trace: Trace) -> OffsetResult:
         per[p.index] = tree.suffix_sum(p.index + 1)
         tree.add(p.index, p.size)
     value = max(per.values(), default=Fraction(0))
-    return OffsetResult(Fraction(value), dict(sorted(per.items())))
+    return Fraction(value), dict(sorted(per.items()))
 
 
 class _Fenwick:

@@ -24,6 +24,7 @@ from reseqkit.resequencer import (
     ResequencerConfig,
     ResequencerOutcome,
 )
+from tick_columns import departures
 
 Outcome = Tuple[Dict[int, Rat], Dict[int, str], Fraction, Fraction]
 
@@ -35,7 +36,7 @@ def is_inf(x: Rat) -> bool:
 
 def fields(outcome: ResequencerOutcome) -> Outcome:
     """The four fields of ``outcome`` that ``simulate`` below returns."""
-    return (outcome.departures, outcome.discards, outcome.max_occupancy,
+    return (departures(outcome), outcome.discards, outcome.max_occupancy,
             outcome.max_residence)
 
 

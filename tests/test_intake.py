@@ -60,6 +60,43 @@ def test_no_fraction_coercion_outside_rational():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def callers(path):
+    """``{called name: the functions that call it}`` in a module, the name
+    being ``f`` or ``m.f`` and each function ``module.qualified.name``."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    name = f"{func.value.id}.{func.attr}"
+                else:
+                    name = getattr(func, "id", None)
+                found.setdefault(name, set()).add(".".join([path.stem, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_tick_bases_are_reduced_and_mapped_only_in_rational():
+    """A tick base is made, moved and reduced in ``rational`` alone, so no
+    other module calls ``gcd``; and per-packet results stay tick columns,
+    ``over`` building a ``{index: Fraction}`` map only for the two views
+    that still hand one out."""
+    gcd, over = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        found = callers(path)
+        gcd |= found.get("math.gcd", set()) | found.get("gcd", set())
+        over |= found.get("over", set())
+    assert {f for f in gcd if not f.startswith("rational.")} == set()
+    assert over == {"metrics.Trace.packets", "resequencer.analytic_departures"}
+
+
 def unused_imports(path):
     """Names that the module imports and never names again, with their
     lines; ``from __future__`` imports are directives, not names."""

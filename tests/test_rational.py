@@ -19,6 +19,8 @@ from reseqkit.rational import (
     over,
     parse_finite_time,
     parse_time,
+    rebased,
+    reduced,
     seconds_to_us_display,
 )
 
@@ -140,6 +142,50 @@ class TestTicks:
 # 1000 primes, the time base of test_trace_ticks' prime-denominator trace
 TICK_BASES = (1, 10**9, 2**40, 5**17, 2**7 * 5**3, 3 * 7 * 1000,
               math.prod(primes(1000)))
+
+
+# 10^k; a capture base extended by the q of a value p/q, as a timeout of
+# 1/3 s extends a nanosecond trace; and products of the first k primes
+BASES = st.one_of(
+    st.integers(0, 15).map(lambda k: 10**k),
+    st.builds(lambda q, k: q * 10**k, st.integers(1, 1000), st.integers(0, 9)),
+    st.integers(1, 40).map(lambda k: math.prod(primes(k))),
+)
+
+
+@st.composite
+def tick_column(draw, den):
+    """Ticks on ``den``, INF among them, all sharing a factor with ``den``
+    when one is drawn, so that the column may reduce."""
+    factor = math.gcd(den, draw(st.sampled_from((1, 2, 3, 5, 10, 7 * 11, 10**6, 2**40))))
+    value = st.integers(-10**30, 10**30).map(lambda n: n * factor)
+    return draw(st.lists(st.one_of(value, st.just(0), st.just(INF)), max_size=12))
+
+
+def values(den, column):
+    """The finite values of a column on ``den``, and where its INFs are."""
+    return ([F(t, den) for t in column if t is not INF],
+            [i for i, t in enumerate(column) if t is INF])
+
+
+class TestTickBases:
+    @given(st.data())
+    def test_reduced_is_the_least_base_of_the_same_values(self, data):
+        den = data.draw(BASES)
+        columns = data.draw(st.lists(tick_column(den), min_size=1, max_size=3))
+        least, out = reduced(den, *columns)
+        assert [values(least, col) for col in out] == [values(den, col) for col in columns]
+        assert all(t is INF for col in out for t in col if t == INF)
+        assert math.gcd(least, *(t for col in out for t in col if t is not INF)) == 1
+
+    @given(st.data())
+    def test_rebased_moves_every_value_to_the_lcm_of_the_bases(self, data):
+        bases = data.draw(st.lists(BASES, min_size=1, max_size=3))
+        columns = [data.draw(tick_column(d)) for d in bases]
+        den, out = rebased(*zip(bases, columns))
+        assert den == math.lcm(*bases)
+        assert [values(den, col) for col in out] == list(map(values, bases, columns))
+        assert all(t is INF for col in out for t in col if t == INF)
 
 
 class TestFmtTicks:

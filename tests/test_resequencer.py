@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arrival_trace import arrival_trace
 from list_scan_oracle import fields, simulate as list_scan_simulate
+from tick_columns import departures
 from reseqkit.curves import backlog_bound, leaky_bucket
 from reseqkit.metrics import DuplicateObservationError, TraceError, rto
 from reseqkit.rational import INF
@@ -34,9 +35,9 @@ class TestSimulate:
             ResequencerConfig(timeout=lam - F(1), capacity=INF),
         )
         assert out.discards == {1: INVALID_LATE}
-        assert out.departures[1] == INF
+        assert departures(out)[1] == INF
         # packet 2 left when packet 1's chance expired
-        assert out.departures[2] == F(10) + lam - F(1)
+        assert departures(out)[2] == F(10) + lam - F(1)
 
     def test_in_order_arrivals_pass_through(self):
         times = [F(1), F(2), F(5), F(9)]
@@ -45,7 +46,7 @@ class TestSimulate:
         )
         assert out.discards == {}
         assert out.max_occupancy == 0
-        assert [out.departures[i] for i in range(1, 5)] == times
+        assert [departures(out)[i] for i in range(1, 5)] == times
 
     def test_lost_packet_released_by_timer(self):
         # packet 1 lost, packet 2 stored at 5, timer fires at 5 + 3
@@ -53,8 +54,8 @@ class TestSimulate:
             arrival_trace({1: (INF, F(64)), 2: (F(5), F(64))}),
             ResequencerConfig(F(3), INF),
         )
-        assert out.departures[2] == 8
-        assert out.departures[1] == INF
+        assert departures(out)[2] == 8
+        assert departures(out)[1] == INF
         assert out.discards == {}
         assert out.max_occupancy == 64
         assert out.max_residence == 3
@@ -67,8 +68,8 @@ class TestSimulate:
             ResequencerConfig(F(5), INF),
         )
         # at t=6, packet 3's timer fires: release 2 then 3 in order
-        assert out.departures[2] == 6
-        assert out.departures[3] == 6
+        assert departures(out)[2] == 6
+        assert departures(out)[3] == 6
         assert out.max_occupancy == 50
 
     def test_overflow_discard(self):
@@ -77,7 +78,7 @@ class TestSimulate:
             ResequencerConfig(F(100), capacity=F(100)),
         )
         assert out.discards == {3: OVERFLOW}
-        assert out.departures[3] == INF
+        assert departures(out)[3] == INF
 
     def test_expected_packet_bypasses_capacity(self):
         # in-sequence packets are never stored, so capacity does not apply
@@ -93,7 +94,7 @@ class TestSimulate:
             trace = arrival_trace(random_arrivals(rng))
             out = simulate(trace, ResequencerConfig(F(rng.randint(0, 40), 8), INF))
             released = sorted(
-                (t, i) for i, t in out.departures.items() if t != INF
+                (t, i) for i, t in departures(out).items() if t != INF
             )
             order = [i for _, i in released]
             assert order == sorted(order)
@@ -132,7 +133,7 @@ class TestAnalyticDepartures:
             ana = analytic_departures(
                 {i: t for i, (t, _) in arrivals.items()}, timeout
             )
-            assert sim.departures == ana
+            assert departures(sim) == ana
 
     def test_lossless_covered_timeout_gives_running_max(self):
         rng = random.Random(55)
@@ -156,9 +157,9 @@ class TestAnalyticDepartures:
         timeout = F(3)  # deadline of packet 2's timer: exactly 4
         sim = simulate(arrival_trace(arrivals), ResequencerConfig(timeout, INF))
         ana = analytic_departures({1: F(4), 2: F(1)}, timeout)
-        assert sim.departures == ana
+        assert departures(sim) == ana
         assert sim.discards == {}
-        assert sim.departures[1] == 4
+        assert departures(sim)[1] == 4
 
 
 class TestDimensioning:
@@ -267,7 +268,7 @@ class TestDeepBacklog:
         ana = analytic_departures(
             {i: t for i, (t, _) in arrivals.items()}, self.TIMEOUT
         )
-        assert out.departures == ana
+        assert departures(out) == ana
         assert out.discards == {}
         assert out.max_occupancy >= 400 * 64
 
@@ -292,13 +293,8 @@ class TestOutcome:
         out = simulate(trace, cfg)
         assert (trace.time_den, out.time_den) == (10**9, 3 * 10**9)
         assert fields(out) == list_scan_simulate(self.ARRIVALS, cfg)
-        assert out.departures == {1: INF, 2: 5 * self.NS + F(1, 3),
-                                  3: 5 * self.NS + F(1, 3), 4: F(1, 2)}
-
-    def test_departures_map_is_built_once(self):
-        out = simulate(arrival_trace(self.ARRIVALS), ResequencerConfig(F(1, 3), INF))
-        first = out.departures
-        assert out.departures is first
+        assert departures(out) == {1: INF, 2: 5 * self.NS + F(1, 3),
+                                   3: 5 * self.NS + F(1, 3), 4: F(1, 2)}
 
 
 

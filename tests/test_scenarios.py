@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import scenario_oracle as oracle
 from arrival_trace import source_trace
+from tick_columns import departures
 from reseqkit.curves import (
     FlowSpec,
     MinAffineCurve,
@@ -14,7 +17,8 @@ from reseqkit.curves import (
     leaky_bucket,
     min_curves,
 )
-from reseqkit.metrics import delay_jitter, rbo, rto
+from reseqkit.cli import main
+from reseqkit.metrics import Trace, delay_jitter, rbo, rto, trace_to_csv
 from reseqkit.rational import INF
 from reseqkit.resequencer import INVALID_LATE, ResequencerConfig, simulate
 from reseqkit.scenarios import (
@@ -313,7 +317,7 @@ class TestOracleEquivalenceOnGeneratedTraces:
                 ana = analytic_departures(
                     {p.index: p.observe_time for p in trace.packets}, timeout
                 )
-                assert sim.departures == ana
+                assert departures(sim) == ana
 
 
 class TestAmplifiedRtoChain:
@@ -467,3 +471,35 @@ def test_no_fraction_per_packet(make, monkeypatch):
     assert 90 <= len(small) <= 110 and 280 <= len(large) <= 320
     assert (fractions_made(monkeypatch, lambda: make(F(8)))
             <= fractions_made(monkeypatch, lambda: make(F(2))))
+
+
+def reordered_capture(n, seed=11):
+    """n packets of 64-1500 B sent 1 us apart and seen up to 50 us late, in
+    whole nanoseconds: nearly every packet has its own pair of offsets."""
+    rng = random.Random(seed)
+    observes, seen = [], set()
+    for i in range(n):
+        t = i * 1000 + rng.randrange(50_000)
+        while t in seen:
+            t += 1
+        seen.add(t)
+        observes.append(F(t, 10**9))
+    sizes = [rng.randrange(64, 1501) for _ in range(n)]
+    return Trace(sizes, [F(i, 10**6) for i in range(n)], observes)
+
+
+def test_no_fraction_per_packet_in_metrics(tmp_path, monkeypatch, capsys):
+    """``rto`` and ``rbo`` return each packet's offset as ticks and the CLI
+    prints the flow values only, so a 4k-packet capture makes no more
+    Fractions than a 1k-packet one."""
+    made = []
+    for n in (1000, 4000):
+        trace = reordered_capture(n)
+        path = tmp_path / f"{n}.csv"
+        path.write_text(trace_to_csv(trace), encoding="utf-8")
+        made.append([fractions_made(monkeypatch, lambda: rto(trace)),
+                     fractions_made(monkeypatch, lambda: rbo(trace)),
+                     fractions_made(monkeypatch, lambda: main(["metrics", str(path)]))])
+    assert capsys.readouterr().out.count("rto_s=") == 2
+    small, large = made
+    assert all(map(le, large, small)), made

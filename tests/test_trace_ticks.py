@@ -18,12 +18,13 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_trace_oracle as oracle
 from arrival_trace import packets_trace
 from list_scan_oracle import fields, simulate as list_scan_simulate
+from tick_columns import offsets
 from reseqkit import metrics
 from reseqkit.metrics import (
     CSV_HEADER,
@@ -144,8 +145,8 @@ def assert_same_results(text, timeout, capacity):
     assert all(type(t) is int or t is INF for t in trace.observe_ticks)
     from_packets = packets_trace(ref.packets)
     for t in (trace, from_packets):
-        assert rto(t) == oracle.rto(ref)
-        assert rbo(t) == oracle.rbo(ref)
+        assert offsets(rto(t)) == oracle.rto(ref)
+        assert offsets(rbo(t)) == oracle.rbo(ref)
         assert outcome(delay_jitter, t) == outcome(oracle.delay_jitter, ref)
     arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
     cfg = ResequencerConfig(timeout, capacity)
@@ -154,8 +155,19 @@ def assert_same_results(text, timeout, capacity):
     assert analytic_departures(times, timeout) == oracle.analytic_departures(times, timeout)
 
 
+def example_rows(observes, sizes=("64", "100", "1500", "129/2", "3/7", "64.5")):
+    """Rows of a trace emitted 1 s apart from 0, observed at ``observes``."""
+    return [[str(i), sizes[(i - 1) % len(sizes)], str(i - 1), obs]
+            for i, obs in enumerate(observes, start=1)]
+
+
 @settings(max_examples=150)
 @given(trace_rows(), TIMEOUTS, CAPACITIES)
+@example(example_rows(["12", "11.5", "10.25", "9.125", "25/3", "6"]), F(2), F(64))  # reversed
+@example(example_rows(["9", "11.5", "7.5", "19/2", "14", "8"]), F(1, 3), INF)  # shuffled
+@example(example_rows(["inf", "7", "4", "4.5", "6.25"]), INF, F(129, 2))  # lost head
+@example(example_rows(["inf", "inf", "inf"]), F(1), INF)  # all lost
+@example([], INF, INF)  # empty
 def test_valid_traces_match_oracle(rows, timeout, capacity):
     assert_same_results(csv_text(rows), timeout, capacity)
 
@@ -275,8 +287,8 @@ def test_prime_denominators_match_oracle():
     ref = oracle.Trace(tuple(map(oracle.record, range(1, 1001), *columns)))
     trace = trace_from_csv(trace_to_csv(Trace(*columns)))
     assert trace.packets == ref.packets
-    assert rto(trace) == oracle.rto(ref)
-    assert rbo(trace) == oracle.rbo(ref)
+    assert offsets(rto(trace)) == oracle.rto(ref)
+    assert offsets(rbo(trace)) == oracle.rbo(ref)
     assert delay_jitter(trace) == oracle.delay_jitter(ref)
     arrivals = {p.index: (p.observe_time, p.size) for p in ref.packets}
     cfg = ResequencerConfig(F(3, 2), F(640))
