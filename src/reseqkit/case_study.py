@@ -10,9 +10,9 @@ bucket of constant 64 B packets.
 Four re-sequencer placements are compared: destination only, edge switch
 only, first switch plus destination, and both switches.  The module embeds
 the reference results (exact rationals) for all placements under lossless
-and lossy operation; ``run_case_study(check=True)`` recomputes everything,
-compares every value exactly with its reference, and reports each one that
-differs with both values written out exactly.
+and lossy operation; ``run_case_study()`` recomputes everything, compares
+every value exactly with its reference, and reports each one that differs
+with both values written out exactly.
 """
 
 from __future__ import annotations
@@ -35,29 +35,19 @@ from .rational import exact, fmt_rat, seconds_to_us_display
 
 US = Fraction(1, 10**6)
 
-LINK_RATE = Fraction(125_000_000)  # bytes/s (1 Gb/s)
-PORT_LATENCY = 12 * US
-FABRIC_MIN = Fraction(1, 2) * US
-FABRIC_MAX = 2 * US
-PACKET = Fraction(64)
 
-
-def automotive_flow() -> FlowSpec:
-    return FlowSpec(leaky_bucket(6400, 6400), l_min=PACKET, l_max=PACKET)
-
-
-def automotive_base_path(loss_mode: str = LOSSY) -> PathSpec:
-    service = RateLatencyService(LINK_RATE, PORT_LATENCY)
+def automotive_base_path() -> PathSpec:
+    """``configs/automotive_only_h2.json`` without its re-sequencer, lossy."""
+    service = RateLatencyService("125e6", "12e-6")
     return PathSpec(
-        flow=automotive_flow(),
-        elements=(
+        FlowSpec(leaky_bucket(6400, 6400), 64, 64),
+        (
             FifoServiceElement("h1.fifo", service),
-            FabricElement("S1.fabric", FABRIC_MIN, FABRIC_MAX),
+            FabricElement("S1.fabric", "0.5e-6", "2e-6"),
             FifoServiceElement("S1.fifo", service),
-            FabricElement("S2.fabric", FABRIC_MIN, FABRIC_MAX),
+            FabricElement("S2.fabric", "0.5e-6", "2e-6"),
             FifoServiceElement("S2.fifo", service),
         ),
-        loss_mode=loss_mode,
     )
 
 
@@ -131,12 +121,12 @@ class CaseStudyResult:
         return not self.mismatches
 
 
-def run_case_study(check: bool = False) -> CaseStudyResult:
-    """Analyze all four placements under both loss modes; optionally compare
-    against the embedded reference values."""
+def run_case_study() -> CaseStudyResult:
+    """Analyze all four placements under both loss modes and compare each
+    report against the embedded reference values."""
     reports = compare_placements(automotive_base_path(), PLACEMENTS)
     mismatches = tuple(
-        m for name, by_mode in reports.items() if check
+        m for name, by_mode in reports.items()
         for mode, rep in by_mode.items() for m in _check_one(name, mode, rep)
     )
     return CaseStudyResult(reports, mismatches)
@@ -144,34 +134,24 @@ def run_case_study(check: bool = False) -> CaseStudyResult:
 
 def _check_one(name: str, mode: str, rep: AnalysisReport) -> List[str]:
     ref = REFERENCE[name]
-    exp_delay = ref.delay_lossless if mode == LOSSLESS else ref.delay_lossy
-    exp_jitter = ref.jitter_lossless if mode == LOSSLESS else ref.jitter_lossy
-    exp_buffer = ref.buffer_lossless if mode == LOSSLESS else ref.buffer_lossy
+    delay, jitter, size = (
+        (ref.delay_lossless, ref.jitter_lossless, ref.buffer_lossless)
+        if mode == LOSSLESS else (ref.delay_lossy, ref.jitter_lossy, ref.buffer_lossy)
+    )
+    timeouts = {r.element_id: r.timeout for r in rep.resequencers}
+    # (what, got, want, unit); got is None for a re-sequencer the report lacks
+    rows = [("delay", rep.e2e_delay, delay, "s"), ("jitter", rep.e2e_jitter, jitter, "s")]
+    rows += [(f"timeout[{rid}]" if rid in timeouts else rid, timeouts.get(rid), want, "s")
+             for rid, want in ref.timeouts]
+    rows += [(f"size[{r.element_id}]", r.buffer_size, size, "B") for r in rep.resequencers]
     out: List[str] = []
-    if rep.e2e_delay != exp_delay:
-        out.append(
-            f"{name}/{mode}: delay {fmt_rat(rep.e2e_delay)} s, "
-            f"expected {fmt_rat(exp_delay)} s"
-        )
-    if rep.e2e_jitter != exp_jitter:
-        out.append(
-            f"{name}/{mode}: jitter {fmt_rat(rep.e2e_jitter)} s, "
-            f"expected {fmt_rat(exp_jitter)} s"
-        )
-    got_timeouts = {r.element_id: r.timeout for r in rep.resequencers}
-    for rid, exp_t in ref.timeouts:
-        if rid not in got_timeouts:
-            out.append(f"{name}/{mode}: missing re-sequencer {rid}")
-        elif got_timeouts[rid] != exp_t:
+    for what, got, want, unit in rows:
+        if got is None:
+            out.append(f"{name}/{mode}: missing re-sequencer {what}")
+        elif got != want:
             out.append(
-                f"{name}/{mode}: timeout[{rid}] {fmt_rat(got_timeouts[rid])} s, "
-                f"expected {fmt_rat(exp_t)} s"
-            )
-    for r in rep.resequencers:
-        if r.buffer_size != exp_buffer:
-            out.append(
-                f"{name}/{mode}: size[{r.element_id}] {r.buffer_size} B, "
-                f"expected {exp_buffer} B"
+                f"{name}/{mode}: {what} {fmt_rat(got)} {unit}, "
+                f"expected {fmt_rat(want)} {unit}"
             )
     return out
 

@@ -8,8 +8,8 @@ Verbs:
 * ``scenario``: emit an adversarial trace CSV for one of the generators.
 * ``case-study``: the bundled automotive example, with ``--check``.
 
-Exit codes: 0 success, 1 input or schema error, 2 analysis completed with an
-unsafe-configuration warning, 3 the simulation discarded a packet, 4
+Exit codes: 0 success, 1 usage, input or schema error, 2 analysis completed
+with an unsafe-configuration warning, 3 the simulation discarded a packet, 4
 ``case-study --check`` found a figure off its reference.  Output is
 deterministic for identical inputs.
 
@@ -56,16 +56,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``ValueError``, which ``main``
+    reports as an input error; its verbs' parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reseqkit",
         description="Worst-case reordering metrics and re-sequencing buffer "
         "dimensioning for time-sensitive networks",
@@ -259,7 +267,7 @@ def _required(value: Optional[str], flag: str):
 
 
 def cmd_case_study(args) -> int:
-    result = run_case_study(check=args.check)
+    result = run_case_study()
     if args.format == "json":
         payload = {
             name: {mode: report_to_json(rep) for mode, rep in by_mode.items()}
@@ -270,7 +278,7 @@ def cmd_case_study(args) -> int:
         print(_dump_json(payload))
     else:
         print(render_case_study(result, check=args.check))
-    return OK if result.ok else MISMATCH
+    return MISMATCH if args.check and not result.ok else OK
 
 
 # Per depth d: the opening "{" or "[" with the newline and indent of the

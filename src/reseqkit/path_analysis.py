@@ -84,27 +84,27 @@ class FifoServiceElement:
 
 
 @dataclass(frozen=True)
-class FabricElement:
+class _DelayRange:
+    """A stage with the delay range [d_min, d_max]; its subclasses differ
+    only in ``kind``."""
+
     id: str
     d_min: Fraction
     d_max: Fraction
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d_min", finite(self.d_min))
+        object.__setattr__(self, "d_max", finite(self.d_max))
+        if self.d_min < 0 or self.d_max < self.d_min:
+            raise PathConfigError(f"{self.id}: need 0 <= d_min <= d_max")
+
+
+class FabricElement(_DelayRange):
     kind = "fabric"
 
-    def __post_init__(self) -> None:
-        _check_delay_range(self)
 
-
-@dataclass(frozen=True)
-class FixedDelayElement:
-    id: str
-    d_min: Fraction
-    d_max: Fraction
-
+class FixedDelayElement(_DelayRange):
     kind = "order_preserving_fixed"
-
-    def __post_init__(self) -> None:
-        _check_delay_range(self)
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,6 @@ class ResequencerElement:
                 raise PathConfigError(
                     f"{self.id}: {name} {fmt_rat(value)} is negative"
                 )
-
-
-def _check_delay_range(element: FabricElement | FixedDelayElement) -> None:
-    """Convert the element's delay range and check it."""
-    d_min, d_max = finite(element.d_min), finite(element.d_max)
-    object.__setattr__(element, "d_min", d_min)
-    object.__setattr__(element, "d_max", d_max)
-    if d_min < 0 or d_max < d_min:
-        raise PathConfigError(f"{element.id}: need 0 <= d_min <= d_max")
 
 
 PathElement = (

@@ -12,9 +12,15 @@ the one test of infinity.
 
 Code that loops over packets or curve pieces carries values as integer
 ticks instead: each value times a base D, the least common multiple of the
-denominators.  Only this module makes, moves and reduces a base
-(``on_common_base``, ``rebased``, ``reduced``).  A per-packet result stays
-a tick column, INF for a lost packet, written out from its ticks
+denominators.  This module moves and reduces every base (``rebased``,
+``reduced``) and makes the bases of columns (``on_common_base``).  Five
+kernels take the lcm of a few denominators themselves:
+``MinAffineCurve.__init__``, ``curves.shift_jitter``,
+``scenarios._packetize_ticks`` and the two saturating generators.  Each runs
+once per curve, stage or trace on a handful of scalars, where one
+``math.lcm`` costs less than ``on_common_base``'s fixed cost of building
+and scaling columns.  A per-packet result stays a tick column, INF for a
+lost packet, written out from its ticks
 (``fmt_ticks``); only a scalar becomes ``Fraction(ticks, D)``, and ``over``
 maps a column for the two views that hand out ``{index: Fraction}``
 (``Trace.packets``, ``analytic_departures``).  ``read_literals`` reads a

@@ -54,17 +54,11 @@ def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
     total = finite(total)
     if total < 0:
         raise DecompositionError("byte totals are non-negative")
-    if total == 0:
-        return []
-    if flow.constant_size:
-        count, rem = divmod(total, flow.l_min)
-        if rem != 0:
-            raise DecompositionError(
-                f"{total} is not a multiple of the packet size {flow.l_min}"
-            )
-        return [flow.l_min] * int(count)
-    if total < flow.l_min:
-        raise DecompositionError(f"{total} is below the minimum packet size")
+    if flow.reachable_floor(total) != total:
+        raise DecompositionError(
+            f"{total} is not a multiple of the packet size {flow.l_min}"
+            if flow.constant_size else f"{total} is below the minimum packet size"
+        )
     count = int(total // flow.l_max)
     rem = total - count * flow.l_max
     if rem == 0:
@@ -157,8 +151,13 @@ def _packetize_by(curve: Curve, sizes: Sequence[int], size_den: int,
     return times, den
 
 
-def _default_eps(target: Fraction) -> Fraction:
-    return target / 10**6
+def _eps(eps: Optional[Rat], bound: Fraction, what: str) -> Fraction:
+    """A generator's tightness epsilon: ``eps``, by default ``bound / 10**6``,
+    refused outside (0, bound), ``bound`` being named ``what``."""
+    eps = finite(eps) if eps is not None else bound / 10**6
+    if not 0 < eps < bound:
+        raise ScenarioError(f"need 0 < eps < {what}")
+    return eps
 
 
 def gen_two_packet_swap(rto_value: Rat, t0: Rat = 0) -> Trace:
@@ -215,9 +214,7 @@ def gen_lossy_backlog_burst(
     v, t = finite(jitter), finite(timeout)
     if v <= 0 or t <= 0:
         raise ScenarioError("the construction needs jitter > 0 and timeout > 0")
-    eps = finite(eps) if eps is not None else _default_eps(min(v, t))
-    if not 0 < eps < min(v, t):
-        raise ScenarioError("need 0 < eps < min(jitter, timeout)")
+    eps = _eps(eps, min(v, t), "min(jitter, timeout)")
     target = flow.reachable_floor(curve.value(v + t - eps))
     size_den, (sizes,) = _size_ticks(flow.l_max, target, flow)
     n = len(sizes) - 1
@@ -271,9 +268,7 @@ def gen_rbo_tight_burst(
     v = finite(jitter)
     if v <= 0:
         raise ScenarioError("the construction needs jitter > 0")
-    eps = finite(eps) if eps is not None else _default_eps(v)
-    if not 0 < eps < v:
-        raise ScenarioError("need 0 < eps < jitter")
+    eps = _eps(eps, v, "jitter")
     total = curve.value(v - eps)
     if total < 2 * flow.l_min:
         raise ScenarioError("curve window admits fewer than two packets")
@@ -335,9 +330,7 @@ def gen_amplified_rto_chain(
         raise ScenarioError("head stage needs a positive RTO")
     if lam_s > v_s:
         raise ScenarioError("per-stage RTO cannot exceed its jitter")
-    eps = finite(eps) if eps is not None else _default_eps(lam_s)
-    if not 0 < eps < lam_s:
-        raise ScenarioError("need 0 < eps < head-stage RTO")
+    eps = _eps(eps, lam_s, "head-stage RTO")
 
     # Packet 2 enters at eps and crosses every stage with zero delay; packet
     # 1 enters at 0 and is held back by the head's RTO and every later jitter.

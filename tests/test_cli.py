@@ -806,6 +806,22 @@ class TestCaseStudy:
             "expected 0.000015989 s\n"
         )
 
+    def test_base_path_is_the_bundled_config_without_its_resequencer(self):
+        bundled = path_analysis.load_path(str(BUNDLED))
+        kept = tuple(e for e in bundled.elements if e.kind != "resequencer")
+        assert len(bundled.elements) - len(kept) == 1
+        base = case_study.automotive_base_path()
+        assert base.flow == bundled.flow
+        assert base.elements == kept
+        assert base.loss_mode == bundled.loss_mode
+
+    def test_without_check_a_mismatch_exits_0(self, monkeypatch, capsys):
+        ref = case_study.REFERENCE["only at h2"]
+        moved = replace(ref, delay_lossless=ref.delay_lossless + F(1, 10**9))
+        monkeypatch.setitem(case_study.REFERENCE, "only at h2", moved)
+        assert main(["case-study", "automotive"]) == OK
+        assert "MISMATCH" not in capsys.readouterr().out
+
     def test_missing_resequencer_is_a_mismatch(self, monkeypatch, capsys):
         ref = case_study.REFERENCE["only at h2"]
         moved = replace(ref, timeouts=ref.timeouts + (("S1.fabric.reseq", F(0)),))
@@ -1156,19 +1172,40 @@ def fuzzed_argv(draw):
     return argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "x.json", "--loss", "sideways"],
+    ["analyze", "--config", "x.json", "--bogus"],
+    ["analyze"],
+    [],
+], ids=["invalid-choice", "unknown-flag", "missing-config", "missing-verb"])
+def test_usage_error_exits_1_with_one_error_line(argv):
+    """A usage error is an input error, not the unsafe-configuration exit 2."""
+    (how, code), out, err = run_on(None, argv)
+    assert (how, code) == ("return", INPUT_ERROR)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_0(argv):
+    (how, code), out, err = run_on(None, argv)
+    assert (how, code) == ("SystemExit", 0)
+    assert out.startswith("usage: reseqkit") and err == ""
+
+
 @settings(max_examples=150)
 @given(calls=st.lists(fuzzed_argv(), min_size=2, max_size=6))
 def test_reused_parser_answers_like_a_fresh_one(calls):
     """main's one parser per process leaks nothing from call to call: each
     call exits, prints and errs exactly as on a freshly built parser.  Every
-    exit is 0-3 or argparse's 0/2, and an exit 1 prints one error line."""
+    exit is 0-3 or argparse's 0 after help, and an exit 1 prints one error
+    line."""
     for argv in calls:
         shared = run_on(None, argv)
         assert shared == run_on(cli.build_parser(), argv)
         (how, code), out, err = shared
         assert "Traceback" not in err
         if how == "SystemExit":
-            assert code in (0, 2)
+            assert code == 0
             continue
         assert code in (OK, INPUT_ERROR, UNSAFE_WARNING, DISCARD)
         if code == INPUT_ERROR:

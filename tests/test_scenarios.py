@@ -43,6 +43,11 @@ STAIR = StaircaseCurve(F(100), F(1, 1000))
 PARTIAL = FlowSpec(leaky_bucket(F(10**5), F(100)), F(32), F(64))
 
 
+def fractions(lo, hi, max_den):
+    """p/q with p in [lo, hi] and q in [1, max_den]."""
+    return st.builds(F, st.integers(lo, hi), st.integers(1, max_den))
+
+
 class TestDecompose:
     def test_fixed_size_multiples(self):
         assert decompose_bytes(F(192), FIXED64) == [F(64)] * 3
@@ -63,6 +68,23 @@ class TestDecompose:
         assert FIXED64.reachable_floor(F(130)) == 128
         assert MIXED.reachable_floor(F(130)) == 130
         assert FIXED64.reachable_floor(F(10)) == 0
+
+    @settings(max_examples=300)
+    @given(l_min=fractions(1, 128, 5), wider=st.one_of(st.none(), fractions(0, 300, 4)),
+           total=fractions(0, 2_000, 9))
+    def test_refuses_exactly_the_unreachable_totals(self, l_min, wider, total):
+        """One reachability rule: ``decompose_bytes`` refuses a total exactly
+        when ``reachable_floor`` moves it, and otherwise splits it into
+        admissible sizes."""
+        l_max = l_min if wider is None else 2 * l_min + wider
+        flow = FlowSpec(leaky_bucket(1000, l_max), l_min, l_max)
+        if flow.reachable_floor(total) != total:
+            with pytest.raises(DecompositionError):
+                decompose_bytes(total, flow)
+            return
+        sizes = decompose_bytes(total, flow)
+        assert sum(sizes) == total
+        assert all(l_min <= s <= l_max for s in sizes)
 
 
 class TestPacketize:
@@ -359,11 +381,6 @@ class TestAmplifiedRtoChain:
     def test_eps_must_sit_below_head_rto(self):
         with pytest.raises(ScenarioError):
             gen_amplified_rto_chain([(F(5), F(2))], head=1, eps=F(2))
-
-
-def fractions(lo, hi, max_den):
-    """p/q with p in [lo, hi] and q in [1, max_den]."""
-    return st.builds(F, st.integers(lo, hi), st.integers(1, max_den))
 
 
 @st.composite
