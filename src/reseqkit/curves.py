@@ -532,21 +532,33 @@ def _staircase_violation(emits: Sequence[int], vol: Sequence[int],
     return None
 
 
+def _json_object(obj, known: Sequence[str], what: str) -> None:
+    """Refuse ``obj`` unless it is a JSON object whose keys are all in
+    ``known``: any other key would be ignored."""
+    if not isinstance(obj, dict):
+        raise CurveError(f"{what} must be an object")
+    for key in obj:
+        if key not in known:
+            raise CurveError(f"unknown key {key!r} in {what}")
+
+
 def curve_from_json(obj: dict) -> Curve:
-    """Curve from its ``to_json`` form; a value of the wrong JSON type or a
-    missing key raises ``CurveError``."""
+    """Curve from its ``to_json`` form; a value of the wrong JSON type, a
+    missing key or a key the curve does not read raises ``CurveError``."""
     if not isinstance(obj, dict):
         raise CurveError("curve must be an object")
     kind, unit = obj.get("kind"), obj.get("unit", BYTES)
     try:
         if kind == "staircase":
+            _json_object(obj, ("kind", "unit", "burst", "period"), "curve")
             return StaircaseCurve(obj["burst"], obj["period"], unit)
         if kind == "min_affine":
+            _json_object(obj, ("kind", "unit", "pieces"), "curve")
             pieces = obj["pieces"]
             if not isinstance(pieces, list):
                 raise CurveError("curve pieces must be a list")
-            if not all(isinstance(p, dict) for p in pieces):
-                raise CurveError("curve piece must be an object")
+            for p in pieces:
+                _json_object(p, ("rate", "burst"), "curve piece")
             return MinAffineCurve(tuple((p["rate"], p["burst"]) for p in pieces), unit)
     except KeyError as exc:
         raise CurveError(f"missing curve key: {exc}") from exc

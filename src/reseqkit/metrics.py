@@ -28,13 +28,16 @@ read by ``trace_from_csv``; ``trace_to_csv`` writes the ticks straight back
 out.  ``Trace.packets``, a per-packet view, is built from the columns on
 first use and cached.
 
-Reading: ``trace_from_csv`` transposes the file's rows into four columns of
-cells and converts each column in a few passes over all of it: plain
-decimals become integer ticks directly, and only the other literals
-(``inf``, ``3/7``, ``12e-6``) are parsed one by one.  The checks then run
-on whole columns.  When one fails, a second reading, row by row, raises the
-defect that comes first in the file, so a trace with several defects
-reports the same error however it is read.
+Reading: ``trace_from_csv`` transposes the file's rows, a chunk at a time,
+into four columns of cells and converts each chunk's column in a few passes
+over all of it into ticks on its own base: plain decimals become integer
+ticks directly, and only the other literals (``inf``, ``3/7``, ``12e-6``)
+are parsed one by one.  The chunks of a column are joined on the least
+common multiple of their bases, emissions and observations on one base and
+sizes on another.  The checks then run on whole columns.  When one fails,
+a second reading, row by row, raises the defect that comes first in the
+file, so a trace with several defects reports the same error however it is
+read.
 """
 
 from __future__ import annotations
@@ -44,13 +47,12 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import gt, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rational import INF, LiteralTicks, Rat, Tick, check_digit_limit, exact, finite
-from .rational import fmt_ticks, literals_on_common_base, on_common_base, over, ratio
-from .rational import read_literals
+from .rational import INF, Rat, Tick, check_digit_limit, exact, finite, fmt_ticks
+from .rational import on_common_base, over, read_literals, rebased
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -88,11 +90,11 @@ class Trace:
     quantity, position i being packet i+1, and ``emit_times=None`` for a
     trace without emission times; its values are exact (a float other than
     ``INF`` is refused).  ``trace_from_csv`` fills the columns from the
-    file.  Either way the same checks run on the integer columns:
-    contiguous indices from 1, emission times for all packets or none,
-    wide-sense increasing emissions, no observation before emission, and
-    distinct finite observation times.  ``packets`` is a per-packet view of
-    the columns, built on first use.
+    file.  Either way the same checks run on the integer columns: finite
+    sizes above 0, contiguous indices from 1, emission times for all
+    packets or none, wide-sense increasing emissions, no observation before
+    emission, and distinct finite observation times.  ``packets`` is a
+    per-packet view of the columns, built on first use.
     """
 
     def __init__(self, sizes: Sequence[Rat], emit_times: Optional[Sequence[Rat]],
@@ -101,16 +103,16 @@ class Trace:
         if len(sizes) != n or (emit_times is not None and len(emit_times) != n):
             raise TraceError("size, emission and observation columns differ in length")
         try:
-            size_cells = list(map(ratio, sizes))
-            emits = [] if emit_times is None else list(map(ratio, emit_times))
-            observes = list(map(ratio, observe_times))
+            sizes = list(map(exact, sizes))
+            emits = [] if emit_times is None else list(map(exact, emit_times))
+            observes = list(map(exact, observe_times))
         except ValueError as exc:
             raise TraceError(str(exc)) from None
-        if any(c is INF or c[0] <= 0 for c in size_cells):
+        if INF in sizes:
             raise TraceError("packet sizes must be finite and > 0")
         if INF in emits:
             raise TraceError("emission times must be finite")
-        size_den, (size_ticks,) = on_common_base(size_cells)
+        size_den, (size_ticks,) = on_common_base(sizes)
         time_den, (emit_ticks, observe_ticks) = on_common_base(emits, observes)
         self._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
 
@@ -128,6 +130,8 @@ class Trace:
         """Validate integer tick columns and keep them; ``emit_ticks`` is
         empty for a trace without emission times.  The order of the checks
         fixes which error a trace with several defects reports."""
+        if min(size_ticks, default=1) <= 0:
+            raise TraceError("packet sizes must be finite and > 0")
         if emit_ticks:
             if not all(map(le, emit_ticks, emit_ticks[1:])):
                 raise TraceError("emission times must be wide-sense increasing")
@@ -301,16 +305,17 @@ def _read_columns(text: str) -> Trace:
     and each column is converted in a few passes: the indices by one
     ASCII-digit test of the joined column and ``int`` (an empty or
     over-long cell makes ``int`` raise, and the row pass reports it through
-    ``_packet_index``), sizes and times by ``read_literals``,
-    which reads plain decimals straight into integer ticks.  The checks run
-    on whole columns, so when several fail, the one raised need not be the
-    first in the file (``trace_from_csv`` finds that one)."""
+    ``_packet_index``), sizes and times by ``read_literals`` into
+    ``(base, ticks)``, which ``rebased`` moves to one base per quantity
+    before the chunks are joined.  The checks run on whole columns, so when
+    several fail, the one raised need not be the first in the file
+    (``trace_from_csv`` finds that one)."""
     reader = csv.reader(io.StringIO(text))
     _check_header(next(reader, None))
     n = missing = 0
-    sizes: List[LiteralTicks] = []
-    emits: List[LiteralTicks] = []
-    observes: List[LiteralTicks] = []
+    sizes: List[Tuple[int, List[int]]] = []
+    emits: List[Tuple[int, List[int]]] = []
+    observes: List[Tuple[int, List[Tick]]] = []
     for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
         idx, size, emit, obs = _columns(rows)
         digits = "".join(idx)
@@ -327,11 +332,11 @@ def _read_columns(text: str) -> Trace:
         observes.append(read_literals(obs, exact))
     if 0 < missing < n:
         raise TraceError("emission times must be present for all packets or none")
-    size_den, (size_ticks,) = literals_on_common_base(sizes)
-    if min(size_ticks, default=1) <= 0:
-        raise TraceError("packet sizes must be > 0")
-    time_den, (emit_ticks, observe_ticks) = literals_on_common_base(emits, observes)
-    return Trace._from_ticks(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
+    size_den, sizes = rebased(*sizes)
+    time_den, times = rebased(*emits, *observes)
+    k, flat = len(emits), chain.from_iterable
+    return Trace._from_ticks(size_den, list(flat(sizes)), time_den,
+                             list(flat(times[:k])), list(flat(times[k:])))
 
 
 def _columns(rows: List[List[str]]) -> List[List[str]]:

@@ -414,16 +414,20 @@ def compare_placements(
 # -- JSON config and report rendering ----------------------------------------
 
 
-def _typed(value, kind: type, what: str):
-    """``value`` when it has the JSON type ``kind`` (dict or list)."""
+def _typed(value, kind: type, what: str, known: Sequence[str] = ()):
+    """``value`` when it has the JSON type ``kind`` (dict or list) and, given
+    ``known``, no key outside it: any other key would be ignored."""
     if not isinstance(value, kind):
         name = "an object" if kind is dict else "a list"
         raise PathConfigError(f"{what} must be {name}")
+    for key in value if known else ():
+        if key not in known:
+            raise PathConfigError(f"unknown key {key!r} in {what}")
     return value
 
 
 def flow_from_json(obj: dict) -> FlowSpec:
-    obj = _typed(obj, dict, "flow")
+    obj = _typed(obj, dict, "flow", ("curve", "l_min", "l_max"))
     return FlowSpec(curve_from_json(obj["curve"]), obj["l_min"], obj["l_max"])
 
 
@@ -435,7 +439,9 @@ def element_from_json(obj: dict) -> PathElement:
         raise PathConfigError("every element needs an id")
     if not isinstance(eid, str):
         raise PathConfigError(f"element id {json.dumps(eid)} is not a string")
+    what = f"element {eid!r}"
     if kind == "fifo_service":
+        _typed(obj, dict, what, ("id", "kind", "rate_Bps", "latency_s", "min_delay_s"))
         try:
             svc = RateLatencyService(obj["rate_Bps"], obj["latency_s"])
         except CurveError as exc:
@@ -445,9 +451,11 @@ def element_from_json(obj: dict) -> PathElement:
         min_delay = finite(obj["min_delay_s"]) if "min_delay_s" in obj else None
         return FifoServiceElement(eid, svc, min_delay)
     if kind in ("fabric", "order_preserving_fixed"):
+        _typed(obj, dict, what, ("id", "kind", "d_min_s", "d_max_s"))
         cls = FabricElement if kind == "fabric" else FixedDelayElement
         return cls(eid, obj["d_min_s"], obj["d_max_s"])
     if kind == "resequencer":
+        _typed(obj, dict, what, ("id", "kind", "mode", "timeout_s", "buffer_bytes"))
         timeout = exact(obj["timeout_s"]) if "timeout_s" in obj else None
         capacity = exact(obj["buffer_bytes"]) if "buffer_bytes" in obj else None
         return ResequencerElement(eid, obj.get("mode", "auto"), timeout, capacity)
@@ -456,7 +464,7 @@ def element_from_json(obj: dict) -> PathElement:
 
 def path_from_json(obj: dict) -> PathSpec:
     try:
-        obj = _typed(obj, dict, "path config")
+        obj = _typed(obj, dict, "path config", ("flow", "elements", "loss_mode"))
         flow = flow_from_json(obj["flow"])
         elements = tuple(
             element_from_json(e) for e in _typed(obj["elements"], list, "elements")

@@ -10,24 +10,27 @@ float, ``bool``, ``None`` and type.  Each record converts its fields once,
 in its constructor, and code that reads a field trusts it; ``x is INF`` is
 the one test of infinity.
 
-Code that loops over packets or curve pieces carries values as integer
-ticks instead: each value times a base D, the least common multiple of the
-denominators.  This module moves and reduces every base (``rebased``,
-``reduced``) and makes the bases of columns (``on_common_base``).  Five
-kernels take the lcm of a few denominators themselves:
+A number takes one of two forms.  At every interface it is an exact
+value: a ``Fraction``, or ``INF``.  Code that loops over packets or curve
+pieces carries a column of them as ``(base, ticks)`` instead: a base D,
+the least common multiple of the denominators, and each value times D as
+an integer tick, INF passing through.  This module makes the base of
+exact values (``on_common_base``) and of literal strings
+(``read_literals``), and moves and reduces every base (``rebased``,
+``reduced``).  Five kernels take the lcm of a few denominators themselves:
 ``MinAffineCurve.__init__``, ``curves.shift_jitter``,
 ``scenarios._packetize_ticks`` and the two saturating generators.  Each runs
 once per curve, stage or trace on a handful of scalars, where one
 ``math.lcm`` costs less than ``on_common_base``'s fixed cost of building
-and scaling columns.  A per-packet result stays a tick column, INF for a
-lost packet, written out from its ticks
-(``fmt_ticks``); only a scalar becomes ``Fraction(ticks, D)``, and ``over``
-maps a column for the two views that hand out ``{index: Fraction}``
-(``Trace.packets``, ``analytic_departures``).  ``read_literals`` reads a
-column of literal strings, plain decimals straight into integers and every
-other literal through ``exact``, and ``literals_on_common_base`` puts such
-columns on one base.  ``INF``, the lost-packet sentinel, compares and
-min/maxes correctly against Fractions and integers.
+and scaling columns.  A per-packet result stays a tick column, written out
+from its ticks (``fmt_ticks``); only a scalar becomes ``Fraction(ticks,
+D)``, and ``over`` maps a column for the two views that hand out ``{index:
+Fraction}`` (``Trace.packets``, ``analytic_departures``).  ``fmt_rat``
+keeps its own body for one value: through ``fmt_ticks`` a call costs about
+half as much again, and a report renders many scalars.  ``read_literals``
+reads plain decimals straight into integers and every other literal
+through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
+compares and min/maxes correctly against Fractions and integers.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: A time or size value: an exact rational, or +inf for lost packets /
 #: unbounded capacities.
@@ -228,29 +231,19 @@ def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
     return _fixed_point(scaled, digits)
 
 
-#: An exact value as ``(numerator, denominator)``, or a cell that
-#: ``on_common_base`` passes through unchanged (``None``, ``INF``).
-Cell = Union[Tuple[int, int], float, None]
-
-
-def ratio(x: Union[Rat, int, str]) -> Cell:
-    """``exact(x)`` as a ``(numerator, denominator)`` cell; INF stays INF."""
-    x = exact(x)
-    return x if x is INF else x.as_integer_ratio()
-
-
-def on_common_base(*columns: Sequence[Cell]) -> Tuple[int, List[list]]:
+def on_common_base(*columns: Sequence[Optional[Rat]]) -> Tuple[int, List[list]]:
     """Put columns of exact values on one integer base.
 
-    Returns D, the least common multiple of the denominators of every
-    ``(numerator, denominator)`` cell, and each column with such a cell
-    replaced by the integer value*D; ``None`` and ``INF`` pass through.
+    Returns D, the least common multiple of the denominators of the finite
+    values, and each column with such a value replaced by the integer
+    value*D; ``None`` and ``INF`` pass through.
     """
-    dens = {c[1] for col in columns for c in col if c.__class__ is tuple}
-    den = math.lcm(*dens) if dens else 1
+    dens = {x.denominator for col in columns for x in col
+            if x is not INF and x is not None}
+    den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
     return den, [
-        [c[0] * scale[c[1]] if c.__class__ is tuple else c for c in col]
+        [x if x is INF or x is None else x.numerator * scale[x.denominator] for x in col]
         for col in columns
     ]
 
@@ -302,25 +295,20 @@ def over(ticks: Mapping[int, Tick], den: int) -> Dict[int, Rat]:
 _PLAIN = re.compile(r"\d+(?:\.\d+)?")
 
 
-class LiteralTicks(NamedTuple):
-    """Cells of a column of literal strings as ``read_literals`` reads them."""
-
-    ticks: List[int]  # each plain decimal cell, on 10**decimals
-    decimals: int  # the most decimals of a plain cell
-    others: Dict[int, Cell]  # position: ratio(parse(cell)) of the other cells
-
-
-def read_literals(cells: Sequence[str], parse: Callable[[str], Rat]) -> LiteralTicks:
-    """Read stripped literal strings, ``parse`` being ``exact`` or
-    ``finite``, in a few passes over all of them.
+def read_literals(cells: Sequence[str],
+                  parse: Callable[[str], Rat]) -> Tuple[int, List[Tick]]:
+    """Stripped literal strings as ``(base, ticks)``, ``parse`` being
+    ``exact`` or ``finite``, read in a few passes over all of them.
 
     A plain decimal with d decimals is read straight into an integer over
     10**d, trailing zeros and all (``"1.500"`` is 1500/10**3); only the
     other cells are parsed one by one, with ``parse``'s checks and
-    messages.  ``literals_on_common_base`` puts the result on one base.
+    messages.  The base is the least common multiple of 10**d, d the most
+    decimals of a plain cell, and the denominators of the other cells; INF
+    passes through.
     """
     if not cells:
-        return LiteralTicks([], 0, {})
+        return 1, []
     joined = "\n".join(cells)
     first = cells[0]
     d = len(first) - first.find(".") - 1 if "." in first else 0
@@ -328,8 +316,8 @@ def read_literals(cells: Sequence[str], parse: Callable[[str], Rat]) -> LiteralT
     if (joined.count("\n") == len(cells) - 1  # no cell holds a line break
             and re.fullmatch(rf"{cell}(?:\n{cell})*", joined)):  # the usual capture
         digits = joined.replace(".", "").split("\n") if d else cells
-        return LiteralTicks(list(map(int, digits)), d, {})
-    others = {i: ratio(parse(c)) for i, c in enumerate(cells) if not _PLAIN.fullmatch(c)}
+        return 10**d, list(map(int, digits))
+    others = {i: parse(c) for i, c in enumerate(cells) if not _PLAIN.fullmatch(c)}
     if others:
         cells = list(cells)
         for i in others:
@@ -340,33 +328,10 @@ def read_literals(cells: Sequence[str], parse: Callable[[str], Rat]) -> LiteralT
     if -1 in points:  # whole numbers among decimals
         ends = [e if p >= 0 else 1 for e, p in zip(ends, points)]
     d = max(ends) - 1
-    scale = [10 ** (d + 1 - e) for e in range(d + 2)]
-    ticks = map(int, joined.replace(".", "").split("\n"))
-    return LiteralTicks(list(map(mul, ticks, map(scale.__getitem__, ends))), d, others)
-
-
-def literals_on_common_base(*columns: Sequence[LiteralTicks]) -> Tuple[int, List[list]]:
-    """``on_common_base`` of columns read by ``read_literals``, each in one
-    or more chunks.
-
-    D is the least common multiple of 10**d, d the most decimals of a plain
-    cell, and the denominators of the other cells: the D that
-    ``on_common_base`` gives when a plain decimal keeps its 10**d
-    denominator unreduced.  Each column comes back as one list of integer
-    ticks on D; INF passes through.
-    """
-    parts = [part for column in columns for part in column]
-    dens = {c[1] for part in parts for c in part.others.values() if c is not INF}
-    den = math.lcm(10 ** max((part.decimals for part in parts), default=0), *dens)
-    out = []
-    for column in columns:
-        ticks: list = []
-        for part_ticks, d, others in column:
-            scale = den // 10**d
-            if scale != 1:
-                part_ticks = list(map(mul, part_ticks, repeat(scale)))
-            for i, c in others.items():
-                part_ticks[i] = c if c is INF else c[0] * (den // c[1])
-            ticks += part_ticks
-        out.append(ticks)
-    return den, out
+    den = math.lcm(10**d, *{x.denominator for x in others.values() if x is not INF})
+    scale = [10 ** (d + 1 - e) * (den // 10**d) for e in range(d + 2)]
+    ticks = list(map(mul, map(int, joined.replace(".", "").split("\n")),
+                     map(scale.__getitem__, ends)))
+    for i, x in others.items():
+        ticks[i] = x if x is INF else x.numerator * (den // x.denominator)
+    return den, ticks

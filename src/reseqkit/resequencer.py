@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .metrics import Trace
-from .rational import INF, Cell, Rat, Tick, exact, on_common_base, over, ratio, rebased
+from .rational import INF, Rat, Tick, exact, on_common_base, over, rebased
 
 
 class ArrivalError(ValueError):
@@ -190,12 +190,12 @@ def analytic_departures(
     for lost packets).  Returns D_n for every n up to the largest index.
     """
     n_max = max(arrivals, default=0)
-    cells: List[Cell] = [INF] * (n_max + 1)
+    times: List[Rat] = [INF] * (n_max + 1)
     for idx, t in arrivals.items():
         if idx < 1:
             raise ArrivalError("sequence numbers start at 1")
-        cells[idx] = ratio(t)
-    den, (e, (timeout_t,)) = on_common_base(cells, [ratio(timeout)])
+        times[idx] = exact(t)
+    den, (e, (timeout_t,)) = on_common_base(times, [exact(timeout)])
     suffix_min: List[Tick] = [INF] * (n_max + 2)
     for n in range(n_max, 0, -1):
         suffix_min[n] = e[n] if e[n] < suffix_min[n + 1] else suffix_min[n + 1]

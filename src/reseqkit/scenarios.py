@@ -35,7 +35,7 @@ from itertools import accumulate, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
-from .metrics import Trace, TraceError
+from .metrics import Trace
 from .rational import INF, Rat, finite, fmt_rat, on_common_base, reduced
 
 
@@ -72,8 +72,7 @@ def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
 def _size_ticks(head: Fraction, total: Fraction, flow: FlowSpec) -> Tuple[int, List[list]]:
     """A base of 1/D B and one column of ticks on it: a packet of ``head``
     bytes followed by ``decompose_bytes(total, flow)``."""
-    return on_common_base(
-        [s.as_integer_ratio() for s in [head, *decompose_bytes(total, flow)]])
+    return on_common_base([head, *decompose_bytes(total, flow)])
 
 
 def _ticks(x: Fraction, den: int) -> int:
@@ -95,7 +94,7 @@ def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
     The sizes are put on their common base and packetized on integer ticks
     (``_packetize_ticks``); only the returned times are Fractions.
     """
-    size_den, (sizes,) = on_common_base([finite(s).as_integer_ratio() for s in sizes])
+    size_den, (sizes,) = on_common_base(list(map(finite, sizes)))
     ticks, den = _packetize_ticks(curve, sizes, size_den)
     return [Fraction(t, den) for t in ticks]
 
@@ -183,10 +182,7 @@ def gen_lossless_backlog_burst(
         raise ScenarioError("the overtaking offset must be > 0")
     if not sizes:
         raise ScenarioError("need at least one early packet")
-    size_den, (size_ticks,) = on_common_base(
-        [finite(s).as_integer_ratio() for s in [first_size, *sizes]])
-    if min(size_ticks) <= 0:
-        raise TraceError("packet sizes must be finite and > 0")
+    size_den, (size_ticks,) = on_common_base(list(map(finite, [first_size, *sizes])))
     # packet 1 at lam, early packet j + 2 at lam * j/(k+1): ticks on lam.den*(k+1)
     k, step = len(sizes), lam.numerator
     time_den, (observes,) = reduced(lam.denominator * (k + 1),

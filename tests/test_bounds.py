@@ -236,3 +236,10 @@ class TestRboBoundSequence:
         a = rbo_bound_sequence([fabric_stage(F(1, 100))], ALPHA1, F(64))
         b = rbo_bound_sequence([fabric_stage(F(2, 100))], ALPHA1, F(64))
         assert b > a
+
+
+@pytest.mark.parametrize("mode", ["lossier", "LOSSY", ""])
+def test_unknown_loss_mode_is_refused(mode):
+    with pytest.raises(ValueError) as exc:
+        resequencer_delay_effect(mode, 1)
+    assert str(exc.value) == f"unknown loss mode {mode!r}"

@@ -920,15 +920,58 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
         (lambda _: ["scenario", "rto-chain", "--stages", "1us:2us:3us"],
          "--stages takes jitter:rto pairs, got '1us:2us:3us'"),
         (lambda _: ["scenario", "two-packet-swap"], "missing --rto"),
+        (analyze_edited(lambda c: c["elements"][0].update(kind=["fifo_service"])),
+         "unknown element kind ['fifo_service']"),
+        (analyze_edited(lambda c: c["elements"][0].update(kind={"fabric": 1})),
+         "unknown element kind {'fabric': 1}"),
+        (analyze_edited(lambda c: c["flow"]["curve"].update(kind=["min_affine"])),
+         "unknown curve kind ['min_affine']"),
+        (analyze_edited(lambda c: c["flow"]["curve"].update(kind={"staircase": 1})),
+         "unknown curve kind {'staircase': 1}"),
     ],
     ids=["no-elements", "loss-mode", "staircase-source", "packet-source",
          "negative-burst", "min-delay-above-bound", "simulate-timeout",
          "simulate-buffer", "lossless-backlog-sizes", "rto-chain-stages",
          "rto-chain-lone-time", "rto-chain-three-times",
-         "two-packet-swap-rto"],
+         "two-packet-swap-rto", "element-kind-list", "element-kind-object",
+         "curve-kind-list", "curve-kind-object"],
 )
 def test_input_error_is_one_line(argv, message, tmp_path):
     assert assert_clean_exit(argv(tmp_path), (INPUT_ERROR,)) == f"error: {message}\n"
+
+
+LINK = {"id": "S1.link", "kind": "order_preserving_fixed", "d_min_s": "0",
+        "d_max_s": "1e-6"}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda c: c.update(loss="lossless"), "unknown key 'loss' in path config"),
+        (lambda c: c["flow"].update(lmin="64"), "unknown key 'lmin' in flow"),
+        (lambda c: c["elements"][0].update(min_delay="1e-6"),
+         "unknown key 'min_delay' in element 'h1.fifo'"),
+        (lambda c: c["elements"][1].update(jitter_s="1e-6"),
+         "unknown key 'jitter_s' in element 'S1.fabric'"),
+        (lambda c: c["elements"].insert(2, dict(LINK, delay_s="1e-6")),
+         "unknown key 'delay_s' in element 'S1.link'"),
+        (lambda c: c["elements"][-1].update(
+            mode="explicit", timeout_s="1e-3", buffer_byte="10"),
+         "unknown key 'buffer_byte' in element 'h2.reseq'"),
+        (lambda c: c["flow"]["curve"].update(burst="6400"),
+         "unknown key 'burst' in curve"),
+        (lambda c: c["flow"].update(curve=dict(STAIRCASE_SOURCE, pieces=[])),
+         "unknown key 'pieces' in curve"),
+        (lambda c: c["flow"]["curve"]["pieces"][0].update(period="1"),
+         "unknown key 'period' in curve piece"),
+    ],
+    ids=["path", "flow", "fifo_service", "fabric", "order_preserving_fixed",
+         "resequencer", "min_affine-curve", "staircase-curve", "curve-piece"],
+)
+def test_unknown_config_key_is_input_error(edit, message, tmp_path):
+    """A key that no reader reads is refused, not silently ignored."""
+    argv = ["analyze", "--config", bundled_with(tmp_path, edit)]
+    assert assert_clean_exit(argv, (INPUT_ERROR,)) == f"error: {message}\n"
 
 
 DEEP_ARRAY = "[" * 100000

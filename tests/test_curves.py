@@ -673,3 +673,38 @@ class TestSerialization:
             }
         )
         assert c.pieces == ((F(125_000_000), F("251.5")),)
+
+
+STAIR = StaircaseCurve(640, F(1, 100))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: MinAffineCurve(((0, 640),)), CurveError,
+         "piece rates must be > 0 (curves are unbounded)"),
+        (lambda: leaky_bucket(6400, 640).pseudo_inverse(-1), ValueError,
+         "pseudo-inverse is defined on x >= 0"),
+        (lambda: STAIR.value(-1), ValueError, "curves are defined on t >= 0"),
+        (lambda: STAIR.pseudo_inverse(-1), ValueError,
+         "pseudo-inverse is defined on x >= 0"),
+        (lambda: min_spacing(leaky_bucket(6400, 640)), ValueError,
+         "byte-curve packet spacing needs l_min"),
+        (lambda: backlog_bound(leaky_bucket(6400, 640), -1), ValueError,
+         "delay bound must be >= 0"),
+        (lambda: shift_jitter(leaky_bucket(6400, 640), -1), ValueError,
+         "jitter must be >= 0"),
+        (lambda: min_curves(STAIR, leaky_bucket(6400, 640)), CurveError,
+         "min is defined for min-affine curves only"),
+        (lambda: horizontal_deviation(STAIR, RateLatencyService(125_000_000, 0)),
+         CurveError, "delay bound requires a min-affine arrival curve"),
+    ],
+    ids=["zero-rate", "affine-inverse-below-0", "staircase-value-below-0",
+         "staircase-inverse-below-0", "spacing-without-l_min",
+         "backlog-negative-delay", "shift-negative-jitter", "min-of-staircase",
+         "deviation-of-staircase"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

@@ -62,7 +62,8 @@ def test_no_fraction_coercion_outside_rational():
 
 def callers(path):
     """``{called name: the functions that call it}`` in a module, the name
-    being ``f`` or ``m.f`` and each function ``module.qualified.name``."""
+    being ``f``, ``m.f`` or, for a method called on any receiver, ``.f``,
+    and each function ``module.qualified.name``."""
     found = {}
 
     def visit(node, scope):
@@ -76,7 +77,10 @@ def callers(path):
                     name = f"{func.value.id}.{func.attr}"
                 else:
                     name = getattr(func, "id", None)
-                found.setdefault(name, set()).add(".".join([path.stem, *scope]))
+                where = ".".join([path.stem, *scope])
+                found.setdefault(name, set()).add(where)
+                if isinstance(func, ast.Attribute):
+                    found.setdefault(f".{func.attr}", set()).add(where)
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), [])
@@ -87,14 +91,18 @@ def test_tick_bases_are_reduced_and_mapped_only_in_rational():
     """A tick base is made, moved and reduced in ``rational`` alone, so no
     other module calls ``gcd``; and per-packet results stay tick columns,
     ``over`` building a ``{index: Fraction}`` map only for the two views
-    that still hand one out."""
-    gcd, over = set(), set()
+    that still hand one out.  An exact value is a ``Fraction`` or a tick
+    column, never a ``(numerator, denominator)`` pair: ``as_integer_ratio``
+    is called only where a ``StaircaseCurve``'s fields are unpacked."""
+    gcd, over, pairs = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         found = callers(path)
         gcd |= found.get("math.gcd", set()) | found.get("gcd", set())
         over |= found.get("over", set())
+        pairs |= found.get(".as_integer_ratio", set())
     assert {f for f in gcd if not f.startswith("rational.")} == set()
     assert over == {"metrics.Trace.packets", "resequencer.analytic_departures"}
+    assert pairs == {"curves._staircase_violation", "scenarios._packetize_ticks"}
 
 
 def unused_imports(path):

@@ -102,6 +102,11 @@ class TestColumns:
         with pytest.raises(TraceError, match=message):
             Trace(sizes, emits, observes)
 
+    @pytest.mark.parametrize("size_ticks", [[64, 0], [-1]])
+    def test_tick_columns_refuse_sizes_not_above_0(self, size_ticks):
+        with pytest.raises(TraceError, match="packet sizes must be finite and > 0"):
+            Trace._from_ticks(1, size_ticks, 1, [], list(range(len(size_ticks))))
+
     def test_csv_cells_are_fmt_rat_of_each_value(self):
         rng = random.Random(606)
         traces = [random_trace(rng, with_emits=bool(k % 2)) for k in range(20)]
@@ -341,3 +346,13 @@ class TestErrorOrder:
     ])
     def test_bad_index_and_observation_in_one_row(self, rows, error):
         assert error_of(f"{HEADER}\n{rows}\n") == error
+
+
+def test_unreadable_csv_is_a_trace_error():
+    """A trace whose only defect is a cell over the csv module's field limit."""
+    limit = csv.field_size_limit()
+    text = f"{','.join(CSV_HEADER)}\n1,64,0,1{'0' * limit}\n"
+    with pytest.raises(TraceError) as exc:
+        trace_from_csv(text)
+    assert str(exc.value) == (
+        f"unreadable trace CSV: field larger than field limit ({limit})")

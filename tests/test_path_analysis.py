@@ -564,3 +564,17 @@ def test_walk_makes_no_fraction_per_piece(monkeypatch):
     assert len(analyze_both(eight)[LOSSY].elements[-1].output_curve.pieces) > 2
     assert (fractions_made(monkeypatch, lambda: analyze_both(eight))
             <= fractions_made(monkeypatch, lambda: analyze_both(two)))
+
+
+@pytest.mark.parametrize(
+    "after_ids,message",
+    [
+        (["nope"], "unknown elements: ['nope']"),
+        (["sf", "b", "a"], "unknown elements: ['a', 'b']"),
+    ],
+    ids=["one", "sorted"],
+)
+def test_insert_resequencers_refuses_unknown_elements(after_ids, message):
+    with pytest.raises(PathConfigError) as exc:
+        insert_resequencers(small_path(with_reseq=False), after_ids)
+    assert str(exc.value) == message

@@ -116,7 +116,7 @@ class TestParse:
 
 class TestTicks:
     def test_common_base_is_the_lcm_of_the_denominators(self):
-        den, cols = on_common_base([(1, 2), INF, (5, 1)], [None, (-2, 3)])
+        den, cols = on_common_base([F(1, 2), INF, F(5)], [None, F(-2, 3)])
         assert den == 6
         assert cols == [[3, INF, 30], [None, -4]]
         assert cols[0][1] is INF

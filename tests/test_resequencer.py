@@ -16,6 +16,7 @@ from reseqkit.rational import INF
 from reseqkit.resequencer import (
     INVALID_LATE,
     OVERFLOW,
+    ArrivalError,
     ResequencerConfig,
     analytic_departures,
     simulate,
@@ -318,3 +319,11 @@ class TestExactInputs:
             with pytest.raises(ValueError,
                                match=re.escape(f"not an exact number: {value!r}")):
                 analytic_departures(arrivals, timeout)
+
+
+@pytest.mark.parametrize("arrivals", [{0: 1}, {1: 1, -2: 3}],
+                         ids=["zero", "negative"])
+def test_analytic_departures_refuses_sequence_numbers_below_1(arrivals):
+    with pytest.raises(ArrivalError) as exc:
+        analytic_departures(arrivals, 1)
+    assert str(exc.value) == "sequence numbers start at 1"

@@ -520,3 +520,44 @@ def test_no_fraction_per_packet_in_metrics(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("rto_s=") == 2
     small, large = made
     assert all(map(le, large, small)), made
+
+
+CURVE64 = leaky_bucket(6400, 640)
+FLOW64 = FlowSpec(CURVE64, F(64), F(64))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: packetize(CURVE64, [64, -128]), ValueError,
+         "pseudo-inverse is defined on x >= 0"),
+        (lambda: gen_lossless_backlog_burst(0, [64], 64), ScenarioError,
+         "the overtaking offset must be > 0"),
+        (lambda: gen_lossless_backlog_burst(1, [], 64), ScenarioError,
+         "need at least one early packet"),
+        (lambda: gen_lossy_backlog_burst(CURVE64, 0, 1, FLOW64), ScenarioError,
+         "the construction needs jitter > 0 and timeout > 0"),
+        (lambda: gen_lossy_backlog_burst(CURVE64, 1, -1, FLOW64), ScenarioError,
+         "the construction needs jitter > 0 and timeout > 0"),
+        (lambda: gen_lossy_backlog_burst(leaky_bucket(1, 0), 1, 1, FLOW64),
+         DecompositionError, "curve window admits no packet"),
+        (lambda: gen_rbo_tight_burst(0, CURVE64, FLOW64), ScenarioError,
+         "the construction needs jitter > 0"),
+        (lambda: gen_amplified_rto_chain([(2, 1)], 2), ScenarioError,
+         "head stage out of range"),
+        (lambda: gen_amplified_rto_chain([(2, 1)], 0), ScenarioError,
+         "head stage out of range"),
+        (lambda: gen_amplified_rto_chain([(2, 0)], 1), ScenarioError,
+         "head stage needs a positive RTO"),
+        (lambda: gen_amplified_rto_chain([(1, 2)], 1), ScenarioError,
+         "per-stage RTO cannot exceed its jitter"),
+    ],
+    ids=["packetize-negative-size", "lossless-offset", "lossless-no-sizes",
+         "lossy-jitter", "lossy-timeout", "lossy-no-packet", "rbo-jitter",
+         "chain-head-above", "chain-head-below", "chain-head-rto",
+         "chain-rto-above-jitter"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
