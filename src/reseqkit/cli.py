@@ -6,6 +6,8 @@ Verbs:
 * ``metrics``: RTO / RBO / delay / jitter of a trace CSV.
 * ``simulate``: run a trace CSV through the re-sequencing buffer.
 * ``scenario``: emit an adversarial trace CSV for one of the generators.
+  Each kind has its own parser, which takes exactly the flags its
+  generator reads (``_SCENARIOS``); any other flag is a usage error.
 * ``case-study``: the bundled automotive example, with ``--check``.
 
 Exit codes: 0 success, 1 usage, input or schema error, 2 analysis completed
@@ -41,7 +43,7 @@ from .path_analysis import (
     render_report_table,
     report_to_json,
 )
-from .rational import finite, fmt_rat, fmt_ticks, parse_finite_time, parse_time
+from .rational import fmt_rat, fmt_ticks, parse_finite_time, parse_time
 from .rational import seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
@@ -100,29 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scenario", help="generate an adversarial trace")
-    p.add_argument(
-        "kind",
-        choices=[
-            "two-packet-swap", "lossless-backlog", "lossy-backlog",
-            "rto-tight", "rbo-tight", "rto-chain",
-        ],
-    )
-    p.add_argument("--rto", help="target reordering offset (time)")
-    p.add_argument("--t0", default="0", help="time origin")
-    p.add_argument("--jitter", help="jitter bound (time)")
-    p.add_argument("--timeout", help="re-sequencer timeout (time)")
-    p.add_argument("--eps", help="tightness epsilon (time)")
-    p.add_argument("--rate", help="leaky-bucket rate, bytes/s")
-    p.add_argument("--burst", help="leaky-bucket burst, bytes")
-    p.add_argument("--curve-json", help="curve JSON file (overrides rate/burst)")
-    p.add_argument("--l-min", default="64", help="minimum packet size, bytes")
-    p.add_argument("--l-max", default="64", help="maximum packet size, bytes")
-    p.add_argument("--sizes", help="comma-separated early-burst sizes (bytes)")
-    p.add_argument("--first-size", default="64", help="late packet size (bytes)")
-    p.add_argument("--stages", help="comma-separated jitter:rto pairs (times)")
-    p.add_argument("--head", type=int, default=1, help="reordering stage, 1-based")
-    p.add_argument("-o", "--output", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_scenario)
+    kinds = p.add_subparsers(required=True)
+    for kind, (make, required, optional) in _SCENARIOS.items():
+        k = kinds.add_parser(kind)
+        for flag in required + optional:
+            k.add_argument(flag, required=flag in required, **_SCENARIO_FLAGS[flag])
+        k.add_argument("-o", "--output", help="output CSV (default stdout)")
+        k.set_defaults(func=cmd_scenario, make=make)
 
     p = sub.add_parser("case-study", help="bundled automotive example")
     p.add_argument("name", choices=["automotive"])
@@ -199,59 +185,8 @@ def cmd_simulate(args) -> int:
     return DISCARD if outcome.discards else OK
 
 
-def _scenario_curve(args):
-    if args.curve_json:
-        return curve_from_json(load_json(args.curve_json))
-    if args.rate and args.burst:
-        return leaky_bucket(args.rate, args.burst)
-    raise ValueError("scenario needs --curve-json or --rate/--burst")
-
-
 def cmd_scenario(args) -> int:
-    kind = args.kind
-    eps = parse_finite_time(args.eps) if args.eps else None
-    if kind == "two-packet-swap":
-        trace = scenarios.gen_two_packet_swap(
-            _required(args.rto, "--rto"), parse_finite_time(args.t0)
-        )
-    elif kind == "lossless-backlog":
-        if not args.sizes:
-            raise ValueError("lossless-backlog needs --sizes")
-        # parsed here, so that inf is worded as in every finite field
-        sizes = [finite(s) for s in args.sizes.split(",")]
-        trace = scenarios.gen_lossless_backlog_burst(
-            _required(args.rto, "--rto"), sizes, finite(args.first_size)
-        )
-    elif kind == "lossy-backlog":
-        curve = _scenario_curve(args)
-        trace = scenarios.gen_lossy_backlog_burst(
-            curve, _required(args.jitter, "--jitter"),
-            _required(args.timeout, "--timeout"),
-            FlowSpec(curve, args.l_min, args.l_max), eps,
-        )
-    elif kind == "rto-tight":
-        curve = _scenario_curve(args)
-        trace = scenarios.gen_rto_tight_pair(
-            _required(args.jitter, "--jitter"), curve, args.l_min
-        )
-    elif kind == "rbo-tight":
-        curve = _scenario_curve(args)
-        trace = scenarios.gen_rbo_tight_burst(
-            _required(args.jitter, "--jitter"), curve,
-            FlowSpec(curve, args.l_min, args.l_max), eps,
-        )
-    else:  # rto-chain
-        if not args.stages:
-            raise ValueError("rto-chain needs --stages jitter:rto,jitter:rto,...")
-        stages = []
-        for part in args.stages.split(","):
-            pair = part.split(":")
-            if len(pair) != 2:
-                raise ValueError(f"--stages takes jitter:rto pairs, got {part!r}")
-            stages.append(tuple(map(parse_finite_time, pair)))
-        chain = scenarios.gen_amplified_rto_chain(stages, args.head, eps)
-        trace = chain.end_to_end
-    text = trace_to_csv(trace)
+    text = trace_to_csv(args.make(args))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -260,10 +195,78 @@ def cmd_scenario(args) -> int:
     return OK
 
 
-def _required(value: Optional[str], flag: str):
-    if value is None:
-        raise ValueError(f"missing {flag}")
-    return parse_finite_time(value)
+def _scenario_curve(args):
+    if args.curve_json:
+        return curve_from_json(load_json(args.curve_json))
+    if args.rate and args.burst:
+        return leaky_bucket(args.rate, args.burst)
+    raise ValueError("scenario needs --curve-json or --rate/--burst")
+
+
+def _scenario_eps(args):
+    return parse_finite_time(args.eps) if args.eps else None
+
+
+def _lossy_backlog(args):
+    curve = _scenario_curve(args)
+    return scenarios.gen_lossy_backlog_burst(
+        curve, parse_finite_time(args.jitter), parse_finite_time(args.timeout),
+        FlowSpec(curve, args.l_min, args.l_max), _scenario_eps(args),
+    )
+
+
+def _rbo_tight(args):
+    curve = _scenario_curve(args)
+    return scenarios.gen_rbo_tight_burst(
+        parse_finite_time(args.jitter), curve,
+        FlowSpec(curve, args.l_min, args.l_max), _scenario_eps(args),
+    )
+
+
+def _rto_chain(args):
+    stages = []
+    for part in args.stages.split(","):
+        pair = part.split(":")
+        if len(pair) != 2:
+            raise ValueError(f"--stages takes jitter:rto pairs, got {part!r}")
+        stages.append(tuple(map(parse_finite_time, pair)))
+    chain = scenarios.gen_amplified_rto_chain(stages, args.head, _scenario_eps(args))
+    return chain.end_to_end
+
+
+_SCENARIO_FLAGS = {
+    "--rto": {"help": "target reordering offset (time)"},
+    "--t0": {"default": "0", "help": "time origin"},
+    "--jitter": {"help": "jitter bound (time)"},
+    "--timeout": {"help": "re-sequencer timeout (time)"},
+    "--eps": {"help": "tightness epsilon (time)"},
+    "--rate": {"help": "leaky-bucket rate, bytes/s"},
+    "--burst": {"help": "leaky-bucket burst, bytes"},
+    "--curve-json": {"help": "curve JSON file (overrides rate/burst)"},
+    "--l-min": {"default": "64", "help": "minimum packet size, bytes"},
+    "--l-max": {"default": "64", "help": "maximum packet size, bytes"},
+    "--sizes": {"help": "comma-separated early-burst sizes (bytes)"},
+    "--first-size": {"default": "64", "help": "late packet size (bytes)"},
+    "--stages": {"help": "comma-separated jitter:rto pairs (times)"},
+    "--head": {"type": int, "default": 1, "help": "reordering stage, 1-based"},
+}
+_CURVE = ("--rate", "--burst", "--curve-json")
+# Each kind's trace maker, the flags it requires and the flags it reads when
+# given; its parser accepts these and -o, and refuses any other flag.
+_SCENARIOS = {
+    "two-packet-swap": (lambda a: scenarios.gen_two_packet_swap(
+        parse_finite_time(a.rto), parse_finite_time(a.t0)), ("--rto",), ("--t0",)),
+    "lossless-backlog": (lambda a: scenarios.gen_lossless_backlog_burst(
+        parse_finite_time(a.rto), a.sizes.split(","), a.first_size),
+        ("--rto", "--sizes"), ("--first-size",)),
+    "lossy-backlog": (_lossy_backlog, ("--jitter", "--timeout"),
+                      (*_CURVE, "--eps", "--l-min", "--l-max")),
+    "rto-tight": (lambda a: scenarios.gen_rto_tight_pair(
+        parse_finite_time(a.jitter), _scenario_curve(a), a.l_min),
+        ("--jitter",), (*_CURVE, "--l-min")),
+    "rbo-tight": (_rbo_tight, ("--jitter",), (*_CURVE, "--eps", "--l-min", "--l-max")),
+    "rto-chain": (_rto_chain, ("--stages",), ("--head", "--eps")),
+}
 
 
 def cmd_case_study(args) -> int:

@@ -532,14 +532,20 @@ def _staircase_violation(emits: Sequence[int], vol: Sequence[int],
     return None
 
 
-def _json_object(obj, known: Sequence[str], what: str) -> None:
-    """Refuse ``obj`` unless it is a JSON object whose keys are all in
-    ``known``: any other key would be ignored."""
+def json_object(obj, what: str, error: type, required: Sequence[str],
+                optional: Sequence[str] = ()) -> None:
+    """Raise ``error``, naming ``what``, unless ``obj`` is a JSON object
+    with every key in ``required`` and no key outside ``required`` and
+    ``optional``.  Every JSON config object is checked here, since a key
+    that no reader reads would be silently ignored."""
     if not isinstance(obj, dict):
-        raise CurveError(f"{what} must be an object")
+        raise error(f"{what} must be an object")
     for key in obj:
-        if key not in known:
-            raise CurveError(f"unknown key {key!r} in {what}")
+        if key not in required and key not in optional:
+            raise error(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in obj:
+            raise error(f"missing key {key!r} in {what}")
 
 
 def curve_from_json(obj: dict) -> Curve:
@@ -548,18 +554,15 @@ def curve_from_json(obj: dict) -> Curve:
     if not isinstance(obj, dict):
         raise CurveError("curve must be an object")
     kind, unit = obj.get("kind"), obj.get("unit", BYTES)
-    try:
-        if kind == "staircase":
-            _json_object(obj, ("kind", "unit", "burst", "period"), "curve")
-            return StaircaseCurve(obj["burst"], obj["period"], unit)
-        if kind == "min_affine":
-            _json_object(obj, ("kind", "unit", "pieces"), "curve")
-            pieces = obj["pieces"]
-            if not isinstance(pieces, list):
-                raise CurveError("curve pieces must be a list")
-            for p in pieces:
-                _json_object(p, ("rate", "burst"), "curve piece")
-            return MinAffineCurve(tuple((p["rate"], p["burst"]) for p in pieces), unit)
-    except KeyError as exc:
-        raise CurveError(f"missing curve key: {exc}") from exc
+    if kind == "staircase":
+        json_object(obj, "curve", CurveError, ("kind", "burst", "period"), ("unit",))
+        return StaircaseCurve(obj["burst"], obj["period"], unit)
+    if kind == "min_affine":
+        json_object(obj, "curve", CurveError, ("kind", "pieces"), ("unit",))
+        pieces = obj["pieces"]
+        if not isinstance(pieces, list):
+            raise CurveError("curve pieces must be a list")
+        for p in pieces:
+            json_object(p, "curve piece", CurveError, ("rate", "burst"))
+        return MinAffineCurve(tuple((p["rate"], p["burst"]) for p in pieces), unit)
     raise CurveError(f"unknown curve kind {kind!r}")

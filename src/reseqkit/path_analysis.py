@@ -54,6 +54,7 @@ from .curves import (
     backlog_bound,
     curve_from_json,
     horizontal_deviation,
+    json_object,
     leaky_bucket,
     min_curves,
     shift_jitter,
@@ -158,7 +159,8 @@ class PathSpec:
             raise PathConfigError(f"unknown loss mode {self.loss_mode!r}")
         ids = [e.id for e in self.elements]
         if len(set(ids)) != len(ids):
-            raise PathConfigError("element ids must be unique")
+            repeated = next(eid for n, eid in enumerate(ids) if eid in ids[:n])
+            raise PathConfigError(f"element id {repeated!r} is not unique")
         for a, b in zip(self.elements, self.elements[1:]):
             if a.kind == "resequencer" and b.kind == "resequencer":
                 raise PathConfigError(
@@ -414,25 +416,14 @@ def compare_placements(
 # -- JSON config and report rendering ----------------------------------------
 
 
-def _typed(value, kind: type, what: str, known: Sequence[str] = ()):
-    """``value`` when it has the JSON type ``kind`` (dict or list) and, given
-    ``known``, no key outside it: any other key would be ignored."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a list"
-        raise PathConfigError(f"{what} must be {name}")
-    for key in value if known else ():
-        if key not in known:
-            raise PathConfigError(f"unknown key {key!r} in {what}")
-    return value
-
-
 def flow_from_json(obj: dict) -> FlowSpec:
-    obj = _typed(obj, dict, "flow", ("curve", "l_min", "l_max"))
+    json_object(obj, "flow", PathConfigError, ("curve", "l_min", "l_max"))
     return FlowSpec(curve_from_json(obj["curve"]), obj["l_min"], obj["l_max"])
 
 
 def element_from_json(obj: dict) -> PathElement:
-    obj = _typed(obj, dict, "element")
+    if not isinstance(obj, dict):
+        raise PathConfigError("element must be an object")
     kind = obj.get("kind")
     eid = obj.get("id")
     if not eid:
@@ -441,7 +432,8 @@ def element_from_json(obj: dict) -> PathElement:
         raise PathConfigError(f"element id {json.dumps(eid)} is not a string")
     what = f"element {eid!r}"
     if kind == "fifo_service":
-        _typed(obj, dict, what, ("id", "kind", "rate_Bps", "latency_s", "min_delay_s"))
+        json_object(obj, what, PathConfigError, ("id", "kind", "rate_Bps", "latency_s"),
+                    ("min_delay_s",))
         try:
             svc = RateLatencyService(obj["rate_Bps"], obj["latency_s"])
         except CurveError as exc:
@@ -451,11 +443,12 @@ def element_from_json(obj: dict) -> PathElement:
         min_delay = finite(obj["min_delay_s"]) if "min_delay_s" in obj else None
         return FifoServiceElement(eid, svc, min_delay)
     if kind in ("fabric", "order_preserving_fixed"):
-        _typed(obj, dict, what, ("id", "kind", "d_min_s", "d_max_s"))
+        json_object(obj, what, PathConfigError, ("id", "kind", "d_min_s", "d_max_s"))
         cls = FabricElement if kind == "fabric" else FixedDelayElement
         return cls(eid, obj["d_min_s"], obj["d_max_s"])
     if kind == "resequencer":
-        _typed(obj, dict, what, ("id", "kind", "mode", "timeout_s", "buffer_bytes"))
+        json_object(obj, what, PathConfigError, ("id", "kind"),
+                    ("mode", "timeout_s", "buffer_bytes"))
         timeout = exact(obj["timeout_s"]) if "timeout_s" in obj else None
         capacity = exact(obj["buffer_bytes"]) if "buffer_bytes" in obj else None
         return ResequencerElement(eid, obj.get("mode", "auto"), timeout, capacity)
@@ -463,18 +456,15 @@ def element_from_json(obj: dict) -> PathElement:
 
 
 def path_from_json(obj: dict) -> PathSpec:
+    json_object(obj, "path config", PathConfigError, ("flow", "elements"), ("loss_mode",))
     try:
-        obj = _typed(obj, dict, "path config", ("flow", "elements", "loss_mode"))
         flow = flow_from_json(obj["flow"])
-        elements = tuple(
-            element_from_json(e) for e in _typed(obj["elements"], list, "elements")
-        )
-        loss_mode = obj.get("loss_mode", LOSSY)
-    except KeyError as exc:
-        raise PathConfigError(f"missing config key: {exc}") from exc
+        if not isinstance(obj["elements"], list):
+            raise PathConfigError("elements must be a list")
+        elements = tuple(map(element_from_json, obj["elements"]))
     except CurveError as exc:
         raise PathConfigError(str(exc)) from exc
-    return PathSpec(flow, elements, loss_mode)
+    return PathSpec(flow, elements, obj.get("loss_mode", LOSSY))
 
 
 def load_json(path: str):

@@ -223,12 +223,11 @@ def _half_up(n: int, d: int) -> int:
     return r if n >= 0 else -r
 
 
-def seconds_to_us_display(t: Rat, digits: int = 2) -> str:
-    """Format seconds as microseconds, rounded half-up to ``digits`` places."""
+def seconds_to_us_display(t: Rat) -> str:
+    """Format seconds as microseconds, rounded half-up to 2 places."""
     if t is INF:
         return "inf"
-    scaled = _half_up(t.numerator * 10 ** (6 + digits), t.denominator)
-    return _fixed_point(scaled, digits)
+    return _fixed_point(_half_up(t.numerator * 10**8, t.denominator), 2)
 
 
 def on_common_base(*columns: Sequence[Optional[Rat]]) -> Tuple[int, List[list]]:

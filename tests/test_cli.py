@@ -460,10 +460,10 @@ def test_infinite_value_in_finite_field_is_input_error(argv, tmp_path, capsys):
     "curve,message",
     [
         ({"kind": "min_affine", "pieces": 5}, "curve pieces must be a list"),
-        ({"kind": "staircase", "period": "1"}, "missing curve key: 'burst'"),
+        ({"kind": "staircase", "period": "1"}, "missing key 'burst' in curve"),
         ([1], "curve must be an object"),
         ({"kind": "min_affine", "pieces": [{"rate": "1"}]},
-         "missing curve key: 'burst'"),
+         "missing key 'burst' in curve piece"),
     ],
     ids=["pieces-int", "no-burst", "list", "piece-no-burst"],
 )
@@ -912,14 +912,19 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
         (lambda _: ["simulate", "--timeout", "1", "--buffer", "-5", LOSSY_BACKLOG],
          "capacity must be >= 0"),
         (lambda _: ["scenario", "lossless-backlog", "--rto", "5ms"],
-         "lossless-backlog needs --sizes"),
+         "the following arguments are required: --sizes"),
         (lambda _: ["scenario", "rto-chain"],
-         "rto-chain needs --stages jitter:rto,jitter:rto,..."),
+         "the following arguments are required: --stages"),
         (lambda _: ["scenario", "rto-chain", "--stages", "1us"],
          "--stages takes jitter:rto pairs, got '1us'"),
         (lambda _: ["scenario", "rto-chain", "--stages", "1us:2us:3us"],
          "--stages takes jitter:rto pairs, got '1us:2us:3us'"),
-        (lambda _: ["scenario", "two-packet-swap"], "missing --rto"),
+        (lambda _: ["scenario", "two-packet-swap"],
+         "the following arguments are required: --rto"),
+        (lambda _: ["scenario", "rto-chain", "--stages", "1us:1us", "--head", "x"],
+         "argument --head: invalid int value: 'x'"),
+        (analyze_edited(lambda c: c["elements"][1].update(id="h1.fifo")),
+         "element id 'h1.fifo' is not unique"),
         (analyze_edited(lambda c: c["elements"][0].update(kind=["fifo_service"])),
          "unknown element kind ['fifo_service']"),
         (analyze_edited(lambda c: c["elements"][0].update(kind={"fabric": 1})),
@@ -933,7 +938,8 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
          "negative-burst", "min-delay-above-bound", "simulate-timeout",
          "simulate-buffer", "lossless-backlog-sizes", "rto-chain-stages",
          "rto-chain-lone-time", "rto-chain-three-times",
-         "two-packet-swap-rto", "element-kind-list", "element-kind-object",
+         "two-packet-swap-rto", "rto-chain-head-int", "repeated-id",
+         "element-kind-list", "element-kind-object",
          "curve-kind-list", "curve-kind-object"],
 )
 def test_input_error_is_one_line(argv, message, tmp_path):
@@ -972,6 +978,70 @@ def test_unknown_config_key_is_input_error(edit, message, tmp_path):
     """A key that no reader reads is refused, not silently ignored."""
     argv = ["analyze", "--config", bundled_with(tmp_path, edit)]
     assert assert_clean_exit(argv, (INPUT_ERROR,)) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda c: c.pop("elements"), "missing key 'elements' in path config"),
+        (lambda c: c["flow"].pop("l_max"), "missing key 'l_max' in flow"),
+        (lambda c: c["elements"][0].pop("rate_Bps"),
+         "missing key 'rate_Bps' in element 'h1.fifo'"),
+        (lambda c: c["elements"][1].pop("d_max_s"),
+         "missing key 'd_max_s' in element 'S1.fabric'"),
+        (lambda c: c["elements"].insert(2, {k: v for k, v in LINK.items()
+                                            if k != "d_min_s"}),
+         "missing key 'd_min_s' in element 'S1.link'"),
+        (lambda c: c["flow"]["curve"].pop("pieces"), "missing key 'pieces' in curve"),
+        (lambda c: c["flow"].update(curve={k: v for k, v in STAIRCASE_SOURCE.items()
+                                           if k != "period"}),
+         "missing key 'period' in curve"),
+        (lambda c: c["flow"]["curve"]["pieces"][0].pop("rate"),
+         "missing key 'rate' in curve piece"),
+    ],
+    ids=["path", "flow", "fifo_service", "fabric", "order_preserving_fixed",
+         "min_affine-curve", "staircase-curve", "curve-piece"],
+)
+def test_missing_config_key_names_key_and_object(edit, message, tmp_path):
+    argv = ["analyze", "--config", bundled_with(tmp_path, edit)]
+    assert assert_clean_exit(argv, (INPUT_ERROR,)) == f"error: {message}\n"
+
+
+# A value for each scenario flag that every kind reading it accepts.
+SCENARIO_FLAG_VALUE = {
+    "--rto": "7us", "--t0": "1us", "--jitter": "20ms", "--timeout": "10ms",
+    "--eps": "0.1ms", "--rate": "6400", "--burst": "640",
+    "--curve-json": TWO_PIECE_CURVE, "--l-min": "64", "--l-max": "64",
+    "--sizes": "64", "--first-size": "64", "--stages": "1us:1us", "--head": "1",
+}
+CURVE_FLAGS = {"--rate", "--burst", "--curve-json"}
+SCENARIO_READS = {  # a valid call of each kind, and every flag it reads but -o
+    "two-packet-swap": (["--rto", "7us"], {"--rto", "--t0"}),
+    "lossless-backlog": (["--rto", "5ms", "--sizes", "64,64"],
+                         {"--rto", "--sizes", "--first-size"}),
+    "lossy-backlog": (["--jitter", "20ms", "--timeout", "10ms", "--rate", "6400",
+                       "--burst", "640"],
+                      {"--jitter", "--timeout", "--eps", "--l-min", "--l-max",
+                       *CURVE_FLAGS}),
+    "rto-tight": (["--jitter", "1ms", "--rate", "6400", "--burst", "640"],
+                  {"--jitter", "--l-min", *CURVE_FLAGS}),
+    "rbo-tight": (["--jitter", "10ms", "--rate", "6400", "--burst", "640",
+                   "--l-max", "200"],
+                  {"--jitter", "--eps", "--l-min", "--l-max", *CURVE_FLAGS}),
+    "rto-chain": (["--stages", "1.5us:0.988us,13.5us:0"],
+                  {"--stages", "--head", "--eps"}),
+}
+
+
+@pytest.mark.parametrize("kind,flag", [
+    (kind, flag) for kind, (_, reads) in SCENARIO_READS.items()
+    for flag in SCENARIO_FLAG_VALUE if flag not in reads
+])
+def test_scenario_refuses_a_flag_its_kind_does_not_read(kind, flag):
+    value = SCENARIO_FLAG_VALUE[flag]
+    argv = ["scenario", kind, *SCENARIO_READS[kind][0], flag, value]
+    err = assert_clean_exit(argv, (INPUT_ERROR,))
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 DEEP_ARRAY = "[" * 100000
@@ -1228,7 +1298,9 @@ def test_usage_error_exits_1_with_one_error_line(argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]] + [
+    ["scenario", kind, "--help"] for kind in SCENARIO_READS
+])
 def test_help_exits_0(argv):
     (how, code), out, err = run_on(None, argv)
     assert (how, code) == ("SystemExit", 0)

@@ -653,10 +653,10 @@ class TestSerialization:
         [
             ({"kind": "min_affine", "pieces": 5}, "curve pieces must be a list"),
             ({"kind": "min_affine", "pieces": [5]}, "curve piece must be an object"),
-            ({"kind": "staircase", "period": "1"}, "missing curve key: 'burst'"),
+            ({"kind": "staircase", "period": "1"}, "missing key 'burst' in curve"),
             ([1], "curve must be an object"),
             ({"kind": "min_affine", "pieces": [{"rate": "1"}]},
-             "missing curve key: 'burst'"),
+             "missing key 'burst' in curve piece"),
         ],
     )
     def test_malformed_json_raises_curve_error(self, blob, message):

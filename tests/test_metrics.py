@@ -143,8 +143,11 @@ class TestRto:
             assert got_per == want_per
 
     def test_duplicate_finite_times_error(self):
-        with pytest.raises(DuplicateObservationError):
+        with pytest.raises(DuplicateObservationError, match="packets 1 and 2 observed"):
             make_trace([F(3), F(3)])
+        # a lost packet ahead of the pair is skipped, not counted as a time
+        with pytest.raises(DuplicateObservationError, match="packets 2 and 3 observed"):
+            make_trace([INF, F(3), F(3)])
 
 
 class TestRbo:
