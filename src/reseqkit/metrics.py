@@ -28,11 +28,19 @@ read by ``trace_from_csv``; ``trace_to_csv`` writes the ticks straight back
 out.  ``Trace.packets``, a per-packet view, is built from the columns on
 first use and cached.
 
+Offsets: ``rto`` is one backward pass that keeps a suffix minimum.  ``rbo``
+sweeps the delivered packets in observation order and keeps ``lo``, the
+lowest delivered index not yet observed.  A packet observed at ``lo`` takes
+as its offset the bytes already observed above it, one running sum; only a
+packet observed ahead of ``lo`` reads and updates a Fenwick tree, over the
+range between the two.  Its cost thus follows the reorder extent: O(n)
+after the sort for a trace in order, O(n log n) at worst.
+
 Reading: ``trace_from_csv`` transposes the file's rows, a chunk at a time,
 into four columns of cells and converts each chunk's column in a few passes
-over all of it into ticks on its own base: plain decimals become integer
-ticks directly, and only the other literals (``inf``, ``3/7``, ``12e-6``)
-are parsed one by one.  The chunks of a column are joined on the least
+over all of it into ticks on its own base: plain decimals, and ``inf``
+among them, become ticks directly, and only the other literals (``3/7``,
+``12e-6``) are parsed one by one.  The chunks of a column are joined on the least
 common multiple of their bases, emissions and observations on one base and
 sizes on another.  The checks then run on whole columns.  When one fails,
 a second reading, row by row, raises the defect that comes first in the
@@ -219,26 +227,50 @@ def rbo(trace: Trace) -> OffsetResult:
     """Reordering byte offset: per delivered packet, the bytes of
     later-indexed packets observed strictly earlier.
 
-    Packets are swept in observation order while a Fenwick tree accumulates
-    sizes by index, so each pi_n is the bytes seen so far minus a prefix sum.
+    Packets are swept in observation order.  ``lo`` is the smallest
+    delivered position not yet observed, lost positions skipped, and
+    ``above`` the bytes already observed at positions above it; a packet
+    counts as observed once its ``ticks`` entry is not INF.  A packet
+    observed at ``lo`` has ``above`` as its offset, in O(1); ``lo`` then
+    moves past observed and lost positions, and each observed one it passes
+    leaves ``above``.  Only a packet observed ahead of ``lo`` touches the
+    Fenwick tree of sizes by position: its offset is ``above`` minus the
+    tree's sum over ``(lo, pos]``, whose two prefix walks stop where they
+    meet, and then it is inserted.  The cost thus follows the reorder
+    extent: O(n) plus a sort for a trace in order, O(n log n) at worst.
     """
     observes, sizes = trace.observe_ticks, trace.size_ticks
     n = len(observes)
-    tree = [0] * (n + 1)  # Fenwick tree of size ticks by 1-based index
+    tree = [0] * (n + 1)  # Fenwick tree of size ticks by 1-based position
     ticks: List[Tick] = [INF] * n
-    seen = best = 0
+    lo = above = best = 0
     delivered = [pos for pos in range(n) if observes[pos] is not INF]
+    if delivered:
+        lo = delivered[0]
     for pos in sorted(delivered, key=observes.__getitem__):
-        i = pos + 1
-        ahead = seen
-        while i:
-            ahead -= tree[i]
-            i &= i - 1
+        if pos == lo:
+            ticks[pos] = above
+            if above > best:
+                best = above
+            lo += 1
+            while lo < n and (ticks[lo] is not INF or observes[lo] is INF):
+                if ticks[lo] is not INF:
+                    above -= sizes[lo]
+                lo += 1
+            continue
+        ahead, i, j = above, pos + 1, lo + 1
+        while i != j:
+            while i > j:
+                ahead -= tree[i]
+                i &= i - 1
+            while j > i:
+                ahead += tree[j]
+                j &= j - 1
         ticks[pos] = ahead
         if ahead > best:
             best = ahead
         size = sizes[pos]
-        seen += size
+        above += size
         i = pos + 1
         while i <= n:
             tree[i] += size
@@ -340,7 +372,17 @@ def _read_columns(text: str) -> Trace:
 
 
 def _columns(rows: List[List[str]]) -> List[List[str]]:
-    """The four columns of stripped cells of ``rows``, blank rows dropped."""
+    """The four columns of stripped cells of ``rows``, blank rows dropped.
+
+    An empty line reads as ``[]``.  Other blank rows (whitespace only, or
+    ``,,,``) are looked for row by row only when some row has other than
+    four cells or a blank index cell, so a chunk without them takes no
+    per-row Python loop."""
+    rows = list(filter(None, rows))
+    if set(map(len, rows)) == {4}:
+        columns = [list(map(str.strip, col)) for col in zip(*rows)]
+        if "" not in columns[0]:
+            return columns
     rows = [row for row in rows if any(map(str.strip, row))]
     if any(len(row) != 4 for row in rows):
         raise TraceError("expected 4 columns")

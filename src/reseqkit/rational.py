@@ -300,22 +300,35 @@ def read_literals(cells: Sequence[str],
     ``exact`` or ``finite``, read in a few passes over all of them.
 
     A plain decimal with d decimals is read straight into an integer over
-    10**d, trailing zeros and all (``"1.500"`` is 1500/10**3); only the
-    other cells are parsed one by one, with ``parse``'s checks and
-    messages.  The base is the least common multiple of 10**d, d the most
-    decimals of a plain cell, and the denominators of the other cells; INF
-    passes through.
+    10**d, trailing zeros and all (``"1.500"`` is 1500/10**3).  When every
+    cell has the d decimals of the first cell that is not ``inf``, or is
+    ``inf`` (a lossy capture's observations), the column is read in a few
+    passes without a per-cell loop; otherwise the cells that are not plain
+    decimals are parsed one by one, with ``parse``'s checks and messages.
+    The base is the least common multiple of 10**d, d the most decimals of
+    a plain cell, and the denominators of the other cells; INF passes
+    through.
     """
     if not cells:
         return 1, []
     joined = "\n".join(cells)
-    first = cells[0]
+    first = next((c for c in cells if c != "inf"), "")
     d = len(first) - first.find(".") - 1 if "." in first else 0
     cell = rf"[0-9]+\.[0-9]{{{d}}}" if d else "[0-9]+"  # ASCII, d decimals
-    if (joined.count("\n") == len(cells) - 1  # no cell holds a line break
-            and re.fullmatch(rf"{cell}(?:\n{cell})*", joined)):  # the usual capture
-        digits = joined.replace(".", "").split("\n") if d else cells
-        return 10**d, list(map(int, digits))
+    if joined.count("\n") == len(cells) - 1:  # no cell holds a line break
+        if re.fullmatch(rf"{cell}(?:\n{cell})*", joined):  # the usual capture
+            digits = joined.replace(".", "").split("\n") if d else cells
+            return 10**d, list(map(int, digits))
+        cell = f"(?:{cell}|inf)"
+        if re.fullmatch(rf"{cell}(?:\n{cell})*", joined):  # ... of a lossy flow
+            parse("inf")  # ``finite`` refuses it, as the cell-by-cell reading would
+            digits = joined.replace(".", "") if d else joined
+            ticks: List[Tick] = list(map(int, digits.replace("inf", "0").split("\n")))
+            i = -1
+            for _ in range(joined.count("inf")):
+                i = cells.index("inf", i + 1)
+                ticks[i] = INF
+            return 10**d, ticks
     others = {i: parse(c) for i, c in enumerate(cells) if not _PLAIN.fullmatch(c)}
     if others:
         cells = list(cells)

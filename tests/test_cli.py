@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
@@ -1033,6 +1034,17 @@ SCENARIO_READS = {  # a valid call of each kind, and every flag it reads but -o
 }
 
 
+def test_scenario_reads_is_the_readme_table():
+    """``SCENARIO_READS`` lists for each kind the flags of its README row,
+    where "curve" stands for the three curve flags."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M)
+    table = {kind: {*re.findall(r"`(--[a-z0-9-]+)`", cell),
+                    *(CURVE_FLAGS if "curve" in cell.split() else ())}
+             for kind, cell in rows}
+    assert table == {kind: reads for kind, (_, reads) in SCENARIO_READS.items()}
+
+
 @pytest.mark.parametrize("kind,flag", [
     (kind, flag) for kind, (_, reads) in SCENARIO_READS.items()
     for flag in SCENARIO_FLAG_VALUE if flag not in reads
@@ -1242,19 +1254,42 @@ ARGV_VALID = {  # argparse keeps a repeated flag's last value
                  "--format", "json"]],
     "metrics": [["metrics", LOSSY_BACKLOG], ["metrics", "--verbose", LOSSY_BACKLOG]],
     "simulate": [["simulate", LOSSY_BACKLOG, "--timeout", "10ms"],
-                 ["simulate", LOSSY_BACKLOG, "--timeout", "10ms", "--buffer", "640"]],
+                 ["simulate", LOSSY_BACKLOG, "--timeout", "10ms", "--buffer", "832"]],
     "scenario": [
         ["scenario", "two-packet-swap", "--rto", "7us"],
         ["scenario", "lossless-backlog", "--rto", "5ms", "--sizes", "64,64,64"],
         ["scenario", "lossy-backlog", "--rate", "6400", "--burst", "640",
          "--jitter", "20ms", "--timeout", "10ms"],
         ["scenario", "rbo-tight", "--jitter", "20ms", "--rate", "6400",
-         "--burst", "640"],
+         "--burst", "640", "--eps", "0.1ms", "--l-max", "200"],
         ["scenario", "rto-chain", "--stages", "1.5us:0.988us,13.5us:0"],
     ],
     "case-study": [["case-study", "automotive"],
                    ["case-study", "automotive", "--check", "--format", "json"]],
 }
+
+
+def argv_flags(argv):
+    """The flags a fuzzed call adds: those its scenario kind reads, by
+    ``SCENARIO_READS`` (the README's table), so that the call can reach
+    the generator; else, for a call without a known kind, every flag of
+    its verb."""
+    if argv[0] == "scenario" and argv[1:2] and argv[1] in SCENARIO_READS:
+        reads = SCENARIO_READS[argv[1]][1]
+        return {flag: values for flag, values in ARGV_FLAGS["scenario"].items()
+                if flag in reads}
+    return ARGV_FLAGS[argv[0]]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=f"{verb}-{k}") for verb, calls in ARGV_VALID.items()
+    for k, argv in enumerate(calls)
+])
+def test_valid_argv_exits_0(argv):
+    """Every call the fuzzer starts from as valid succeeds."""
+    (how, code), out, err = run_on(None, argv)
+    assert (how, code, err) == ("return", OK, "")
+    assert out
 
 
 @st.composite
@@ -1272,7 +1307,7 @@ def fuzzed_argv(draw):
         argv = [verb]
         if verb in ARGV_POSITIONALS and draw(st.booleans()):
             argv.append(draw(st.sampled_from(ARGV_POSITIONALS[verb])))
-    flags = ARGV_FLAGS[verb]
+    flags = argv_flags(argv)
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.integers(0, 7)):
             flag = draw(st.sampled_from(sorted(flags)))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tick_columns import offsets
 from reseqkit.curves import FlowSpec, leaky_bucket
@@ -150,6 +152,46 @@ class TestRto:
             make_trace([INF, F(3), F(3)])
 
 
+#: Sizes with different denominators, so that the size ticks differ per packet.
+RBO_SIZES = (F(64), F(1500), F(129, 2), F(3, 7), F(1), F(9000))
+
+
+@st.composite
+def reordered_traces(draw, max_packets=48):
+    """A trace whose reorder extent is drawn, from in order (0) through
+    packets that overtake up to ``extent`` others, to a fully shuffled
+    observation order; sizes are drawn per packet, and losses hit the first
+    ``head`` packets plus a drawn share of the rest (all of them at share 1)."""
+    n = draw(st.integers(0, max_packets))
+    if draw(st.integers(0, 3)):
+        extent = draw(st.integers(0, n))
+        keys = [i + draw(st.integers(0, extent)) for i in range(n)]
+    else:
+        keys = draw(st.permutations(range(n)))
+    # packet i is observed at its key, ties broken by index
+    observes = [key * (n + 1) + i for i, key in enumerate(keys)]
+    head = draw(st.integers(0, n))
+    share = draw(st.sampled_from([0, 0, 1, 4]))  # one in share lost, 0 for none
+    for i in range(n):
+        if i < head or (share and draw(st.integers(1, share)) == 1):
+            observes[i] = INF
+    sizes = [draw(st.sampled_from(RBO_SIZES)) for _ in range(n)]
+    return make_trace(observes, sizes)
+
+
+def held_back_trace(n, held, lost_after=False):
+    """n packets observed in order but for packet ``held + 1``, which comes
+    last, so that every packet after it queries the tree from ``held + 1``;
+    with ``lost_after`` the packet after it is lost, so ``lo`` skips a loss."""
+    order = [i for i in range(n) if i != held] + [held]
+    observes = [F(0)] * n
+    for t, i in enumerate(order):
+        observes[i] = F(t)
+    if lost_after and held + 1 < n:
+        observes[held + 1] = INF
+    return make_trace(observes, [F(64 + i % 5 * 100) for i in range(n)])
+
+
 class TestRbo:
     def test_two_later_packets_ahead(self):
         trace = make_trace([F(5), F(1), F(2)])
@@ -168,6 +210,37 @@ class TestRbo:
             want_value, want_per = rbo_naive(trace)
             assert got_value == want_value
             assert got_per == want_per
+
+    @settings(max_examples=300)
+    @given(reordered_traces())
+    @example(make_trace([F(3), F(2), F(1), F(0)], [F(64), F(1500), F(129, 2), F(3, 7)]))
+    @example(make_trace([INF, INF, F(5), F(1), F(3)]))  # lost head
+    @example(make_trace([F(4), INF, F(1), INF, F(2), F(3)]))  # losses at lo
+    @example(make_trace([INF, INF, INF]))  # all lost
+    @example(make_trace([]))
+    def test_sweep_matches_naive_scan(self, trace):
+        """Per-packet ticks and value equal the definition's O(n^2) scan,
+        whatever the reorder extent, sizes and losses."""
+        result = rbo(trace)
+        assert result.den == trace.size_den
+        assert [t is INF for t in result.ticks] == [p.lost for p in trace.packets]
+        assert offsets(result) == rbo_naive(trace)
+
+    @pytest.mark.parametrize("n", [2**k + d for k in (3, 4, 5) for d in (-1, 0, 1)])
+    def test_range_walks_straddling_powers_of_two(self, n):
+        """``lo + 1`` and ``pos + 1`` on either side of a power of two, for
+        n at 2^k - 1, 2^k and 2^k + 1: the two prefix walks meet at 0 or
+        at a shared ancestor, never past it."""
+        powers = [2**m for m in range(n.bit_length() + 1)]
+        held = sorted({p + d - 1 for p in powers for d in (-1, 0, 1)} & set(range(n)))
+        for h in held:
+            for lost_after in (False, True):
+                trace = held_back_trace(n, h, lost_after)
+                assert offsets(rbo(trace)) == rbo_naive(trace), (h, lost_after)
+            reversed_tail = make_trace(
+                [F(h - i) if i <= h else F(n + n - i) for i in range(n)],
+                [F(1 + i % 3) for i in range(n)])
+            assert offsets(rbo(reversed_tail)) == rbo_naive(reversed_tail), h
 
 
 class TestDelayJitter:

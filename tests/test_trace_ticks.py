@@ -172,6 +172,30 @@ def test_valid_traces_match_oracle(rows, timeout, capacity):
     assert_same_results(csv_text(rows), timeout, capacity)
 
 
+@pytest.mark.parametrize("observes", [
+    ["4.500", "inf", "3.250", "5.125"],  # one decimal count, one loss
+    ["inf", "4.500", "3.250"],  # a lost first cell
+    ["4.500", "3.250", "inf", "inf"],
+    ["7", "inf", "3", "5"],
+    ["4.50", "inf", "3.250"],  # decimal counts differ
+    ["inf", "inf"],
+])
+def test_lossy_decimal_column_matches_oracle(observes):
+    """A column of plain decimals with ``inf`` among them, as a lossy
+    capture writes its observations."""
+    assert_same_results(csv_text(example_rows(observes)), F(1), INF)
+
+
+@pytest.mark.parametrize("column", [1, 2])
+def test_inf_among_plain_sizes_or_emissions_fails_like_oracle(column):
+    rows = example_rows(["1.5", "2.5", "3.5"], sizes=("64",))
+    rows[1][column] = "inf"
+    text = csv_text(rows)
+    got = parsed(trace_from_csv, text)
+    assert got == parsed(oracle.trace_from_csv, text)
+    assert got[0] is ValueError
+
+
 JUNK = ("0", "-64", "inf", "-inf", "nan", "-", "abc", "", "1e1001", "1e-1001",
         "3/0", "1/3", "0x10", "1_0", "+5", ".5", "5.", "1e-6", "2/4")
 
@@ -254,6 +278,50 @@ def test_reading_in_chunks_matches_oracle(rows, chunk):
 def test_several_defects_report_the_oracle_error(rows):
     text = csv_text([r.split(",") for r in rows])
     assert parsed(trace_from_csv, text) == parsed(oracle.trace_from_csv, text)
+
+
+BLANK_ROWS = ("", "   ", ",,,", " , , , ")
+
+
+def rows_with(line=None, at=1, n=1030):
+    """A valid CSV of n packets with ``line``, when given, read as its row
+    ``at`` (1-based, after the header): rows 1024 and 1025 sit on either
+    side of the first chunk boundary."""
+    lines = [f"{i},64,{i},{i}.5" for i in range(1, n + 1)]
+    if line is not None:
+        lines.insert(at - 1, line)
+    return "\n".join([",".join(CSV_HEADER), *lines]) + "\n"
+
+
+@pytest.mark.parametrize("at", [1, 500, 1024, 1025, 1031])
+@pytest.mark.parametrize("line", BLANK_ROWS,
+                         ids=["empty", "spaces", "commas", "spaced-commas"])
+def test_blank_row_is_dropped_in_any_chunk(line, at):
+    """An empty line, a whitespace-only line, ``,,,`` and `` , , , `` are
+    skipped wherever they fall, a chunk boundary included."""
+    text = rows_with(line, at)
+    trace = trace_from_csv(text)
+    assert trace.packets == trace_from_csv(rows_with()).packets
+    assert trace.packets == oracle.trace_from_csv(text).packets
+
+
+@pytest.mark.parametrize("at", [1, 500, 1024, 1025, 1031])
+@pytest.mark.parametrize("line,error", [
+    ("1,64,1", (metrics.TraceError, "line {line}: expected 4 columns")),
+    ("   ,64,1,1.5", (ValueError, "not a packet index: ''")),
+    (",,,,", None),  # five blank cells: still a blank row
+], ids=["three-cells", "blank-index", "five-blank-cells"])
+def test_short_or_half_blank_row_fails_as_before(line, error, at):
+    """A 3-cell row and a row whose index alone is blank fail with the row
+    pass's message wherever they fall; a blank row of five cells is
+    skipped."""
+    text = rows_with(line, at)
+    got = parsed(trace_from_csv, text)
+    assert got == parsed(oracle.trace_from_csv, text)
+    if error is None:
+        assert len(got) == 1030
+    else:
+        assert got == (error[0], error[1].format(line=at + 1))
 
 
 def primes(count):
