@@ -28,8 +28,8 @@ D)``, and ``over`` maps a column for the two views that hand out ``{index:
 Fraction}`` (``Trace.packets``, ``analytic_departures``).  ``fmt_rat``
 keeps its own body for one value: through ``fmt_ticks`` a call costs about
 half as much again, and a report renders many scalars.  ``read_literals``
-reads plain decimals straight into integers and every other literal
-through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
+reads plain decimals straight into integers, ``inf`` among them straight
+into INF, and every other literal through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
 compares and min/maxes correctly against Fractions and integers.
 """
 
@@ -315,20 +315,22 @@ def read_literals(cells: Sequence[str],
     first = next((c for c in cells if c != "inf"), "")
     d = len(first) - first.find(".") - 1 if "." in first else 0
     cell = rf"[0-9]+\.[0-9]{{{d}}}" if d else "[0-9]+"  # ASCII, d decimals
-    if joined.count("\n") == len(cells) - 1:  # no cell holds a line break
-        if re.fullmatch(rf"{cell}(?:\n{cell})*", joined):  # the usual capture
+    lost = "f" in joined  # where the pattern matches, an "f" is that of "inf"
+    if lost:
+        cell = f"(?:{cell}|inf)"
+    if (joined.count("\n") == len(cells) - 1  # no cell holds a line break
+            and re.fullmatch(rf"{cell}(?:\n{cell})*", joined)):  # the usual capture
+        if not lost:
             digits = joined.replace(".", "").split("\n") if d else cells
             return 10**d, list(map(int, digits))
-        cell = f"(?:{cell}|inf)"
-        if re.fullmatch(rf"{cell}(?:\n{cell})*", joined):  # ... of a lossy flow
-            parse("inf")  # ``finite`` refuses it, as the cell-by-cell reading would
-            digits = joined.replace(".", "") if d else joined
-            ticks: List[Tick] = list(map(int, digits.replace("inf", "0").split("\n")))
-            i = -1
-            for _ in range(joined.count("inf")):
-                i = cells.index("inf", i + 1)
-                ticks[i] = INF
-            return 10**d, ticks
+        parse("inf")  # ``finite`` refuses it, as the cell-by-cell reading would
+        digits = (joined.replace(".", "") if d else joined).replace("inf", "0")
+        ticks: List[Tick] = list(map(int, digits.split("\n")))
+        i = -1
+        for _ in range(joined.count("inf")):
+            i = cells.index("inf", i + 1)
+            ticks[i] = INF
+        return 10**d, ticks
     others = {i: parse(c) for i, c in enumerate(cells) if not _PLAIN.fullmatch(c)}
     if others:
         cells = list(cells)

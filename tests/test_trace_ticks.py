@@ -186,6 +186,20 @@ def test_lossy_decimal_column_matches_oracle(observes):
     assert_same_results(csv_text(example_rows(observes)), F(1), INF)
 
 
+@pytest.mark.parametrize("observes", [
+    ["4.500", "Inf", "3.250"],  # other spellings of inf
+    ["4.500", "infinity", "inf"],
+    ["4.500", "inff", "3.250"],  # an "f" that is no inf
+    ["4.500", "3.25f"],
+    ["f"],
+])
+def test_f_beside_plain_decimals_reads_like_oracle(observes):
+    """A column whose "f" is not that of a plain ``inf`` cell is read, or
+    refused, cell by cell, as the oracle reads it."""
+    text = csv_text(example_rows(observes))
+    assert parsed(trace_from_csv, text) == parsed(oracle.trace_from_csv, text)
+
+
 @pytest.mark.parametrize("column", [1, 2])
 def test_inf_among_plain_sizes_or_emissions_fails_like_oracle(column):
     rows = example_rows(["1.5", "2.5", "3.5"], sizes=("64",))
