@@ -25,7 +25,6 @@ through ``_dump_json``, which writes the same bytes as ``json.dumps`` with
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -61,7 +60,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

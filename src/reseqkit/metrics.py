@@ -42,7 +42,8 @@ over all of it into ticks on its own base: plain decimals, and ``inf``
 among them, become ticks directly, and only the other literals (``3/7``,
 ``12e-6``) are parsed one by one.  The chunks of a column are joined on the least
 common multiple of their bases, emissions and observations on one base and
-sizes on another.  The checks then run on whole columns.  When one fails,
+sizes on another; a base of more digits than an ``int`` literal may have
+is refused.  The checks then run on whole columns.  When one fails,
 a second reading, row by row, raises the defect that comes first in the
 file, so a trace with several defects reports the same error however it is
 read.
@@ -339,7 +340,8 @@ def _read_columns(text: str) -> Trace:
     over-long cell makes ``int`` raise, and the row pass reports it through
     ``_packet_index``), sizes and times by ``read_literals`` into
     ``(base, ticks)``, which ``rebased`` moves to one base per quantity
-    before the chunks are joined.  The checks run on whole columns, so when
+    before the chunks are joined, each base checked against the digit
+    limit first.  The checks run on whole columns, so when
     several fail, the one raised need not be the first in the file
     (``trace_from_csv`` finds that one)."""
     reader = csv.reader(io.StringIO(text))
@@ -356,16 +358,16 @@ def _read_columns(text: str) -> Trace:
         if list(map(int, idx)) != list(range(n + 1, n + len(idx) + 1)):
             raise TraceError("packet indices must be contiguous from 1")
         n += len(idx)
-        sizes.append(read_literals(size, finite))
+        sizes.append(read_literals(size, finite, "sizes (size_bytes)"))
         dashes = emit.count("-")
         if dashes == 0:
-            emits.append(read_literals(emit, finite))
+            emits.append(read_literals(emit, finite, "times (emit_time_s)"))
         missing += dashes
-        observes.append(read_literals(obs, exact))
+        observes.append(read_literals(obs, exact, "times (observe_time_s)"))
     if 0 < missing < n:
         raise TraceError("emission times must be present for all packets or none")
-    size_den, sizes = rebased(*sizes)
-    time_den, times = rebased(*emits, *observes)
+    size_den, sizes = rebased(*sizes, name="sizes (size_bytes)")
+    time_den, times = rebased(*emits, *observes, name="times (emit_time_s, observe_time_s)")
     k, flat = len(emits), chain.from_iterable
     return Trace._from_ticks(size_den, list(flat(sizes)), time_den,
                              list(flat(times[:k])), list(flat(times[k:])))

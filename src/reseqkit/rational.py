@@ -10,26 +10,26 @@ float, ``bool``, ``None`` and type.  Each record converts its fields once,
 in its constructor, and code that reads a field trusts it; ``x is INF`` is
 the one test of infinity.
 
-A number takes one of two forms.  At every interface it is an exact
-value: a ``Fraction``, or ``INF``.  Code that loops over packets or curve
-pieces carries a column of them as ``(base, ticks)`` instead: a base D,
-the least common multiple of the denominators, and each value times D as
-an integer tick, INF passing through.  This module makes the base of
-exact values (``on_common_base``) and of literal strings
-(``read_literals``), and moves and reduces every base (``rebased``,
-``reduced``).  Five kernels take the lcm of a few denominators themselves:
-``MinAffineCurve.__init__``, ``curves.shift_jitter``,
-``scenarios._packetize_ticks`` and the two saturating generators.  Each runs
-once per curve, stage or trace on a handful of scalars, where one
-``math.lcm`` costs less than ``on_common_base``'s fixed cost of building
-and scaling columns.  A per-packet result stays a tick column, written out
-from its ticks (``fmt_ticks``); only a scalar becomes ``Fraction(ticks,
-D)``, and ``over`` maps a column for the two views that hand out ``{index:
-Fraction}`` (``Trace.packets``, ``analytic_departures``).  ``fmt_rat``
-keeps its own body for one value: through ``fmt_ticks`` a call costs about
-half as much again, and a report renders many scalars.  ``read_literals``
-reads plain decimals straight into integers, ``inf`` among them straight
-into INF, and every other literal through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
+A number takes one of two forms.  At every interface it is an exact value:
+a ``Fraction``, or ``INF``.  Code that loops over packets or curve pieces
+carries a column of them as ``(base, ticks)`` instead: a base D, the least
+common multiple of the denominators, and each value times D as an integer
+tick, INF passing through.  This module makes the base of exact values
+(``on_common_base``) and of literal strings (``read_literals``), and moves
+and reduces every base (``rebased``, ``reduced``); a trace column's base
+of more digits than one literal may have is refused.  Three kernels take
+the lcm of a few denominators themselves: ``MinAffineCurve.__init__``, on
+the hot path, where one ``math.lcm`` costs less than ``on_common_base``'s
+fixed cost, and ``curves.shift_jitter`` and ``scenarios.packetize``, which
+derive a base from a curve's integer columns.  A per-packet result stays a
+tick column, written out from its ticks (``fmt_ticks``); only a scalar
+becomes ``Fraction(ticks, D)``, and ``over`` maps a column for the two
+views that hand out ``{index: Fraction}`` (``Trace.packets``,
+``analytic_departures``).  ``fmt_rat`` keeps its own body for one value:
+through ``fmt_ticks`` a call costs about half as much again, and a report
+renders many scalars.  ``read_literals`` reads plain decimals straight into
+integers, ``inf`` among them straight into INF, and every other literal
+through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
 compares and min/maxes correctly against Fractions and integers.
 """
 
@@ -126,6 +126,17 @@ def check_digit_limit(s: str) -> None:
     limit = _int_digit_limit()
     if limit and len(s) > limit and sum(map(str.isdecimal, s)) > limit:
         raise ValueError(f"literal beyond {limit} digits: {s[:20] + '...'!r}")
+
+
+def _check_base(den: int, name: str) -> None:
+    """Refuse a base of more digits than one literal may have, before the
+    values ``name`` names are scaled to it: a base that grows with the rows
+    would cost more than linear time.  Digits are counted by bit length,
+    and near the limit by a comparison with a power of 10."""
+    limit = _int_digit_limit()
+    if limit and den.bit_length() > 3 * limit and den >= 10**limit:
+        raise ValueError(f"the {name} need a tick base beyond {limit} digits; "
+                         "put them on a common decimal grid")
 
 
 def finite(x: Union[Rat, int, str]) -> Fraction:
@@ -262,11 +273,15 @@ def reduced(den: int, *columns: Sequence[Tick]) -> Tuple[int, Sequence[Sequence[
     return den // g, [[t if t is INF else t // g for t in column] for column in columns]
 
 
-def rebased(*columns: Tuple[int, Sequence[Tick]]) -> Tuple[int, List[Sequence[Tick]]]:
+def rebased(*columns: Tuple[int, Sequence[Tick]],
+            name: Optional[str] = None) -> Tuple[int, List[Sequence[Tick]]]:
     """Tick columns, each given as ``(base, ticks)``, moved to D, the least
     common multiple of their bases: returns D and each column as ticks on D,
-    a column already on D as given; INF passes through."""
+    a column already on D as given; INF passes through.  With ``name``, a D
+    beyond the digit limit is refused first (``_check_base``)."""
     den = math.lcm(*[d for d, _ in columns])
+    if name is not None:
+        _check_base(den, name)
     out = []
     for d, ticks in columns:
         if d != den:
@@ -294,10 +309,10 @@ def over(ticks: Mapping[int, Tick], den: int) -> Dict[int, Rat]:
 _PLAIN = re.compile(r"\d+(?:\.\d+)?")
 
 
-def read_literals(cells: Sequence[str],
-                  parse: Callable[[str], Rat]) -> Tuple[int, List[Tick]]:
+def read_literals(cells: Sequence[str], parse: Callable[[str], Rat],
+                  name: str) -> Tuple[int, List[Tick]]:
     """Stripped literal strings as ``(base, ticks)``, ``parse`` being
-    ``exact`` or ``finite``, read in a few passes over all of them.
+    ``exact`` or ``finite`` and ``name`` naming them, read in a few passes.
 
     A plain decimal with d decimals is read straight into an integer over
     10**d, trailing zeros and all (``"1.500"`` is 1500/10**3).  When every
@@ -306,8 +321,9 @@ def read_literals(cells: Sequence[str],
     passes without a per-cell loop; otherwise the cells that are not plain
     decimals are parsed one by one, with ``parse``'s checks and messages.
     The base is the least common multiple of 10**d, d the most decimals of
-    a plain cell, and the denominators of the other cells; INF passes
-    through.
+    a plain cell, and the denominators of the other cells, refused past
+    the digit limit (``_check_base``; a cell of d decimals that ``int``
+    reads puts 10**d within it); INF passes through.
     """
     if not cells:
         return 1, []
@@ -343,6 +359,7 @@ def read_literals(cells: Sequence[str],
         ends = [e if p >= 0 else 1 for e, p in zip(ends, points)]
     d = max(ends) - 1
     den = math.lcm(10**d, *{x.denominator for x in others.values() if x is not INF})
+    _check_base(den, name)
     scale = [10 ** (d + 1 - e) * (den // 10**d) for e in range(d + 2)]
     ticks = list(map(mul, map(int, joined.replace(".", "").split("\n")),
                      map(scale.__getitem__, ends)))

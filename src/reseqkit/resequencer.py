@@ -33,8 +33,9 @@ checks nothing.  ``analytic_departures`` takes a ``{seq: time}`` map.
 Time base: both functions run on integers.  Times, and the timeout, are
 ticks over the least common multiple of their denominators; sizes, and the
 capacity, over theirs.  A ``Trace`` brings its columns already in ticks
-(``metrics``); ``rational.rebased`` puts the timeout and capacity on
-them, and a timeout whose denominator does not divide the trace's base
+(``metrics``).  ``rational.on_common_base`` puts the timeout and the
+capacity on bases of their own and ``rational.rebased`` joins each to the
+trace's, so a timeout whose denominator does not divide the trace's base
 extends it.  ``simulate`` returns its departures as a column of ticks on
 that base in the ``ResequencerOutcome``, and the CLI prints straight from
 the ticks (``rational.fmt_ticks``).  Occupancy, residence and the
@@ -101,10 +102,12 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
     reaches the top.  An event therefore costs O(log backlog), and the whole
     trace O(n log n) in the number of packets n.
     """
+    timeout_den, (timeouts,) = on_common_base([cfg.timeout])
+    capacity_den, (capacities,) = on_common_base([cfg.capacity])
     time_den, (times, (timeout,)) = rebased((trace.time_den, trace.observe_ticks),
-                                            _tick_column(cfg.timeout))
+                                            (timeout_den, timeouts))
     size_den, (sizes, (capacity,)) = rebased((trace.size_den, trace.size_ticks),
-                                             _tick_column(cfg.capacity))
+                                             (capacity_den, capacities))
     n_max = len(times)
     order = sorted((pos for pos in range(n_max) if times[pos] is not INF),
                    key=times.__getitem__)
@@ -173,12 +176,6 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
         Fraction(max_occupancy, size_den),
         Fraction(max_residence, time_den),
     )
-
-
-def _tick_column(x: Rat) -> Tuple[int, List[Tick]]:
-    """``x`` as ``(base, ticks)``, a column of one tick: its numerator over
-    its denominator, or INF over 1."""
-    return (1, [INF]) if x is INF else (x.denominator, [x.numerator])
 
 
 def analytic_departures(

@@ -16,14 +16,17 @@ Each generator builds the worst-case packet timeline for one bound:
 
 Emission times that must saturate an arrival curve are produced by
 packetizing the fluid curve: packet k leaves as soon as every window of
-packets ending at it fits under the curve.  Packetization runs on integer
-ticks (``_packetize_ticks``), O(n*k) for n packets and k curve pieces, with
-no ``Fraction`` per packet.  ``gen_lossy_backlog_burst``,
-``gen_rbo_tight_burst`` and ``gen_lossless_backlog_burst`` build their size,
-emission and observation columns as ticks on one base each, made and
-reduced by ``rational``, and hand them to the trace unconverted, on the
-bases ``Trace(sizes, emits, observes)`` would compute.  Every generated
-trace that saturates a curve is re-validated against it.
+packets ending at it fits under the curve.  ``packetize`` takes the sizes
+as ticks on one base and returns the times as ticks on another, in O(n*k)
+for n packets and k curve pieces, with no ``Fraction`` per packet.
+``gen_lossy_backlog_burst``, ``gen_rbo_tight_burst`` and
+``gen_lossless_backlog_burst`` build their size, emission and observation
+columns as ticks on one base each.  The sizes and a construction's scalars
+go on a base by ``on_common_base``; the scalars join the emission base,
+which ``packetize`` derives from the curve's columns, by ``rebased``; and
+``reduced`` leaves each column on the base ``Trace(sizes, emits,
+observes)`` would compute.  The trace takes the columns unconverted.
+Every generated trace that saturates a curve is re-validated against it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
 from .metrics import Trace
-from .rational import INF, Rat, finite, fmt_rat, on_common_base, reduced
+from .rational import INF, Rat, finite, fmt_rat, on_common_base, rebased, reduced
 
 
 class ScenarioError(ValueError):
@@ -69,46 +72,23 @@ def decompose_bytes(total: Rat, flow: FlowSpec) -> List[Fraction]:
     return [flow.l_max] * (count - 1) + [flow.l_max + rem - flow.l_min, flow.l_min]
 
 
-def _size_ticks(head: Fraction, total: Fraction, flow: FlowSpec) -> Tuple[int, List[list]]:
-    """A base of 1/D B and one column of ticks on it: a packet of ``head``
-    bytes followed by ``decompose_bytes(total, flow)``."""
-    return on_common_base([head, *decompose_bytes(total, flow)])
-
-
-def _ticks(x: Fraction, den: int) -> int:
-    """``x * den`` as an integer, ``den`` being a multiple of x's denominator."""
-    return x.numerator * (den // x.denominator)
-
-
-def packetize(curve: Curve, sizes: Sequence[Fraction]) -> List[Fraction]:
-    """Earliest emission times of a packet burst saturating the curve.
+def packetize(curve: Curve, sizes: Sequence[int],
+              size_den: int) -> Tuple[List[int], int]:
+    """Earliest emission times of a packet burst saturating the curve, for
+    sizes given as ticks of 1/``size_den`` B: the times as ticks of 1/D s,
+    and D.
 
     With prefix sums P, packet 1 leaves at inv(P_1) and packet k at
     ``max over m < k of A_m + inv(P_k - P_{m-1})``, the earliest time that
     keeps every window m..k inside the curve.  A min-affine curve has a
     convex inverse, so the window from packet 1 binds and A_k = inv(P_k)
-    whenever each packet fits in the burst.  A staircase b*ceil(t/tau) puts
-    every A_m on a multiple q_m of tau, and then
-    ``q_k = ceil(P_k/b + max over m < k of (q_m - P_{m-1}/b)) - 1``.
-
-    The sizes are put on their common base and packetized on integer ticks
-    (``_packetize_ticks``); only the returned times are Fractions.
-    """
-    size_den, (sizes,) = on_common_base(list(map(finite, sizes)))
-    ticks, den = _packetize_ticks(curve, sizes, size_den)
-    return [Fraction(t, den) for t in ticks]
-
-
-def _packetize_ticks(curve: Curve, sizes: Sequence[int],
-                     size_den: int) -> Tuple[List[int], int]:
-    """``packetize`` of sizes given as ticks of 1/``size_den`` B: the
-    emission times as ticks of 1/D s, and D.
-
-    Min-affine: with integer prefix volumes p_k = P_k * size_den and the
-    curve's columns, piece (r, b) puts A_k at (p_k*bd - b*size_den) * rd
-    over size_den*bd*r; D is the lcm of those bases, and A_k*D the largest
-    piece's value scaled to D, or 0.  Staircase: the q-recurrence with P/b
-    kept as integers over size_den*b.num, ceilings by exact integer
+    whenever each packet fits in the burst.  With integer prefix volumes
+    p_k = P_k * size_den and the curve's columns, piece (r, b) puts A_k at
+    (p_k*bd - b*size_den) * rd over size_den*bd*r; D is the lcm of those
+    bases, and A_k*D the largest piece's value scaled to D, or 0.  A
+    staircase b*ceil(t/tau) puts every A_m on a multiple q_m of tau, and then
+    ``q_k = ceil(P_k/b + max over m < k of (q_m - P_{m-1}/b)) - 1``, run with
+    P/b kept as integers over size_den*b.num, ceilings by exact integer
     division, and D = tau.den.
     """
     if isinstance(curve, StaircaseCurve):
@@ -138,14 +118,14 @@ def _packetize_ticks(curve: Curve, sizes: Sequence[int],
 
 def _packetize_by(curve: Curve, sizes: Sequence[int], size_den: int,
                   deadline: Fraction, window: str) -> Tuple[List[int], int]:
-    """``_packetize_ticks``, refused when the last packet cannot leave by
+    """``packetize``, refused when the last packet cannot leave by
     ``deadline``, the end of the generator's ``window``."""
-    times, den = _packetize_ticks(curve, sizes, size_den)
-    if times[-1] * deadline.denominator > deadline.numerator * den:
+    times, den = packetize(curve, sizes, size_den)
+    last = Fraction(times[-1], den)
+    if last > deadline:
         raise ScenarioError(
             f"the curve lets the last of these packets leave only at "
-            f"{fmt_rat(Fraction(times[-1], den))} s, after the {window} window "
-            f"ends at {fmt_rat(deadline)} s"
+            f"{fmt_rat(last)} s, after the {window} window ends at {fmt_rat(deadline)} s"
         )
     return times, den
 
@@ -212,7 +192,7 @@ def gen_lossy_backlog_burst(
         raise ScenarioError("the construction needs jitter > 0 and timeout > 0")
     eps = _eps(eps, min(v, t), "min(jitter, timeout)")
     target = flow.reachable_floor(curve.value(v + t - eps))
-    size_den, (sizes,) = _size_ticks(flow.l_max, target, flow)
+    size_den, (sizes,) = on_common_base([flow.l_max, *decompose_bytes(target, flow)])
     n = len(sizes) - 1
     if not n:
         raise DecompositionError("curve window admits no packet")
@@ -225,11 +205,10 @@ def gen_lossy_backlog_burst(
     # grow by at most eps/3 in total, so every delay stays below v and every
     # arrival beats the timeout deadline at observes[1] + t.
     t0 = curve.pseudo_inverse(flow.l_max + target)
-    lag, hop = eps / 2, eps / (3 * max(n - 1, 1))
-    base = math.lcm(den, t0.denominator, v.denominator, lag.denominator, hop.denominator)
-    start, scale, step = _ticks(t0, base), base // den, _ticks(hop, base)
-    emits = [0] + [start + e * scale for e in times]
-    observe = _ticks(v, base) + emits[1] - _ticks(lag, base)
+    scalar_den, (scalars,) = on_common_base([t0, v, eps / 2, eps / (3 * max(n - 1, 1))])
+    base, (times, (start, bound, lag, step)) = rebased((den, times), (scalar_den, scalars))
+    emits = [0] + [start + e for e in times]
+    observe = bound + emits[1] - lag
     observes = [INF, observe]
     for e in emits[2:]:
         observe = max(observe, e) + step
@@ -268,15 +247,14 @@ def gen_rbo_tight_burst(
     total = curve.value(v - eps)
     if total < 2 * flow.l_min:
         raise ScenarioError("curve window admits fewer than two packets")
-    size_den, (sizes,) = _size_ticks(flow.l_min, total - flow.l_min, flow)
+    size_den, (sizes,) = on_common_base(
+        [flow.l_min, *decompose_bytes(total - flow.l_min, flow)])
     n = len(sizes)
     times, den = _packetize_by(curve, sizes, size_den, v - eps, "jitter")
     # packet 1 arrives at v + eps, packet k >= 2 at v + (k - 2) * eps/n
-    hop = eps / n
-    base = math.lcm(den, v.denominator, eps.denominator, hop.denominator)
-    first, step = _ticks(v, base), _ticks(hop, base)
-    emits = [e * (base // den) for e in times]
-    observes = [first + _ticks(eps, base), *range(first, first + (n - 1) * step, step)]
+    scalar_den, (scalars,) = on_common_base([v, eps, eps / n])
+    base, (emits, (first, late, step)) = rebased((den, times), (scalar_den, scalars))
+    observes = [first + late, *range(first, first + (n - 1) * step, step)]
     return _conforming_trace(curve, size_den, sizes, base, emits, observes)
 
 

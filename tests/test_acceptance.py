@@ -15,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import scenario_oracle
 from arrival_trace import arrival_trace
 from tick_columns import departures
 from reseqkit.bounds import LOSSLESS, LOSSY
@@ -45,7 +46,6 @@ from reseqkit.scenarios import (
     gen_rbo_tight_burst,
     gen_rto_tight_pair,
     gen_two_packet_swap,
-    packetize,
 )
 
 US = F(1, 10**6)
@@ -339,7 +339,7 @@ def random_conforming_trace(rng, flow, jitter_bound, n, lose=False):
         sizes = [flow.l_min] * n
     else:
         sizes = [F(rng.randint(int(flow.l_min), int(flow.l_max))) for _ in range(n)]
-    base = packetize(flow.source_curve, sizes)
+    base = scenario_oracle.packetize(flow.source_curve, sizes)
     emits, slack = [], F(0)
     for t in base:
         slack += F(rng.randint(0, 8), 1000)

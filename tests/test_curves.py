@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import curve_oracle
 import fraction_curve_oracle
+import scenario_oracle
 from arrival_trace import source_trace
 from pairwise_conformance_oracle import check_conforms as pairwise_check_conforms
 from test_trace_ticks import prime_denominator_columns
@@ -32,7 +33,6 @@ from reseqkit.curves import (
 )
 from reseqkit.metrics import CSV_HEADER, Trace, TraceError, trace_from_csv
 from reseqkit.rational import fmt_rat
-from reseqkit.scenarios import packetize
 
 US = F(1, 10**6)
 
@@ -454,7 +454,8 @@ class TestConformance:
         # packetize leaves every packet at its earliest conforming time; the
         # last one starts a period, and 1 ns is one tick of the pulled trace
         sizes = [F(64)] * 13
-        emits = packetize(curve, sizes if curve.unit == BYTES else [F(1)] * 13)
+        emits = scenario_oracle.packetize(
+            curve, sizes if curve.unit == BYTES else [F(1)] * 13)
         assert check_conforms(source_trace(sizes, emits), curve).ok
         emits[-1] -= F(1, 10**9)
         assert emits[-2] < emits[-1]
@@ -519,7 +520,7 @@ def conformance_cases(draw):
         curve = StaircaseCurve(draw(bursts), period, unit)
     volumes = sizes if unit == BYTES else [F(1)] * n
     if isinstance(curve, MinAffineCurve):
-        base = packetize(curve, volumes)
+        base = scenario_oracle.packetize(curve, volumes)
     else:
         base = period_packed(curve, volumes)
     # up to three gaps widen by 1/4 or 1 times themselves

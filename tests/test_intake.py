@@ -89,20 +89,25 @@ def callers(path):
 
 def test_tick_bases_are_reduced_and_mapped_only_in_rational():
     """A tick base is made, moved and reduced in ``rational`` alone, so no
-    other module calls ``gcd``; and per-packet results stay tick columns,
-    ``over`` building a ``{index: Fraction}`` map only for the two views
-    that still hand one out.  An exact value is a ``Fraction`` or a tick
-    column, never a ``(numerator, denominator)`` pair: ``as_integer_ratio``
-    is called only where a ``StaircaseCurve``'s fields are unpacked."""
-    gcd, over, pairs = set(), set(), set()
+    other module calls ``gcd``, and ``lcm`` only in the three kernels that
+    derive a base from a curve's integer columns or a few scalars; and
+    per-packet results stay tick columns, ``over`` building a ``{index:
+    Fraction}`` map only for the two views that still hand one out.  An
+    exact value is a ``Fraction`` or a tick column, never a ``(numerator,
+    denominator)`` pair: ``as_integer_ratio`` is called only where a
+    ``StaircaseCurve``'s fields are unpacked."""
+    gcd, lcm, over, pairs = set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         found = callers(path)
         gcd |= found.get("math.gcd", set()) | found.get("gcd", set())
+        lcm |= found.get("math.lcm", set()) | found.get("lcm", set())
         over |= found.get("over", set())
         pairs |= found.get(".as_integer_ratio", set())
     assert {f for f in gcd if not f.startswith("rational.")} == set()
+    assert {f for f in lcm if not f.startswith("rational.")} == {
+        "curves.MinAffineCurve.__init__", "curves.shift_jitter", "scenarios.packetize"}
     assert over == {"metrics.Trace.packets", "resequencer.analytic_departures"}
-    assert pairs == {"curves._staircase_violation", "scenarios._packetize_ticks"}
+    assert pairs == {"curves._staircase_violation", "scenarios.packetize"}
 
 
 def unused_imports(path):
@@ -171,7 +176,6 @@ FIELDS = {
     "ResequencerElement capacity": (
         lambda x: ResequencerElement("r", "explicit", 1, x), True),
     "decompose_bytes": (lambda x: scenarios.decompose_bytes(x, FLOW), False),
-    "packetize": (lambda x: scenarios.packetize(CURVE, [x]), False),
     "gen_two_packet_swap rto": (lambda x: scenarios.gen_two_packet_swap(x), False),
     "gen_two_packet_swap t0": (lambda x: scenarios.gen_two_packet_swap(1, x), False),
     "gen_lossless_backlog_burst rto": (

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bounds_oracle
+import scenario_oracle
 from arrival_trace import source_trace
 from reseqkit import bounds, path_analysis
 from reseqkit.bounds import LOSSLESS, LOSSY
@@ -35,7 +36,6 @@ from reseqkit.path_analysis import (
 )
 from reseqkit.curves import MinAffineCurve, RateLatencyService
 from reseqkit.rational import INF
-from reseqkit.scenarios import packetize
 
 US = F(1, 10**6)
 
@@ -213,7 +213,7 @@ class TestCurvePropagationSoundness:
         rng = random.Random(2024)
         flow = flow64()
         sizes = [F(64)] * 30
-        emits = packetize(flow.source_curve, sizes)
+        emits = scenario_oracle.packetize(flow.source_curve, sizes)
         d_min, d_max = F(1, 2) * US, 2 * US
         element = FabricElement("sf", d_min, d_max)
         path = PathSpec(flow, (element,), LOSSLESS)

@@ -19,6 +19,7 @@ from reseqkit.rational import (
     over,
     parse_finite_time,
     parse_time,
+    read_literals,
     rebased,
     reduced,
     seconds_to_us_display,
@@ -186,6 +187,32 @@ class TestTickBases:
         assert den == math.lcm(*bases)
         assert [values(den, col) for col in out] == list(map(values, bases, columns))
         assert all(t is INF for col in out for t in col if t == INF)
+
+
+class TestBaseDigitLimit:
+    """A trace column's base may have no more digits than the interpreter
+    reads into an ``int``, here patched to 10; 0 means no limit."""
+
+    # 7*11*...*31 has 10 digits; with 37 it has 12
+    PRIMES = ["1/7", "1/11", "1/13", "1/17", "1/19", "1/23", "1/29", "1/31"]
+
+    def test_a_chunk_base_beyond_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(rational, "_int_digit_limit", lambda: 10)
+        assert read_literals(self.PRIMES, exact, "times") == (
+            6685349671, [6685349671 // int(c[2:]) for c in self.PRIMES])
+        with pytest.raises(ValueError, match=r"^the times need a tick base beyond 10 "
+                                             r"digits; put them on a common decimal grid$"):
+            read_literals([*self.PRIMES, "1/37"], exact, "times")
+        monkeypatch.setattr(rational, "_int_digit_limit", lambda: 0)
+        assert read_literals([*self.PRIMES, "1/37"], exact, "times")[0] == 6685349671 * 37
+
+    def test_a_joined_base_beyond_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(rational, "_int_digit_limit", lambda: 10)
+        assert rebased((10**10 - 1, [1]), (1, [2]), name="sizes") == (
+            10**10 - 1, [[1], [2 * (10**10 - 1)]])
+        with pytest.raises(ValueError, match="^the sizes need a tick base beyond 10 digits"):
+            rebased((2**10, [1]), (5**10, [2]), name="sizes")
+        assert rebased((2**10, [1]), (5**10, [2]))[0] == 10**10  # no name, no limit
 
 
 class TestFmtTicks:

@@ -297,6 +297,18 @@ class TestOutcome:
         assert departures(out) == {1: INF, 2: 5 * self.NS + F(1, 3),
                                    3: 5 * self.NS + F(1, 3), 4: F(1, 2)}
 
+    def test_capacity_off_the_trace_base_extends_it(self):
+        # 64.5 B holds one whole-byte packet, not two: on the trace's base
+        # of 1 B the capacity's 129 half-bytes would read as 129 B
+        trace = arrival_trace(self.ARRIVALS)
+        cfg = ResequencerConfig(F(1, 3), F(129, 2))
+        out = simulate(trace, cfg)
+        assert trace.size_den == 1
+        assert fields(out) == list_scan_simulate(self.ARRIVALS, cfg)
+        assert out.discards == {2: OVERFLOW}
+        assert out.max_occupancy == 64
+        assert departures(out) == {1: INF, 2: INF, 3: 5 * self.NS + F(1, 3), 4: F(1, 2)}
+
 
 
 class TestExactInputs:

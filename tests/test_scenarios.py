@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from operator import le
@@ -19,7 +20,7 @@ from reseqkit.curves import (
 )
 from reseqkit.cli import main
 from reseqkit.metrics import Trace, delay_jitter, rbo, rto, trace_to_csv
-from reseqkit.rational import INF
+from reseqkit.rational import INF, on_common_base
 from reseqkit.resequencer import INVALID_LATE, ResequencerConfig, simulate
 from reseqkit.scenarios import (
     DecompositionError,
@@ -46,6 +47,14 @@ PARTIAL = FlowSpec(leaky_bucket(F(10**5), F(100)), F(32), F(64))
 def fractions(lo, hi, max_den):
     """p/q with p in [lo, hi] and q in [1, max_den]."""
     return st.builds(F, st.integers(lo, hi), st.integers(1, max_den))
+
+
+def packetized(curve, sizes):
+    """``packetize`` of exact sizes, put on their common base, as exact
+    times."""
+    size_den, (ticks,) = on_common_base(list(map(F, sizes)))
+    times, den = packetize(curve, ticks, size_den)
+    return [F(t, den) for t in times]
 
 
 class TestDecompose:
@@ -91,13 +100,13 @@ class TestPacketize:
     def test_burst_then_rate_limited(self):
         c = leaky_bucket(6400, 6400)
         sizes = [F(64)] * 101
-        times = packetize(c, sizes)
+        times = packetized(c, sizes)
         assert times[:100] == [F(0)] * 100  # the burst admits 100 packets
         assert times[100] == F(64) / 6400  # then one packet per 10 ms
 
     def test_staircase_one_per_period(self):
         c = StaircaseCurve(F(64), F(2))
-        times = packetize(c, [F(64)] * 4)
+        times = packetized(c, [F(64)] * 4)
         assert times == [F(0), F(2), F(4), F(6)]
 
     def test_staircase_window_from_a_later_packet_binds(self):
@@ -105,7 +114,7 @@ class TestPacketize:
         # by 2 ms, but the two of them alone are 128 B in one period, so
         # packet 5 must wait for the next one
         sizes = [F(32)] + [F(64)] * 6 + [F(52), F(32)]
-        times = packetize(STAIR, sizes)
+        times = packetized(STAIR, sizes)
         assert times == [F(q, 1000) for q in (0, 0, 1, 2, 3, 4, 5, 6, 6)]
         assert check_conforms(source_trace(sizes, times), STAIR).ok
         prefix_only = [STAIR.pseudo_inverse(sum(sizes[:k])) for k in range(1, 10)]
@@ -133,7 +142,7 @@ class TestPacketize:
                 data.draw(st.builds(F, st.integers(1, 20), st.integers(1, 4))),
             )
         sizes = data.draw(st.lists(st.integers(1, 64).map(F), min_size=1, max_size=30))
-        times = packetize(curve, sizes)
+        times = packetized(curve, sizes)
         prefix = [F(0)]
         for size in sizes:
             prefix.append(prefix[-1] + size)
@@ -403,6 +412,24 @@ def scenario_inputs(draw):
     return FlowSpec(curve, l_min, l_max), v, t, eps
 
 
+@st.composite
+def packetize_inputs(draw):
+    """A min-affine curve of 1-8 pieces or a staircase, and up to 30 packet
+    sizes as ticks on a drawn base (1, 10**k, 3 or a product of primes),
+    some of them negative."""
+    size_den = draw(st.one_of(st.just(1), st.integers(1, 9).map(lambda k: 10**k), st.just(3),
+                              st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 997]),
+                                       min_size=1, max_size=4).map(math.prod)))
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.tuples(fractions(1, 20_000, 7), fractions(0, 2_000, 4)),
+                               min_size=1, max_size=8))
+        curve = MinAffineCurve(tuple(pieces))
+    else:
+        curve = StaircaseCurve(draw(fractions(1, 500, 3)), draw(fractions(1, 40, 13)) / 1000)
+    sizes = draw(st.lists(st.integers(-50 * size_den, 400 * size_den), max_size=30))
+    return curve, sizes, size_den
+
+
 def outcome(make):
     """What ``make()`` returns, or the type and text of what it raises."""
     try:
@@ -438,11 +465,16 @@ class TestMatchesFractionOracle:
                 == outcome(lambda: columns(oracle.gen_rbo_tight_burst(v, curve, flow, eps))))
 
     @settings(max_examples=150, deadline=None)
-    @given(scenario_inputs(), st.lists(fractions(-50, 400, 6), max_size=30))
-    def test_packetize(self, inputs, sizes):
-        curve = inputs[0].source_curve
-        assert outcome(lambda: packetize(curve, sizes)) == \
-            outcome(lambda: oracle.packetize(curve, sizes))
+    @given(packetize_inputs())
+    def test_packetize(self, inputs):
+        curve, sizes, size_den = inputs
+
+        def times():
+            ticks, den = packetize(curve, sizes, size_den)
+            return [F(t, den) for t in ticks]
+
+        assert outcome(times) == outcome(
+            lambda: oracle.packetize(curve, [F(s, size_den) for s in sizes]))
 
     @pytest.mark.parametrize("total", [F(0), F(64), F(130), F(401, 2), F(-1), F(10)])
     def test_decompose_bytes(self, total):
@@ -529,7 +561,7 @@ FLOW64 = FlowSpec(CURVE64, F(64), F(64))
 @pytest.mark.parametrize(
     "call,error,message",
     [
-        (lambda: packetize(CURVE64, [64, -128]), ValueError,
+        (lambda: packetize(CURVE64, [64, -128], 1), ValueError,
          "pseudo-inverse is defined on x >= 0"),
         (lambda: gen_lossless_backlog_burst(0, [64], 64), ScenarioError,
          "the overtaking offset must be > 0"),

@@ -14,6 +14,8 @@ import io
 import math
 import random
 import re
+import sys
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -26,6 +28,7 @@ from arrival_trace import packets_trace
 from list_scan_oracle import fields, simulate as list_scan_simulate
 from tick_columns import offsets
 from reseqkit import metrics
+from reseqkit.cli import main
 from reseqkit.metrics import (
     CSV_HEADER,
     Trace,
@@ -377,3 +380,20 @@ def test_prime_denominators_match_oracle():
     assert fields(simulate(trace, cfg)) == list_scan_simulate(arrivals, cfg)
     times = {i: t for i, (t, _) in arrivals.items()}
     assert analytic_departures(times, F(3, 2)) == oracle.analytic_departures(times, F(3, 2))
+
+
+def test_prime_denominators_beyond_the_digit_limit_are_refused(tmp_path, capsys):
+    """2000 rows: each chunk's time base fits in the interpreter's int-digit
+    limit, but the two joined (about 7.5k digits) do not, so the file is
+    refused before any tick is scaled to that base."""
+    path = tmp_path / "primes.csv"
+    path.write_text(trace_to_csv(Trace(*prime_denominator_columns(2000))), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    for argv in (["metrics", str(path)], ["simulate", "--timeout", "1", str(path)]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: the times (emit_time_s, observe_time_s) need a tick base "
+            f"beyond {limit} digits; put them on a common decimal grid\n")
