@@ -202,24 +202,12 @@ def _scenario_curve(args):
     raise ValueError("scenario needs --curve-json or --rate/--burst")
 
 
+def _scenario_flow(args):
+    return FlowSpec(_scenario_curve(args), args.l_min, args.l_max)
+
+
 def _scenario_eps(args):
     return parse_finite_time(args.eps) if args.eps else None
-
-
-def _lossy_backlog(args):
-    curve = _scenario_curve(args)
-    return scenarios.gen_lossy_backlog_burst(
-        curve, parse_finite_time(args.jitter), parse_finite_time(args.timeout),
-        FlowSpec(curve, args.l_min, args.l_max), _scenario_eps(args),
-    )
-
-
-def _rbo_tight(args):
-    curve = _scenario_curve(args)
-    return scenarios.gen_rbo_tight_burst(
-        parse_finite_time(args.jitter), curve,
-        FlowSpec(curve, args.l_min, args.l_max), _scenario_eps(args),
-    )
 
 
 def _rto_chain(args):
@@ -258,12 +246,16 @@ _SCENARIOS = {
     "lossless-backlog": (lambda a: scenarios.gen_lossless_backlog_burst(
         parse_finite_time(a.rto), a.sizes.split(","), a.first_size),
         ("--rto", "--sizes"), ("--first-size",)),
-    "lossy-backlog": (_lossy_backlog, ("--jitter", "--timeout"),
-                      (*_CURVE, "--eps", "--l-min", "--l-max")),
+    "lossy-backlog": (lambda a: scenarios.gen_lossy_backlog_burst(
+        _scenario_flow(a), parse_finite_time(a.jitter), parse_finite_time(a.timeout),
+        _scenario_eps(a)),
+        ("--jitter", "--timeout"), (*_CURVE, "--eps", "--l-min", "--l-max")),
     "rto-tight": (lambda a: scenarios.gen_rto_tight_pair(
         parse_finite_time(a.jitter), _scenario_curve(a), a.l_min),
         ("--jitter",), (*_CURVE, "--l-min")),
-    "rbo-tight": (_rbo_tight, ("--jitter",), (*_CURVE, "--eps", "--l-min", "--l-max")),
+    "rbo-tight": (lambda a: scenarios.gen_rbo_tight_burst(
+        _scenario_flow(a), parse_finite_time(a.jitter), _scenario_eps(a)),
+        ("--jitter",), (*_CURVE, "--eps", "--l-min", "--l-max")),
     "rto-chain": (_rto_chain, ("--stages",), ("--head", "--eps")),
 }
 

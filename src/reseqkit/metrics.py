@@ -43,10 +43,12 @@ among them, become ticks directly, and only the other literals (``3/7``,
 ``12e-6``) are parsed one by one.  The chunks of a column are joined on the least
 common multiple of their bases, emissions and observations on one base and
 sizes on another; a base of more digits than an ``int`` literal may have
-is refused.  The checks then run on whole columns.  When one fails,
-a second reading, row by row, raises the defect that comes first in the
-file, so a trace with several defects reports the same error however it is
-read.
+is refused.  The checks then run on whole columns, but for sizes above 0,
+checked per chunk.  When one fails, a second reading, row by row, raises
+the defect that comes first in the file, so a trace with several defects
+reports the same error however it is read.  A refused base skips that
+second reading, as no row shows it.  A refusal is reported where it is
+found; later columns and chunks are not read.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from operator import gt, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rational import INF, Rat, Tick, check_digit_limit, exact, finite, fmt_ticks
-from .rational import on_common_base, over, read_literals, rebased
+from .rational import BaseLimitError, on_common_base, over, read_literals, rebased
 
 CSV_HEADER = ["index", "size_bytes", "emit_time_s", "observe_time_s"]
 
@@ -98,12 +100,14 @@ class Trace:
     ``Trace(sizes, emit_times, observe_times)`` takes one column per
     quantity, position i being packet i+1, and ``emit_times=None`` for a
     trace without emission times; its values are exact (a float other than
-    ``INF`` is refused).  ``trace_from_csv`` fills the columns from the
-    file.  Either way the same checks run on the integer columns: finite
-    sizes above 0, contiguous indices from 1, emission times for all
-    packets or none, wide-sense increasing emissions, no observation before
-    emission, and distinct finite observation times.  ``packets`` is a
-    per-packet view of the columns, built on first use.
+    ``INF`` is refused), and a base of more digits than an ``int`` literal
+    may have is refused as the CSV reader refuses it.  ``trace_from_csv``
+    fills the columns from the file.  Either way the same checks run on the
+    integer columns: finite sizes above 0, contiguous indices from 1,
+    emission times for all packets or none, wide-sense increasing
+    emissions, no observation before emission, and distinct finite
+    observation times.  ``packets`` is a per-packet view of the columns,
+    built on first use.
     """
 
     def __init__(self, sizes: Sequence[Rat], emit_times: Optional[Sequence[Rat]],
@@ -115,14 +119,15 @@ class Trace:
             sizes = list(map(exact, sizes))
             emits = [] if emit_times is None else list(map(exact, emit_times))
             observes = list(map(exact, observe_times))
+            if INF in sizes:
+                raise ValueError("packet sizes must be finite and > 0")
+            if INF in emits:
+                raise ValueError("emission times must be finite")
+            size_den, (size_ticks,) = on_common_base(sizes, name="sizes")
+            time_den, (emit_ticks, observe_ticks) = on_common_base(
+                emits, observes, name="times")
         except ValueError as exc:
             raise TraceError(str(exc)) from None
-        if INF in sizes:
-            raise TraceError("packet sizes must be finite and > 0")
-        if INF in emits:
-            raise TraceError("emission times must be finite")
-        size_den, (size_ticks,) = on_common_base(sizes)
-        time_den, (emit_ticks, observe_ticks) = on_common_base(emits, observes)
         self._set_columns(size_den, size_ticks, time_den, emit_ticks, observe_ticks)
 
     @classmethod
@@ -310,10 +315,17 @@ def trace_from_csv(text: str) -> Trace:
     fails, a pass row by row (``_raise_first_row_defect``) reports the
     defect that comes first in the file, so a trace with several defects
     always reports the same one; when no row is at fault, the column
-    check's own error stands."""
+    check's own error stands.  A base beyond the digit limit
+    (``BaseLimitError``) is no row's defect and skips the row pass.  A
+    refusal is reported where it is found: a column's base is refused before
+    its values are checked, and later columns and chunks are not read.
+    Each chunk's sizes are checked above 0 as it is read, so a defect in an
+    earlier chunk or column is the one reported."""
     try:
         try:
             return _read_columns(text)
+        except BaseLimitError:  # no row shows it
+            raise
         except (ValueError, csv.Error):
             _raise_first_row_defect(text)
             raise
@@ -341,9 +353,9 @@ def _read_columns(text: str) -> Trace:
     ``_packet_index``), sizes and times by ``read_literals`` into
     ``(base, ticks)``, which ``rebased`` moves to one base per quantity
     before the chunks are joined, each base checked against the digit
-    limit first.  The checks run on whole columns, so when
-    several fail, the one raised need not be the first in the file
-    (``trace_from_csv`` finds that one)."""
+    limit first.  Sizes are checked above 0 per chunk, the rest on whole
+    columns, so when several fail, the one raised need not be the first in
+    the file (``trace_from_csv`` finds that one)."""
     reader = csv.reader(io.StringIO(text))
     _check_header(next(reader, None))
     n = missing = 0
@@ -359,6 +371,8 @@ def _read_columns(text: str) -> Trace:
             raise TraceError("packet indices must be contiguous from 1")
         n += len(idx)
         sizes.append(read_literals(size, finite, "sizes (size_bytes)"))
+        if min(sizes[-1][1], default=1) <= 0:  # before a later base refusal
+            raise TraceError("packet sizes must be finite and > 0")
         dashes = emit.count("-")
         if dashes == 0:
             emits.append(read_literals(emit, finite, "times (emit_time_s)"))

@@ -16,12 +16,16 @@ carries a column of them as ``(base, ticks)`` instead: a base D, the least
 common multiple of the denominators, and each value times D as an integer
 tick, INF passing through.  This module makes the base of exact values
 (``on_common_base``) and of literal strings (``read_literals``), and moves
-and reduces every base (``rebased``, ``reduced``); a trace column's base
-of more digits than one literal may have is refused.  Three kernels take
-the lcm of a few denominators themselves: ``MinAffineCurve.__init__``, on
-the hot path, where one ``math.lcm`` costs less than ``on_common_base``'s
-fixed cost, and ``curves.shift_jitter`` and ``scenarios.packetize``, which
-derive a base from a curve's integer columns.  A per-packet result stays a
+and reduces every base (``rebased``, ``reduced``).  A trace column's base
+of more digits than one literal may have is refused, by a
+``BaseLimitError``: ``read_literals`` checks each chunk's, and
+``rebased`` and ``on_common_base``, given the ``name`` of the values,
+check the base they make, ``on_common_base`` after each denominator.
+Three kernels take the lcm of a few denominators themselves:
+``MinAffineCurve.__init__``, on the hot path, where one ``math.lcm`` costs
+less than ``on_common_base``'s fixed cost, and ``curves.shift_jitter`` and
+``scenarios.packetize``, which derive a base from a curve's integer
+columns.  A per-packet result stays a
 tick column, written out from its ticks (``fmt_ticks``); only a scalar
 becomes ``Fraction(ticks, D)``, and ``over`` maps a column for the two
 views that hand out ``{index: Fraction}`` (``Trace.packets``,
@@ -128,6 +132,10 @@ def check_digit_limit(s: str) -> None:
         raise ValueError(f"literal beyond {limit} digits: {s[:20] + '...'!r}")
 
 
+class BaseLimitError(ValueError):
+    """A tick base of more digits than one literal may have."""
+
+
 def _check_base(den: int, name: str) -> None:
     """Refuse a base of more digits than one literal may have, before the
     values ``name`` names are scaled to it: a base that grows with the rows
@@ -135,8 +143,8 @@ def _check_base(den: int, name: str) -> None:
     and near the limit by a comparison with a power of 10."""
     limit = _int_digit_limit()
     if limit and den.bit_length() > 3 * limit and den >= 10**limit:
-        raise ValueError(f"the {name} need a tick base beyond {limit} digits; "
-                         "put them on a common decimal grid")
+        raise BaseLimitError(f"the {name} need a tick base beyond {limit} digits; "
+                             "put them on a common decimal grid")
 
 
 def finite(x: Union[Rat, int, str]) -> Fraction:
@@ -241,16 +249,25 @@ def seconds_to_us_display(t: Rat) -> str:
     return _fixed_point(_half_up(t.numerator * 10**8, t.denominator), 2)
 
 
-def on_common_base(*columns: Sequence[Optional[Rat]]) -> Tuple[int, List[list]]:
+def on_common_base(*columns: Sequence[Optional[Rat]],
+                   name: Optional[str] = None) -> Tuple[int, List[list]]:
     """Put columns of exact values on one integer base.
 
     Returns D, the least common multiple of the denominators of the finite
     values, and each column with such a value replaced by the integer
-    value*D; ``None`` and ``INF`` pass through.
+    value*D; ``None`` and ``INF`` pass through.  With ``name``, the lcm is
+    checked against the digit limit after each denominator it takes in
+    (``_check_base``), so a base is refused before it outgrows the limit.
     """
     dens = {x.denominator for col in columns for x in col
             if x is not INF and x is not None}
-    den = math.lcm(*dens)
+    if name is None:
+        den = math.lcm(*dens)
+    else:
+        den = 1
+        for d in dens:
+            den = math.lcm(den, d)
+            _check_base(den, name)
     scale = {d: den // d for d in dens}
     return den, [
         [x if x is INF or x is None else x.numerator * scale[x.denominator] for x in col]

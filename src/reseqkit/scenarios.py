@@ -14,6 +14,10 @@ Each generator builds the worst-case packet timeline for one bound:
 * ``gen_amplified_rto_chain``: a small swap at an early stage amplified by the
   jitter of every later stage.
 
+The two burst generators take the analyzed ``FlowSpec`` and size their
+burst with the bound they reach, ``backlog_bound`` and
+``bounds.rbo_bound_element``, on the flow's own source curve.
+
 Emission times that must saturate an arrival curve are produced by
 packetizing the fluid curve: packet k leaves as soon as every window of
 packets ending at it fits under the curve.  ``packetize`` takes the sizes
@@ -37,7 +41,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import List, Optional, Sequence, Tuple
 
-from .curves import Curve, FlowSpec, StaircaseCurve, check_conforms, min_spacing
+from .bounds import rbo_bound_element
+from .curves import Curve, FlowSpec, StaircaseCurve, backlog_bound, check_conforms
+from .curves import min_spacing
 from .metrics import Trace
 from .rational import INF, Rat, finite, fmt_rat, on_common_base, rebased, reduced
 
@@ -170,32 +176,27 @@ def gen_lossless_backlog_burst(
     return Trace._from_ticks(size_den, size_ticks, time_den, [], observes)
 
 
-def gen_lossy_backlog_burst(
-    curve: Curve,
-    jitter: Rat,
-    timeout: Rat,
-    flow: FlowSpec,
-    eps: Optional[Rat] = None,
-) -> Trace:
-    """One lost packet, then a conforming burst worth curve(V + T - eps)
-    bytes, all arriving before the first survivor's timer fires.
+def gen_lossy_backlog_burst(flow: FlowSpec, jitter: Rat, timeout: Rat,
+                            eps: Optional[Rat] = None) -> Trace:
+    """One lost packet, then a burst on the flow's source curve worth the
+    lossy buffer bound ``backlog_bound(curve, V + T - eps)``, all arriving
+    before the first survivor's timer fires.
 
     The survivors are parked behind the hole until the timeout flushes them,
-    so the buffer peaks at exactly the packetized value of
-    curve(V + T - eps): the value itself for variable-size flows, its
-    whole-packet floor for constant-size flows.  Refused when the curve
-    cannot emit the burst within V + T - eps, as with a staircase whose
-    periods these packet sizes cannot fill.
+    so the buffer peaks at exactly the bound's ``flow.reachable_floor``: the
+    bound itself for variable-size flows, its whole-packet floor for
+    constant-size flows.  Refused when the curve cannot emit the burst
+    within V + T - eps, as with a staircase whose periods these packet
+    sizes cannot fill.
     """
     v, t = finite(jitter), finite(timeout)
     if v <= 0 or t <= 0:
         raise ScenarioError("the construction needs jitter > 0 and timeout > 0")
     eps = _eps(eps, min(v, t), "min(jitter, timeout)")
-    target = flow.reachable_floor(curve.value(v + t - eps))
+    curve = flow.source_curve
+    target = flow.reachable_floor(backlog_bound(curve, v + t - eps))
     size_den, (sizes,) = on_common_base([flow.l_max, *decompose_bytes(target, flow)])
-    n = len(sizes) - 1
-    if not n:
-        raise DecompositionError("curve window admits no packet")
+    n = len(sizes) - 1  # >= 1: the curve admits l_max in any window
     times, den = _packetize_by(curve, sizes[1:], size_den, v + t - eps,
                                "jitter-plus-timeout")
 
@@ -229,26 +230,23 @@ def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
     return Trace([lm, lm], [Fraction(0), spacing], [v, spacing])
 
 
-def gen_rbo_tight_burst(
-    jitter: Rat,
-    curve: Curve,
-    flow: FlowSpec,
-    eps: Optional[Rat] = None,
-) -> Trace:
-    """A curve-saturating burst in one jitter window; every packet but the
-    first slips past it, so its byte offset is curve(V - eps) - l_min.
+def gen_rbo_tight_burst(flow: FlowSpec, jitter: Rat,
+                        eps: Optional[Rat] = None) -> Trace:
+    """A burst on the flow's source curve in one jitter window; every packet
+    but the first slips past it, so its byte offset is the element bound
+    ``rbo_bound_element(V - eps, curve, l_min)``, refused when that is 0.
 
-    Refused when the curve cannot emit the whole burst by V - eps, as with
-    a staircase whose periods these packet sizes cannot fill."""
+    Refused too when the curve cannot emit the whole burst by V - eps, as
+    with a staircase whose periods these packet sizes cannot fill."""
     v = finite(jitter)
     if v <= 0:
         raise ScenarioError("the construction needs jitter > 0")
     eps = _eps(eps, v, "jitter")
-    total = curve.value(v - eps)
-    if total < 2 * flow.l_min:
+    curve = flow.source_curve
+    offset = rbo_bound_element(v - eps, curve, flow.l_min)
+    if not offset:
         raise ScenarioError("curve window admits fewer than two packets")
-    size_den, (sizes,) = on_common_base(
-        [flow.l_min, *decompose_bytes(total - flow.l_min, flow)])
+    size_den, (sizes,) = on_common_base([flow.l_min, *decompose_bytes(offset, flow)])
     n = len(sizes)
     times, den = _packetize_by(curve, sizes, size_den, v - eps, "jitter")
     # packet 1 arrives at v + eps, packet k >= 2 at v + (k - 2) * eps/n

@@ -412,7 +412,7 @@ class TestCriterion5Tightness:
     def test_element_rbo_bound_attained_exactly(self):
         flow = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(200))
         v, eps = F(1, 100), F(1, 10**5)
-        trace = gen_rbo_tight_burst(v, flow.source_curve, flow, eps)
+        trace = gen_rbo_tight_burst(flow, v, eps)
         want = flow.source_curve.value(v - eps) - 64
         assert rbo(trace).value == want
         assert rto(trace).value == eps
@@ -430,7 +430,7 @@ class TestCriterion5Tightness:
     def test_lossy_occupancy_attained_exactly(self):
         flow = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(64))
         v, t, eps = F(6, 1000), F(5, 1000), F(1, 1000)
-        trace = gen_lossy_backlog_burst(flow.source_curve, v, t, flow, eps)
+        trace = gen_lossy_backlog_burst(flow, v, t, eps)
         want = flow.source_curve.value(v + t - eps)
         out = simulate(trace, ResequencerConfig(t, INF))
         assert want == 6464

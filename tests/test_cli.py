@@ -934,6 +934,7 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
          "unknown curve kind ['min_affine']"),
         (analyze_edited(lambda c: c["flow"]["curve"].update(kind={"staircase": 1})),
          "unknown curve kind {'staircase': 1}"),
+        (metrics_of("1,64,2,1"), "observation before emission"),
     ],
     ids=["no-elements", "loss-mode", "staircase-source", "packet-source",
          "negative-burst", "min-delay-above-bound", "simulate-timeout",
@@ -941,7 +942,7 @@ PACKET_SOURCE = {"unit": "packets", "kind": "min_affine",
          "rto-chain-lone-time", "rto-chain-three-times",
          "two-packet-swap-rto", "rto-chain-head-int", "repeated-id",
          "element-kind-list", "element-kind-object",
-         "curve-kind-list", "curve-kind-object"],
+         "curve-kind-list", "curve-kind-object", "observe-before-emit"],
 )
 def test_input_error_is_one_line(argv, message, tmp_path):
     assert assert_clean_exit(argv(tmp_path), (INPUT_ERROR,)) == f"error: {message}\n"

@@ -684,6 +684,10 @@ STAIR = StaircaseCurve(640, F(1, 100))
     [
         (lambda: MinAffineCurve(((0, 640),)), CurveError,
          "piece rates must be > 0 (curves are unbounded)"),
+        (lambda: MinAffineCurve([]), CurveError,
+         "min-affine curve needs at least one piece"),
+        (lambda: curve_from_json({"kind": "min_affine", "pieces": []}), CurveError,
+         "min-affine curve needs at least one piece"),
         (lambda: leaky_bucket(6400, 640).pseudo_inverse(-1), ValueError,
          "pseudo-inverse is defined on x >= 0"),
         (lambda: STAIR.value(-1), ValueError, "curves are defined on t >= 0"),
@@ -700,7 +704,7 @@ STAIR = StaircaseCurve(640, F(1, 100))
         (lambda: horizontal_deviation(STAIR, RateLatencyService(125_000_000, 0)),
          CurveError, "delay bound requires a min-affine arrival curve"),
     ],
-    ids=["zero-rate", "affine-inverse-below-0", "staircase-value-below-0",
+    ids=["zero-rate", "no-piece", "json-no-piece", "affine-inverse-below-0", "staircase-value-below-0",
          "staircase-inverse-below-0", "spacing-without-l_min",
          "backlog-negative-delay", "shift-negative-jitter", "min-of-staircase",
          "deviation-of-staircase"],

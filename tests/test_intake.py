@@ -185,19 +185,19 @@ FIELDS = {
     "gen_lossless_backlog_burst first_size": (
         lambda x: scenarios.gen_lossless_backlog_burst(1, [64], x), False),
     "gen_lossy_backlog_burst jitter": (
-        lambda x: scenarios.gen_lossy_backlog_burst(CURVE, x, 1, FLOW), False),
+        lambda x: scenarios.gen_lossy_backlog_burst(FLOW, x, 1), False),
     "gen_lossy_backlog_burst timeout": (
-        lambda x: scenarios.gen_lossy_backlog_burst(CURVE, 1, x, FLOW), False),
+        lambda x: scenarios.gen_lossy_backlog_burst(FLOW, 1, x), False),
     "gen_lossy_backlog_burst eps": (
-        lambda x: scenarios.gen_lossy_backlog_burst(CURVE, 1, 1, FLOW, x), False),
+        lambda x: scenarios.gen_lossy_backlog_burst(FLOW, 1, 1, x), False),
     "gen_rto_tight_pair jitter": (
         lambda x: scenarios.gen_rto_tight_pair(x, CURVE, 64), False),
     "gen_rto_tight_pair l_min": (
         lambda x: scenarios.gen_rto_tight_pair(1, CURVE, x), False),
     "gen_rbo_tight_burst jitter": (
-        lambda x: scenarios.gen_rbo_tight_burst(x, CURVE, FLOW), False),
+        lambda x: scenarios.gen_rbo_tight_burst(FLOW, x), False),
     "gen_rbo_tight_burst eps": (
-        lambda x: scenarios.gen_rbo_tight_burst(1, CURVE, FLOW, x), False),
+        lambda x: scenarios.gen_rbo_tight_burst(FLOW, 1, x), False),
     "gen_amplified_rto_chain jitter": (
         lambda x: scenarios.gen_amplified_rto_chain([(x, 1)], 1), False),
     "gen_amplified_rto_chain rto": (

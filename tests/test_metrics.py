@@ -99,6 +99,7 @@ class TestColumns:
         ([64], [0], [0.1], "not an exact number: 0.1"),
         ([64], [-INF], [1], "not an exact number: -inf"),
         ([math.nan], None, [1], "not an exact number: nan"),
+        ([64], [2], [1], "observation before emission"),
     ])
     def test_bad_columns_raise_trace_error(self, sizes, emits, observes, message):
         with pytest.raises(TraceError, match=message):

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 import scenario_oracle as oracle
 from arrival_trace import source_trace
 from tick_columns import departures
+from reseqkit import scenarios
+from reseqkit.bounds import rbo_bound_element
 from reseqkit.curves import (
+    CurveError,
     FlowSpec,
     MinAffineCurve,
     StaircaseCurve,
+    backlog_bound,
     check_conforms,
     leaky_bucket,
     min_curves,
@@ -41,7 +45,8 @@ FIXED64 = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(64))
 MIXED = FlowSpec(leaky_bucket(6400, 6400), l_min=F(64), l_max=F(200))
 # 100 B per ms, and a flow of 32-64 B packets that fill its periods only in part
 STAIR = StaircaseCurve(F(100), F(1, 1000))
-PARTIAL = FlowSpec(leaky_bucket(F(10**5), F(100)), F(32), F(64))
+PARTIAL = FlowSpec(STAIR, F(32), F(64))
+AUTO64 = FlowSpec(ALPHA1, F(64), F(64))
 
 
 def fractions(lo, hi, max_den):
@@ -125,7 +130,7 @@ class TestPacketize:
         # the burst above needs until 6 ms, past the 5 ms jitter window:
         # the generator says so instead of emitting a non-conforming trace
         with pytest.raises(ScenarioError, match="leave only at 0.006 s"):
-            gen_rbo_tight_burst(F(5, 1000), STAIR, PARTIAL)
+            gen_rbo_tight_burst(PARTIAL, F(5, 1000))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -199,9 +204,8 @@ class TestLossyBacklogBurst:
     def test_exact_occupancy_on_decomposable_window(self):
         # 6400 * (V + T - eps) lands on a packet boundary: 6464 B
         v, t, eps = F(6, 1000), F(5, 1000), F(1, 1000)
-        curve = FIXED64.source_curve
-        trace = gen_lossy_backlog_burst(curve, v, t, FIXED64, eps)
-        target = curve.value(v + t - eps)
+        trace = gen_lossy_backlog_burst(FIXED64, v, t, eps)
+        target = FIXED64.source_curve.value(v + t - eps)
         assert target == 6464
         out = simulate(trace, ResequencerConfig(t, INF))
         assert out.discards == {}
@@ -210,20 +214,20 @@ class TestLossyBacklogBurst:
     def test_automotive_window_floors_to_whole_packets(self):
         v = F("92.688") * US
         t = F("29.488") * US
-        trace = gen_lossy_backlog_burst(ALPHA1, v, t, FIXED64)
+        trace = gen_lossy_backlog_burst(AUTO64, v, t)
         out = simulate(trace, ResequencerConfig(t, INF))
         assert out.max_occupancy == 6400  # 100 packets of 64 B
 
     def test_conforms_and_jitter_bounded(self):
         v, t = F(6, 1000), F(5, 1000)
-        trace = gen_lossy_backlog_burst(FIXED64.source_curve, v, t, FIXED64)
+        trace = gen_lossy_backlog_burst(FIXED64, v, t)
         assert check_conforms(trace, FIXED64.source_curve).ok
         assert trace.packets[0].lost
         assert delay_jitter(trace).jitter <= v
 
     def test_mixed_sizes(self):
         v, t, eps = F(2, 100), F(1, 100), F(1, 1000)
-        trace = gen_lossy_backlog_burst(MIXED.source_curve, v, t, MIXED, eps)
+        trace = gen_lossy_backlog_burst(MIXED, v, t, eps)
         target = MIXED.source_curve.value(v + t - eps)
         out = simulate(trace, ResequencerConfig(t, INF))
         assert out.max_occupancy == target
@@ -231,13 +235,13 @@ class TestLossyBacklogBurst:
 
     def test_eps_bounds_checked(self):
         with pytest.raises(ScenarioError):
-            gen_lossy_backlog_burst(ALPHA1, F(1), F(1), FIXED64, eps=F(2))
+            gen_lossy_backlog_burst(AUTO64, F(1), F(1), eps=F(2))
 
     def test_staircase_burst_parks_whole(self):
         # 50-100 B packets fill the periods: all 800 B wait behind the hole
-        flow = FlowSpec(leaky_bucket(F(10**5), F(100)), F(50), F(100))
+        flow = FlowSpec(STAIR, F(50), F(100))
         v, t = F(5, 1000), F(3, 1000)
-        trace = gen_lossy_backlog_burst(STAIR, v, t, flow)
+        trace = gen_lossy_backlog_burst(flow, v, t)
         out = simulate(trace, ResequencerConfig(t, INF))
         assert out.max_occupancy == sum(p.size for p in trace.packets[1:]) == 800
         assert out.discards == {}
@@ -245,7 +249,7 @@ class TestLossyBacklogBurst:
     def test_staircase_too_slow_for_the_window(self):
         # the 800 B burst needs until 11 ms, past the 8 ms window
         with pytest.raises(ScenarioError, match="leave only at 0.011 s"):
-            gen_lossy_backlog_burst(STAIR, F(5, 1000), F(3, 1000), PARTIAL)
+            gen_lossy_backlog_burst(PARTIAL, F(5, 1000), F(3, 1000))
 
 
 class TestRtoTightPair:
@@ -278,7 +282,7 @@ class TestRboTightBurst:
         r, b, l_min = F(6400), F(6400), F(64)
         v, eps = F(1, 100), F(1, 10000)
         flow = MIXED
-        trace = gen_rbo_tight_burst(v, flow.source_curve, flow, eps)
+        trace = gen_rbo_tight_burst(flow, v, eps)
         expect = r * (v - eps) + b - l_min
         assert rbo(trace).value == expect
         # approaches r*V + b - l_min as eps shrinks
@@ -287,24 +291,24 @@ class TestRboTightBurst:
     def test_equal_size_packets_multiple_of_l(self):
         c = StaircaseCurve(F(192), F(8, 1000))
         flow = FlowSpec(c, l_min=F(64), l_max=F(64))
-        trace = gen_rbo_tight_burst(F(4, 1000), c, flow, F(1, 1000))
+        trace = gen_rbo_tight_burst(flow, F(4, 1000), F(1, 1000))
         assert rbo(trace).value % 64 == 0
         assert rbo(trace).value == 192 - 64
 
     def test_rto_equals_eps(self):
         v, eps = F(1, 100), F(1, 10000)
-        trace = gen_rbo_tight_burst(v, MIXED.source_curve, MIXED, eps)
+        trace = gen_rbo_tight_burst(MIXED, v, eps)
         assert rto(trace).value == eps
 
     def test_jitter_within_v_and_conforms(self):
         v, eps = F(1, 100), F(1, 10000)
-        trace = gen_rbo_tight_burst(v, MIXED.source_curve, MIXED, eps)
+        trace = gen_rbo_tight_burst(MIXED, v, eps)
         assert delay_jitter(trace).jitter <= v
         assert check_conforms(trace, MIXED.source_curve).ok
 
     def test_indecomposable_window_rejected(self):
         with pytest.raises(DecompositionError):
-            gen_rbo_tight_burst(F(3, 1000), FIXED64.source_curve, FIXED64, F(1, 1000))
+            gen_rbo_tight_burst(FIXED64, F(3, 1000), F(1, 1000))
 
 
 class TestSizesWithinFlow:
@@ -321,9 +325,8 @@ class TestSizesWithinFlow:
            v=st.fractions(F(1, 1000), F(2, 100), max_denominator=1000),
            t=st.fractions(F(1, 1000), F(1, 100), max_denominator=1000))
     def test_generated_sizes_within_flow(self, flow, v, t):
-        curve = flow.source_curve
-        for make in (lambda: gen_lossy_backlog_burst(curve, v, t, flow),
-                     lambda: gen_rbo_tight_burst(v, curve, flow)):
+        for make in (lambda: gen_lossy_backlog_burst(flow, v, t),
+                     lambda: gen_rbo_tight_burst(flow, v)):
             try:
                 trace = make()
             except ScenarioError:
@@ -338,9 +341,9 @@ class TestOracleEquivalenceOnGeneratedTraces:
         traces = [
             gen_two_packet_swap(F(7)),
             gen_lossless_backlog_burst(F(5), [F(64)] * 4, F(64)),
-            gen_lossy_backlog_burst(FIXED64.source_curve, v, t, FIXED64, eps),
+            gen_lossy_backlog_burst(FIXED64, v, t, eps),
             gen_rto_tight_pair(F("1.5e-6"), ALPHA1, F(64)),
-            gen_rbo_tight_burst(F(1, 100), MIXED.source_curve, MIXED, F(1, 10000)),
+            gen_rbo_tight_burst(MIXED, F(1, 100), F(1, 10000)),
         ]
         for trace in traces:
             for timeout in (F(0), F(1, 1000), F(5, 1000), F(1)):
@@ -443,6 +446,11 @@ def columns(trace):
             trace.observe_ticks)
 
 
+def built(made):
+    """An ``outcome``, with a trace given as its ``columns``."""
+    return columns(made) if isinstance(made, Trace) else made
+
+
 class TestMatchesFractionOracle:
     """The tick generators build the very columns and bases, and refuse with
     the very error, of the Fraction code they replaced
@@ -451,18 +459,31 @@ class TestMatchesFractionOracle:
     @settings(max_examples=150, deadline=None)
     @given(scenario_inputs())
     def test_lossy_backlog(self, inputs):
+        """... and a trace built fills the buffer to the lossy bound it is
+        sized by."""
         flow, v, t, eps = inputs
         curve = flow.source_curve
-        assert (outcome(lambda: columns(gen_lossy_backlog_burst(curve, v, t, flow, eps)))
-                == outcome(lambda: columns(oracle.gen_lossy_backlog_burst(curve, v, t, flow, eps))))
+        made = outcome(lambda: gen_lossy_backlog_burst(flow, v, t, eps))
+        assert built(made) == outcome(
+            lambda: columns(oracle.gen_lossy_backlog_burst(curve, v, t, flow, eps)))
+        if isinstance(made, Trace):
+            eps = min(v, t) / 10**6 if eps is None else eps
+            target = flow.reachable_floor(backlog_bound(curve, v + t - eps))
+            assert simulate(made, ResequencerConfig(t, INF)).max_occupancy == target
 
     @settings(max_examples=150, deadline=None)
     @given(scenario_inputs())
     def test_rbo_tight(self, inputs):
+        """... and a trace built reaches the element RBO bound it is sized
+        by."""
         flow, v, _, eps = inputs
         curve = flow.source_curve
-        assert (outcome(lambda: columns(gen_rbo_tight_burst(v, curve, flow, eps)))
-                == outcome(lambda: columns(oracle.gen_rbo_tight_burst(v, curve, flow, eps))))
+        made = outcome(lambda: gen_rbo_tight_burst(flow, v, eps))
+        assert built(made) == outcome(
+            lambda: columns(oracle.gen_rbo_tight_burst(v, curve, flow, eps)))
+        if isinstance(made, Trace):
+            eps = v / 10**6 if eps is None else eps
+            assert rbo(made).value == rbo_bound_element(v - eps, curve, flow.l_min)
 
     @settings(max_examples=150, deadline=None)
     @given(packetize_inputs())
@@ -508,9 +529,8 @@ def fractions_made(monkeypatch, make):
 @pytest.mark.parametrize("make", [
     # windows of 2 and 8 s (plus 1/7 s): about 100 and 300 packets of
     # 64-200 B with a fractional tail
-    lambda w: gen_lossy_backlog_burst(MIXED.source_curve, w / 2 + F(1, 7), w / 2,
-                                      MIXED, F(1, 3000)),
-    lambda w: gen_rbo_tight_burst(w + F(1, 7), MIXED.source_curve, MIXED, F(1, 3000)),
+    lambda w: gen_lossy_backlog_burst(MIXED, w / 2 + F(1, 7), w / 2, F(1, 3000)),
+    lambda w: gen_rbo_tight_burst(MIXED, w + F(1, 7), F(1, 3000)),
     # 100 and 300 early packets of 64 B and 100.5 B
     lambda w: gen_lossless_backlog_burst(
         F(1, 7), [F(64), F(201, 2)] * int((w + 1) * 50 / 3), F(64)),
@@ -567,13 +587,14 @@ FLOW64 = FlowSpec(CURVE64, F(64), F(64))
          "the overtaking offset must be > 0"),
         (lambda: gen_lossless_backlog_burst(1, [], 64), ScenarioError,
          "need at least one early packet"),
-        (lambda: gen_lossy_backlog_burst(CURVE64, 0, 1, FLOW64), ScenarioError,
+        (lambda: gen_lossy_backlog_burst(FLOW64, 0, 1), ScenarioError,
          "the construction needs jitter > 0 and timeout > 0"),
-        (lambda: gen_lossy_backlog_burst(CURVE64, 1, -1, FLOW64), ScenarioError,
+        (lambda: gen_lossy_backlog_burst(FLOW64, 1, -1), ScenarioError,
          "the construction needs jitter > 0 and timeout > 0"),
-        (lambda: gen_lossy_backlog_burst(leaky_bucket(1, 0), 1, 1, FLOW64),
-         DecompositionError, "curve window admits no packet"),
-        (lambda: gen_rbo_tight_burst(0, CURVE64, FLOW64), ScenarioError,
+        # the flow a generator takes admits a packet in every window
+        (lambda: FlowSpec(leaky_bucket(1, 0), 64, 64), CurveError,
+         "source curve burst below l_max: a maximal packet could never be sent"),
+        (lambda: gen_rbo_tight_burst(FLOW64, 0), ScenarioError,
          "the construction needs jitter > 0"),
         (lambda: gen_amplified_rto_chain([(2, 1)], 2), ScenarioError,
          "head stage out of range"),
@@ -585,7 +606,7 @@ FLOW64 = FlowSpec(CURVE64, F(64), F(64))
          "per-stage RTO cannot exceed its jitter"),
     ],
     ids=["packetize-negative-size", "lossless-offset", "lossless-no-sizes",
-         "lossy-jitter", "lossy-timeout", "lossy-no-packet", "rbo-jitter",
+         "lossy-jitter", "lossy-timeout", "flow-burst-below-l_max", "rbo-jitter",
          "chain-head-above", "chain-head-below", "chain-head-rto",
          "chain-rto-above-jitter"],
 )
@@ -593,3 +614,17 @@ def test_refusals(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and str(exc.value) == message
+
+
+def test_emissions_off_the_curve_are_refused(monkeypatch):
+    """A burst whose last packet leaves one tick earlier than ``packetize``
+    allows breaks the curve, and the generator refuses its own trace."""
+    def one_tick_early(*args):
+        times, den = packetize(*args)
+        return times[:-1] + [times[-1] - 1], den
+
+    monkeypatch.setattr(scenarios, "packetize", one_tick_early)
+    with pytest.raises(ScenarioError) as exc:
+        gen_rbo_tight_burst(MIXED, F(1, 100), F(1, 10000))
+    assert exc.type is ScenarioError
+    assert str(exc.value).startswith("packetized emissions violate the curve (pair ")

@@ -27,11 +27,12 @@ import fraction_trace_oracle as oracle
 from arrival_trace import packets_trace
 from list_scan_oracle import fields, simulate as list_scan_simulate
 from tick_columns import offsets
-from reseqkit import metrics
+from reseqkit import metrics, rational
 from reseqkit.cli import main
 from reseqkit.metrics import (
     CSV_HEADER,
     Trace,
+    TraceError,
     delay_jitter,
     rbo,
     rto,
@@ -367,6 +368,15 @@ def prime_denominator_columns(n, seed=7):
     return sizes, emits, observes
 
 
+def prime_denominator_csv(n):
+    """The CSV of the ``prime_denominator_columns(n)`` trace, written row by
+    row with ``fmt_rat``, as ``trace_to_csv`` would write it: ``Trace``
+    refuses the base of those columns beyond about 1.3k rows."""
+    rows = zip(range(1, n + 1), *prime_denominator_columns(n))
+    lines = [",".join(CSV_HEADER), *(",".join(map(fmt_rat, row)) for row in rows)]
+    return "".join(f"{line}\n" for line in lines)
+
+
 def test_prime_denominators_match_oracle():
     columns = prime_denominator_columns(1000)
     ref = oracle.Trace(tuple(map(oracle.record, range(1, 1001), *columns)))
@@ -387,7 +397,7 @@ def test_prime_denominators_beyond_the_digit_limit_are_refused(tmp_path, capsys)
     limit, but the two joined (about 7.5k digits) do not, so the file is
     refused before any tick is scaled to that base."""
     path = tmp_path / "primes.csv"
-    path.write_text(trace_to_csv(Trace(*prime_denominator_columns(2000))), encoding="utf-8")
+    path.write_text(prime_denominator_csv(2000), encoding="utf-8")
     limit = sys.get_int_max_str_digits()
     for argv in (["metrics", str(path)], ["simulate", "--timeout", "1", str(path)]):
         start = time.perf_counter()
@@ -397,3 +407,60 @@ def test_prime_denominators_beyond_the_digit_limit_are_refused(tmp_path, capsys)
         assert out == "" and err == (
             f"error: the times (emit_time_s, observe_time_s) need a tick base "
             f"beyond {limit} digits; put them on a common decimal grid\n")
+
+
+def with_cell(text, row, column, cell):
+    """``text`` with the cell in data row ``row`` (1-based) and ``column``
+    replaced by ``cell``."""
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[column] = cell
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestBaseRefusalPrecedence:
+    """A base beyond the digit limit is no row's defect: the reader refuses
+    it without the row pass, yet a defect in a row read before the refusal
+    is still the one reported."""
+
+    TEXT = prime_denominator_csv(2000)
+    BASE = r"^the times \(emit_time_s, observe_time_s\) need a tick base beyond"
+
+    def read(self, text):
+        with mock.patch.object(metrics, "_raise_first_row_defect",
+                               wraps=metrics._raise_first_row_defect) as spy:
+            try:
+                trace_from_csv(text)
+            except ValueError as exc:
+                return str(exc), spy.call_count
+        raise AssertionError("the trace was not refused")
+
+    def test_the_base_refusal_skips_the_row_pass(self):
+        message, row_passes = self.read(self.TEXT)
+        assert re.match(self.BASE, message) and row_passes == 0
+
+    def test_a_size_of_0_in_row_1_is_reported(self):
+        text = with_cell(self.TEXT, 1, 1, "0")
+        assert self.read(text) == ("packet sizes must be > 0", 1)
+
+    def test_a_junk_cell_in_chunk_1_is_reported(self):
+        text = with_cell(self.TEXT, 900, 3, "junk")
+        assert self.read(text) == ("not an exact numeric literal: 'junk'", 1)
+
+
+def test_trace_refuses_a_base_beyond_the_digit_limit(monkeypatch):
+    """``Trace(...)`` refuses the base of the 2000 prime-denominator rows as
+    the CSV reader does, and builds them where there is no limit."""
+    columns = prime_denominator_columns(2000)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(TraceError) as exc:
+        Trace(*columns)
+    assert exc.type is TraceError and str(exc.value) == (
+        f"the times need a tick base beyond {limit} digits; "
+        "put them on a common decimal grid")
+    monkeypatch.setattr(rational, "_int_digit_limit", lambda: 0)
+    assert len(Trace(*columns)) == 2000
+    monkeypatch.setattr(rational, "_int_digit_limit", lambda: 10)
+    with pytest.raises(TraceError, match="^the sizes need a tick base beyond 10 digits"):
+        Trace([1 + F(1, p) for p in primes(12)], None, range(12))
