@@ -30,7 +30,7 @@ from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
-from .bounds import LOSSLESS, LOSSY
+from .bounds import LOSSLESS, LOSSY, SequenceElement
 from .case_study import render_case_study, run_case_study
 from .curves import FlowSpec, curve_from_json, leaky_bucket
 from .metrics import delay_jitter, rbo, rto, trace_from_csv, trace_to_csv
@@ -213,12 +213,12 @@ def _scenario_eps(args):
 def _rto_chain(args):
     stages = []
     for part in args.stages.split(","):
-        pair = part.split(":")
-        if len(pair) != 2:
-            raise ValueError(f"--stages takes jitter:rto pairs, got {part!r}")
-        stages.append(tuple(map(parse_finite_time, pair)))
-    chain = scenarios.gen_amplified_rto_chain(stages, args.head, _scenario_eps(args))
-    return chain.end_to_end
+        times = part.split(":")
+        if len(times) > 2:
+            raise ValueError(
+                f"--stages takes jitter or jitter:rto stages, got {part!r}")
+        stages.append(SequenceElement(*map(parse_finite_time, times)))
+    return scenarios.gen_amplified_rto_chain(stages, _scenario_eps(args)).end_to_end
 
 
 _SCENARIO_FLAGS = {
@@ -234,8 +234,8 @@ _SCENARIO_FLAGS = {
     "--l-max": {"default": "64", "help": "maximum packet size, bytes"},
     "--sizes": {"help": "comma-separated early-burst sizes (bytes)"},
     "--first-size": {"default": "64", "help": "late packet size (bytes)"},
-    "--stages": {"help": "comma-separated jitter:rto pairs (times)"},
-    "--head": {"type": int, "default": 1, "help": "reordering stage, 1-based"},
+    "--stages": {"help": "comma-separated stages, each jitter (order-preserving) "
+                 "or jitter:rto (times)"},
 }
 _CURVE = ("--rate", "--burst", "--curve-json")
 # Each kind's trace maker, the flags it requires and the flags it reads when
@@ -256,7 +256,7 @@ _SCENARIOS = {
     "rbo-tight": (lambda a: scenarios.gen_rbo_tight_burst(
         _scenario_flow(a), parse_finite_time(a.jitter), _scenario_eps(a)),
         ("--jitter",), (*_CURVE, "--eps", "--l-min", "--l-max")),
-    "rto-chain": (_rto_chain, ("--stages",), ("--head", "--eps")),
+    "rto-chain": (_rto_chain, ("--stages",), ("--eps",)),
 }
 
 

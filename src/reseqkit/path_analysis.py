@@ -8,10 +8,7 @@ The path is an ordered list of stages, each with a delay range [d_min, d_max]
   service curve; its output curve is the entrance curve advanced by the
   service latency, capped by the line rate plus one maximal packet.
 * ``fabric``: a parallel-stage switching fabric with a delay in
-  [d_min, d_max]; the only non-order-preserving element.  Its stage, built
-  by ``bounds.rto_bound_element``, holds its RTO bound ``[jitter -
-  min_spacing]^+`` and whether that clamp fired; every other stage has
-  ``rto`` None, which marks it order-preserving.
+  [d_min, d_max]; the only non-order-preserving element.
 * ``order_preserving_fixed``: any per-flow-FIFO stage with a delay range.
 * ``resequencer``: restores sequence order.  Its timeout T is the RTO bound
   of the segment since the previous re-sequencer (auto mode) or a
@@ -19,6 +16,12 @@ The path is an ordered list of stages, each with a delay range [d_min, d_max]
   when lossless, and ``backlog_bound`` of the source curve over the jitter
   so far plus T when lossy.  Sized, it is an order-preserving stage with
   delay range [0, 0] lossless and [0, T] lossy; the curve shifts by its jitter.
+
+Each element's report keeps the ``bounds.SequenceElement`` the walk builds
+for it as ``stage``: its jitter and, for a fabric only, its RTO bound
+``[jitter - min_spacing]^+`` and whether that clamp fired.  A re-sequencer's
+upstream RTO is ``bounds.rto_bound_sequence`` of the stages reported since
+the previous one; ``scenarios.gen_amplified_rto_chain`` takes those records.
 
 Lossless re-sequencing is free: a [0, 0] stage leaves the curve unchanged,
 so the lossless walk's totals are the baseline, the same path without
@@ -179,8 +182,7 @@ class ElementReport:
     kind: str
     d_min: Fraction
     d_max: Fraction
-    jitter: Fraction
-    rto_bound: Optional[Fraction]  # fabric elements only
+    stage: SequenceElement  # its jitter; a fabric's RTO bound and clamp
     output_curve: Curve
     post_queue_curve: Optional[Curve] = None  # fifo: before the line shaper
 
@@ -264,14 +266,14 @@ class _Walk:
     elements: List[ElementReport] = field(default_factory=list)
     reseqs: List[ResequencerReport] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    segment: List[SequenceElement] = field(default_factory=list)  # since the last re-sequencer
+    since: int = 0  # elements[since:] came after the last re-sequencer
     reordering: Fraction = Fraction(0)  # the jitter from the source through the last fabric
     total_delay: Fraction = Fraction(0)
     total_min_delay: Fraction = Fraction(0)
 
     def fork(self) -> "_Walk":
         return replace(self, elements=self.elements[:], reseqs=self.reseqs[:],
-                       warnings=self.warnings[:], segment=self.segment[:])
+                       warnings=self.warnings[:])
 
     def report(self, loss_mode: str) -> AnalysisReport:
         jitter = self.total_delay - self.total_min_delay
@@ -296,7 +298,6 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
     lossy = loss_mode == LOSSY
     for el in stages:
         curve = walk.curve
-        stage = None  # set by the fabric and fixed-delay branches
         if el.kind == "fifo_service":
             svc = el.service
             d_max = horizontal_deviation(curve, svc)
@@ -307,16 +308,13 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
                 raise PathConfigError(
                     f"{el.id}: minimum delay exceeds the worst-case bound"
                 )
-            jitter = d_max - d_min
             post_queue = shift_jitter(curve, svc.latency)
             curve = min_curves(
                 post_queue, leaky_bucket(svc.rate, flow.l_max, curve.unit)
             )
-            walk.elements.append(
-                ElementReport(
-                    el.id, el.kind, d_min, d_max, jitter, None, curve, post_queue
-                )
-            )
+            walk.elements.append(ElementReport(
+                el.id, el.kind, d_min, d_max, SequenceElement(d_max - d_min), curve,
+                post_queue))
         elif el.kind in ("fabric", "order_preserving_fixed"):
             d_min, d_max = el.d_min, el.d_max
             jitter = d_max - d_min
@@ -327,10 +325,10 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
             )
             curve = shift_jitter(curve, jitter)
             walk.elements.append(
-                ElementReport(el.id, el.kind, d_min, d_max, jitter, stage.rto, curve)
-            )
+                ElementReport(el.id, el.kind, d_min, d_max, stage, curve))
         elif el.kind == "resequencer":
-            upstream = bounds.rto_bound_sequence(walk.segment).value
+            upstream = bounds.rto_bound_sequence(
+                [e.stage for e in walk.elements[walk.since:]]).value
             # in auto mode, the timeout that never discards: the RTO
             timeout: Rat = upstream if el.mode == "auto" else el.timeout
             unsafe = timeout < upstream
@@ -362,18 +360,15 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
             walk.reseqs.append(
                 ResequencerReport(el.id, upstream, timeout, req, size, unsafe, curve)
             )
-            walk.segment = []  # restarts here; the RTO bound skips this first stage
+            walk.since = len(walk.elements)
         else:  # pragma: no cover - exhaustive over PathElement
             raise PathConfigError(f"unknown element kind {el.kind!r}")
 
         walk.curve = curve
         walk.total_delay += d_max
         walk.total_min_delay += d_min
-        if stage is None:  # a FIFO or re-sequencer: order-preserving
-            stage = SequenceElement(jitter)
-        elif stage.rto is not None:
+        if el.kind == "fabric":
             walk.reordering = walk.total_delay - walk.total_min_delay
-        walk.segment.append(stage)
 
     return walk
 
@@ -492,10 +487,10 @@ def report_to_json(rep: AnalysisReport) -> dict:
                 "kind": e.kind,
                 "d_min_s": fmt_rat(e.d_min),
                 "d_max_s": fmt_rat(e.d_max),
-                "jitter_s": fmt_rat(e.jitter),
+                "jitter_s": fmt_rat(e.stage.jitter),
                 **(
-                    {"rto_bound_s": fmt_rat(e.rto_bound)}
-                    if e.rto_bound is not None
+                    {"rto_bound_s": fmt_rat(e.stage.rto)}
+                    if e.stage.rto is not None
                     else {}
                 ),
                 "output_curve": e.output_curve.to_json(),
@@ -547,8 +542,8 @@ def render_report_table(rep: AnalysisReport) -> str:
                 e.kind,
                 seconds_to_us_display(e.d_min),
                 seconds_to_us_display(e.d_max),
-                seconds_to_us_display(e.jitter),
-                seconds_to_us_display(e.rto_bound) if e.rto_bound is not None else "-",
+                seconds_to_us_display(e.stage.jitter),
+                seconds_to_us_display(e.stage.rto) if e.stage.rto is not None else "-",
             )
         )
     lines = _align_rows(rows)

@@ -11,8 +11,11 @@ Each generator builds the worst-case packet timeline for one bound:
   burst that all lands inside the timeout window.
 * ``gen_rto_tight_pair`` / ``gen_rbo_tight_burst``: greedy two-packet /
   n-packet scenarios meeting the per-element RTO/RBO bounds.
-* ``gen_amplified_rto_chain``: a small swap at an early stage amplified by the
-  jitter of every later stage.
+* ``gen_amplified_rto_chain``: a small swap at the first stage that may
+  reorder, amplified by the jitter of every later stage.  It takes the
+  stages as ``bounds.SequenceElement`` records, such as the
+  ``ElementReport.stage`` of each element a path analysis reports, and
+  reaches their ``bounds.rto_bound_sequence``.
 
 The two burst generators take the analyzed ``FlowSpec`` and size their
 burst with the bound they reach, ``backlog_bound`` and
@@ -41,9 +44,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import List, Optional, Sequence, Tuple
 
-from .bounds import rbo_bound_element
+from .bounds import SequenceElement, rbo_bound_element, rto_bound_element
+from .bounds import rto_bound_sequence
 from .curves import Curve, FlowSpec, StaircaseCurve, backlog_bound, check_conforms
-from .curves import min_spacing
 from .metrics import Trace
 from .rational import INF, Rat, finite, fmt_rat, on_common_base, rebased, reduced
 
@@ -221,12 +224,14 @@ def gen_rto_tight_pair(jitter: Rat, curve: Curve, l_min: Rat) -> Trace:
     """Two minimum-size packets emitted as close as the curve allows; the
     first is hit by the full jitter, the second by none.
 
-    The measured offset is exactly ``jitter - min_spacing(curve, l_min)``.
+    The measured offset is exactly the element bound
+    ``rto_bound_element(jitter, curve, l_min).rto``, refused when that is 0.
     """
     v, lm = finite(jitter), finite(l_min)
-    spacing = min_spacing(curve, lm)
-    if v <= spacing:
+    offset = rto_bound_element(v, curve, lm).rto
+    if not offset:
         raise ScenarioError("jitter at or below the curve spacing: no reordering")
+    spacing = v - offset
     return Trace([lm, lm], [Fraction(0), spacing], [v, spacing])
 
 
@@ -280,36 +285,31 @@ class ConcatScenario:
 
     per_stage: Tuple[Trace, ...]
     end_to_end: Trace
-    rto_target: Fraction  # head RTO + downstream jitters - eps
+    rto_target: Fraction  # rto_bound_sequence(stages).value - eps
 
 
-def gen_amplified_rto_chain(
-    stages: Sequence[Tuple[Rat, Rat]],
-    head: int,
-    eps: Optional[Rat] = None,
-) -> ConcatScenario:
-    """Two 64-byte packets swapped by ``rto`` at stage ``head`` (1-based), then
-    stretched apart by the full jitter of every later stage.
+def gen_amplified_rto_chain(stages: Sequence[SequenceElement],
+                            eps: Optional[Rat] = None) -> ConcatScenario:
+    """Two 64-byte packets swapped by the RTO of the first stage that may
+    reorder, then stretched apart by the full jitter of every later stage:
+    an offset of ``bounds.rto_bound_sequence(stages).value - eps``.
 
-    ``stages`` lists (jitter, rto) per stage; stages before ``head`` forward
-    both packets with identical delay.
+    Stages before that one forward both packets with identical delay.
     """
-    stages = [(finite(v), finite(lam)) for v, lam in stages]
-    if not 1 <= head <= len(stages):
-        raise ScenarioError("head stage out of range")
-    v_s, lam_s = stages[head - 1]
-    if lam_s <= 0:
-        raise ScenarioError("head stage needs a positive RTO")
-    if lam_s > v_s:
-        raise ScenarioError("per-stage RTO cannot exceed its jitter")
-    eps = _eps(eps, lam_s, "head-stage RTO")
+    bound = rto_bound_sequence(stages)
+    if bound.head_index is None:
+        raise ScenarioError("no stage may reorder")
+    if not bound.head_term:
+        raise ScenarioError("the first stage that may reorder needs a positive RTO")
+    eps = _eps(eps, bound.head_term, "the RTO of the first stage that may reorder")
 
     # Packet 2 enters at eps and crosses every stage with zero delay; packet
-    # 1 enters at 0 and is held back by the head's RTO and every later jitter.
+    # 1 enters at 0 and is held back by that RTO and every later jitter.
     t1 = Fraction(0)
     per_stage: List[Trace] = []
-    for h, (v_h, _) in enumerate(stages, start=1):
-        out1 = t1 + (0 if h < head else lam_s if h == head else v_h)
+    for h, stage in enumerate(stages):
+        out1 = t1 + (0 if h < bound.head_index else
+                     bound.head_term if h == bound.head_index else stage.jitter)
         # Index packets by arrival order at this stage's input.
         pairs = [(t1, out1), (eps, eps)] if t1 < eps else [(eps, eps), (t1, out1)]
         emits, observes = zip(*pairs)
@@ -317,7 +317,4 @@ def gen_amplified_rto_chain(
         t1 = out1
 
     end_to_end = Trace([64, 64], [Fraction(0), eps], [t1, eps])
-    downstream = sum((v for v, _ in stages[head:]), Fraction(0))
-    return ConcatScenario(
-        tuple(per_stage), end_to_end, lam_s - eps + downstream
-    )
+    return ConcatScenario(tuple(per_stage), end_to_end, bound.value - eps)

@@ -18,7 +18,7 @@ import pytest
 import scenario_oracle
 from arrival_trace import arrival_trace
 from tick_columns import departures
-from reseqkit.bounds import LOSSLESS, LOSSY
+from reseqkit.bounds import LOSSLESS, LOSSY, SequenceElement
 from reseqkit.case_study import (
     PLACEMENTS,
     automotive_base_path,
@@ -248,7 +248,7 @@ class TestCriterion2Intermediates:
         assert by_id["h1.fifo"].d_max == us("63.2")
         assert by_id["S1.fifo"].d_max == us("14.012")
         assert abs(by_id["S1.fifo"].d_max - us("14.01")) <= TIME_TOL
-        assert by_id["S1.fabric"].rto_bound == HEAD
+        assert by_id["S1.fabric"].stage.rto == HEAD
         report("criterion 2 (port delay bounds 63.2/14.01, head 0.988): PASS")
 
     def test_destination_rto_and_rbo_bounds_exact(self):
@@ -419,12 +419,13 @@ class TestCriterion5Tightness:
         report("criterion 5 (element RBO tightness): PASS")
 
     def test_chain_rto_attained_exactly(self):
-        stages = [(V_SF, HEAD), (V_FIFO, F(0)), (V_SF, F(0)), (V_FIFO, F(0))]
+        stages = [SequenceElement(V_SF, HEAD), SequenceElement(V_FIFO),
+                  SequenceElement(V_SF), SequenceElement(V_FIFO)]
         eps = HEAD / 10**6
-        chain = gen_amplified_rto_chain(stages, head=1, eps=eps)
+        chain = gen_amplified_rto_chain(stages, eps=eps)
         assert rto(chain.end_to_end).value == us("29.488") - eps
-        for stage_trace, (v, _) in zip(chain.per_stage, stages):
-            assert delay_jitter(stage_trace).jitter <= v
+        for stage_trace, stage in zip(chain.per_stage, stages):
+            assert delay_jitter(stage_trace).jitter <= stage.jitter
         report("criterion 5 (chain RTO tightness, 29.488 us - eps): PASS")
 
     def test_lossy_occupancy_attained_exactly(self):

@@ -703,11 +703,20 @@ STAIR = StaircaseCurve(640, F(1, 100))
          "min is defined for min-affine curves only"),
         (lambda: horizontal_deviation(STAIR, RateLatencyService(125_000_000, 0)),
          CurveError, "delay bound requires a min-affine arrival curve"),
+        (lambda: StaircaseCurve(0, 1), CurveError,
+         "staircase burst and period must be > 0"),
+        (lambda: StaircaseCurve(640, 0), CurveError,
+         "staircase burst and period must be > 0"),
+        (lambda: StaircaseCurve(-640, 1), CurveError,
+         "staircase burst and period must be > 0"),
+        (lambda: curve_from_json({"kind": "staircase", "burst": "640", "period": "0"}),
+         CurveError, "staircase burst and period must be > 0"),
     ],
     ids=["zero-rate", "no-piece", "json-no-piece", "affine-inverse-below-0", "staircase-value-below-0",
          "staircase-inverse-below-0", "spacing-without-l_min",
          "backlog-negative-delay", "shift-negative-jitter", "min-of-staircase",
-         "deviation-of-staircase"],
+         "deviation-of-staircase", "staircase-zero-burst", "staircase-zero-period",
+         "staircase-negative-burst", "json-staircase-zero-period"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as exc:

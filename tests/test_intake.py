@@ -199,11 +199,11 @@ FIELDS = {
     "gen_rbo_tight_burst eps": (
         lambda x: scenarios.gen_rbo_tight_burst(FLOW, 1, x), False),
     "gen_amplified_rto_chain jitter": (
-        lambda x: scenarios.gen_amplified_rto_chain([(x, 1)], 1), False),
+        lambda x: scenarios.gen_amplified_rto_chain([SequenceElement(x, 1)]), False),
     "gen_amplified_rto_chain rto": (
-        lambda x: scenarios.gen_amplified_rto_chain([(2, x)], 1), False),
+        lambda x: scenarios.gen_amplified_rto_chain([SequenceElement(2, x)]), False),
     "gen_amplified_rto_chain eps": (
-        lambda x: scenarios.gen_amplified_rto_chain([(2, 1)], 1, x), False),
+        lambda x: scenarios.gen_amplified_rto_chain([SequenceElement(2, 1)], x), False),
 }
 
 

@@ -13,6 +13,7 @@ import scenario_oracle
 from arrival_trace import source_trace
 from reseqkit import bounds, path_analysis
 from reseqkit.bounds import LOSSLESS, LOSSY
+from reseqkit.case_study import PLACEMENTS, automotive_base_path
 from reseqkit.curves import (
     FlowSpec,
     check_conforms,
@@ -35,7 +36,10 @@ from reseqkit.path_analysis import (
     report_to_json,
 )
 from reseqkit.curves import MinAffineCurve, RateLatencyService
+from reseqkit.metrics import rto
 from reseqkit.rational import INF
+from reseqkit.resequencer import INVALID_LATE, ResequencerConfig, simulate
+from reseqkit.scenarios import gen_amplified_rto_chain
 
 US = F(1, 10**6)
 
@@ -203,7 +207,7 @@ class TestResequencingForFree:
     def test_jitter_decomposition(self):
         # e2e jitter == sum of element jitters + lossy timeouts
         rep = analyze_path(small_path(LOSSY))
-        parts = sum((e.jitter for e in rep.elements), F(0))
+        parts = sum((e.stage.jitter for e in rep.elements), F(0))
         parts += sum((r.timeout for r in rep.resequencers), F(0))
         assert rep.e2e_jitter == parts
 
@@ -254,7 +258,7 @@ class TestBaselineAndPlacements:
 
     def test_baseline_jitter_is_sum_of_element_jitters(self):
         rep = analyze_path(small_path(LOSSY, with_reseq=False))
-        assert rep.e2e_jitter == sum((e.jitter for e in rep.elements), F(0))
+        assert rep.e2e_jitter == sum((e.stage.jitter for e in rep.elements), F(0))
 
     def test_compare_placements_shapes_rows(self):
         base = small_path(LOSSY, with_reseq=False)
@@ -299,7 +303,7 @@ class TestBaselineAndPlacements:
         assert all(r.delta_jitter == 0 for r in rows if r.loss_mode == LOSSLESS)
         # destination placement pays the head offset plus downstream jitters
         rep = analyze_path(insert_resequencers(base, ["sub3"]))
-        lam1 = rep.elements[0].rto_bound
+        lam1 = rep.elements[0].stage.rto
         only3 = reports["only at 3"][LOSSY]
         assert only3.delta_jitter == lam1 + v[1] + v[2]
         assert only3.delta_delay == only3.delta_jitter
@@ -474,7 +478,7 @@ def sequence_rules(path, rep):
         else:
             e = next(elements)
             stage = bounds_oracle.SequenceElement(
-                e.jitter, e.kind != "fabric", None, curve
+                e.stage.jitter, e.kind != "fabric", None, curve
             )
             curve = e.output_curve
         segment.append(stage)
@@ -535,6 +539,71 @@ class TestSharedBaseline:
                 PathConfigError, match="path contains only re-sequencers"
             ):
                 PathSpec(flow64(), (ResequencerElement("rb"),), mode)
+
+
+def segments(path, rep):
+    """Each re-sequencer's report with the element reports of its segment,
+    the elements since the previous re-sequencer, found from the order of
+    ``path.elements`` as ``sequence_rules`` does."""
+    elements, reseqs = iter(rep.elements), iter(rep.resequencers)
+    segment = []
+    for el in path.elements:
+        if el.kind == "resequencer":
+            yield next(reseqs), segment
+            segment = []
+        else:
+            segment.append(next(elements))
+
+
+def witnessed_rtos(path, rep):
+    """For each re-sequencer whose segment has a positive head term: its
+    upstream RTO, and the epsilon and chain of ``gen_amplified_rto_chain``
+    over the segment's own stages.  The chain's offset is the upstream RTO
+    less epsilon: a timeout 2*eps short of that RTO discards its late
+    packet, and the RTO itself discards nothing."""
+    witnessed = []
+    for r, segment in segments(path, rep):
+        stages = [e.stage for e in segment]
+        head = next((s.rto for s in stages if s.rto is not None), 0)
+        if not head:
+            continue
+        eps = head / 3
+        chain = gen_amplified_rto_chain(stages, eps)
+        assert rto(chain.end_to_end).value == r.upstream_rto - eps
+        short = simulate(chain.end_to_end,
+                         ResequencerConfig(r.upstream_rto - 2 * eps, INF))
+        assert INVALID_LATE in short.discards.values()
+        assert simulate(chain.end_to_end,
+                        ResequencerConfig(r.upstream_rto, INF)).discards == {}
+        witnessed.append((r.upstream_rto, eps, chain))
+    return witnessed
+
+
+class TestRtoTightAlongPath:
+    """The RTO witness reaches each re-sequencer's upstream RTO bound, fed
+    with the stages the analysis itself reports."""
+
+    @settings(max_examples=150)
+    @given(path=mixed_paths())
+    def test_chain_over_reported_stages_reaches_upstream_rto(self, path):
+        modes = (LOSSLESS,) if any(
+            e.kind == "resequencer" and e.timeout is INF for e in path.elements
+        ) else (LOSSLESS, LOSSY)  # lossy mode refuses an infinite timeout
+        for mode in modes:
+            witnessed_rtos(path, analyze_path(replace(path, loss_mode=mode)))
+
+    def test_bundled_placements(self):
+        base = automotive_base_path()
+        for name, by_mode in compare_placements(base, PLACEMENTS).items():
+            placed = insert_resequencers(base, PLACEMENTS[name])
+            for mode, rep in by_mode.items():
+                witnessed = witnessed_rtos(placed, rep)
+                assert len(witnessed) == len(rep.resequencers)
+                if (name, mode) == ("only at h2", LOSSLESS):
+                    ((upstream, eps, chain),) = witnessed
+                    assert upstream == F("29.488") * US
+                    assert chain.rto_target == rto(chain.end_to_end).value
+                    assert chain.rto_target == upstream - eps
 
 
 def cycled_path(source_pieces, length=50):

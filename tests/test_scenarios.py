@@ -11,7 +11,7 @@ import scenario_oracle as oracle
 from arrival_trace import source_trace
 from tick_columns import departures
 from reseqkit import scenarios
-from reseqkit.bounds import rbo_bound_element
+from reseqkit.bounds import SequenceElement, rbo_bound_element
 from reseqkit.curves import (
     CurveError,
     FlowSpec,
@@ -356,43 +356,43 @@ class TestOracleEquivalenceOnGeneratedTraces:
 
 class TestAmplifiedRtoChain:
     STAGES = [
-        (F("1.5") * US, F("0.988") * US),
-        (F("13.5") * US, F(0)),
-        (F("1.5") * US, F(0)),
-        (F("13.5") * US, F(0)),
+        SequenceElement(F("1.5") * US, F("0.988") * US),
+        SequenceElement(F("13.5") * US),
+        SequenceElement(F("1.5") * US),
+        SequenceElement(F("13.5") * US),
     ]
 
     def test_automotive_chain_rto(self):
         eps = F("0.988") * US / 10**6
-        chain = gen_amplified_rto_chain(self.STAGES, head=1, eps=eps)
+        chain = gen_amplified_rto_chain(self.STAGES, eps=eps)
         want = F("29.488") * US - eps
         assert chain.rto_target == want
         assert rto(chain.end_to_end).value == want
 
     def test_single_stage(self):
         eps = F(1, 10**9)
-        chain = gen_amplified_rto_chain([(F(5), F(2))], head=1, eps=eps)
+        chain = gen_amplified_rto_chain([SequenceElement(F(5), F(2))], eps=eps)
         assert rto(chain.end_to_end).value == 2 - eps
 
     def test_per_stage_jitter_within_bounds(self):
-        chain = gen_amplified_rto_chain(self.STAGES, head=1)
-        for stage_trace, (v, _) in zip(chain.per_stage, self.STAGES):
-            assert delay_jitter(stage_trace).jitter <= v
+        chain = gen_amplified_rto_chain(self.STAGES)
+        for stage_trace, stage in zip(chain.per_stage, self.STAGES):
+            assert delay_jitter(stage_trace).jitter <= stage.jitter
 
     def test_stages_after_head_preserve_order(self):
-        chain = gen_amplified_rto_chain(self.STAGES, head=1)
+        chain = gen_amplified_rto_chain(self.STAGES)
         for stage_trace in chain.per_stage[1:]:
             assert rto(stage_trace).value == 0
 
     def test_distinct_observation_times(self):
-        chain = gen_amplified_rto_chain(self.STAGES, head=1)
+        chain = gen_amplified_rto_chain(self.STAGES)
         for trace in chain.per_stage + (chain.end_to_end,):
             times = [p.observe_time for p in trace.packets]
             assert len(set(times)) == len(times)
 
     def test_eps_must_sit_below_head_rto(self):
         with pytest.raises(ScenarioError):
-            gen_amplified_rto_chain([(F(5), F(2))], head=1, eps=F(2))
+            gen_amplified_rto_chain([SequenceElement(F(5), F(2))], eps=F(2))
 
 
 @st.composite
@@ -596,18 +596,18 @@ FLOW64 = FlowSpec(CURVE64, F(64), F(64))
          "source curve burst below l_max: a maximal packet could never be sent"),
         (lambda: gen_rbo_tight_burst(FLOW64, 0), ScenarioError,
          "the construction needs jitter > 0"),
-        (lambda: gen_amplified_rto_chain([(2, 1)], 2), ScenarioError,
-         "head stage out of range"),
-        (lambda: gen_amplified_rto_chain([(2, 1)], 0), ScenarioError,
-         "head stage out of range"),
-        (lambda: gen_amplified_rto_chain([(2, 0)], 1), ScenarioError,
-         "head stage needs a positive RTO"),
-        (lambda: gen_amplified_rto_chain([(1, 2)], 1), ScenarioError,
-         "per-stage RTO cannot exceed its jitter"),
+        (lambda: gen_amplified_rto_chain([SequenceElement(2), SequenceElement(1)]),
+         ScenarioError, "no stage may reorder"),
+        (lambda: gen_amplified_rto_chain([]), ScenarioError, "no stage may reorder"),
+        (lambda: gen_amplified_rto_chain([SequenceElement(3), SequenceElement(2, 0),
+                                          SequenceElement(2, 1)]), ScenarioError,
+         "the first stage that may reorder needs a positive RTO"),
+        (lambda: gen_amplified_rto_chain([SequenceElement(1, 2)]), ValueError,
+         "a stage's RTO lies between 0 and its jitter"),
     ],
     ids=["packetize-negative-size", "lossless-offset", "lossless-no-sizes",
          "lossy-jitter", "lossy-timeout", "flow-burst-below-l_max", "rbo-jitter",
-         "chain-head-above", "chain-head-below", "chain-head-rto",
+         "chain-order-preserving", "chain-empty", "chain-head-rto",
          "chain-rto-above-jitter"],
 )
 def test_refusals(call, error, message):
