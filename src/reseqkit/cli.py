@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
@@ -142,32 +143,40 @@ def cmd_analyze(args) -> int:
     return code
 
 
+def _read_trace(path: str):
+    """The trace in the CSV file at ``path``, read from the open file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return trace_from_csv(fh)
+
+
 def cmd_metrics(args) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        trace = trace_from_csv(fh.read())
+    trace = _read_trace(args.trace)
     r_time = rto(trace)
     r_byte = rbo(trace)
     # before any output: a trace with every packet lost fails here
     dj = delay_jitter(trace) if trace.has_emit_times else None
-    print(f"rto_s={fmt_rat(r_time.value)} ({seconds_to_us_display(r_time.value)} us)")
-    print(f"rbo_bytes={fmt_rat(r_byte.value)}")
+    lines = [f"rto_s={fmt_rat(r_time.value)} ({seconds_to_us_display(r_time.value)} us)",
+             f"rbo_bytes={fmt_rat(r_byte.value)}"]
     if dj is not None:
-        print(f"d_max_s={fmt_rat(dj.d_max)} ({seconds_to_us_display(dj.d_max)} us)")
-        print(f"d_min_s={fmt_rat(dj.d_min)} ({seconds_to_us_display(dj.d_min)} us)")
-        print(f"jitter_s={fmt_rat(dj.jitter)} ({seconds_to_us_display(dj.jitter)} us)")
+        lines += [
+            f"d_max_s={fmt_rat(dj.d_max)} ({seconds_to_us_display(dj.d_max)} us)",
+            f"d_min_s={fmt_rat(dj.d_min)} ({seconds_to_us_display(dj.d_min)} us)",
+            f"jitter_s={fmt_rat(dj.jitter)} ({seconds_to_us_display(dj.jitter)} us)",
+        ]
     else:
-        print("d_max_s=- d_min_s=- jitter_s=-  (no emission times)")
+        lines.append("d_max_s=- d_min_s=- jitter_s=-  (no emission times)")
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     if args.verbose:
         lams, pis = fmt_ticks(r_time.ticks, r_time.den), fmt_ticks(r_byte.ticks, r_byte.den)
-        for idx, (lam, pi) in enumerate(zip(lams, pis), start=1):
-            if lam != "inf":  # a lost packet has no offset
-                print(f"packet {idx}: lambda_s={lam} pi_bytes={pi}")
+        sys.stdout.write("".join(
+            f"packet {idx}: lambda_s={lam} pi_bytes={pi}\n"
+            for idx, lam, pi in zip(count(1), lams, pis)
+            if lam != "inf"))  # a lost packet has no offset
     return OK
 
 
 def cmd_simulate(args) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        trace = trace_from_csv(fh.read())
+    trace = _read_trace(args.trace)
     cfg = ResequencerConfig(parse_time(args.timeout), args.buffer)
     outcome = simulate(trace, cfg)
     print(_dump_json({

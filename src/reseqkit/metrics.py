@@ -36,17 +36,24 @@ packet observed ahead of ``lo`` reads and updates a Fenwick tree, over the
 range between the two.  Its cost thus follows the reorder extent: O(n)
 after the sort for a trace in order, O(n log n) at worst.
 
-Reading: ``trace_from_csv`` transposes the file's rows, a chunk at a time,
-into four columns of cells and converts each chunk's column in a few passes
-over all of it into ticks on its own base: plain decimals, and ``inf``
-among them, become ticks directly, and only the other literals (``3/7``,
-``12e-6``) are parsed one by one.  The chunks of a column are joined on the least
+Reading: ``trace_from_csv`` takes the text or an open text file, and
+reads it a chunk of lines at a time.  A plain chunk, whose every line is
+an index of ASCII digits and three non-empty cells over ``[0-9a-z./+-]``,
+is split on its commas and newlines straight into four columns of cells.
+From the first chunk that is not plain (a quoted or padded cell, a blank
+row, a CRLF line end), the rest of the stream goes through one
+``csv.reader``, whose rows are transposed into columns of stripped cells.
+Each chunk's column is converted in a few passes over all of it into
+ticks on its own base: plain decimals, and ``inf`` among them, become
+ticks directly, and only the other literals (``3/7``, ``12e-6``) are
+parsed one by one.  The chunks of a column are joined on the least
 common multiple of their bases, emissions and observations on one base and
 sizes on another; a base of more digits than an ``int`` literal may have
 is refused.  The checks then run on whole columns, but for sizes above 0,
 checked per chunk.  When one fails, a second reading, row by row, raises
 the defect that comes first in the file, so a trace with several defects
-reports the same error however it is read.  A refused base skips that
+reports the same error however it is read; a file that cannot seek, a
+pipe, is therefore read whole first.  A refused base skips that
 second reading, as no row shows it.  A refusal is reported where it is
 found; later columns and chunks are not read.
 """
@@ -55,12 +62,13 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from operator import gt, le
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .rational import INF, Rat, Tick, check_digit_limit, exact, finite, fmt_ticks
 from .rational import BaseLimitError, on_common_base, over, read_literals, rebased
@@ -308,26 +316,34 @@ def trace_to_csv(trace: Trace) -> str:
     return "".join(f"{line}\n" for line in map(",".join, [CSV_HEADER, *rows]))
 
 
-def trace_from_csv(text: str) -> Trace:
-    """Read a trace from CSV text (see ``trace_to_csv``).
+def trace_from_csv(source: Union[str, TextIO]) -> Trace:
+    """Read a trace from CSV text, or from an open text file, at its
+    position (see ``trace_to_csv``).
 
     The columns are read and checked whole (``_read_columns``).  When that
-    fails, a pass row by row (``_raise_first_row_defect``) reports the
-    defect that comes first in the file, so a trace with several defects
-    always reports the same one; when no row is at fault, the column
-    check's own error stands.  A base beyond the digit limit
-    (``BaseLimitError``) is no row's defect and skips the row pass.  A
-    refusal is reported where it is found: a column's base is refused before
-    its values are checked, and later columns and chunks are not read.
-    Each chunk's sizes are checked above 0 as it is read, so a defect in an
-    earlier chunk or column is the one reported."""
+    fails, a pass row by row (``_raise_first_row_defect``) reads the source
+    again from where it started and reports the defect that comes first in
+    the file, so a trace with several defects always reports the same one;
+    when no row is at fault, the column check's own error stands.  A file
+    that cannot seek, a pipe, is therefore read whole first.  A base beyond
+    the digit limit (``BaseLimitError``) is no row's defect and skips the
+    row pass.  A refusal is reported where it is found: a column's base is
+    refused before its values are checked, and later columns and chunks
+    are not read.  Each chunk's sizes are checked above 0 as it is read, so
+    a defect in an earlier chunk or column is the one reported."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    elif not source.seekable():
+        source = io.StringIO(source.read())
+    start = source.tell()
     try:
         try:
-            return _read_columns(text)
+            return _read_columns(source)
         except BaseLimitError:  # no row shows it
             raise
         except (ValueError, csv.Error):
-            _raise_first_row_defect(text)
+            source.seek(start)
+            _raise_first_row_defect(source)
             raise
     except csv.Error as exc:
         raise TraceError(f"unreadable trace CSV: {exc}") from exc
@@ -338,37 +354,47 @@ def _check_header(header: Optional[List[str]]) -> None:
         raise TraceError(f"trace CSV must start with header {','.join(CSV_HEADER)}")
 
 
-#: Rows read at a time: a chunk's cells are strings only until its columns
+#: Lines read at a time: a chunk's cells are strings only until its columns
 #: are converted, so the strings of the whole file are never held at once.
 _CHUNK_ROWS = 1024
 
+_CELL = "[0-9a-z./+-]+"
+_ROW = f"[0-9]+,{_CELL},{_CELL},{_CELL}"
+#: A chunk of plain rows: on every line an index of ASCII digits and three
+#: non-empty cells over characters that hold no quote, blank, ``\r`` or
+#: NUL, so each line reads as ``csv.reader`` reads it; the last line may
+#: lack its newline.
+_PLAIN_ROWS = re.compile(rf"(?:{_ROW}\n)*{_ROW}\n?")
 
-def _read_columns(text: str) -> Trace:
-    """The trace in ``text``, read column by column.
 
-    Each chunk of rows is transposed into four columns of stripped cells,
-    and each column is converted in a few passes: the indices by one
-    ASCII-digit test of the joined column and ``int`` (an empty or
-    over-long cell makes ``int`` raise, and the row pass reports it through
-    ``_packet_index``), sizes and times by ``read_literals`` into
-    ``(base, ticks)``, which ``rebased`` moves to one base per quantity
-    before the chunks are joined, each base checked against the digit
-    limit first.  Sizes are checked above 0 per chunk, the rest on whole
-    columns, so when several fail, the one raised need not be the first in
-    the file (``trace_from_csv`` finds that one)."""
-    reader = csv.reader(io.StringIO(text))
-    _check_header(next(reader, None))
+def _read_columns(source: TextIO) -> Trace:
+    """The trace in ``source``, read column by column.
+
+    Each chunk of rows becomes four columns of stripped cells
+    (``_column_chunks``), and each column is converted in a few passes:
+    the indices by one comparison of their joined text with the expected
+    one and, where they differ, an ASCII-digit test of the joined column
+    and ``int`` (an empty or over-long cell makes ``int`` raise, and the
+    row pass reports it through ``_packet_index``), sizes and times by
+    ``read_literals`` into ``(base, ticks)``, which ``rebased`` moves to
+    one base per quantity before the chunks are joined, each base checked
+    against the digit limit first.  Sizes are checked above 0 per chunk,
+    the rest on whole columns, so when several fail, the one raised need
+    not be the first in the file (``trace_from_csv`` finds that one)."""
+    lines = iter(source)
+    _check_header(next(csv.reader(lines), None))
     n = missing = 0
     sizes: List[Tuple[int, List[int]]] = []
     emits: List[Tuple[int, List[int]]] = []
     observes: List[Tuple[int, List[Tick]]] = []
-    for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
-        idx, size, emit, obs = _columns(rows)
-        digits = "".join(idx)
-        if not (digits.isascii() and (digits.isdigit() or not digits)):
-            raise TraceError("packet indices must be ASCII digits")
-        if list(map(int, idx)) != list(range(n + 1, n + len(idx) + 1)):
-            raise TraceError("packet indices must be contiguous from 1")
+    for idx, size, emit, obs in _column_chunks(lines):
+        expected = range(n + 1, n + len(idx) + 1)
+        if "\n".join(idx) != "\n".join(map(str, expected)):  # a leading 0, or a defect
+            digits = "".join(idx)
+            if not (digits.isascii() and (digits.isdigit() or not digits)):
+                raise TraceError("packet indices must be ASCII digits")
+            if list(map(int, idx)) != list(expected):
+                raise TraceError("packet indices must be contiguous from 1")
         n += len(idx)
         sizes.append(read_literals(size, finite, "sizes (size_bytes)"))
         if min(sizes[-1][1], default=1) <= 0:  # before a later base refusal
@@ -385,6 +411,27 @@ def _read_columns(text: str) -> Trace:
     k, flat = len(emits), chain.from_iterable
     return Trace._from_ticks(size_den, list(flat(sizes)), time_den,
                              list(flat(times[:k])), list(flat(times[k:])))
+
+
+def _column_chunks(lines: Iterator[str]) -> Iterator[List[List[str]]]:
+    """The four columns of cells of each chunk of ``_CHUNK_ROWS`` lines.
+
+    A chunk whose text ``_PLAIN_ROWS`` matches, and which is no longer than
+    the field ``csv.reader`` takes, is split on its commas and newlines
+    with no per-row step.  From the first chunk that is not plain, the rest
+    of the stream goes through one ``csv.reader`` and ``_columns``: a plain
+    chunk holds no quote, so no reader state is lost at that boundary."""
+    limit = csv.field_size_limit()
+    for chunk in iter(lambda: list(islice(lines, _CHUNK_ROWS)), []):
+        block = "".join(chunk)
+        if len(block) > limit or not _PLAIN_ROWS.fullmatch(block):
+            reader = csv.reader(chain(chunk, lines))
+            yield from map(_columns, iter(lambda: list(islice(reader, _CHUNK_ROWS)), []))
+            return
+        cells = block.replace("\n", ",").split(",")
+        if block[-1] == "\n":
+            cells.pop()  # the "" after the last newline
+        yield [cells[0::4], cells[1::4], cells[2::4], cells[3::4]]
 
 
 def _columns(rows: List[List[str]]) -> List[List[str]]:
@@ -414,12 +461,12 @@ def _packet_index(cell: str) -> int:
     return int(cell)
 
 
-def _raise_first_row_defect(text: str) -> None:
-    """Read ``text`` row by row and raise its first defect in file order:
+def _raise_first_row_defect(source: TextIO) -> None:
+    """Read ``source`` row by row and raise its first defect in file order:
     a row with the wrong number of cells, a cell that does not parse, an
     index below 1 or a size not above 0, then indices that are not
     contiguous.  Returns when there is none; it never builds a trace."""
-    rows = csv.reader(io.StringIO(text))
+    rows = csv.reader(source)
     _check_header(next(rows, None))
     indices: List[int] = []
     for lineno, row in enumerate(rows, start=2):

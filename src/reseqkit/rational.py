@@ -332,11 +332,13 @@ def read_literals(cells: Sequence[str], parse: Callable[[str], Rat],
     ``exact`` or ``finite`` and ``name`` naming them, read in a few passes.
 
     A plain decimal with d decimals is read straight into an integer over
-    10**d, trailing zeros and all (``"1.500"`` is 1500/10**3).  When every
-    cell has the d decimals of the first cell that is not ``inf``, or is
-    ``inf`` (a lossy capture's observations), the column is read in a few
-    passes without a per-cell loop; otherwise the cells that are not plain
-    decimals are parsed one by one, with ``parse``'s checks and messages.
+    10**d, trailing zeros and all (``"1.500"`` is 1500/10**3).  A column
+    that repeats one plain decimal, as the sizes of a constant-size flow,
+    is read with one ``int``.  When every cell has the d decimals of the
+    first cell that is not ``inf``, or is ``inf`` (a lossy capture's
+    observations), the column is read in a few passes without a per-cell
+    loop; otherwise the cells that are not plain decimals are parsed one
+    by one, with ``parse``'s checks and messages.
     The base is the least common multiple of 10**d, d the most decimals of
     a plain cell, and the denominators of the other cells, refused past
     the digit limit (``_check_base``; a cell of d decimals that ``int``
@@ -344,10 +346,12 @@ def read_literals(cells: Sequence[str], parse: Callable[[str], Rat],
     """
     if not cells:
         return 1, []
-    joined = "\n".join(cells)
     first = next((c for c in cells if c != "inf"), "")
     d = len(first) - first.find(".") - 1 if "." in first else 0
     cell = rf"[0-9]+\.[0-9]{{{d}}}" if d else "[0-9]+"  # ASCII, d decimals
+    if first == cells[-1] and cells.count(first) == len(cells) and re.fullmatch(cell, first):
+        return 10**d, [int(first.replace(".", ""))] * len(cells)
+    joined = "\n".join(cells)
     lost = "f" in joined  # where the pattern matches, an "f" is that of "inf"
     if lost:
         cell = f"(?:{cell}|inf)"

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import re
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from reseqkit import case_study, cli, path_analysis
 from reseqkit.cli import DISCARD, INPUT_ERROR, MISMATCH, OK, UNSAFE_WARNING, main
 from reseqkit.curves import horizontal_deviation
-from reseqkit.metrics import trace_from_csv, trace_to_csv
+from reseqkit.metrics import CSV_HEADER, trace_from_csv, trace_to_csv
 from reseqkit.scenarios import gen_two_packet_swap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -672,6 +675,70 @@ class TestSimulate:
         assert main(["simulate", str(p), "--timeout", "inf"]) == OK
         blob = json.loads(capsys.readouterr().out)
         assert blob["departures"] == {"1": "1", "2": "2"}
+
+
+def piped(tmp_path, text):
+    """A FIFO under ``tmp_path`` that a thread fills with ``text`` once a
+    reader opens it: a trace path that cannot seek, as ``<(cat t.csv)``."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes here")
+    path = tmp_path / "trace.fifo"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return str(path), writer
+
+
+CAPTURE_SHAPE_CALLS = [
+    (["metrics", "--verbose"], "capture_shape_metrics.txt"),
+    (["simulate", "--timeout", "2us"], "capture_shape_simulate.json"),
+]
+
+
+class TestTraceIntake:
+    """``metrics`` and ``simulate`` hand ``trace_from_csv`` the open file;
+    one that cannot seek, a pipe, is read whole first, as the row pass
+    reads a defective trace again from its start."""
+
+    @pytest.mark.parametrize("verb,golden", CAPTURE_SHAPE_CALLS)
+    def test_the_open_file_is_read(self, verb, golden, capsys):
+        with mock.patch.object(cli, "trace_from_csv", wraps=cli.trace_from_csv) as spy:
+            assert main([*verb, CAPTURE_SHAPE]) == OK
+        assert isinstance(spy.call_args.args[0], io.TextIOBase)
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("verb,golden", CAPTURE_SHAPE_CALLS)
+    def test_a_pipe_prints_the_golden_output(self, verb, golden, newline, tmp_path, capsys):
+        text = Path(CAPTURE_SHAPE).read_text(encoding="utf-8").replace("\n", newline)
+        fifo, writer = piped(tmp_path, text)
+        assert main([*verb, fifo]) == OK
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("verb", [["metrics"], ["simulate", "--timeout", "1"]])
+    def test_a_defective_pipe_reports_the_first_defect(self, verb, tmp_path):
+        rows = [f"{i},{0 if i == 1500 else 64},{i},{i}.5" for i in range(1, 2001)]
+        fifo, writer = piped(tmp_path, "\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+        code, out, err = run_cli([*verb, fifo])
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (code, out, err) == (INPUT_ERROR, "", "error: packet sizes must be > 0\n")
+
+    @pytest.mark.parametrize("verb", [["metrics"], ["simulate", "--timeout", "1"]])
+    def test_invalid_utf8_is_an_input_error(self, verb, tmp_path):
+        rows = [f"{i},64,{i},{i}.5".encode() for i in range(1, 3001)]
+        rows[2500] = b"2501,64,2501,\xff"
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\n".join([",".join(CSV_HEADER).encode(), *rows]) + b"\n")
+        err = assert_clean_exit([*verb, str(p)], (INPUT_ERROR,))
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestScenario:

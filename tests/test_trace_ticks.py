@@ -84,6 +84,29 @@ def csv_text(rows):
     return "\n".join([",".join(CSV_HEADER)] + [",".join(r) for r in rows]) + "\n"
 
 
+ROW_FORMATS = ("plain", "padded", "quoted", "crlf")
+
+
+@st.composite
+def formatted_csv(draw, rows):
+    """The CSV text of the drawn ``rows``, each row in a drawn format:
+    plain, one cell padded with a space or a tab, one cell quoted, or a
+    CRLF line ending.  Every form reads as its plain row, so a file mixes
+    plain chunks with chunks that ``csv.reader`` reads, at any boundary."""
+    lines = [",".join(CSV_HEADER)]
+    for row in draw(rows):
+        cells, form = list(row), draw(st.sampled_from(ROW_FORMATS))
+        if form in ("padded", "quoted"):
+            i = draw(st.integers(0, len(cells) - 1))
+            if form == "quoted":
+                cells[i] = f'"{cells[i]}"'
+            else:
+                pad = draw(st.sampled_from([" ", "\t"]))
+                cells[i] = draw(st.sampled_from([pad + cells[i], cells[i] + pad]))
+        lines.append(",".join(cells) + ("\r" if form == "crlf" else ""))
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def trace_rows(draw, max_packets=20):
     """Rows of a valid trace: increasing emissions, observations at or after
@@ -166,14 +189,17 @@ def example_rows(observes, sizes=("64", "100", "1500", "129/2", "3/7", "64.5")):
 
 
 @settings(max_examples=150)
-@given(trace_rows(), TIMEOUTS, CAPACITIES)
-@example(example_rows(["12", "11.5", "10.25", "9.125", "25/3", "6"]), F(2), F(64))  # reversed
-@example(example_rows(["9", "11.5", "7.5", "19/2", "14", "8"]), F(1, 3), INF)  # shuffled
-@example(example_rows(["inf", "7", "4", "4.5", "6.25"]), INF, F(129, 2))  # lost head
-@example(example_rows(["inf", "inf", "inf"]), F(1), INF)  # all lost
-@example([], INF, INF)  # empty
-def test_valid_traces_match_oracle(rows, timeout, capacity):
-    assert_same_results(csv_text(rows), timeout, capacity)
+@given(formatted_csv(trace_rows()), TIMEOUTS, CAPACITIES)
+@example(csv_text(example_rows(["12", "11.5", "10.25", "9.125", "25/3", "6"])),
+         F(2), F(64))  # reversed
+@example(csv_text(example_rows(["9", "11.5", "7.5", "19/2", "14", "8"])),
+         F(1, 3), INF)  # shuffled
+@example(csv_text(example_rows(["inf", "7", "4", "4.5", "6.25"])),
+         INF, F(129, 2))  # lost head
+@example(csv_text(example_rows(["inf", "inf", "inf"])), F(1), INF)  # all lost
+@example(csv_text([]), INF, INF)  # empty
+def test_valid_traces_match_oracle(text, timeout, capacity):
+    assert_same_results(text, timeout, capacity)
 
 
 @pytest.mark.parametrize("observes", [
@@ -259,9 +285,8 @@ def parsed(parse, text):
 
 
 @settings(max_examples=300)
-@given(defective_rows())
-def test_defective_traces_fail_like_oracle(rows):
-    text = csv_text(rows)
+@given(formatted_csv(defective_rows()))
+def test_defective_traces_fail_like_oracle(text):
     got = parsed(trace_from_csv, text)
     assert got == parsed(oracle.trace_from_csv, text)
     if not (len(got) == 2 and isinstance(got[0], type)):  # a harmless defect
@@ -269,12 +294,12 @@ def test_defective_traces_fail_like_oracle(rows):
 
 
 @settings(max_examples=150)
-@given(st.one_of(trace_rows(), defective_rows()), st.integers(1, 4))
-def test_reading_in_chunks_matches_oracle(rows, chunk):
+@given(formatted_csv(st.one_of(trace_rows(), defective_rows())), st.integers(1, 4))
+def test_reading_in_chunks_matches_oracle(text, chunk):
     """A trace longer than a chunk of rows reads as in one chunk: each
     chunk's columns are converted on their own base and put on one base at
-    the end, and a defect anywhere still gets the oracle's error."""
-    text = csv_text(rows)
+    the end, plain chunks and those ``csv.reader`` reads alike, and a
+    defect anywhere still gets the oracle's error."""
     with mock.patch.object(metrics, "_CHUNK_ROWS", chunk):
         got = parsed(trace_from_csv, text)
         assert got == parsed(oracle.trace_from_csv, text)
@@ -340,6 +365,98 @@ def test_short_or_half_blank_row_fails_as_before(line, error, at):
         assert len(got) == 1030
     else:
         assert got == (error[0], error[1].format(line=at + 1))
+
+
+def with_line(text, row, line):
+    """``text`` with data row ``row`` (1-based) replaced by ``line``."""
+    lines = text.split("\n")
+    lines[row] = line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("at", [1, 500, 1024, 1025])
+@pytest.mark.parametrize("cut", [3, 5], ids=["3-then-5", "5-then-3"])
+def test_three_and_five_cells_in_one_chunk_fail_like_oracle(at, cut):
+    """Two rows of one chunk, their line break moved a cell to the left or
+    right: 3 and 5 cells, 4 a line on average, and the 8 cells in order
+    read as the valid rows.  The first is refused all the same, as a chunk
+    is plain only when each of its lines holds 4 cells."""
+    first = at - 1 if at % 1024 == 0 else at  # ``first`` and ``first + 1`` share a chunk
+    lines = rows_with().split("\n")
+    cells = f"{lines[first]},{lines[first + 1]}".split(",")
+    lines[first], lines[first + 1] = ",".join(cells[:cut]), ",".join(cells[cut:])
+    text = "\n".join(lines)
+    got = parsed(trace_from_csv, text)
+    assert got == parsed(oracle.trace_from_csv, text)
+    assert got == (TraceError, f"line {first + 1}: expected 4 columns")
+
+
+def test_unclosed_quote_ending_a_chunk_is_read_on():
+    """An unclosed quote on the last line of chunk 1 makes the rest of the
+    file one cell, as one ``csv.reader`` over the whole stream reads it,
+    and the trace is refused; a reader per chunk would have accepted it."""
+    text = with_line(rows_with(), 1024, '1024,64,1024,"1024.5')
+    got = parsed(trace_from_csv, text)
+    assert got == parsed(oracle.trace_from_csv, text)
+    assert got[0] is ValueError
+    assert got[1].startswith("not an exact numeric literal: '1024.5\\n1025,64,")
+
+
+@pytest.mark.parametrize("line", [
+    '1500,"64",1500,1500.5',  # a quoted cell
+    "1500, 64,1500,1500.5",  # cells padded with a space or a tab
+    "1500,64,1500\t,1500.5",
+    "1500,64,1500,15005E-1",  # an uppercase exponent
+    "1500,64,1500,INF",  # an uppercase inf: a lost packet
+    "1500,64,1500,1500.5\n",  # followed by a blank row
+], ids=["quoted", "space", "tab", "exponent", "INF", "blank-row"])
+def test_a_later_non_plain_row_reads_like_oracle(line):
+    """A row in chunk 2 of an otherwise plain file that only ``csv.reader``
+    reads: the plain chunk 1 and the rest of the stream read as one."""
+    text = with_line(rows_with(n=2100), 1500, line)
+    got = parsed(trace_from_csv, text)
+    assert got == parsed(oracle.trace_from_csv, text)
+    plain = trace_from_csv(rows_with(n=2100)).packets
+    if "INF" in line:
+        assert got[1499].lost and got[:1499] + got[1500:] == plain[:1499] + plain[1500:]
+    else:
+        assert got == plain
+
+
+def test_plain_chunks_take_no_csv_rows():
+    """A plain file is split chunk by chunk without ``_columns``; from its
+    first chunk that is not plain, every chunk goes through ``_columns``."""
+    with mock.patch.object(metrics, "_columns", wraps=metrics._columns) as spy:
+        trace_from_csv(rows_with(n=3000))
+        assert spy.call_count == 0
+        trace_from_csv(with_line(rows_with(n=3000), 1500, '1500,"64",1500,1500.5'))
+        assert spy.call_count == 2  # rows 1025-2048 and 2049-3000
+
+
+def test_crlf_text_reads_as_lf_text():
+    """CRLF line ends in a ``str`` go to ``csv.reader``, which reads them
+    as the plain text."""
+    text = rows_with(n=2100)
+    crlf = text.replace("\n", "\r\n")
+    assert trace_from_csv(crlf).packets == trace_from_csv(text).packets
+    assert parsed(trace_from_csv, crlf) == parsed(oracle.trace_from_csv, crlf)
+
+
+@pytest.mark.parametrize("text", [
+    rows_with(n=2100),
+    with_line(rows_with(n=2100), 1500, '1500,"64",1500,1500.5'),
+    with_line(rows_with(n=2100), 1500, "1500,0,1500,1500.5"),  # size 0
+    with_line(with_line(rows_with(n=2100), 1500, "1500,64,1500,x"), 1800, "0,64,0,0"),
+], ids=["plain", "quoted", "size-0", "two-defects"])
+def test_an_open_file_reads_as_its_text(tmp_path, text):
+    """``trace_from_csv`` reads an open file from its position as it reads
+    the text after it, a defect found by the row pass included."""
+    path = tmp_path / "trace.csv"
+    path.write_text("preamble\n" + text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        got = parsed(trace_from_csv, fh)
+    assert got == parsed(trace_from_csv, text) == parsed(oracle.trace_from_csv, text)
 
 
 def primes(count):
