@@ -17,9 +17,11 @@ deterministic for identical inputs.
 
 A call's fixed cost is paid once per process.  ``main`` parses with one
 parser, built on its first call and reused by every later one;
-``build_parser()`` still returns a fresh parser.  Every JSON output goes
-through ``_dump_json``, which writes the same bytes as ``json.dumps`` with
-``indent=2`` but encodes strings with the C encoder.
+``build_parser()`` still returns a fresh parser.  A JSON output is written
+by ``_dump_json``, which writes the same bytes as ``json.dumps`` with
+``indent=2`` but encodes strings with the C encoder; ``simulate`` writes
+its departures block itself, in pieces, and the rest through
+``_dump_json`` (``_write_outcome``), the same bytes again.
 """
 
 from __future__ import annotations
@@ -179,18 +181,33 @@ def cmd_simulate(args) -> int:
     trace = _read_trace(args.trace)
     cfg = ResequencerConfig(parse_time(args.timeout), args.buffer)
     outcome = simulate(trace, cfg)
-    print(_dump_json({
-        "departures": dict(zip(
-            map(str, range(1, len(outcome.departure_ticks) + 1)),
-            fmt_ticks(outcome.departure_ticks, outcome.time_den),
-        )),
+    _write_outcome(outcome, sys.stdout.write)
+    return DISCARD if outcome.discards else OK
+
+
+#: Departures per ``write`` of ``_write_outcome``'s block.
+_PIECE = 4096
+
+
+def _write_outcome(outcome, write) -> None:
+    """Write what ``_dump_json(...) + "\\n"`` writes for the outcome's dict
+    form, the departures block (one ``"seq": "time"`` line per packet) in
+    pieces of ``_PIECE`` lines, each with one ``write``: a key is digits and
+    a value digits, ``-``, ``.``, ``/`` or ``inf``, so none is escaped."""
+    rest = _dump_json({
         "discards": {
             str(i): reason for i, reason in sorted(outcome.discards.items())
         },
         "max_occupancy_bytes": fmt_rat(outcome.max_occupancy),
         "max_residence_s": fmt_rat(outcome.max_residence),
-    }))
-    return DISCARD if outcome.discards else OK
+    })
+    ticks, sep = outcome.departure_ticks, '",\n    "'
+    write('{\n  "departures": {' + ('\n    "' if ticks else "}"))
+    for start in range(0, len(ticks), _PIECE):
+        values = fmt_ticks(ticks[start:start + _PIECE], outcome.time_den)
+        write((sep if start else "") + sep.join(
+            [f'{k}": "{v}' for k, v in zip(count(start + 1), values)]))
+    write(('"\n  },' if ticks else ",") + rest[1:] + "\n")
 
 
 def cmd_scenario(args) -> int:

@@ -26,8 +26,10 @@ Three kernels take the lcm of a few denominators themselves:
 less than ``on_common_base``'s fixed cost, and ``curves.shift_jitter`` and
 ``scenarios.packetize``, which derive a base from a curve's integer
 columns.  A per-packet result stays a
-tick column, written out from its ticks (``fmt_ticks``); only a scalar
-becomes ``Fraction(ticks, D)``, and ``over`` maps a column for the two
+tick column, written out from its ticks by one column kernel
+(``fmt_ticks``: D factored once, the decimals of the column in one
+comprehension without a Python call per value); only a scalar becomes
+``Fraction(ticks, D)``, and ``over`` maps a column for the two
 views that hand out ``{index: Fraction}`` (``Trace.packets``,
 ``analytic_departures``).  ``fmt_rat`` keeps its own body for one value:
 through ``fmt_ticks`` a call costs about half as much again, and a report
@@ -191,22 +193,27 @@ def fmt_ticks(ticks: Sequence[Tick], den: int) -> List[str]:
     """``[fmt_rat(Fraction(t, den)) for t in ticks]``, INF giving ``inf``.
 
     ``den`` is factored once.  A value t/den is a finite decimal exactly
-    when the part q of ``den`` prime to 10 divides t; it is then written as
-    a fixed-point integer, trailing zeros stripped.  Any other value is
-    reduced by one integer gcd.
+    when the part q of ``den`` prime to 10 divides t; it is then scaled to
+    d decimals, split by ``divmod`` into ``"%d.%0{d}d"`` and its trailing
+    zeros stripped, within one comprehension and with no call of a Python
+    function.  A column on a decimal base (q = 1) without negative ticks
+    is written without a test of q; a negative decimal goes through
+    ``_shortest``, and any other value is reduced by one integer gcd.
     """
+    if den == 1:
+        return list(map(str, ticks))  # str(INF) is "inf"
     q, digits = _decimal_split(den)
     scale = 10**digits * q // den  # 10**digits / (2^a * 5^b), exactly
-    out = []
-    for t in ticks:
-        if t is INF:
-            out.append("inf")
-        elif t % q == 0:
-            out.append(_shortest(t // q * scale, digits))
-        else:
-            g = math.gcd(t, den)
-            out.append(f"{t // g}/{den // g}")
-    return out
+    form, unit = f"%d.%0{digits}d", 10**digits
+    if q == 1 and min(ticks, default=0) >= 0:
+        return ["inf" if t is INF else (form % divmod(t * scale, unit)).rstrip("0").rstrip(".")
+                for t in ticks]
+    return ["inf" if t is INF
+            else (form % divmod(t // q * scale, unit)).rstrip("0").rstrip(".")
+            if t >= 0 and not t % q
+            else _shortest(t // q * scale, digits) if not t % q
+            else f"{t // (g := math.gcd(t, den))}/{den // g}"
+            for t in ticks]
 
 
 @lru_cache(maxsize=256)  # rendered values share a few denominators
@@ -258,9 +265,12 @@ def on_common_base(*columns: Sequence[Optional[Rat]],
     value*D; ``None`` and ``INF`` pass through.  With ``name``, the lcm is
     checked against the digit limit after each denominator it takes in
     (``_check_base``), so a base is refused before it outgrows the limit.
+    Each value's numerator and denominator, Python-level properties, are
+    read once.
     """
-    dens = {x.denominator for col in columns for x in col
-            if x is not INF and x is not None}
+    den_columns = [[None if x is INF or x is None else x.denominator for x in col]
+                   for col in columns]
+    dens = set(filter(None, chain.from_iterable(den_columns)))  # in the values' order
     if name is None:
         den = math.lcm(*dens)
     else:
@@ -270,8 +280,8 @@ def on_common_base(*columns: Sequence[Optional[Rat]],
             _check_base(den, name)
     scale = {d: den // d for d in dens}
     return den, [
-        [x if x is INF or x is None else x.numerator * scale[x.denominator] for x in col]
-        for col in columns
+        [x if d is None else x.numerator * scale[d] for x, d in zip(col, col_dens)]
+        for col, col_dens in zip(columns, den_columns)
     ]
 
 

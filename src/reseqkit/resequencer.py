@@ -37,8 +37,9 @@ capacity, over theirs.  A ``Trace`` brings its columns already in ticks
 capacity on bases of their own and ``rational.rebased`` joins each to the
 trace's, so a timeout whose denominator does not divide the trace's base
 extends it.  ``simulate`` returns its departures as a column of ticks on
-that base in the ``ResequencerOutcome``, and the CLI prints straight from
-the ticks (``rational.fmt_ticks``).  Occupancy, residence and the
+that base in the ``ResequencerOutcome``, and the CLI writes them straight
+from the ticks, a few thousand lines per ``rational.fmt_ticks`` call and
+per write.  Occupancy, residence and the
 departure map of ``analytic_departures`` become ``Fraction(ticks, den)``
 when they are returned.
 """

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -18,7 +19,11 @@ from reseqkit import case_study, cli, path_analysis
 from reseqkit.cli import DISCARD, INPUT_ERROR, MISMATCH, OK, UNSAFE_WARNING, main
 from reseqkit.curves import horizontal_deviation
 from reseqkit.metrics import CSV_HEADER, trace_from_csv, trace_to_csv
+from reseqkit.rational import INF, fmt_rat, fmt_ticks, parse_time
+from reseqkit.resequencer import (
+    INVALID_LATE, OVERFLOW, ResequencerConfig, ResequencerOutcome, simulate)
 from reseqkit.scenarios import gen_two_packet_swap
+from test_rational import TICK_BASES
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "configs" / "automotive_only_h2.json"
@@ -1459,3 +1464,75 @@ def test_json_writer_matches_indented_json_dumps(doc):
 def test_json_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         cli._dump_json(doc)
+
+
+def outcome_dict(outcome):
+    """The dict form of a ``simulate`` outcome, whose ``_dump_json`` text
+    ``simulate`` prints."""
+    ticks = outcome.departure_ticks
+    return {
+        "departures": dict(zip(map(str, range(1, len(ticks) + 1)),
+                               fmt_ticks(ticks, outcome.time_den))),
+        "discards": {
+            str(i): reason for i, reason in sorted(outcome.discards.items())
+        },
+        "max_occupancy_bytes": fmt_rat(outcome.max_occupancy),
+        "max_residence_s": fmt_rat(outcome.max_residence),
+    }
+
+
+def written_outcome(outcome, piece):
+    """What ``_write_outcome`` writes with pieces of ``piece`` lines, and its
+    number of writes."""
+    chunks = []
+    with mock.patch.object(cli, "_PIECE", piece):
+        cli._write_outcome(outcome, chunks.append)
+    return "".join(chunks), len(chunks)
+
+
+@st.composite
+def outcomes(draw):
+    """Outcomes on a drawn tick base, INF, negative and decimal ticks among
+    the departures, and discards among the INF."""
+    den = draw(st.sampled_from(TICK_BASES))
+    short = st.builds(lambda n, s: n * (den // math.gcd(den, s)),
+                      st.integers(-10**6, 10**6), st.sampled_from((2, 3, 10, 10**12)))
+    ticks = draw(st.lists(st.one_of(
+        st.integers(-10**30, 10**30), st.just(0), short, st.just(INF)), max_size=12))
+    lost = [seq for seq, t in enumerate(ticks, 1) if t is INF]
+    discarded = draw(st.lists(st.sampled_from(lost), unique=True) if lost else st.just([]))
+    reasons = st.sampled_from((INVALID_LATE, OVERFLOW))
+    return ResequencerOutcome(
+        tuple(ticks), den, {seq: draw(reasons) for seq in discarded},
+        draw(st.fractions(min_value=0)), draw(st.fractions(min_value=0)))
+
+
+@settings(max_examples=200)
+@given(outcome=outcomes(), piece=st.sampled_from((1, 2, 3, 4096)))
+def test_departures_writer_matches_the_dict_form(outcome, piece):
+    text, writes = written_outcome(outcome, piece)
+    assert text == cli._dump_json(outcome_dict(outcome)) + "\n"
+    assert text == json.dumps(outcome_dict(outcome), indent=2) + "\n"
+    n = len(outcome.departure_ticks)
+    assert writes == 2 + -(-n // piece)  # one write per piece
+
+
+@pytest.mark.parametrize("text,flags,shown", [
+    (",".join(CSV_HEADER) + "\n", [], '"departures": {},'),  # no packet
+    (ALL_LOST_WITH_EMISSIONS, [], '"departures": {\n    "1": "inf",\n    "2": "inf"\n  },'),
+    (Path(LOSSY_BACKLOG).read_text(encoding="utf-8"), ["--timeout", "10ms", "--buffer", "640"],
+     '"discards": {\n    "'),
+], ids=["empty", "all-lost", "discards"])
+@pytest.mark.parametrize("piece", [1, 4096])
+def test_simulate_prints_the_dict_form(tmp_path, capsys, text, flags, shown, piece):
+    p = tmp_path / "trace.csv"
+    p.write_text(text, encoding="utf-8")
+    with mock.patch.object(cli, "_PIECE", piece):
+        code = main(["simulate", str(p), *flags])
+    args = dict(zip(flags[::2], flags[1::2]))
+    outcome = simulate(trace_from_csv(text), ResequencerConfig(
+        parse_time(args.get("--timeout", "inf")), args.get("--buffer", "inf")))
+    out = capsys.readouterr().out
+    assert out == cli._dump_json(outcome_dict(outcome)) + "\n"
+    assert shown in out
+    assert code == (DISCARD if outcome.discards else OK)

@@ -230,6 +230,32 @@ class TestFmtTicks:
             fmt_rat(t if t is INF else F(t, den)) for t in ticks
         ]
 
+    @pytest.mark.parametrize("ticks,den,want", [
+        # negative ticks on a decimal base
+        ([-1500, -1, 0, 7, -10**9], 10**9,
+         ["-0.0000015", "-0.000000001", "0", "0.000000007", "-1"]),
+        ([INF, -5, 5], 10, ["inf", "-0.5", "0.5"]),
+        # a column of only INF
+        ([INF, INF, INF], 10**9, ["inf", "inf", "inf"]),
+        ([INF], 2**40, ["inf"]),
+        ([INF, INF], 21000, ["inf", "inf"]),
+        # den == 1 with INF
+        ([0, -3, INF, 10**60], 1, ["0", "-3", "inf", "1" + "0" * 60]),
+        # ticks of 10^60 and 0
+        ([10**60, 0], 10**9, ["1" + "0" * 51, "0"]),
+        ([0, 10**60], 2**40, ["0", fmt_rat(F(10**60, 2**40))]),
+        # a decimal base whose values all end in zeros
+        ([1500, 10000, 0], 10**3, ["1.5", "10", "0"]),
+        ([3 * 2**38, 10 * 2**40, 0], 2**40, ["0.75", "10", "0"]),
+        ([], 10**9, []),
+    ], ids=["negative", "negative-and-inf", "only-inf", "only-inf-2^40",
+            "only-inf-q", "den-1", "10^60-and-0", "10^60-on-2^40", "zeros-stripped",
+            "zeros-stripped-2^40", "empty"])
+    def test_edge_columns(self, ticks, den, want):
+        assert fmt_ticks(ticks, den) == want == [
+            fmt_rat(t if t is INF else F(t, den)) for t in ticks
+        ]
+
     def test_mixed_column(self):
         # on 21000 = 21 * 2^3 * 5^3: decimals where 21 divides the tick
         ticks = [0, 500, -3, 21000, 2100, -105, 10**22, INF]
