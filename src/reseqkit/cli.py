@@ -45,7 +45,7 @@ from .path_analysis import (
     render_report_table,
     report_to_json,
 )
-from .rational import fmt_rat, fmt_ticks, parse_finite_time, parse_time
+from .rational import check_writable, fmt_rat, fmt_ticks, parse_finite_time, parse_time
 from .rational import seconds_to_us_display
 from .resequencer import ResequencerConfig, simulate
 from . import scenarios
@@ -193,7 +193,9 @@ def _write_outcome(outcome, write) -> None:
     """Write what ``_dump_json(...) + "\\n"`` writes for the outcome's dict
     form, the departures block (one ``"seq": "time"`` line per packet) in
     pieces of ``_PIECE`` lines, each with one ``write``: a key is digits and
-    a value digits, ``-``, ``.``, ``/`` or ``inf``, so none is escaped."""
+    a value digits, ``-``, ``.``, ``/`` or ``inf``, so none is escaped.
+    A block too long to write is refused before the first ``write``
+    (``check_writable``), so an outcome that fails writes nothing."""
     rest = _dump_json({
         "discards": {
             str(i): reason for i, reason in sorted(outcome.discards.items())
@@ -201,10 +203,11 @@ def _write_outcome(outcome, write) -> None:
         "max_occupancy_bytes": fmt_rat(outcome.max_occupancy),
         "max_residence_s": fmt_rat(outcome.max_residence),
     })
-    ticks, sep = outcome.departure_ticks, '",\n    "'
+    ticks, den, sep = outcome.departure_ticks, outcome.time_den, '",\n    "'
+    check_writable(ticks, den, "departures")
     write('{\n  "departures": {' + ('\n    "' if ticks else "}"))
     for start in range(0, len(ticks), _PIECE):
-        values = fmt_ticks(ticks[start:start + _PIECE], outcome.time_den)
+        values = fmt_ticks(ticks[start:start + _PIECE], den)
         write((sep if start else "") + sep.join(
             [f'{k}": "{v}' for k, v in zip(count(start + 1), values)]))
     write(('"\n  },' if ticks else ",") + rest[1:] + "\n")

@@ -27,8 +27,9 @@ less than ``on_common_base``'s fixed cost, and ``curves.shift_jitter`` and
 ``scenarios.packetize``, which derive a base from a curve's integer
 columns.  A per-packet result stays a
 tick column, written out from its ticks by one column kernel
-(``fmt_ticks``: D factored once, the decimals of the column in one
-comprehension without a Python call per value); only a scalar becomes
+(``fmt_ticks``: D factored once, and no Python call per decimal value
+that is not negative; ``check_writable`` refuses a column too long to
+write before any of it is written); only a scalar becomes
 ``Fraction(ticks, D)``, and ``over`` maps a column for the two
 views that hand out ``{index: Fraction}`` (``Trace.packets``,
 ``analytic_departures``).  ``fmt_rat`` keeps its own body for one value:
@@ -183,10 +184,10 @@ def fmt_rat(x: Rat) -> str:
     num, den = x.numerator, x.denominator
     if den == 1:
         return str(num)
-    q, digits = _decimal_split(den)
+    q, digits, scale, _, _ = _decimal_split(den)
     if q != 1:
         return f"{num}/{den}"
-    return _fixed_point(num * 10**digits // den, digits)
+    return _fixed_point(num * scale, digits)
 
 
 def fmt_ticks(ticks: Sequence[Tick], den: int) -> List[str]:
@@ -195,37 +196,54 @@ def fmt_ticks(ticks: Sequence[Tick], den: int) -> List[str]:
     ``den`` is factored once.  A value t/den is a finite decimal exactly
     when the part q of ``den`` prime to 10 divides t; it is then scaled to
     d decimals, split by ``divmod`` into ``"%d.%0{d}d"`` and its trailing
-    zeros stripped, within one comprehension and with no call of a Python
-    function.  A column on a decimal base (q = 1) without negative ticks
-    is written without a test of q; a negative decimal goes through
-    ``_shortest``, and any other value is reduced by one integer gcd.
+    zeros stripped, with no call of a Python function.  A negative decimal
+    goes through ``_shortest``, and any other value is reduced by one
+    integer gcd.  A column on base 1, as a curve's integer rates and bursts
+    often are, is written by ``str`` alone.
     """
     if den == 1:
         return list(map(str, ticks))  # str(INF) is "inf"
-    q, digits = _decimal_split(den)
-    scale = 10**digits * q // den  # 10**digits / (2^a * 5^b), exactly
-    form, unit = f"%d.%0{digits}d", 10**digits
-    if q == 1 and min(ticks, default=0) >= 0:
-        return ["inf" if t is INF else (form % divmod(t * scale, unit)).rstrip("0").rstrip(".")
-                for t in ticks]
-    return ["inf" if t is INF
-            else (form % divmod(t // q * scale, unit)).rstrip("0").rstrip(".")
-            if t >= 0 and not t % q
-            else _shortest(t // q * scale, digits) if not t % q
-            else f"{t // (g := math.gcd(t, den))}/{den // g}"
-            for t in ticks]
+    q, digits, scale, unit, form = _decimal_split(den)
+    out = []
+    for t in ticks:
+        if t is INF:
+            out.append("inf")
+        elif t % q:
+            g = math.gcd(t, den)
+            out.append(f"{t // g}/{den // g}")
+        elif t >= 0:
+            out.append((form % divmod(t // q * scale, unit)).rstrip("0").rstrip("."))
+        else:
+            out.append(_shortest(t // q * scale, digits))
+    return out
+
+
+def check_writable(ticks: Sequence[Tick], den: int, name: str) -> None:
+    """Refuse, before any of it is written, a column that ``fmt_ticks``
+    could fail to write partway: one with an integer of more digits than
+    ``str`` converts.  The bound is taken from the largest finite |t|: a
+    decimal writes t / q * scale, any other value t / g over den / g.  On a
+    decimal base (q = 1) it is the largest value's scaled integer, so a
+    column is refused only when one of its scaled integers is too long."""
+    limit = _int_digit_limit()
+    q, _, scale, _, _ = _decimal_split(den)
+    top = max((abs(t) for t in ticks if t is not INF), default=0)
+    if limit and max(top * scale // q, top, den if q > 1 else 0) >= 10**limit:
+        raise ValueError(f"the {name} need more than {limit} digits to be written")
 
 
 @lru_cache(maxsize=256)  # rendered values share a few denominators
-def _decimal_split(den: int) -> Tuple[int, int]:
-    """``den`` as q * 2^a * 5^b with q prime to 10: returns q and max(a, b),
-    the decimals that write k / (2^a * 5^b) exactly."""
+def _decimal_split(den: int) -> Tuple[int, int, int, int, str]:
+    """``den`` as q * 2^a * 5^b with q prime to 10: returns q, d = max(a, b),
+    the decimals that write k / (2^a * 5^b) exactly, the scale 10^d / (2^a *
+    5^b), 10^d and ``fmt_ticks``' form ``"%d.%0{d}d"``."""
     twos = (den & -den).bit_length() - 1
     q, fives = den >> twos, 0
     while q % 5 == 0:
         q //= 5
         fives += 1
-    return q, max(twos, fives)
+    digits = max(twos, fives)
+    return q, digits, 10**digits * q // den, 10**digits, f"%d.%0{digits}d"
 
 
 def _shortest(scaled: int, digits: int) -> str:
@@ -265,12 +283,9 @@ def on_common_base(*columns: Sequence[Optional[Rat]],
     value*D; ``None`` and ``INF`` pass through.  With ``name``, the lcm is
     checked against the digit limit after each denominator it takes in
     (``_check_base``), so a base is refused before it outgrows the limit.
-    Each value's numerator and denominator, Python-level properties, are
-    read once.
     """
-    den_columns = [[None if x is INF or x is None else x.denominator for x in col]
-                   for col in columns]
-    dens = set(filter(None, chain.from_iterable(den_columns)))  # in the values' order
+    dens = {x.denominator for col in columns for x in col
+            if x is not INF and x is not None}
     if name is None:
         den = math.lcm(*dens)
     else:
@@ -280,8 +295,8 @@ def on_common_base(*columns: Sequence[Optional[Rat]],
             _check_base(den, name)
     scale = {d: den // d for d in dens}
     return den, [
-        [x if d is None else x.numerator * scale[d] for x, d in zip(col, col_dens)]
-        for col, col_dens in zip(columns, den_columns)
+        [x if x is INF or x is None else x.numerator * scale[x.denominator] for x in col]
+        for col in columns
     ]
 
 

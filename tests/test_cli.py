@@ -1536,3 +1536,15 @@ def test_simulate_prints_the_dict_form(tmp_path, capsys, text, flags, shown, pie
     assert out == cli._dump_json(outcome_dict(outcome)) + "\n"
     assert shown in out
     assert code == (DISCARD if outcome.discards else OK)
+
+
+def test_simulate_that_cannot_write_a_departure_prints_nothing(tmp_path, capsys):
+    # 3 / 2^14000 is accepted as a time (a literal and a base under the digit
+    # limit), but its 14000 decimals are not: the run fails before any write
+    p = tmp_path / "trace.csv"
+    p.write_text(",".join(CSV_HEADER) + f"\n1,64,0,3/{2**14000}\n", encoding="utf-8")
+    with mock.patch.object(cli, "_PIECE", 1):
+        code = main(["simulate", str(p), "--timeout", "2us"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "digits" in err

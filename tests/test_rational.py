@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from reseqkit import rational
 from reseqkit.rational import (
     INF,
     MAX_EXPONENT,
+    check_writable,
     exact,
     finite,
     fmt_rat,
@@ -263,6 +265,37 @@ class TestFmtTicks:
             "0", "1/42", "-1/7000", "1", "0.1", "-0.005",
             "10000000000000000000/21", "inf",
         ]
+
+    @pytest.mark.parametrize("ticks,den,writable", [
+        ([10**10 - 1, 1 - 10**10, INF], 1, True),
+        ([10**10], 1, False),
+        ([-(10**10)], 1, False),
+        # on 8 a value is written with three decimals: 10^7 / 8 is 1250000.000
+        ([10**7], 8, True),
+        ([10**8, INF], 8, False),
+        # off a decimal base, a numerator or the base itself bounds the text
+        ([10**10 - 1], 3, True),
+        ([10**10], 3, False),
+        ([0], 3 * 10**10, False),
+        ([0, INF], 2**40, True),
+        ([], 1, True),
+    ])
+    def test_check_writable_bounds_the_longest_value(self, monkeypatch, ticks, den, writable):
+        monkeypatch.setattr(rational, "_int_digit_limit", lambda: 10)
+        if writable:
+            check_writable(ticks, den, "values")
+        else:
+            with pytest.raises(ValueError, match="the values need more than 10 digits"):
+                check_writable(ticks, den, "values")
+
+    def test_check_writable_refuses_what_fmt_ticks_cannot_write(self):
+        limit = sys.get_int_max_str_digits()
+        check_writable([10**limit - 1], 1, "values")
+        assert fmt_ticks([10**limit - 1], 1) == ["9" * limit]
+        with pytest.raises(ValueError):
+            fmt_ticks([10**limit], 1)
+        with pytest.raises(ValueError, match="digits"):
+            check_writable([10**limit], 1, "values")
 
 
 class TestFormat:
