@@ -19,9 +19,12 @@ A call's fixed cost is paid once per process.  ``main`` parses with one
 parser, built on its first call and reused by every later one;
 ``build_parser()`` still returns a fresh parser.  A JSON output is written
 by ``_dump_json``, which writes the same bytes as ``json.dumps`` with
-``indent=2`` but encodes strings with the C encoder; ``simulate`` writes
-its departures block itself, in pieces, and the rest through
-``_dump_json`` (``_write_outcome``), the same bytes again.
+``indent=2`` but encodes strings with the C encoder, and writes a report's
+``JsonText`` as it is: ``report_to_json`` lays the text out from the
+records, and the reports of one call share a memo, so a record that both
+hold is written once.  ``simulate`` writes its departures block itself, in
+pieces, and the rest through ``_dump_json`` (``_write_outcome``), the same
+bytes again.
 """
 
 from __future__ import annotations
@@ -31,15 +34,17 @@ import sys
 from dataclasses import replace
 from itertools import count
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .bounds import LOSSLESS, LOSSY, SequenceElement
 from .case_study import render_case_study, run_case_study
 from .curves import FlowSpec, curve_from_json, leaky_bucket
 from .metrics import delay_jitter, rbo, rto, trace_from_csv, trace_to_csv
 from .path_analysis import (
+    JsonText,
     analyze_both,
     analyze_path,
+    json_container,
     load_json,
     load_path,
     render_report_table,
@@ -130,7 +135,8 @@ def cmd_analyze(args) -> int:
         outputs = [analyze_path(replace(path_spec, loss_mode=mode))]
     code = UNSAFE_WARNING if any(r.warnings for r in outputs) else OK
     if args.format == "json":
-        print(_dump_json([report_to_json(r) for r in outputs]))
+        memo: dict = {}  # the records both reports share are written once
+        print(_dump_json([report_to_json(r, 1, memo) for r in outputs]))
     elif args.format == "csv":
         print("loss_mode,e2e_delay_us,e2e_jitter_us,delta_delay_us,delta_jitter_us")
         for r in outputs:
@@ -167,9 +173,10 @@ def cmd_metrics(args) -> int:
         ]
     else:
         lines.append("d_max_s=- d_min_s=- jitter_s=-  (no emission times)")
+    if args.verbose:  # before any output: an offset too long to write fails here
+        lams, pis = fmt_ticks(r_time.ticks, r_time.den), fmt_ticks(r_byte.ticks, r_byte.den)
     sys.stdout.write("".join(f"{line}\n" for line in lines))
     if args.verbose:
-        lams, pis = fmt_ticks(r_time.ticks, r_time.den), fmt_ticks(r_byte.ticks, r_byte.den)
         sys.stdout.write("".join(
             f"packet {idx}: lambda_s={lam} pi_bytes={pi}\n"
             for idx, lam, pi in zip(count(1), lams, pis)
@@ -292,8 +299,9 @@ _SCENARIOS = {
 def cmd_case_study(args) -> int:
     result = run_case_study()
     if args.format == "json":
+        memo: dict = {}
         payload = {
-            name: {mode: report_to_json(rep) for mode, rep in by_mode.items()}
+            name: {mode: report_to_json(rep, 2, memo) for mode, rep in by_mode.items()}
             for name, by_mode in result.reports.items()
         }
         if args.check:
@@ -304,71 +312,33 @@ def cmd_case_study(args) -> int:
     return MISMATCH if args.check and not result.ok else OK
 
 
-# Per depth d: the opening "{" or "[" with the newline and indent of the
-# items, the separator between items, and the newline and indent of the
-# closing "}" or "]".  Built once per depth and shared by every container.
-_LAYOUT: List[Tuple[str, str, str, str, str]] = []
-
-
-def _layout(depth: int) -> Tuple[str, str, str, str, str]:
-    while len(_LAYOUT) <= depth:
-        inner = "\n" + "  " * (len(_LAYOUT) + 1)
-        outer = "\n" + "  " * len(_LAYOUT)
-        _LAYOUT.append(("{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]"))
-    return _LAYOUT[depth]
-
-
-def _dump_json(obj) -> str:
+def _dump_json(obj, depth: int = 0) -> str:
     """What ``json.dumps`` with ``indent=2`` writes, byte for byte, for the
-    types the CLI prints: dicts with ``str`` keys, lists, ``str``, ``int``,
-    booleans and ``None``.  Any other type raises ``TypeError``.  With an
-    indent the standard library takes its pure-Python encoder; this writer
-    appends the pieces to one list and encodes each string with the C
-    ``encode_basestring_ascii``."""
-    chunks: List[str] = []
-    _write_json(obj, 0, chunks.append)
-    return "".join(chunks)
-
-
-def _write_json(obj, depth: int, emit) -> None:
+    types the CLI prints, at ``depth``: dicts with ``str`` keys, lists,
+    ``str``, ``int``, booleans and ``None``, and a ``JsonText`` as it is.
+    Any other type raises ``TypeError``.  With an indent the standard
+    library takes its pure-Python encoder; this writer encodes each string
+    with the C ``encode_basestring_ascii`` and lays out each container with
+    ``json_container``, as ``report_to_json`` does."""
     if isinstance(obj, str):
-        emit(encode_basestring_ascii(obj))
-    elif obj is None:
-        emit("null")
-    elif obj is True:
-        emit("true")
-    elif obj is False:
-        emit("false")
-    elif isinstance(obj, int):
-        emit(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        open_dict, _, sep, close_dict, _ = _layout(depth)
-        lead = open_dict
-        for key, value in obj.items():
+        return obj if obj.__class__ is JsonText else encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            emit(lead)
-            lead = sep
-            emit(encode_basestring_ascii(key))
-            emit(": ")
-            _write_json(value, depth + 1, emit)
-        emit(close_dict)
-    elif isinstance(obj, list):
-        if not obj:
-            emit("[]")
-            return
-        _, open_list, sep, _, close_list = _layout(depth)
-        lead = open_list
-        for value in obj:
-            emit(lead)
-            lead = sep
-            _write_json(value, depth + 1, emit)
-        emit(close_list)
-    else:
-        raise TypeError(f"{type(obj).__name__} is not written as JSON")
+        return json_container([f"{encode_basestring_ascii(k)}: {_dump_json(v, depth + 1)}"
+                               for k, v in obj.items()], depth, "{}")
+    if isinstance(obj, list):
+        return json_container([_dump_json(value, depth + 1) for value in obj], depth)
+    raise TypeError(f"{type(obj).__name__} is not written as JSON")
 
 
 if __name__ == "__main__":

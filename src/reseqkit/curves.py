@@ -23,11 +23,12 @@ The kernels of the path walk run on those integers: ``shift_jitter``,
 ``pseudo_inverse`` and ``min_spacing``, ``value`` and ``backlog_bound``.
 Each builds one ``Fraction`` per scalar it returns and none per piece; a
 curve result builds none.  ``pieces``, the ``Fraction`` view of the
-columns, is built on first use, and ``to_json`` writes the ticks directly
-(``fmt_ticks``).  A ``StaircaseCurve`` keeps its two Fractions.  The lower
-pseudo-inverse ``inf{s >= 0 | alpha(s) >= x}`` (``pseudo_inverse`` on each
-curve) converts volume constraints into minimum spacing; ``min_spacing`` is
-the gap of two packets that every reordering bound subtracts.
+columns, is built on first use, and ``to_json`` writes the curve's JSON
+text from the ticks (``fmt_ticks``).  A ``StaircaseCurve`` keeps its two
+Fractions.  The lower pseudo-inverse ``inf{s >= 0 | alpha(s) >= x}``
+(``pseudo_inverse`` on each curve) converts volume constraints into minimum
+spacing; ``min_spacing`` is the gap of two packets that every reordering
+bound subtracts.
 
 The trace conformance check, ``check_conforms(trace, curve)``, takes a
 ``metrics.Trace`` and runs on its integer ticks; it never enumerates packet
@@ -160,16 +161,15 @@ class MinAffineCurve:
                 best, best_rate = above, r
         return Fraction(best * self.rate_den, xd * bd * best_rate)
 
-    def to_json(self) -> dict:
-        return {
-            "unit": self.unit,
-            "kind": "min_affine",
-            "pieces": [
-                {"rate": r, "burst": b} for r, b in zip(
-                    fmt_ticks(self.rates, self.rate_den),
-                    fmt_ticks(self.bursts, self.burst_den))
-            ],
-        }
+    def to_json(self) -> str:
+        """The curve's JSON text, as ``json.dumps`` with ``indent=2`` lays it
+        out at depth 0; ``fmt_ticks`` writes each column, and no value needs
+        escaping."""
+        pieces = ",\n    ".join([f'{{\n      "rate": "{r}",\n      "burst": "{b}"\n    }}'
+                                   for r, b in zip(fmt_ticks(self.rates, self.rate_den),
+                                                   fmt_ticks(self.bursts, self.burst_den))])
+        return (f'{{\n  "unit": "{self.unit}",\n  "kind": "min_affine",\n'
+                f'  "pieces": [\n    {pieces}\n  ]\n}}')
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,9 @@ class StaircaseCurve:
             return Fraction(0)
         return self.period * steps
 
-    def to_json(self) -> dict:
-        return {
-            "unit": self.unit,
-            "kind": "staircase",
-            "burst": fmt_rat(self.burst),
-            "period": fmt_rat(self.period),
-        }
+    def to_json(self) -> str:
+        return (f'{{\n  "unit": "{self.unit}",\n  "kind": "staircase",\n  "burst": '
+                f'"{fmt_rat(self.burst)}",\n  "period": "{fmt_rat(self.period)}"\n}}')
 
 
 Curve = MinAffineCurve | StaircaseCurve

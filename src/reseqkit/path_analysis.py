@@ -36,6 +36,9 @@ run on integer ticks (see ``curves``); a stage's delays and jitter are
 Fractions.
 
 Reports carry exact rationals; rounding happens only in the renderers.
+``report_to_json`` writes a report's JSON text straight from its records,
+laid out as ``json.dumps`` with ``indent=2`` lays it out, and writes a
+record that several reports share once per memo.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds
@@ -477,59 +481,81 @@ def load_path(path: str) -> PathSpec:
     return path_from_json(load_json(path))
 
 
-def report_to_json(rep: AnalysisReport) -> dict:
-    """Exact-rational JSON form of a report (strings preserve exactness)."""
-    return {
-        "loss_mode": rep.loss_mode,
-        "elements": [
-            {
-                "id": e.element_id,
-                "kind": e.kind,
-                "d_min_s": fmt_rat(e.d_min),
-                "d_max_s": fmt_rat(e.d_max),
-                "jitter_s": fmt_rat(e.stage.jitter),
-                **(
-                    {"rto_bound_s": fmt_rat(e.stage.rto)}
-                    if e.stage.rto is not None
-                    else {}
-                ),
-                "output_curve": e.output_curve.to_json(),
-                **(
-                    {"queue_output_curve": e.post_queue_curve.to_json()}
-                    if e.post_queue_curve is not None
-                    else {}
-                ),
-            }
-            for e in rep.elements
-        ],
-        "resequencers": [
-            {
-                "id": r.element_id,
-                "upstream_rto_s": fmt_rat(r.upstream_rto),
-                "timeout_s": fmt_rat(r.timeout),
-                "required_buffer_bytes_exact": fmt_rat(r.required_buffer_exact),
-                "buffer_size_bytes": r.buffer_size,
-                "unsafe_timeout": r.unsafe_timeout,
-                "output_curve": r.output_curve.to_json(),
-            }
-            for r in rep.resequencers
-        ],
-        "e2e": {
-            "delay_s": fmt_rat(rep.e2e_delay),
-            "min_delay_s": fmt_rat(rep.e2e_min_delay),
-            "jitter_s": fmt_rat(rep.e2e_jitter),
-            "delay_us_display": seconds_to_us_display(rep.e2e_delay),
-            "jitter_us_display": seconds_to_us_display(rep.e2e_jitter),
-        },
-        "baseline": {
-            "delay_s": fmt_rat(rep.baseline_delay),
-            "jitter_s": fmt_rat(rep.baseline_jitter),
-            "delta_delay_s": fmt_rat(rep.delta_delay),
-            "delta_jitter_s": fmt_rat(rep.delta_jitter),
-        },
-        "destination_curve": rep.destination_curve.to_json(),
-        "warnings": list(rep.warnings),
-    }
+class JsonText(str):
+    """JSON text laid out as ``json.dumps`` with ``indent=2`` lays it out at
+    its depth; ``cli``'s writer writes it as it is."""
+
+
+def report_to_json(rep: AnalysisReport, depth: int = 0,
+                   memo: Optional[Dict[int, str]] = None) -> JsonText:
+    """A report's exact-rational JSON text (strings keep exactness): what
+    ``json.dumps`` with ``indent=2`` writes for its object at ``depth``.
+    An element record or a curve is written once per ``memo``, keyed by its
+    identity: the reports of ``analyze_both`` share the records before the
+    first re-sequencer, and a destination curve is the last stage's.  A
+    memo must not outlive the reports that filled it."""
+    memo = {} if memo is None else memo
+    d = depth + 1
+    return JsonText(json_container([
+        f'"loss_mode": {encode_basestring_ascii(rep.loss_mode)}',
+        '"elements": ' + json_container(
+            [_once(memo, e, d + 1, _element_text) for e in rep.elements], d),
+        '"resequencers": ' + json_container([json_container([
+            f'"id": {encode_basestring_ascii(r.element_id)}',
+            f'"upstream_rto_s": "{fmt_rat(r.upstream_rto)}"',
+            f'"timeout_s": "{fmt_rat(r.timeout)}"',
+            f'"required_buffer_bytes_exact": "{fmt_rat(r.required_buffer_exact)}"',
+            f'"buffer_size_bytes": {r.buffer_size}',
+            f'"unsafe_timeout": {"true" if r.unsafe_timeout else "false"}',
+            f'"output_curve": {_once(memo, r.output_curve, d + 2)}',
+        ], d + 1, "{}") for r in rep.resequencers], d),
+        '"e2e": ' + json_container([
+            f'"delay_s": "{fmt_rat(rep.e2e_delay)}"',
+            f'"min_delay_s": "{fmt_rat(rep.e2e_min_delay)}"',
+            f'"jitter_s": "{fmt_rat(rep.e2e_jitter)}"',
+            f'"delay_us_display": "{seconds_to_us_display(rep.e2e_delay)}"',
+            f'"jitter_us_display": "{seconds_to_us_display(rep.e2e_jitter)}"',
+        ], d, "{}"),
+        '"baseline": ' + json_container([
+            f'"delay_s": "{fmt_rat(rep.baseline_delay)}"',
+            f'"jitter_s": "{fmt_rat(rep.baseline_jitter)}"',
+            f'"delta_delay_s": "{fmt_rat(rep.delta_delay)}"',
+            f'"delta_jitter_s": "{fmt_rat(rep.delta_jitter)}"',
+        ], d, "{}"),
+        f'"destination_curve": {_once(memo, rep.destination_curve, d)}',
+        '"warnings": ' + json_container(list(map(encode_basestring_ascii, rep.warnings)), d),
+    ], depth, "{}"))
+
+
+def json_container(items: List[str], depth: int, brackets: str = "[]") -> str:
+    """The JSON array of the JSON texts ``items`` or, with ``brackets``
+    ``"{}"``, the object of its ``"key": text`` members, laid out as
+    ``json.dumps`` with ``indent=2`` lays it out at ``depth``."""
+    if not items:
+        return brackets
+    ind = "\n" + "  " * depth
+    return f"{brackets[0]}{ind}  " + f",{ind}  ".join(items) + ind + brackets[1]
+
+
+def _once(memo: Dict[int, str], record, depth: int, write=None) -> str:
+    """A record's text at depth 0, by ``write(record, memo)`` or a curve's
+    ``to_json``, written once per memo and indented for ``depth``."""
+    text = memo.get(id(record))
+    if text is None:
+        text = memo[id(record)] = write(record, memo) if write else record.to_json()
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _element_text(e: ElementReport, memo: Dict[int, str]) -> str:
+    rto, queue = e.stage.rto, e.post_queue_curve
+    return json_container([
+        f'"id": {encode_basestring_ascii(e.element_id)}', f'"kind": "{e.kind}"',
+        f'"d_min_s": "{fmt_rat(e.d_min)}"', f'"d_max_s": "{fmt_rat(e.d_max)}"',
+        f'"jitter_s": "{fmt_rat(e.stage.jitter)}"',
+        *([f'"rto_bound_s": "{fmt_rat(rto)}"'] if rto is not None else []),
+        f'"output_curve": {_once(memo, e.output_curve, 1)}',
+        *([f'"queue_output_curve": {_once(memo, queue, 1)}'] if queue is not None else []),
+    ], 0, "{}")
 
 
 def render_report_table(rep: AnalysisReport) -> str:

@@ -34,7 +34,10 @@ write before any of it is written); only a scalar becomes
 views that hand out ``{index: Fraction}`` (``Trace.packets``,
 ``analytic_departures``).  ``fmt_rat`` keeps its own body for one value:
 through ``fmt_ticks`` a call costs about half as much again, and a report
-renders many scalars.  ``read_literals`` reads plain decimals straight into
+renders many scalars.  ``fmt_rat``, ``fmt_ticks`` and
+``seconds_to_us_display`` refuse a value with more digits than ``str``
+writes of an int with a message of their own, at no cost to the values
+they write.  ``read_literals`` reads plain decimals straight into
 integers, ``inf`` among them straight into INF, and every other literal
 through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
 compares and min/maxes correctly against Fractions and integers.
@@ -178,16 +181,18 @@ def parse_time(text: str) -> Rat:
 
 def fmt_rat(x: Rat) -> str:
     """Render a value exactly: finite decimal when the denominator is 2^a*5^b,
-    otherwise ``"p/q"``; ``inf`` for the sentinel."""
+    otherwise ``"p/q"``; ``inf`` for the sentinel.  A value with more digits
+    than ``str`` writes of an int is refused (``_unwritable``)."""
     if x is INF:
         return "inf"
     num, den = x.numerator, x.denominator
-    if den == 1:
-        return str(num)
-    q, digits, scale, _, _ = _decimal_split(den)
-    if q != 1:
-        return f"{num}/{den}"
-    return _fixed_point(num * scale, digits)
+    try:
+        if den == 1:
+            return str(num)
+        q, digits, scale, _, _ = _decimal_split(den)
+        return f"{num}/{den}" if q != 1 else _fixed_point(num * scale, digits)
+    except ValueError:  # an integer beyond the digit limit; a try costs nothing
+        raise _unwritable() from None
 
 
 def fmt_ticks(ticks: Sequence[Tick], den: int) -> List[str]:
@@ -201,21 +206,24 @@ def fmt_ticks(ticks: Sequence[Tick], den: int) -> List[str]:
     integer gcd.  A column on base 1, as a curve's integer rates and bursts
     often are, is written by ``str`` alone.
     """
-    if den == 1:
-        return list(map(str, ticks))  # str(INF) is "inf"
-    q, digits, scale, unit, form = _decimal_split(den)
-    out = []
-    for t in ticks:
-        if t is INF:
-            out.append("inf")
-        elif t % q:
-            g = math.gcd(t, den)
-            out.append(f"{t // g}/{den // g}")
-        elif t >= 0:
-            out.append((form % divmod(t // q * scale, unit)).rstrip("0").rstrip("."))
-        else:
-            out.append(_shortest(t // q * scale, digits))
-    return out
+    try:
+        if den == 1:
+            return list(map(str, ticks))  # str(INF) is "inf"
+        q, digits, scale, unit, form = _decimal_split(den)
+        out = []
+        for t in ticks:
+            if t is INF:
+                out.append("inf")
+            elif t % q:
+                g = math.gcd(t, den)
+                out.append(f"{t // g}/{den // g}")
+            elif t >= 0:
+                out.append((form % divmod(t // q * scale, unit)).rstrip("0").rstrip("."))
+            else:
+                out.append(_shortest(t // q * scale, digits))
+        return out
+    except ValueError:
+        raise _unwritable() from None
 
 
 def check_writable(ticks: Sequence[Tick], den: int, name: str) -> None:
@@ -271,7 +279,15 @@ def seconds_to_us_display(t: Rat) -> str:
     """Format seconds as microseconds, rounded half-up to 2 places."""
     if t is INF:
         return "inf"
-    return _fixed_point(_half_up(t.numerator * 10**8, t.denominator), 2)
+    try:
+        return _fixed_point(_half_up(t.numerator * 10**8, t.denominator), 2)
+    except ValueError:
+        raise _unwritable() from None
+
+
+def _unwritable() -> ValueError:
+    """The refusal of a value with more digits than ``str`` writes of an int."""
+    return ValueError(f"a value needs more than {_int_digit_limit()} digits to be written")
 
 
 def on_common_base(*columns: Sequence[Optional[Rat]],

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reseqkit import case_study, cli, path_analysis
+from reseqkit import case_study, cli, curves, path_analysis
+from reseqkit.bounds import LOSSLESS
 from reseqkit.cli import DISCARD, INPUT_ERROR, MISMATCH, OK, UNSAFE_WARNING, main
 from reseqkit.curves import horizontal_deviation
 from reseqkit.metrics import CSV_HEADER, trace_from_csv, trace_to_csv
@@ -23,6 +24,8 @@ from reseqkit.rational import INF, fmt_rat, fmt_ticks, parse_time
 from reseqkit.resequencer import (
     INVALID_LATE, OVERFLOW, ResequencerConfig, ResequencerOutcome, simulate)
 from reseqkit.scenarios import gen_two_packet_swap
+from report_json_oracle import report_dict
+from test_path_analysis import mixed_paths
 from test_rational import TICK_BASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1548,3 +1551,102 @@ def test_simulate_that_cannot_write_a_departure_prints_nothing(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    metrics_of(f"1,64,0,1/{2**14000}"),
+    # the summary is writable, one offset is not
+    lambda tmp_path: metrics_of(f"1,64,-,5\n2,64,-,1/{2**14000}\n3,64,-,0")(tmp_path)
+    + ["--verbose"],
+    lambda tmp_path: ["analyze", "--format", "json", "--config", bundled_with(
+        tmp_path, lambda c: c["elements"][1].update(d_min_s="0", d_max_s=f"1/{2**14000}"))],
+], ids=["metrics", "metrics-verbose", "analyze-json"])
+def test_a_value_too_long_to_write_is_one_line(argv, tmp_path, capsys):
+    # 1 / 2^14000 is accepted (a literal and a base under the digit limit),
+    # but its 14000 decimals are not: the run writes nothing
+    assert main(argv(tmp_path)) == INPUT_ERROR
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (out, err) == ("", f"error: a value needs more than {limit} digits to be written\n")
+
+
+#: Element ids that JSON must escape, and others that it writes as they are.
+element_ids = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "/", "é", "\ud800",
+                     "\U0001f600"]),
+    st.characters(),
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=mixed_paths(), data=st.data())
+def test_report_writer_matches_the_dict_form(path, data):
+    """``report_to_json``'s text at several depths, with one memo and with
+    a fresh one, is ``json.dumps(indent=2)`` of the dict form
+    (``report_json_oracle``) indented for that depth; ``analyze --loss both
+    --format json`` prints what ``json.dumps`` prints for its value."""
+    ids = data.draw(st.lists(element_ids, min_size=len(path.elements),
+                             max_size=len(path.elements), unique=True))
+    path = replace(path, elements=tuple(
+        replace(e, id=eid) for e, eid in zip(path.elements, ids)))
+    try:
+        reports = list(path_analysis.analyze_both(path).values())
+    except path_analysis.PathConfigError:  # lossy mode and an infinite timeout
+        reports = [path_analysis.analyze_path(replace(path, loss_mode=LOSSLESS))]
+    memo = {}
+    for depth in (0, 1, 2, 5):
+        for rep in reports:
+            want = json.dumps(report_dict(rep), indent=2).replace("\n", "\n" + "  " * depth)
+            assert path_analysis.report_to_json(rep, depth) == want
+            assert path_analysis.report_to_json(rep, depth, memo) == want
+    with mock.patch.object(cli, "load_path", lambda _: path):
+        code, out, err = run_cli(["analyze", "--config", "-", "--loss", "both",
+                                  "--format", "json"])
+    if code == INPUT_ERROR:
+        assert len(reports) == 1 and "infinite timeout" in err
+    else:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out) == [report_dict(rep) for rep in reports]
+
+
+def test_analyze_writes_each_shared_record_once():
+    """``analyze --loss both`` on the bundled config, whose two reports hold
+    the same five element records, calls ``fmt_ticks`` twice (rates and
+    bursts) per distinct curve and ``fmt_rat`` once per scalar of a distinct
+    record, not per record of each report.  It writes each report through
+    ``path_analysis.report_to_json`` looked up by name, as the benchmark's
+    tracer wraps it: under every module attribute that holds it."""
+    reports = list(path_analysis.analyze_both(path_analysis.load_path(str(BUNDLED))).values())
+    assert len(reports[0].elements) == 5
+    assert all(a is b for a, b in zip(*(rep.elements for rep in reports)))
+    written = [c for rep in reports for c in (
+        *(e.output_curve for e in rep.elements),
+        *(e.post_queue_curve for e in rep.elements if e.post_queue_curve),
+        *(r.output_curve for r in rep.resequencers), rep.destination_curve)]
+    elements = {id(e): e for rep in reports for e in rep.elements}.values()
+    scalars = (sum(3 + (e.stage.rto is not None) for e in elements)
+               + sum(3 * len(rep.resequencers) + 7 for rep in reports))
+    distinct = len({id(c) for c in written})
+    assert distinct < len(written)
+
+    original, calls = path_analysis.report_to_json, []
+    def traced(*args, **kwargs):
+        calls.append(args[0].loss_mode)
+        return original(*args, **kwargs)
+    patched = [(m, attr) for m in list(sys.modules.values())
+               if getattr(m, "__name__", "").startswith("reseqkit")
+               for attr, value in list(vars(m).items()) if value is original]
+    with contextlib.ExitStack() as stack:
+        for m, attr in patched:
+            stack.enter_context(mock.patch.object(m, attr, traced))
+        ticks = stack.enter_context(mock.patch.object(
+            curves, "fmt_ticks", wraps=curves.fmt_ticks))
+        rats = stack.enter_context(mock.patch.object(
+            path_analysis, "fmt_rat", wraps=path_analysis.fmt_rat))
+        code, out, _ = run_cli(["analyze", "--config", str(BUNDLED), "--loss", "both",
+                                "--format", "json"])
+    assert code == OK
+    assert out == (GOLDEN / "analyze_both.json").read_text(encoding="utf-8")
+    assert calls == ["lossless", "lossy"]
+    assert ticks.call_count == 2 * distinct
+    assert rats.call_count == scalars

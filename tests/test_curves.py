@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -386,7 +387,7 @@ class TestIntegerKernelsMatchFractionOracle:
         c, env = MinAffineCurve(tuple(raw)), fraction_curve_oracle.envelope(raw)
         assert c.pieces == env
         assert c == MinAffineCurve(env)  # reduced bases: one record per function
-        assert c.to_json()["pieces"] == [
+        assert json.loads(c.to_json())["pieces"] == [
             {"rate": fmt_rat(r), "burst": fmt_rat(b)} for r, b in env]
         breaks = [(b0 - b1) / (r1 - r0) for (r0, b0), (r1, b1) in zip(env, env[1:])]
         # 0, a drawn jitter, and one at or just past a breakpoint, which
@@ -641,13 +642,13 @@ class TestFlowSpec:
 
 class TestSerialization:
     def test_round_trip_min_affine(self):
-        blob = AUTOMOTIVE_ALPHA1.to_json()
+        blob = json.loads(AUTOMOTIVE_ALPHA1.to_json())
         assert blob["kind"] == "min_affine"
         assert curve_from_json(blob) == AUTOMOTIVE_ALPHA1
 
     def test_round_trip_staircase(self):
         c = StaircaseCurve(F(3), F("0.008"), "packets")
-        assert curve_from_json(c.to_json()) == c
+        assert curve_from_json(json.loads(c.to_json())) == c
 
     @pytest.mark.parametrize(
         "blob,message",

@@ -365,7 +365,7 @@ class TestConfigAndRendering:
 
     def test_report_json_is_exact(self):
         rep = analyze_path(small_path())
-        blob = report_to_json(rep)
+        blob = json.loads(report_to_json(rep))
         assert blob["resequencers"][0]["timeout_s"] == "0.000000988"
         assert blob["e2e"]["delay_us_display"] == "66.19"
 
@@ -377,7 +377,7 @@ class TestConfigAndRendering:
             FifoServiceElement("h1", RateLatencyService(F(125_000_000), 12 * US)),
             FifoServiceElement("h2", RateLatencyService(F(125_000_000), 100 * US)),
         ), LOSSLESS)
-        h1, h2 = report_to_json(analyze_path(path))["elements"]
+        h1, h2 = json.loads(report_to_json(analyze_path(path)))["elements"]
         assert [p["rate"] for p in h1["queue_output_curve"]["pieces"]] == ["6400"]
         assert h1["output_curve"]["pieces"] == [
             {"rate": "6400", "burst": "6400.0768"},

@@ -292,7 +292,7 @@ class TestFmtTicks:
         limit = sys.get_int_max_str_digits()
         check_writable([10**limit - 1], 1, "values")
         assert fmt_ticks([10**limit - 1], 1) == ["9" * limit]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"a value needs more than {limit} digits"):
             fmt_ticks([10**limit], 1)
         with pytest.raises(ValueError, match="digits"):
             check_writable([10**limit], 1, "values")
@@ -319,6 +319,21 @@ class TestFormat:
         assert seconds_to_us_display(F("-0.004e-6")) == "0.00"
         assert seconds_to_us_display(F("0.125e-6")) == "0.13"
         assert seconds_to_us_display(F("-0.125e-6")) == "-0.13"
+
+    @pytest.mark.parametrize("write,value", [
+        (fmt_rat, F(10**4400)),  # an integer
+        (fmt_rat, F(1, 3**10000)),  # p/q
+        (fmt_rat, F(1, 2**14000)),  # 14000 decimals
+        (seconds_to_us_display, F(10**4400)),
+        (lambda x: fmt_ticks([x.numerator], x.denominator)[0], F(-1, 2**14000)),
+        (lambda x: fmt_ticks([x.numerator], x.denominator)[0], F(1, 3**10000)),
+    ], ids=["rat-int", "rat-p/q", "rat-decimal", "us", "ticks-decimal", "ticks-p/q"])
+    def test_a_value_too_long_to_write_is_refused(self, write, value):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as exc:
+            write(value)
+        assert str(exc.value) == f"a value needs more than {limit} digits to be written"
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
     @given(
         t=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
