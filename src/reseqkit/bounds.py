@@ -24,15 +24,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .curves import BYTES, Curve, min_spacing
-from .rational import Rat, exact, finite
+from .rational import Rat, exact, exact_sum, finite
 
 LOSSLESS = "lossless"
 LOSSY = "lossy"
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (LOSSLESS, LOSSY):
-        raise ValueError(f"unknown loss mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +48,30 @@ class SequenceElement:
             if not 0 <= self.rto <= self.jitter:
                 raise ValueError("a stage's RTO lies between 0 and its jitter")
 
+    @classmethod
+    def _of(cls, jitter: Fraction, rto: Optional[Fraction] = None,
+            clamped: bool = False) -> "SequenceElement":
+        """A stage of values its caller derived itself: nothing is checked."""
+        stage = cls.__new__(cls)
+        vars(stage).update(jitter=jitter, rto=rto, clamped=clamped)  # frozen fields
+        return stage
+
 
 def rto_bound_element(jitter: Rat, curve: Curve, l_min: Rat) -> SequenceElement:
     """The stage of an element that may reorder: jitter V and late-time-offset
     bound ``[V - min_spacing(curve, l_min)]^+``."""
     jitter = finite(jitter)
-    head = jitter - min_spacing(curve, l_min)
-    clamped = head < 0
-    return SequenceElement(jitter, Fraction(0) if clamped else head, clamped)
+    if jitter < 0:
+        raise ValueError("jitter must be >= 0")
+    return reordering_stage(jitter, min_spacing(curve, l_min))
+
+
+def reordering_stage(jitter: Fraction, spacing: Fraction) -> SequenceElement:
+    """``rto_bound_element`` of a jitter V >= 0 and the ``spacing`` that
+    ``min_spacing`` gives, both taken as given."""
+    head = jitter - spacing
+    clamped = head.numerator < 0
+    return SequenceElement._of(jitter, Fraction(0) if clamped else head, clamped)
 
 
 def rbo_bound_element(jitter: Rat, curve: Curve, l_min: Rat) -> Fraction:
@@ -69,10 +80,8 @@ def rbo_bound_element(jitter: Rat, curve: Curve, l_min: Rat) -> Fraction:
     if curve.unit != BYTES:
         raise ValueError("the RBO bound works on the byte-level curve")
     l_min = finite(l_min)
-    volume = curve.value(finite(jitter))
-    if volume < 2 * l_min:
-        return Fraction(0)
-    return volume - l_min
+    beyond = curve.value(finite(jitter)) - l_min
+    return beyond if beyond >= l_min else Fraction(0)
 
 
 def resequencer_delay_effect(mode: str, timeout: Rat) -> tuple[Rat, Rat]:
@@ -80,11 +89,10 @@ def resequencer_delay_effect(mode: str, timeout: Rat) -> tuple[Rat, Rat]:
     timeout covers the upstream RTO: nothing when lossless, up to the
     timeout each when losses are possible.  The buffer's output curve is its
     input curve shifted by that jitter (``curves.shift_jitter``)."""
-    _check_mode(mode)
+    if mode not in (LOSSLESS, LOSSY):
+        raise ValueError(f"unknown loss mode {mode!r}")
     timeout = exact(timeout)
-    if mode == LOSSLESS:
-        return Fraction(0), Fraction(0)
-    return timeout, timeout
+    return (timeout, timeout) if mode == LOSSY else (Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -101,9 +109,7 @@ def rto_bound_sequence(seq: Sequence[SequenceElement]) -> SequenceRtoBound:
     it.  An empty or all-order-preserving sequence gives zero."""
     for s, head in enumerate(seq):
         if head.rto is not None:
-            total = head.rto
-            for el in seq[s + 1:]:
-                total += el.jitter
+            total = exact_sum([head.rto, *[el.jitter for el in seq[s + 1:]]])
             return SequenceRtoBound(total, s, head.rto, head.clamped)
     return SequenceRtoBound(Fraction(0), None, Fraction(0), False)
 
@@ -114,11 +120,8 @@ def rbo_bound_sequence(
     """Byte-offset bound over a stage sequence: one element bound with the
     jitters summed through the last stage that may reorder and the curve at
     the sequence entrance."""
-    total_v, through_last = Fraction(0), None
-    for el in seq:
-        total_v += el.jitter
-        if el.rto is not None:
-            through_last = total_v
-    if through_last is None:
+    last = max((s for s, el in enumerate(seq) if el.rto is not None), default=None)
+    if last is None:
         return Fraction(0)
-    return rbo_bound_element(through_last, entry_curve, l_min)
+    return rbo_bound_element(exact_sum([el.jitter for el in seq[:last + 1]]),
+                             entry_curve, l_min)

@@ -93,9 +93,9 @@ class MinAffineCurve:
         if unit not in (BYTES, PACKETS):
             raise CurveError(f"unknown unit {unit!r}")
         for rate, burst in pairs:
-            if rate <= 0:
+            if rate.numerator <= 0:
                 raise CurveError("piece rates must be > 0 (curves are unbounded)")
-            if burst < 0:
+            if burst.numerator < 0:
                 raise CurveError("piece bursts must be >= 0")
         rate_den = math.lcm(*(r.denominator for r, _ in pairs))
         burst_den = math.lcm(*(b.denominator for _, b in pairs))
@@ -130,12 +130,12 @@ class MinAffineCurve:
         t = exact(t)
         if t is INF:
             return INF
-        if t < 0:
-            raise ValueError("curves are defined on t >= 0")
-        if t == 0:
+        tn, td = t.numerator, t.denominator
+        if tn <= 0:
+            if tn < 0:
+                raise ValueError("curves are defined on t >= 0")
             return Fraction(0)
         # r/rd * tn/td + b/bd, all on rd * td * bd
-        tn, td = t.numerator, t.denominator
         per_rate, per_burst = tn * self.burst_den, td * self.rate_den
         return Fraction(min(r * per_rate + b * per_burst
                             for r, b in zip(self.rates, self.bursts)),
@@ -147,12 +147,12 @@ class MinAffineCurve:
     def pseudo_inverse(self, x: Rat) -> Rat:
         """inf{s >= 0 | value(s) >= x}: the max over per-piece [(x-b)/r]^+."""
         x = finite(x)
-        if x < 0:
-            raise ValueError("pseudo-inverse is defined on x >= 0")
-        if x == 0:
+        xn, xd, bd = x.numerator, x.denominator, self.burst_den
+        if xn <= 0:
+            if xn < 0:
+                raise ValueError("pseudo-inverse is defined on x >= 0")
             return Fraction(0)
         # (x - b)/r is (xn*bd - b*xd) * rd / (xd * bd * r): compare over r
-        xn, xd, bd = x.numerator, x.denominator, self.burst_den
         per_x = xn * bd
         best, best_rate = 0, 1
         for r, b in zip(self.rates, self.bursts):
@@ -304,7 +304,7 @@ class FlowSpec:
         x = finite(x)
         if x < self.l_min:
             return Fraction(0)
-        return (x // self.l_min) * self.l_min if self.constant_size else x
+        return self.l_min * (x // self.l_min) if self.constant_size else x
 
 
 def min_spacing(curve: Curve, l_min: Optional[Rat] = None) -> Fraction:
@@ -340,13 +340,13 @@ def shift_jitter(curve: MinAffineCurve, jitter: Rat) -> MinAffineCurve:
     """
     if not isinstance(curve, MinAffineCurve):
         raise CurveError("jitter shift is defined for min-affine curves only")
-    v = finite(jitter)
-    if v < 0:
-        raise ValueError("jitter must be >= 0")
-    if v == 0:
+    v = jitter if jitter.__class__ is Fraction else finite(jitter)
+    vn, vd = v.numerator, v.denominator
+    if vn <= 0:
+        if vn < 0:
+            raise ValueError("jitter must be >= 0")
         return curve
     rates, bursts, rd, bd = curve.rates, curve.bursts, curve.rate_den, curve.burst_den
-    vn, vd = v.numerator, v.denominator
     keep = len(rates)
     while keep > 1:
         # the breakpoint (b_slow - b_fast) / (r_fast - r_slow) is past V

@@ -32,8 +32,11 @@ fabric, a jitter so far being the delay sum minus the minimum-delay sum.
 The loss mode is first read at a re-sequencer, so ``analyze_both`` walks the
 stages before the first one once and forks the walk's state (``_Walk``)
 there into the lossless and the lossy walk of the rest.  The curve kernels
-run on integer ticks (see ``curves``); a stage's delays and jitter are
-Fractions.
+run on integer ticks (see ``curves``), and so do the walk's sums: the
+delay, the jitter and that through the last fabric are one tick column on
+a base grown only by a new denominator (``rational.add_ticks``).  What no
+walk changes is built once per call: a FIFO port's ``l_min / rate`` and
+line shaper, one per rate, ``2*l_min``, and a delay range's jitter.
 
 Reports carry exact rationals; rounding happens only in the renderers.
 ``report_to_json`` writes a report's JSON text straight from its records,
@@ -66,7 +69,7 @@ from .curves import (
     min_curves,
     shift_jitter,
 )
-from .rational import INF, Rat, exact, finite, fmt_rat, seconds_to_us_display
+from .rational import INF, Rat, add_ticks, exact, finite, fmt_rat, seconds_to_us_display
 
 
 class PathConfigError(ValueError):
@@ -105,6 +108,7 @@ class _DelayRange:
         object.__setattr__(self, "d_max", finite(self.d_max))
         if self.d_min < 0 or self.d_max < self.d_min:
             raise PathConfigError(f"{self.id}: need 0 <= d_min <= d_max")
+        object.__setattr__(self, "jitter", self.d_max - self.d_min)  # not a field
 
 
 class FabricElement(_DelayRange):
@@ -253,11 +257,7 @@ def analyze_both(path: PathSpec) -> Dict[str, AnalysisReport]:
     prefix = _walk(path, LOSSLESS, _Walk(path.flow.source_curve), elements[:first])
     lossy_start = prefix.fork()
     lossless = _walk(path, LOSSLESS, prefix, elements[first:]).report(LOSSLESS)
-    lossy = replace(
-        _walk(path, LOSSY, lossy_start, elements[first:]).report(LOSSY),
-        baseline_delay=lossless.e2e_delay,
-        baseline_jitter=lossless.e2e_jitter,
-    )
+    lossy = _walk(path, LOSSY, lossy_start, elements[first:]).report(LOSSY, lossless)
     return {LOSSLESS: lossless, LOSSY: lossy}
 
 
@@ -271,26 +271,32 @@ class _Walk:
     reseqs: List[ResequencerReport] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     since: int = 0  # elements[since:] came after the last re-sequencer
-    reordering: Fraction = Fraction(0)  # the jitter from the source through the last fabric
-    total_delay: Fraction = Fraction(0)
-    total_min_delay: Fraction = Fraction(0)
+    den: int = 1  # ticks: the delay, the jitter and that through the last fabric
+    ticks: List[int] = field(default_factory=lambda: [0, 0, 0])
+    # built once per call and shared by the forks: 2*l_min and, by FIFO
+    # rate, l_min / rate and the line shaper
+    pair: Optional[Fraction] = None
+    shapers: Dict[Tuple[int, int], Tuple[Fraction, MinAffineCurve]] = field(
+        default_factory=dict)
 
     def fork(self) -> "_Walk":
         return replace(self, elements=self.elements[:], reseqs=self.reseqs[:],
-                       warnings=self.warnings[:])
+                       warnings=self.warnings[:], ticks=self.ticks[:])
 
-    def report(self, loss_mode: str) -> AnalysisReport:
-        jitter = self.total_delay - self.total_min_delay
+    def report(self, loss_mode: str,
+               baseline: Optional[AnalysisReport] = None) -> AnalysisReport:
+        (delay, jitter, _), den = self.ticks, self.den
+        total, spread = Fraction(delay, den), Fraction(jitter, den)
         return AnalysisReport(
             loss_mode=loss_mode,
             elements=tuple(self.elements),
             resequencers=tuple(self.reseqs),
-            e2e_delay=self.total_delay,
-            e2e_min_delay=self.total_min_delay,
-            e2e_jitter=jitter,
+            e2e_delay=total,
+            e2e_min_delay=Fraction(delay - jitter, den),
+            e2e_jitter=spread,
             destination_curve=self.curve,
-            baseline_delay=self.total_delay,
-            baseline_jitter=jitter,
+            baseline_delay=baseline.e2e_delay if baseline else total,
+            baseline_jitter=baseline.e2e_jitter if baseline else spread,
             warnings=tuple(self.warnings),
         )
 
@@ -300,42 +306,47 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
     """``walk`` carried on through ``stages`` in ``loss_mode``."""
     flow = path.flow
     lossy = loss_mode == LOSSY
+    if walk.pair is None:
+        walk.pair = flow.l_min * 2
+    den, ticks = walk.den, walk.ticks
     for el in stages:
         curve = walk.curve
         if el.kind == "fifo_service":
             svc = el.service
+            rate = svc.rate.numerator, svc.rate.denominator  # hashed faster than a Fraction
+            shaper = walk.shapers.get(rate)
+            if shaper is None:
+                shaper = walk.shapers[rate] = (
+                    flow.l_min / svc.rate, leaky_bucket(svc.rate, flow.l_max, curve.unit))
             d_max = horizontal_deviation(curve, svc)
-            d_min = (
-                el.min_delay if el.min_delay is not None else flow.l_min / svc.rate
-            )
-            if d_min > d_max:
+            d_min = el.min_delay if el.min_delay is not None else shaper[0]
+            jitter = d_max - d_min
+            if jitter.numerator < 0:
                 raise PathConfigError(
                     f"{el.id}: minimum delay exceeds the worst-case bound"
                 )
             post_queue = shift_jitter(curve, svc.latency)
-            curve = min_curves(
-                post_queue, leaky_bucket(svc.rate, flow.l_max, curve.unit)
-            )
+            curve = min_curves(post_queue, shaper[1])
             walk.elements.append(ElementReport(
-                el.id, el.kind, d_min, d_max, SequenceElement(d_max - d_min), curve,
+                el.id, el.kind, d_min, d_max, SequenceElement._of(jitter), curve,
                 post_queue))
         elif el.kind in ("fabric", "order_preserving_fixed"):
-            d_min, d_max = el.d_min, el.d_max
-            jitter = d_max - d_min
+            d_max, jitter = el.d_max, el.jitter
             stage = (
-                bounds.rto_bound_element(jitter, curve, flow.l_min)
+                # min_spacing of the byte curve, with 2*l_min made once
+                bounds.reordering_stage(jitter, curve.pseudo_inverse(walk.pair))
                 if el.kind == "fabric"
-                else SequenceElement(jitter)
+                else SequenceElement._of(jitter)
             )
             curve = shift_jitter(curve, jitter)
             walk.elements.append(
-                ElementReport(el.id, el.kind, d_min, d_max, stage, curve))
+                ElementReport(el.id, el.kind, el.d_min, d_max, stage, curve))
         elif el.kind == "resequencer":
             upstream = bounds.rto_bound_sequence(
                 [e.stage for e in walk.elements[walk.since:]]).value
             # in auto mode, the timeout that never discards: the RTO
             timeout: Rat = upstream if el.mode == "auto" else el.timeout
-            unsafe = timeout < upstream
+            unsafe = el.mode == "explicit" and timeout < upstream
             if unsafe:
                 walk.warnings.append(
                     f"{el.id}: explicit timeout {fmt_rat(timeout)} s is below "
@@ -347,10 +358,11 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
                     raise PathConfigError(
                         f"{el.id}: infinite timeout gives unbounded delay in lossy mode"
                     )
-                window = walk.total_delay - walk.total_min_delay + timeout
-                req = backlog_bound(flow.source_curve, window)
+                window = ticks[1:2]  # the jitter so far, plus the timeout
+                window_den = add_ticks(den, window, timeout)
+                req = backlog_bound(flow.source_curve, Fraction(window[0], window_den))
             else:
-                req = bounds.rbo_bound_element(walk.reordering, flow.source_curve,
+                req = bounds.rbo_bound_element(Fraction(ticks[2], den), flow.source_curve,
                                                flow.l_min)
             size = math.floor(flow.reachable_floor(req))
             if el.capacity is not None and el.capacity < size:
@@ -358,7 +370,7 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
                     f"{el.id}: configured capacity {fmt_rat(el.capacity)} B "
                     f"is below the required size {size} B"
                 )
-            d_min = Fraction(0)  # now an order-preserving stage, delay [0, d_max]
+            # now an order-preserving stage, delay [0, d_max]
             d_max, jitter = bounds.resequencer_delay_effect(loss_mode, timeout)
             curve = shift_jitter(curve, jitter)
             walk.reseqs.append(
@@ -369,11 +381,10 @@ def _walk(path: PathSpec, loss_mode: str, walk: _Walk,
             raise PathConfigError(f"unknown element kind {el.kind!r}")
 
         walk.curve = curve
-        walk.total_delay += d_max
-        walk.total_min_delay += d_min
+        den = add_ticks(den, ticks, d_max, jitter)
         if el.kind == "fabric":
-            walk.reordering = walk.total_delay - walk.total_min_delay
-
+            ticks[2] = ticks[1]
+    walk.den = den
     return walk
 
 

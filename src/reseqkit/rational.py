@@ -15,22 +15,23 @@ a ``Fraction``, or ``INF``.  Code that loops over packets or curve pieces
 carries a column of them as ``(base, ticks)`` instead: a base D, the least
 common multiple of the denominators, and each value times D as an integer
 tick, INF passing through.  This module makes the base of exact values
-(``on_common_base``) and of literal strings (``read_literals``), and moves
-and reduces every base (``rebased``, ``reduced``).  A trace column's base
-of more digits than one literal may have is refused, by a
-``BaseLimitError``: ``read_literals`` checks each chunk's, and
-``rebased`` and ``on_common_base``, given the ``name`` of the values,
-check the base they make, ``on_common_base`` after each denominator.
-Three kernels take the lcm of a few denominators themselves:
+(``on_common_base``), of literal strings (``read_literals``) and of
+running sums (``add_ticks``, ``exact_sum``: grown by lcm only for a
+denominator that does not divide it), and moves and reduces every base
+(``rebased``, ``reduced``).  A trace column's base of more digits than
+one literal may have is refused, by a ``BaseLimitError``:
+``read_literals`` checks each chunk's, and ``rebased`` and
+``on_common_base``, given the ``name`` of the values, check the base they
+make, ``on_common_base`` after each denominator.  Three kernels elsewhere
+take the lcm of a few denominators themselves:
 ``MinAffineCurve.__init__``, on the hot path, where one ``math.lcm`` costs
 less than ``on_common_base``'s fixed cost, and ``curves.shift_jitter`` and
 ``scenarios.packetize``, which derive a base from a curve's integer
-columns.  A per-packet result stays a
-tick column, written out from its ticks by one column kernel
-(``fmt_ticks``: D factored once, and no Python call per decimal value
-that is not negative; ``check_writable`` refuses a column too long to
-write before any of it is written); only a scalar becomes
-``Fraction(ticks, D)``, and ``over`` maps a column for the two
+columns.  A per-packet result stays a tick column, written out from its
+ticks by one column kernel (``fmt_ticks``: D factored once, and no Python
+call per decimal value that is not negative; ``check_writable`` refuses a
+column too long to write before any of it is written); only a scalar
+becomes ``Fraction(ticks, D)``, and ``over`` maps a column for the two
 views that hand out ``{index: Fraction}`` (``Trace.packets``,
 ``analytic_departures``).  ``fmt_rat`` keeps its own body for one value:
 through ``fmt_ticks`` a call costs about half as much again, and a report
@@ -39,8 +40,10 @@ renders many scalars.  ``fmt_rat``, ``fmt_ticks`` and
 writes of an int with a message of their own, at no cost to the values
 they write.  ``read_literals`` reads plain decimals straight into
 integers, ``inf`` among them straight into INF, and every other literal
-through ``exact`` or ``finite``.  ``INF``, the lost-packet sentinel,
-compares and min/maxes correctly against Fractions and integers.
+through ``exact`` or ``finite``; ``exact`` reads a decimal or scientific
+literal as its mantissa integer over a power of ten.  ``INF``, the
+lost-packet sentinel, compares and min/maxes correctly against Fractions
+and integers.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: A time or size value: an exact rational, or +inf for lost packets /
 #: unbounded capacities.
@@ -117,7 +120,12 @@ def exact(x: Union[Rat, int, str]) -> Rat:
         elif "/" in s and not s.rpartition("/")[2].strip("0"):
             raise ValueError(f"zero denominator: {x!r}")
         check_digit_limit(s)
-        return Fraction(s)
+        if m.group(1) is None:  # p/q
+            return Fraction(*map(int, s.split("/")))
+        whole, _, decimals = m.group(1).partition(".")
+        n = int(s[:m.start(1)] + whole + decimals)  # the sign and every digit
+        k = len(decimals) - int(exponent[1:] if exponent else 0)
+        return Fraction(n, 10**k) if k >= 0 else Fraction(n * 10**-k, 1)
     if isinstance(x, float):
         if x == INF:
             return INF
@@ -314,6 +322,33 @@ def on_common_base(*columns: Sequence[Optional[Rat]],
         [x if x is INF or x is None else x.numerator * scale[x.denominator] for x in col]
         for col in columns
     ]
+
+
+def add_ticks(den: int, ticks: List[int], *values: Fraction) -> int:
+    """Add ``values[i]`` to ``ticks[i]``, a column on base ``den``, in place,
+    and return the base, grown as the values' denominators need."""
+    for i, x in enumerate(values):
+        d = x.denominator
+        if den % d:
+            grown = math.lcm(den, d)
+            ticks[:] = [t * (grown // den) for t in ticks]
+            den = grown
+        ticks[i] += x.numerator * (den // d)
+    return den
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """``sum(values)`` summed as ``add_ticks`` sums, one Fraction built:
+    in a loop of its own, at half the cost of a call per value."""
+    den, total = 1, 0
+    for x in values:
+        d = x.denominator
+        if den % d:
+            grown = math.lcm(den, d)
+            total *= grown // den
+            den = grown
+        total += x.numerator * (den // d)
+    return Fraction(total, den)
 
 
 def reduced(den: int, *columns: Sequence[Tick]) -> Tuple[int, Sequence[Sequence[Tick]]]:

@@ -25,7 +25,7 @@ from reseqkit.resequencer import (
     INVALID_LATE, OVERFLOW, ResequencerConfig, ResequencerOutcome, simulate)
 from reseqkit.scenarios import gen_two_packet_swap
 from report_json_oracle import report_dict
-from test_path_analysis import mixed_paths
+from test_path_analysis import cycled_path, mixed_paths
 from test_rational import TICK_BASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +126,32 @@ class TestAnalyze:
         monkeypatch.setattr(path_analysis, "horizontal_deviation", counting)
         assert main(["analyze", "--config", str(BUNDLED), "--loss", "both"]) == OK
         assert len(calls) == 3
+
+    def test_both_modes_add_no_fractions(self, monkeypatch):
+        # the walk sums its delays and jitters as integer ticks
+        paths = [path_analysis.load_path(str(BUNDLED)),
+                 cycled_path(((F(6400, 3), F(640, 7)), (F(10**6, 7), 129)))]
+        adds = []
+        for name in ("__add__", "__radd__"):
+            def counting(a, b, _add=getattr(F, name)):
+                adds.append((a, b))
+                return _add(a, b)
+            monkeypatch.setattr(F, name, counting)
+        for path in paths:
+            path_analysis.analyze_both(path)
+        assert adds == []
+
+    def test_both_modes_build_one_line_shaper_per_rate(self, monkeypatch, capsys):
+        # the three ports of the bundled config share one rate and l_max
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return curves.leaky_bucket(*args)
+
+        monkeypatch.setattr(path_analysis, "leaky_bucket", counting)
+        assert main(["analyze", "--config", str(BUNDLED), "--loss", "both"]) == OK
+        assert len(calls) == 1
 
 
 def bundled_with(tmp_path, edit):
@@ -325,11 +351,14 @@ STAIRCASE_CURVE = str(GOLDEN / "staircase_curve.json")
 PACKET_CURVE = str(GOLDEN / "packet_curve.json")
 TWO_PIECE_CURVE = str(GOLDEN / "two_piece_curve.json")
 MULTI_PIECE = str(GOLDEN / "multi_piece_path.json")
+MIXED_BASES = str(GOLDEN / "mixed_bases_path.json")
 CAPTURE_SHAPE = str(GOLDEN / "capture_shape.csv")
 GOLDEN_EXIT = {  # OK for the rest
     "lossy_backlog_discard.json": DISCARD,
     "two_segments_both.table": UNSAFE_WARNING,
     "two_segments_both.json": UNSAFE_WARNING,
+    "mixed_bases_both.json": UNSAFE_WARNING,
+    "mixed_bases_both.table": UNSAFE_WARNING,
 }
 
 # Every whole-output case: the argv and its golden stdout file.  The console
@@ -413,6 +442,13 @@ GOLDEN_CASES = [
     # re-sequencer
     (["analyze", "--config", MULTI_PIECE, "--loss", "both", "--format", fmt],
      f"multi_piece_both.{fmt}")
+    for fmt in ("json", "table")
+] + [
+    # denominators that share no base: FIFO rates of 10^9/7, fixed delays of
+    # 1/3 and 2/7 s, an explicit min_delay_s and an explicit re-sequencer
+    # with a 1/11 s timeout and a capacity below its size (one warning)
+    (["analyze", "--config", MIXED_BASES, "--loss", "both", "--format", fmt],
+     f"mixed_bases_both.{fmt}")
     for fmt in ("json", "table")
 ]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bounds_oracle
 import scenario_oracle
+import walk_oracle
 from arrival_trace import source_trace
 from reseqkit import bounds, path_analysis
 from reseqkit.bounds import LOSSLESS, LOSSY
@@ -532,6 +533,22 @@ class TestSharedBaseline:
             assert_same_report(rep, replace(
                 whole, baseline_delay=rep.baseline_delay,
                 baseline_jitter=rep.baseline_jitter))
+
+    @settings(max_examples=150)
+    @given(path=mixed_paths())
+    def test_both_modes_match_the_fraction_walk(self, path):
+        # every field of both reports, the lossy sizes, the warnings and the
+        # e2e figures among them, equals the walk that sums Fractions
+        try:
+            want = walk_oracle.analyze_both(path)
+        except PathConfigError as exc:
+            with pytest.raises(PathConfigError, match=re.escape(str(exc))):
+                analyze_both(path)
+            return
+        got = analyze_both(path)
+        assert list(got) == list(want)
+        for mode, rep in got.items():
+            assert_same_report(rep, want[mode])
 
     def test_only_resequencers_rejected(self):
         for mode in (LOSSLESS, LOSSY):

@@ -89,6 +89,31 @@ class TestParse:
             exact(text)
         assert exact(text[:4300]) == F(text[:4300])
 
+    @given(st.data())
+    def test_literal_reads_as_the_fraction_of_its_text(self, data):
+        # the integer reading of a literal equals the standard library's
+        draw = data.draw
+        digits = st.text("0123456789", min_size=1, max_size=25)
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        if draw(st.booleans()):
+            body = f"{sign}{draw(digits)}/{draw(digits.filter(lambda d: d.strip('0')))}"
+        else:
+            body = sign + draw(st.one_of(
+                digits,  # 5
+                st.builds("{}.{}".format, digits, digits),  # 5.25
+                st.builds("{}.".format, digits),  # 5.
+                st.builds(".{}".format, digits),  # .5
+            ))
+            if draw(st.booleans()):
+                exponent = draw(st.integers(0, MAX_EXPONENT))
+                body += "".join([
+                    draw(st.sampled_from("eE")), draw(st.sampled_from(["", "+", "-"])),
+                    "0" * draw(st.integers(0, 3)), str(exponent)])
+        blanks = st.sampled_from(["", " ", "  ", "\t", "\n"])
+        text = draw(blanks) + body + draw(blanks)
+        got = exact(text)
+        assert got == F(text.strip()) and type(got) is F
+
     @pytest.mark.parametrize(
         "text,want",
         [
