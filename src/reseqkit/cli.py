@@ -22,9 +22,9 @@ by ``_dump_json``, which writes the same bytes as ``json.dumps`` with
 ``indent=2`` but encodes strings with the C encoder, and writes a report's
 ``JsonText`` as it is: ``report_to_json`` lays the text out from the
 records, and the reports of one call share a memo, so a record that both
-hold is written once.  ``simulate`` writes its departures block itself, in
-pieces, and the rest through ``_dump_json`` (``_write_outcome``), the same
-bytes again.
+hold is written once.  ``simulate`` writes its outcome by column
+(``_write_outcome``), its departures and discards blocks in pieces, the
+same bytes again.
 """
 
 from __future__ import annotations
@@ -192,32 +192,36 @@ def cmd_simulate(args) -> int:
     return DISCARD if outcome.discards else OK
 
 
-#: Departures per ``write`` of ``_write_outcome``'s block.
+#: Lines of a block per ``write`` of ``_write_outcome``.
 _PIECE = 4096
 
 
 def _write_outcome(outcome, write) -> None:
     """Write what ``_dump_json(...) + "\\n"`` writes for the outcome's dict
-    form, the departures block (one ``"seq": "time"`` line per packet) in
-    pieces of ``_PIECE`` lines, each with one ``write``: a key is digits and
-    a value digits, ``-``, ``.``, ``/`` or ``inf``, so none is escaped.
-    A block too long to write is refused before the first ``write``
-    (``check_writable``), so an outcome that fails writes nothing."""
-    rest = _dump_json({
-        "discards": {
-            str(i): reason for i, reason in sorted(outcome.discards.items())
-        },
-        "max_occupancy_bytes": fmt_rat(outcome.max_occupancy),
-        "max_residence_s": fmt_rat(outcome.max_residence),
-    })
-    ticks, den, sep = outcome.departure_ticks, outcome.time_den, '",\n    "'
+    form, by column (``_write_block``): a ``"seq": "time"`` line per packet,
+    then a ``"seq": "reason"`` line per discard, none escaped, a time being
+    digits, ``-``, ``.``, ``/`` or ``inf``.  A block too long to write is
+    refused before the first ``write`` (``check_writable``), so an outcome
+    that fails writes nothing."""
+    ticks, den = outcome.departure_ticks, outcome.time_den
     check_writable(ticks, den, "departures")
-    write('{\n  "departures": {' + ('\n    "' if ticks else "}"))
-    for start in range(0, len(ticks), _PIECE):
-        values = fmt_ticks(ticks[start:start + _PIECE], den)
-        write((sep if start else "") + sep.join(
-            [f'{k}": "{v}' for k, v in zip(count(start + 1), values)]))
-    write(('"\n  },' if ticks else ",") + rest[1:] + "\n")
+    discards = sorted(outcome.discards.items())
+    tail = (f',\n  "max_occupancy_bytes": "{fmt_rat(outcome.max_occupancy)}",'
+            f'\n  "max_residence_s": "{fmt_rat(outcome.max_residence)}"\n}}\n')
+    _write_block(write, '{\n  "departures": ', len(ticks), lambda part: zip(
+        count(part.start + 1), fmt_ticks(ticks[part], den)))
+    _write_block(write, ',\n  "discards": ', len(discards), discards.__getitem__)
+    write(tail)
+
+
+def _write_block(write, lead, n, pairs) -> None:
+    """Write ``lead`` and the JSON object at depth 1 of ``n`` string pairs,
+    which ``pairs`` gives by slice, ``_PIECE`` lines per ``write``."""
+    sep = '",\n    "'
+    for start in range(0, n, _PIECE):
+        write((sep if start else lead + '{\n    "') + sep.join(
+            [f'{k}": "{v}' for k, v in pairs(slice(start, start + _PIECE))]))
+    write('"\n  }' if n else lead + "{}")
 
 
 def cmd_scenario(args) -> int:

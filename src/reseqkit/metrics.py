@@ -241,36 +241,36 @@ def rbo(trace: Trace) -> OffsetResult:
     """Reordering byte offset: per delivered packet, the bytes of
     later-indexed packets observed strictly earlier.
 
-    Packets are swept in observation order.  ``lo`` is the smallest
-    delivered position not yet observed, lost positions skipped, and
-    ``above`` the bytes already observed at positions above it; a packet
-    counts as observed once its ``ticks`` entry is not INF.  A packet
-    observed at ``lo`` has ``above`` as its offset, in O(1); ``lo`` then
-    moves past observed and lost positions, and each observed one it passes
-    leaves ``above``.  Only a packet observed ahead of ``lo`` touches the
-    Fenwick tree of sizes by position: its offset is ``above`` minus the
-    tree's sum over ``(lo, pos]``, whose two prefix walks stop where they
-    meet, and then it is inserted.  The cost thus follows the reorder
-    extent: O(n) plus a sort for a trace in order, O(n log n) at worst.
+    Delivered packets are swept in observation order (the lost sort last
+    and are cut).  ``lo`` is the smallest delivered position not yet
+    observed and ``above`` the bytes already observed at positions above
+    it; a packet counts as observed once its ``ticks`` entry is not INF.
+    Before each packet, ``lo`` moves past observed and lost positions, and
+    each observed one it passes leaves ``above``.  A packet observed at
+    ``lo`` has ``above`` as its offset, in O(1).  Only a packet observed
+    ahead of ``lo`` touches the Fenwick tree of sizes by position: its
+    offset is ``above`` minus the tree's sum over ``(lo, pos]``, whose two
+    prefix walks stop where they meet, and then it is inserted.  The cost
+    thus follows the reorder extent: O(n) plus a sort in order, O(n log n).
     """
     observes, sizes = trace.observe_ticks, trace.size_ticks
     n = len(observes)
     tree = [0] * (n + 1)  # Fenwick tree of size ticks by 1-based position
     ticks: List[Tick] = [INF] * n
     lo = above = best = 0
-    delivered = [pos for pos in range(n) if observes[pos] is not INF]
-    if delivered:
-        lo = delivered[0]
-    for pos in sorted(delivered, key=observes.__getitem__):
+    order = sorted(range(n), key=observes.__getitem__)
+    while order and observes[order[-1]] is INF:
+        order.pop()  # the lost sort last
+    for pos in order:
+        while lo < n and (ticks[lo] is not INF or observes[lo] is INF):
+            if ticks[lo] is not INF:
+                above -= sizes[lo]
+            lo += 1
         if pos == lo:
             ticks[pos] = above
             if above > best:
                 best = above
             lo += 1
-            while lo < n and (ticks[lo] is not INF or observes[lo] is INF):
-                if ticks[lo] is not INF:
-                    above -= sizes[lo]
-                lo += 1
             continue
         ahead, i, j = above, pos + 1, lo + 1
         while i != j:

@@ -20,11 +20,10 @@ capacity:
 The simulator and the recursion must agree exactly on every trace; the test
 suite drives both over random and adversarial inputs.
 
-``simulate`` processes events in virtual time.  An arrival goes before a
-timer that fires at the same instant, and timers with equal deadlines fire in
-sequence-number order.  Pending timers sit in a binary heap keyed by
-(deadline, seq), so an event costs O(log backlog) and a trace of n packets
-O(n log n), however many packets a hole parks.
+``simulate`` processes events in virtual time; an arrival goes before a
+timer that fires at the same instant.  Every stored packet waits the same T,
+and arrivals come at distinct instants in time order, so timers leave in
+arrival order: after the O(n log n) sort, the loop is O(n) however deep.
 
 ``simulate`` takes a validated ``metrics.Trace``: its indices, sizes and
 distinct observe times were checked when it was built, so the event loop
@@ -39,14 +38,12 @@ trace's, so a timeout whose denominator does not divide the trace's base
 extends it.  ``simulate`` returns its departures as a column of ticks on
 that base in the ``ResequencerOutcome``, and the CLI writes them straight
 from the ticks, a few thousand lines per ``rational.fmt_ticks`` call and
-per write.  Occupancy, residence and the
-departure map of ``analytic_departures`` become ``Fraction(ticks, den)``
-when they are returned.
+per write.  Occupancy, residence and the departure map of
+``analytic_departures`` become ``Fraction(ticks, den)`` when returned.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
@@ -93,15 +90,13 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
     """Run the buffer over the trace's observe times and sizes; an inf
     observe time is a packet lost upstream.
 
-    Events are serialized in virtual time.  When a timer deadline coincides
-    with an arrival instant, the arrival is processed first: a timer set to
-    expire "after T seconds" has not yet fired at the instant T itself.
-    Timers with equal deadlines fire in sequence-number order.
-
-    Each stored packet pushes one (deadline, seq) entry on a heap; a packet
-    released before its deadline leaves a stale entry that is dropped when it
-    reaches the top.  An event therefore costs O(log backlog), and the whole
-    trace O(n log n) in the number of packets n.
+    Events are serialized in virtual time.  An arrival at a timer's deadline
+    goes first: a timer set to expire "after T seconds" has not yet fired at
+    the instant T itself.  A stored packet's timer is its seq in ``parked``:
+    in arrival order, so in deadline order (arrival plus T), the next at
+    ``head``.  A packet released before its deadline is below
+    ``next_expected``, and ``head`` skips it.  An event costs O(1)
+    amortized, the loop O(n) after the sort.
     """
     timeout_den, (timeouts,) = on_common_base([cfg.timeout])
     capacity_den, (capacities,) = on_common_base([cfg.capacity])
@@ -110,14 +105,14 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
     size_den, (sizes, (capacity,)) = rebased((trace.size_den, trace.size_ticks),
                                              (capacity_den, capacities))
     n_max = len(times)
-    order = sorted((pos for pos in range(n_max) if times[pos] is not INF),
-                   key=times.__getitem__)
+    order = sorted(range(n_max), key=times.__getitem__)
+    while order and times[order[-1]] is INF:
+        order.pop()  # the lost sort last
     n_order = len(order)
 
-    buf: Dict[int, Tuple[int, int]] = {}  # seq -> (size, stored at), waiting
-    # (deadline, seq) min-heap, one entry per stored packet when the timeout
-    # is finite; an entry whose packet has left the buffer is stale.
-    timers: List[Tuple[int, int]] = []
+    held = bytearray(n_max + 2)  # by seq: set when stored, read from next_expected on
+    parked: List[int] = []  # stored seqs with a timer, in arrival order
+    head = 0
     finite_timeout = timeout is not INF
     next_expected = 1
     departures: List[Tick] = [INF] * n_max  # by seq - 1
@@ -126,10 +121,10 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
 
     pos = 0
     while True:
-        while timers and timers[0][1] not in buf:
-            heapq.heappop(timers)  # the packet left before its deadline
+        while head < len(parked) and parked[head] < next_expected:
+            head += 1  # the packet left before its deadline
         if pos < n_order and (
-            not timers or times[order[pos]] <= timers[0][0]
+            head == len(parked) or times[order[pos]] <= times[parked[head] - 1] + timeout
         ):  # arrival wins ties
             seq = order[pos] + 1
             pos += 1
@@ -142,8 +137,8 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
                 size = sizes[seq - 1]
                 if occupancy + size <= capacity:
                     if finite_timeout:
-                        heapq.heappush(timers, (now + timeout, seq))
-                    buf[seq] = (size, now)
+                        parked.append(seq)
+                    held[seq] = 1
                     occupancy += size
                     if occupancy > max_occupancy:
                         max_occupancy = occupancy
@@ -152,17 +147,18 @@ def simulate(trace: Trace, cfg: ResequencerConfig) -> ResequencerOutcome:
                 continue
             departures[seq - 1] = now
             next_expected = seq + 1
-        elif timers:
+        elif head < len(parked):
             # flush every stored packet up to the timer's, then go on in order
-            now, flush_to = heapq.heappop(timers)
+            flush_to = parked[head]
+            head += 1
+            now = times[flush_to - 1] + timeout
         else:
             break
         while True:
             seq = next_expected
-            stored = buf.pop(seq, None)
-            if stored is not None:
-                occupancy -= stored[0]
-                residence = now - stored[1]
+            if held[seq]:
+                occupancy -= sizes[seq - 1]
+                residence = now - times[seq - 1]
                 if residence > max_residence:
                     max_residence = residence
                 departures[seq - 1] = now

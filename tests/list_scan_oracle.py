@@ -1,9 +1,10 @@
 """Reference copy of the list-scan re-sequencer simulator.
 
 This is ``reseqkit.resequencer.simulate`` as it was before its timers moved
-to a heap, kept verbatim as a differential oracle.  Every event rebuilds the
-list of pending deadlines and takes its minimum, so the next timer is chosen
-by an independent method, at O(backlog) per event.  It also keeps its own
+to a heap (they are now a queue in arrival order), kept verbatim as a
+differential oracle.  Every event rebuilds the list of pending deadlines
+and takes its minimum, so the next timer is chosen by an independent
+method, at O(backlog) per event.  It also keeps its own
 copy of the ``Fraction`` arrival checks that ``simulate`` ran before it
 moved to integer ticks.  It returns the outcome as the tuple
 ``(departures, discards, max_occupancy, max_residence)``, which

@@ -353,8 +353,10 @@ TWO_PIECE_CURVE = str(GOLDEN / "two_piece_curve.json")
 MULTI_PIECE = str(GOLDEN / "multi_piece_path.json")
 MIXED_BASES = str(GOLDEN / "mixed_bases_path.json")
 CAPTURE_SHAPE = str(GOLDEN / "capture_shape.csv")
+MIXED_DISCARDS = str(GOLDEN / "mixed_discards.csv")
 GOLDEN_EXIT = {  # OK for the rest
     "lossy_backlog_discard.json": DISCARD,
+    "mixed_discards_simulate.json": DISCARD,
     "two_segments_both.table": UNSAFE_WARNING,
     "two_segments_both.json": UNSAFE_WARNING,
     "mixed_bases_both.json": UNSAFE_WARNING,
@@ -450,6 +452,11 @@ GOLDEN_CASES = [
     (["analyze", "--config", MIXED_BASES, "--loss", "both", "--format", fmt],
      f"mixed_bases_both.{fmt}")
     for fmt in ("json", "table")
+] + [
+    # a 300 B buffer and a 5 ms timeout: overflows while the buffer is
+    # full, late packets after their holes were flushed, a loss, a p/q time
+    (["simulate", "--timeout", "5ms", "--buffer", "300", MIXED_DISCARDS],
+     "mixed_discards_simulate.json"),
 ]
 
 
@@ -1532,14 +1539,16 @@ def written_outcome(outcome, piece):
 @st.composite
 def outcomes(draw):
     """Outcomes on a drawn tick base, INF, negative and decimal ticks among
-    the departures, and discards among the INF."""
+    the departures, and discards among the INF: after the drawn ticks, up to
+    40 more INF, so a draw can hold many discards of both reasons."""
     den = draw(st.sampled_from(TICK_BASES))
     short = st.builds(lambda n, s: n * (den // math.gcd(den, s)),
                       st.integers(-10**6, 10**6), st.sampled_from((2, 3, 10, 10**12)))
     ticks = draw(st.lists(st.one_of(
         st.integers(-10**30, 10**30), st.just(0), short, st.just(INF)), max_size=12))
+    ticks += [INF] * draw(st.integers(0, 40))
     lost = [seq for seq, t in enumerate(ticks, 1) if t is INF]
-    discarded = draw(st.lists(st.sampled_from(lost), unique=True) if lost else st.just([]))
+    discarded = draw(st.permutations(lost))[:draw(st.integers(0, len(lost)))]
     reasons = st.sampled_from((INVALID_LATE, OVERFLOW))
     return ResequencerOutcome(
         tuple(ticks), den, {seq: draw(reasons) for seq in discarded},
@@ -1552,8 +1561,8 @@ def test_departures_writer_matches_the_dict_form(outcome, piece):
     text, writes = written_outcome(outcome, piece)
     assert text == cli._dump_json(outcome_dict(outcome)) + "\n"
     assert text == json.dumps(outcome_dict(outcome), indent=2) + "\n"
-    n = len(outcome.departure_ticks)
-    assert writes == 2 + -(-n // piece)  # one write per piece
+    n, d = len(outcome.departure_ticks), len(outcome.discards)
+    assert writes == 3 + -(-n // piece) + -(-d // piece)  # one write per piece
 
 
 @pytest.mark.parametrize("text,flags,shown", [

@@ -237,6 +237,10 @@ def grid_arrivals(draw):
 
 
 class TestHeapMatchesListScan:
+    """``simulate``, whose timers leave in arrival order (they sat in a heap
+    when this class was named), against the list-scan oracle, which picks
+    each next timer by a scan of every pending deadline."""
+
     @settings(max_examples=400, deadline=None)
     @given(
         arrivals=grid_arrivals(),
